@@ -196,6 +196,10 @@ pub struct ThreadRegistry {
     next_id: AtomicU64,
     runnable: CachePadded<AtomicU64>,
     trace: Mutex<Option<Arc<TransitionTrace>>>,
+    /// Whether `trace` holds a trace.  Every state change of every thread
+    /// reads this instead of taking the registry-wide mutex, so transitions
+    /// share no lock while tracing is off.
+    tracing: AtomicBool,
 }
 
 impl Default for ThreadRegistry {
@@ -212,6 +216,7 @@ impl ThreadRegistry {
             next_id: AtomicU64::new(0),
             runnable: CachePadded::new(AtomicU64::new(0)),
             trace: Mutex::new(None),
+            tracing: AtomicBool::new(false),
         }
     }
 
@@ -236,15 +241,24 @@ impl ThreadRegistry {
 
     /// Attaches a transition trace; every subsequent state change is recorded.
     pub fn attach_trace(&self, trace: Arc<TransitionTrace>) {
-        *self.trace.lock().unwrap() = Some(trace);
+        let mut slot = self.trace.lock().unwrap();
+        *slot = Some(trace);
+        self.tracing.store(true, Ordering::Release);
     }
 
     /// Detaches the transition trace, if any.
     pub fn detach_trace(&self) {
-        *self.trace.lock().unwrap() = None;
+        let mut slot = self.trace.lock().unwrap();
+        self.tracing.store(false, Ordering::Release);
+        *slot = None;
     }
 
     fn record_transition(&self, thread_id: u64, from: ThreadState, to: ThreadState) {
+        // The flag is only a hint that the mutex is worth taking; the mutex
+        // orders the trace pointer itself, so `Relaxed` suffices here.
+        if !self.tracing.load(Ordering::Relaxed) {
+            return;
+        }
         if let Some(trace) = self.trace.lock().unwrap().as_ref() {
             trace.push(Transition {
                 at_ns: now_ns(),

@@ -27,7 +27,7 @@
 
 use crate::controller::LoadControl;
 use crate::lc_lock::{LcMutex, LcMutexGuard};
-use crate::thread_ctx::{current_ctx, LoadGate};
+use crate::thread_ctx::LoadGate;
 use lc_accounting::ThreadState;
 use lc_locks::{AbortableLock, Parker};
 use std::collections::VecDeque;
@@ -111,14 +111,14 @@ impl LcCondvar {
         guard: LcMutexGuard<'a, T, R>,
     ) -> LcMutexGuard<'a, T, R> {
         let mutex: &'a LcMutex<T, R> = guard.mutex();
-        let ctx = current_ctx(&self.control);
+        let mut gate = LoadGate::new(&self.control);
         // Register *before* releasing the mutex: a notify that runs after our
         // predicate check (under the lock) but before we start polling either
         // advances the epoch past the snapshot or pops our node — never lost.
         let target = self.epoch.load(Ordering::Acquire);
         let node = Arc::new(WaitNode {
             notified: AtomicBool::new(false),
-            parker: Arc::clone(ctx.parker()),
+            parker: Arc::clone(gate.ctx().parker()),
         });
         self.waiters.lock().unwrap().push_back(Arc::clone(&node));
         drop(guard);
@@ -126,8 +126,7 @@ impl LcCondvar {
         let still_waiting = || {
             self.epoch.load(Ordering::Acquire) == target && !node.notified.load(Ordering::Acquire)
         };
-        let previous = ctx.set_registry_state(ThreadState::Spinning);
-        let mut gate = LoadGate::from_ctx(ctx.clone(), self.control.config());
+        let previous = gate.ctx().set_registry_state(ThreadState::Spinning);
         let mut iteration = 0u64;
         while still_waiting() {
             iteration += 1;
@@ -151,7 +150,7 @@ impl LcCondvar {
             .lock()
             .unwrap()
             .retain(|n| !Arc::ptr_eq(n, &node));
-        ctx.set_registry_state(previous);
+        gate.ctx().set_registry_state(previous);
         mutex.lock()
     }
 

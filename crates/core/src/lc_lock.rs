@@ -12,7 +12,7 @@
 
 use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
-use crate::thread_ctx::{current_ctx, LoadControlPolicy};
+use crate::thread_ctx::{with_ctx, LoadControlPolicy};
 use lc_locks::{
     AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock, TpConfig,
 };
@@ -99,16 +99,16 @@ unsafe impl<R: AbortableLock> RawLock for LcLock<R> {
     }
 
     fn lock(&self) {
-        let ctx = current_ctx(&self.control);
-        let mut policy = LoadControlPolicy::from_ctx(ctx.clone(), self.control.config());
+        let mut policy = LoadControlPolicy::new(&self.control);
         self.inner.lock_with(&mut policy);
-        ctx.note_acquired();
+        policy.note_acquired();
     }
 
     unsafe fn unlock(&self) {
-        let ctx = current_ctx(&self.control);
-        ctx.note_released();
+        // Release first: the thread-local bookkeeping below must not extend
+        // the hold time the next waiter sees.
         self.inner.unlock();
+        with_ctx(&self.control, |ctx| ctx.note_released());
     }
 
     fn is_locked(&self) -> bool {
@@ -123,7 +123,7 @@ unsafe impl<R: AbortableLock> RawLock for LcLock<R> {
 unsafe impl<R: AbortableLock + RawTryLock> RawTryLock for LcLock<R> {
     fn try_lock(&self) -> bool {
         if self.inner.try_lock() {
-            current_ctx(&self.control).note_acquired();
+            with_ctx(&self.control, |ctx| ctx.note_acquired());
             true
         } else {
             false

@@ -10,7 +10,7 @@
 //! surface, which is the paper's decoupling claim extended beyond mutexes.
 
 use crate::controller::LoadControl;
-use crate::thread_ctx::{current_ctx, LoadControlPolicy};
+use crate::thread_ctx::{with_ctx, LoadControlPolicy};
 use lc_locks::RawRwLock;
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -62,10 +62,9 @@ impl<T> LcRwLock<T> {
 impl<T: ?Sized> LcRwLock<T> {
     /// Acquires the lock in shared mode.
     pub fn read(&self) -> LcRwLockReadGuard<'_, T> {
-        let ctx = current_ctx(&self.control);
-        let mut policy = LoadControlPolicy::from_ctx(ctx.clone(), self.control.config());
+        let mut policy = LoadControlPolicy::new(&self.control);
         self.raw.read_with(&mut policy);
-        ctx.note_acquired();
+        policy.note_acquired();
         LcRwLockReadGuard {
             lock: self,
             _not_send: PhantomData,
@@ -75,7 +74,7 @@ impl<T: ?Sized> LcRwLock<T> {
     /// Attempts to acquire the lock in shared mode without waiting.
     pub fn try_read(&self) -> Option<LcRwLockReadGuard<'_, T>> {
         if self.raw.try_read() {
-            current_ctx(&self.control).note_acquired();
+            with_ctx(&self.control, |ctx| ctx.note_acquired());
             Some(LcRwLockReadGuard {
                 lock: self,
                 _not_send: PhantomData,
@@ -87,10 +86,9 @@ impl<T: ?Sized> LcRwLock<T> {
 
     /// Acquires the lock in exclusive mode.
     pub fn write(&self) -> LcRwLockWriteGuard<'_, T> {
-        let ctx = current_ctx(&self.control);
-        let mut policy = LoadControlPolicy::from_ctx(ctx.clone(), self.control.config());
+        let mut policy = LoadControlPolicy::new(&self.control);
         self.raw.write_with(&mut policy);
-        ctx.note_acquired();
+        policy.note_acquired();
         LcRwLockWriteGuard {
             lock: self,
             _not_send: PhantomData,
@@ -100,7 +98,7 @@ impl<T: ?Sized> LcRwLock<T> {
     /// Attempts to acquire the lock in exclusive mode without waiting.
     pub fn try_write(&self) -> Option<LcRwLockWriteGuard<'_, T>> {
         if self.raw.try_write() {
-            current_ctx(&self.control).note_acquired();
+            with_ctx(&self.control, |ctx| ctx.note_acquired());
             Some(LcRwLockWriteGuard {
                 lock: self,
                 _not_send: PhantomData,
@@ -163,8 +161,9 @@ impl<T: ?Sized> Deref for LcRwLockReadGuard<'_, T> {
 
 impl<T: ?Sized> Drop for LcRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        current_ctx(&self.lock.control).note_released();
+        // Release first; the bookkeeping must not extend the hold time.
         unsafe { self.lock.raw.unlock_read() };
+        with_ctx(&self.lock.control, |ctx| ctx.note_released());
     }
 }
 
@@ -197,8 +196,9 @@ impl<T: ?Sized> DerefMut for LcRwLockWriteGuard<'_, T> {
 
 impl<T: ?Sized> Drop for LcRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        current_ctx(&self.lock.control).note_released();
+        // Release first; the bookkeeping must not extend the hold time.
         unsafe { self.lock.raw.unlock_write() };
+        with_ctx(&self.lock.control, |ctx| ctx.note_released());
     }
 }
 

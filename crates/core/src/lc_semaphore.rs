@@ -13,7 +13,7 @@
 
 use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
-use crate::thread_ctx::{current_ctx, LoadControlPolicy};
+use crate::thread_ctx::{with_ctx, LoadControlPolicy};
 use lc_locks::RawSemaphore;
 use std::fmt;
 use std::future::Future;
@@ -76,10 +76,9 @@ impl LcSemaphore {
     /// Acquires one permit, waiting (under load control) until one is
     /// available.  The permit is returned when the guard drops.
     pub fn acquire(&self) -> LcSemaphorePermit<'_> {
-        let ctx = current_ctx(&self.control);
-        let mut policy = LoadControlPolicy::from_ctx(ctx.clone(), self.control.config());
+        let mut policy = LoadControlPolicy::new(&self.control);
         self.raw.acquire_with(&mut policy);
-        ctx.note_acquired();
+        policy.note_acquired();
         LcSemaphorePermit {
             semaphore: self,
             _not_send: PhantomData,
@@ -136,7 +135,7 @@ impl LcSemaphore {
     /// Attempts to acquire one permit without waiting.
     pub fn try_acquire(&self) -> Option<LcSemaphorePermit<'_>> {
         if self.raw.try_acquire() {
-            current_ctx(&self.control).note_acquired();
+            with_ctx(&self.control, |ctx| ctx.note_acquired());
             Some(LcSemaphorePermit {
                 semaphore: self,
                 _not_send: PhantomData,
@@ -187,8 +186,9 @@ impl fmt::Debug for LcSemaphorePermit<'_> {
 
 impl Drop for LcSemaphorePermit<'_> {
     fn drop(&mut self) {
-        current_ctx(&self.semaphore.control).note_released();
+        // Release first; the bookkeeping must not extend the hold time.
         unsafe { self.semaphore.raw.release() };
+        with_ctx(&self.semaphore.control, |ctx| ctx.note_released());
     }
 }
 

@@ -9,7 +9,7 @@
 //! claiming, parking and waking exactly like a load-controlled lock waiter.
 
 use crate::controller::LoadControl;
-use crate::thread_ctx::{current_ctx, LoadControlPolicy};
+use crate::thread_ctx::LoadControlPolicy;
 use lc_locks::{SpinDecision, SpinPolicy};
 use std::fmt;
 use std::sync::Arc;
@@ -51,9 +51,8 @@ impl fmt::Debug for SpinHook {
 impl SpinHook {
     /// Creates a hook for the calling thread on `control`.
     pub fn new(control: &Arc<LoadControl>) -> Self {
-        let ctx = current_ctx(control);
         Self {
-            policy: LoadControlPolicy::from_ctx(ctx, control.config()),
+            policy: LoadControlPolicy::new(control),
             spins: 0,
             sleeps: 0,
         }

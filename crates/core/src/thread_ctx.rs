@@ -22,7 +22,6 @@
 //!   lock attempt, parks until the slot is cleared or a timeout expires, and
 //!   then retries the lock.
 
-use crate::config::LoadControlConfig;
 use crate::controller::LoadControl;
 use crate::slots::{ClaimOutcome, SleeperId};
 use crate::time::{SlotWait, WaitPoll};
@@ -30,7 +29,6 @@ use lc_accounting::{ThreadHandle, ThreadState};
 use lc_locks::delegation::{self, CombinerObserver};
 use lc_locks::{Parker, SpinDecision, SpinPolicy};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -42,6 +40,11 @@ pub(crate) struct ThreadCtx {
     parker: Arc<Parker>,
     sleeper: SleeperId,
     handle: ThreadHandle,
+    /// The two configuration values the waiter side reads, copied once per
+    /// (thread, control): the configuration is immutable after build, and
+    /// [`LoadGate::check`] reads the period on every polling iteration.
+    slot_check_period: u64,
+    sleep_timeout: Duration,
     /// Number of load-controlled locks this thread currently holds; used to
     /// refuse sleeping while holding a lock (the nested-critical-section
     /// hazard of paper §6.1.2).
@@ -71,11 +74,14 @@ impl ThreadCtx {
         let parker = Arc::new(Parker::new());
         let sleeper = control.buffer().register_sleeper(Arc::clone(&parker));
         let handle = control.registry().register();
+        let config = control.config();
         Self {
             control,
             parker,
             sleeper,
             handle,
+            slot_check_period: u64::from(config.slot_check_period),
+            sleep_timeout: config.sleep_timeout,
             hold_count: Cell::new(0),
             slot_claims: Cell::new(0),
             sleeps: Cell::new(0),
@@ -134,18 +140,13 @@ impl ThreadCtx {
     /// `lc-des` simulator polls at event times — driven here against the
     /// control instance's [`TimeSource`](crate::time::TimeSource) and
     /// [`ParkOps`](crate::time::ParkOps).
-    fn sleep_in_slot_while(
-        &self,
-        slot_idx: usize,
-        config: &LoadControlConfig,
-        keep_parked: &dyn Fn() -> bool,
-    ) {
+    fn sleep_in_slot_while(&self, slot_idx: usize, keep_parked: &dyn Fn() -> bool) {
         self.sleeps.set(self.sleeps.get() + 1);
         let buffer = self.control.buffer();
         let time = Arc::clone(self.control.time());
         let park_ops = Arc::clone(self.control.park_ops());
         let previous = self.handle.set_state(ThreadState::ParkedByLoadControl);
-        let wait = SlotWait::begin(slot_idx, self.sleeper, time.now(), config.sleep_timeout);
+        let wait = SlotWait::begin(slot_idx, self.sleeper, time.now(), self.sleep_timeout);
         loop {
             if !keep_parked() {
                 break;
@@ -175,7 +176,12 @@ impl ThreadCtx {
 }
 
 thread_local! {
-    static CTXS: RefCell<HashMap<usize, Rc<ThreadCtx>>> = RefCell::new(HashMap::new());
+    /// This thread's contexts keyed by [`LoadControl`] address, most recently
+    /// used first.  A thread touches one or two controls, so the first probe
+    /// almost always hits: a lookup is one pointer compare, no hashing.  (A
+    /// context keeps its control alive, so an address is never reused while
+    /// its entry exists.)
+    static CTXS: RefCell<Vec<(usize, Rc<ThreadCtx>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The per-thread combiner hook wiring `lc_locks::delegation` to load
@@ -206,7 +212,9 @@ impl CombinerObserver for CtxCombinerObserver {
     }
 }
 
-/// Returns (creating if necessary) the calling thread's context for `control`.
+/// Runs `f` on the calling thread's context for `control`, creating the
+/// context if necessary.  `f` runs with the thread's context list borrowed
+/// and must not call back into this module's lookup.
 ///
 /// Context creation also installs the thread's [`CombinerObserver`], linking
 /// the delegation lock plane (`flat-combining` / `ccsynch` with
@@ -214,20 +222,29 @@ impl CombinerObserver for CtxCombinerObserver {
 /// using several [`LoadControl`] instances keeps the observer of the instance
 /// it touched most recently — per-thread delegation state is a single hook,
 /// matching the one-control-plane-per-process deployment of the paper.
-pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
+pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&Rc<ThreadCtx>) -> T) -> T {
     let key = Arc::as_ptr(control) as usize;
-    CTXS.with(|map| {
-        let mut map = map.borrow_mut();
-        if let Some(ctx) = map.get(&key) {
-            return Rc::clone(ctx);
+    CTXS.with(|ctxs| {
+        let mut ctxs = ctxs.borrow_mut();
+        match ctxs.iter().position(|(k, _)| *k == key) {
+            Some(0) => {}
+            Some(i) => ctxs.swap(0, i),
+            None => {
+                let ctx = Rc::new(ThreadCtx::new(Arc::clone(control)));
+                delegation::install_combiner_observer(Box::new(CtxCombinerObserver {
+                    ctx: Rc::clone(&ctx),
+                }));
+                ctxs.insert(0, (key, ctx));
+            }
         }
-        let ctx = Rc::new(ThreadCtx::new(Arc::clone(control)));
-        map.insert(key, Rc::clone(&ctx));
-        delegation::install_combiner_observer(Box::new(CtxCombinerObserver {
-            ctx: Rc::clone(&ctx),
-        }));
-        ctx
+        f(&ctxs[0].1)
     })
+}
+
+/// The calling thread's context for `control`, as an owned handle (for state
+/// that outlives one call: a gate, a worker registration).
+pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
+    with_ctx(control, Rc::clone)
 }
 
 /// Handle returned by [`LoadControl::register_worker`].
@@ -294,7 +311,6 @@ impl Drop for WorkerRegistration {
 /// heterogeneous primitives.
 pub struct LoadGate {
     ctx: Rc<ThreadCtx>,
-    config: LoadControlConfig,
     claimed: Option<usize>,
     sleeps: u64,
 }
@@ -311,13 +327,8 @@ impl fmt::Debug for LoadGate {
 impl LoadGate {
     /// Creates a gate for the calling thread on `control`.
     pub fn new(control: &Arc<LoadControl>) -> Self {
-        Self::from_ctx(current_ctx(control), control.config())
-    }
-
-    pub(crate) fn from_ctx(ctx: Rc<ThreadCtx>, config: LoadControlConfig) -> Self {
         Self {
-            ctx,
-            config,
+            ctx: current_ctx(control),
             claimed: None,
             sleeps: 0,
         }
@@ -345,10 +356,12 @@ impl LoadGate {
             // Defensive: an earlier claim was never resolved by the caller.
             return true;
         }
-        if !iteration.is_multiple_of(u64::from(self.config.slot_check_period)) {
-            return false;
-        }
-        self.try_claim()
+        self.is_due(iteration) && self.try_claim()
+    }
+
+    /// Whether `iteration` is one on which the slot buffer is consulted.
+    fn is_due(&self, iteration: u64) -> bool {
+        iteration.is_multiple_of(self.ctx.slot_check_period)
     }
 
     /// Attempts to claim a sleep slot right now (the unconditioned form of
@@ -425,8 +438,7 @@ impl LoadGate {
                 // claim.
                 self.ctx.note_slot_released();
                 self.sleeps += 1;
-                self.ctx
-                    .sleep_in_slot_while(idx, &self.config, &keep_parked);
+                self.ctx.sleep_in_slot_while(idx, &keep_parked);
                 true
             }
             None => false,
@@ -486,20 +498,29 @@ impl LoadControlPolicy {
         }
     }
 
-    pub(crate) fn from_ctx(ctx: Rc<ThreadCtx>, config: LoadControlConfig) -> Self {
-        Self {
-            gate: LoadGate::from_ctx(ctx, config),
-            sleeps_this_acquire: 0,
-        }
+    /// The acquisition this policy waited for succeeded: count the hold, so
+    /// the thread refuses to sleep until the matching release (paper §6.1.2).
+    pub(crate) fn note_acquired(&self) {
+        self.gate.ctx.note_acquired();
     }
 }
 
 impl SpinPolicy for LoadControlPolicy {
     fn on_spin(&mut self, spins: u64) -> SpinDecision {
-        if spins == 1 {
-            self.gate.ctx().handle.set_state(ThreadState::Spinning);
+        if self.gate.has_claim() {
+            return SpinDecision::Abort;
         }
-        if self.gate.check(spins) {
+        if !self.gate.is_due(spins) {
+            return SpinDecision::Continue;
+        }
+        // `Spinning` is published at the first due slot check, not at the
+        // first poll: a hand-off shorter than one check period then costs no
+        // registry transition at all (each is a clock read plus shared
+        // stores).  `Running` and `Spinning` are both runnable, so the
+        // controller's load signal does not move; repeating the call at later
+        // checks is a load and a compare.
+        self.gate.ctx.handle.set_state(ThreadState::Spinning);
+        if self.gate.try_claim() {
             SpinDecision::Abort
         } else {
             SpinDecision::Continue
@@ -518,7 +539,7 @@ impl SpinPolicy for LoadControlPolicy {
         // We may have won the lock in the window between claiming a slot and
         // sleeping: clear the claim and proceed (paper §3.1.2).
         self.gate.cancel();
-        self.gate.ctx().handle.set_state(ThreadState::Running);
+        self.gate.ctx.handle.set_state(ThreadState::Running);
     }
 }
 
@@ -555,6 +576,34 @@ mod tests {
         let other = test_control(2);
         let c = current_ctx(&other);
         assert!(!Rc::ptr_eq(&a, &c));
+        // Alternating between two controls moves the front of the list back
+        // and forth; each control must keep answering with its own context.
+        for _ in 0..3 {
+            assert!(Rc::ptr_eq(&current_ctx(&lc), &a));
+            assert!(Rc::ptr_eq(&current_ctx(&other), &c));
+        }
+        assert!(Arc::ptr_eq(&a.control, &lc) && Arc::ptr_eq(&c.control, &other));
+    }
+
+    #[test]
+    fn short_lived_thread_releases_its_registration() {
+        let lc = test_control(2);
+        let refs_before = Arc::strong_count(&lc);
+        let lc2 = Arc::clone(&lc);
+        std::thread::spawn(move || {
+            let m = crate::LcMutex::<u32>::new_with(0, &lc2);
+            *m.lock() += 1;
+            assert_eq!(lc2.registry().len(), 1);
+            assert_eq!(lc2.registry().runnable_threads(), 1);
+        })
+        .join()
+        .unwrap();
+        // The context died with the thread: its registry record is closed, it
+        // left no claim behind, and it no longer keeps the control alive.
+        assert_eq!(lc.registry().len(), 0);
+        assert_eq!(lc.registry().runnable_threads(), 0);
+        assert_eq!(lc.sleepers(), 0);
+        assert_eq!(Arc::strong_count(&lc), refs_before);
     }
 
     #[test]
@@ -649,12 +698,12 @@ mod tests {
         lc.set_sleep_target(4);
         let ctx = current_ctx(&lc);
         ctx.note_acquired();
-        let mut p = LoadControlPolicy::from_ctx(Rc::clone(&ctx), lc.config());
+        let mut p = LoadControlPolicy::new(&lc);
         for i in 1..=2_000 {
             assert_eq!(p.on_spin(i), SpinDecision::Continue);
         }
         ctx.note_released();
-        let mut p2 = LoadControlPolicy::from_ctx(ctx, lc.config());
+        let mut p2 = LoadControlPolicy::new(&lc);
         let period = u64::from(lc.config().slot_check_period);
         let mut aborted = false;
         for i in 1..=period {

@@ -97,6 +97,7 @@ unsafe impl RawLock for BlockingLock {
         // transferred to us by the releaser, so there is nothing to re-check.
         self.stats.record_park();
         parker.park();
+        // We own the lock from here on, as `record_acquire` requires.
         self.stats.record_acquire(true, 0);
     }
 

@@ -326,18 +326,43 @@ mod tests {
         unsafe { rw.unlock_read() };
     }
 
+    /// [`AbortAfter`] whose abort count another thread can wait on.
+    struct WatchedAborts {
+        inner: AbortAfter,
+        aborts: Arc<StdU64>,
+    }
+
+    impl SpinPolicy for WatchedAborts {
+        fn on_spin(&mut self, spins: u64) -> SpinDecision {
+            self.inner.on_spin(spins)
+        }
+
+        fn on_aborted(&mut self) {
+            self.inner.on_aborted();
+            self.aborts.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn aborting_writer_unblocks_readers() {
         let rw = Arc::new(RawRwLock::new());
         rw.read(); // keep the writer waiting
-        let rw2 = Arc::clone(&rw);
+        let aborts = Arc::new(StdU64::new(0));
+        let (rw2, aborts2) = (Arc::clone(&rw), Arc::clone(&aborts));
         let writer = thread::spawn(move || {
             // Abort every 16 polls, forever retrying.
-            let mut policy = AbortAfter::new(16);
+            let mut policy = WatchedAborts {
+                inner: AbortAfter::new(16),
+                aborts: aborts2,
+            };
             rw2.write_with(&mut policy);
             unsafe { rw2.unlock_write() };
-            policy.aborts
         });
+        // Our read keeps the writer out, so it must abort; only once it has
+        // is there an abort/retry churn for a second reader to slip through.
+        while aborts.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
         // While the writer churns through abort/retry cycles there are
         // windows with no announcement; a reader must eventually get in.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -351,8 +376,7 @@ mod tests {
         }
         assert!(got_read, "aborting writer kept readers out");
         unsafe { rw.unlock_read() };
-        let aborts = writer.join().unwrap();
-        assert!(aborts >= 1);
+        writer.join().unwrap();
         assert!(!rw.is_locked());
     }
 

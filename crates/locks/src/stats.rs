@@ -213,7 +213,14 @@ pub struct WaitObservation {
 }
 
 /// Aggregate counters for one lock instance.
+///
+/// Aligned to a cache line of its own (128 bytes, as
+/// [`crossbeam_utils::CachePadded`] uses): the lock holder writes these on
+/// every acquisition, and a lock's read-mostly fields — a slot-ring pointer,
+/// its configuration — must not share that line with them or every spinner
+/// re-fetches it once per hand-off.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct LockStats {
     acquisitions: AtomicU64,
     contended: AtomicU64,
@@ -248,14 +255,33 @@ impl LockStats {
 
     /// Records one successful acquisition; `contended` says whether the lock
     /// was observed busy, and `spins` how many polling iterations were spent.
+    ///
+    /// **Single writer.**  Call this only from the thread that has just
+    /// acquired the lock these statistics belong to, before it releases it.
+    /// The three counters are then only ever written inside the critical
+    /// section, and the lock's own release → acquire ordering carries each
+    /// holder's stores to the next holder's loads, so a plain load + store is
+    /// exact — no `lock`-prefixed instruction inside the critical section.
+    /// Called from anywhere else, increments can be lost.  A [`reset`]
+    /// concurrent with an acquisition can be lost the same way (the holder
+    /// stores `old + 1` over the zero); reset between measurement intervals,
+    /// not during them.
+    ///
+    /// [`reset`]: LockStats::reset
     #[inline]
     pub fn record_acquire(&self, contended: bool, spins: u64) {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        let add = |counter: &AtomicU64, n: u64| {
+            counter.store(
+                counter.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        };
+        add(&self.acquisitions, 1);
         if contended {
-            self.contended.fetch_add(1, Ordering::Relaxed);
+            add(&self.contended, 1);
         }
         if spins > 0 {
-            self.spin_iterations.fetch_add(spins, Ordering::Relaxed);
+            add(&self.spin_iterations, spins);
         }
     }
 
@@ -279,7 +305,8 @@ impl LockStats {
         }
     }
 
-    /// Takes a consistent-enough snapshot of all counters.
+    /// Takes a consistent-enough snapshot of all counters (from a thread
+    /// other than the lock holder it may lag the newest acquisition).
     pub fn snapshot(&self) -> LockStatsSnapshot {
         LockStatsSnapshot {
             acquisitions: self.acquisitions.load(Ordering::Relaxed),

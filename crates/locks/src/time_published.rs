@@ -147,6 +147,9 @@ pub struct TimePublishedLock {
     owner_ticket: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<Slot>]>,
     config: TpConfig,
+    /// Written by the holder on every acquisition; `LockStats` is aligned to
+    /// a line of its own so those writes never invalidate `slots`/`config`,
+    /// which every spinner reads.
     stats: LockStats,
 }
 
