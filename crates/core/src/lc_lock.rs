@@ -12,7 +12,7 @@
 
 use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
-use crate::thread_ctx::{with_ctx, LoadControlPolicy};
+use crate::thread_ctx::{acquire, release, try_acquire};
 use lc_locks::{
     AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock, TpConfig,
 };
@@ -99,16 +99,11 @@ unsafe impl<R: AbortableLock> RawLock for LcLock<R> {
     }
 
     fn lock(&self) {
-        let mut policy = LoadControlPolicy::new(&self.control);
-        self.inner.lock_with(&mut policy);
-        policy.note_acquired();
+        acquire(&self.control, |policy| self.inner.lock_with(policy));
     }
 
     unsafe fn unlock(&self) {
-        // Release first: the thread-local bookkeeping below must not extend
-        // the hold time the next waiter sees.
-        self.inner.unlock();
-        with_ctx(&self.control, |ctx| ctx.note_released());
+        release(&self.control, || unsafe { self.inner.unlock() });
     }
 
     fn is_locked(&self) -> bool {
@@ -122,12 +117,7 @@ unsafe impl<R: AbortableLock> RawLock for LcLock<R> {
 
 unsafe impl<R: AbortableLock + RawTryLock> RawTryLock for LcLock<R> {
     fn try_lock(&self) -> bool {
-        if self.inner.try_lock() {
-            with_ctx(&self.control, |ctx| ctx.note_acquired());
-            true
-        } else {
-            false
-        }
+        try_acquire(&self.control, || self.inner.try_lock())
     }
 }
 

@@ -10,7 +10,7 @@
 //! surface, which is the paper's decoupling claim extended beyond mutexes.
 
 use crate::controller::LoadControl;
-use crate::thread_ctx::{with_ctx, LoadControlPolicy};
+use crate::thread_ctx::{acquire, release, try_acquire};
 use lc_locks::RawRwLock;
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -62,9 +62,7 @@ impl<T> LcRwLock<T> {
 impl<T: ?Sized> LcRwLock<T> {
     /// Acquires the lock in shared mode.
     pub fn read(&self) -> LcRwLockReadGuard<'_, T> {
-        let mut policy = LoadControlPolicy::new(&self.control);
-        self.raw.read_with(&mut policy);
-        policy.note_acquired();
+        acquire(&self.control, |policy| self.raw.read_with(policy));
         LcRwLockReadGuard {
             lock: self,
             _not_send: PhantomData,
@@ -73,22 +71,15 @@ impl<T: ?Sized> LcRwLock<T> {
 
     /// Attempts to acquire the lock in shared mode without waiting.
     pub fn try_read(&self) -> Option<LcRwLockReadGuard<'_, T>> {
-        if self.raw.try_read() {
-            with_ctx(&self.control, |ctx| ctx.note_acquired());
-            Some(LcRwLockReadGuard {
-                lock: self,
-                _not_send: PhantomData,
-            })
-        } else {
-            None
-        }
+        try_acquire(&self.control, || self.raw.try_read()).then(|| LcRwLockReadGuard {
+            lock: self,
+            _not_send: PhantomData,
+        })
     }
 
     /// Acquires the lock in exclusive mode.
     pub fn write(&self) -> LcRwLockWriteGuard<'_, T> {
-        let mut policy = LoadControlPolicy::new(&self.control);
-        self.raw.write_with(&mut policy);
-        policy.note_acquired();
+        acquire(&self.control, |policy| self.raw.write_with(policy));
         LcRwLockWriteGuard {
             lock: self,
             _not_send: PhantomData,
@@ -97,15 +88,10 @@ impl<T: ?Sized> LcRwLock<T> {
 
     /// Attempts to acquire the lock in exclusive mode without waiting.
     pub fn try_write(&self) -> Option<LcRwLockWriteGuard<'_, T>> {
-        if self.raw.try_write() {
-            with_ctx(&self.control, |ctx| ctx.note_acquired());
-            Some(LcRwLockWriteGuard {
-                lock: self,
-                _not_send: PhantomData,
-            })
-        } else {
-            None
-        }
+        try_acquire(&self.control, || self.raw.try_write()).then(|| LcRwLockWriteGuard {
+            lock: self,
+            _not_send: PhantomData,
+        })
     }
 
     /// The [`LoadControl`] instance this lock participates in.
@@ -161,9 +147,9 @@ impl<T: ?Sized> Deref for LcRwLockReadGuard<'_, T> {
 
 impl<T: ?Sized> Drop for LcRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        // Release first; the bookkeeping must not extend the hold time.
-        unsafe { self.lock.raw.unlock_read() };
-        with_ctx(&self.lock.control, |ctx| ctx.note_released());
+        release(&self.lock.control, || unsafe {
+            self.lock.raw.unlock_read()
+        });
     }
 }
 
@@ -196,9 +182,9 @@ impl<T: ?Sized> DerefMut for LcRwLockWriteGuard<'_, T> {
 
 impl<T: ?Sized> Drop for LcRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        // Release first; the bookkeeping must not extend the hold time.
-        unsafe { self.lock.raw.unlock_write() };
-        with_ctx(&self.lock.control, |ctx| ctx.note_released());
+        release(&self.lock.control, || unsafe {
+            self.lock.raw.unlock_write()
+        });
     }
 }
 

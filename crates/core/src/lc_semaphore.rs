@@ -13,7 +13,7 @@
 
 use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
-use crate::thread_ctx::{with_ctx, LoadControlPolicy};
+use crate::thread_ctx::{acquire, release, try_acquire};
 use lc_locks::RawSemaphore;
 use std::fmt;
 use std::future::Future;
@@ -76,9 +76,7 @@ impl LcSemaphore {
     /// Acquires one permit, waiting (under load control) until one is
     /// available.  The permit is returned when the guard drops.
     pub fn acquire(&self) -> LcSemaphorePermit<'_> {
-        let mut policy = LoadControlPolicy::new(&self.control);
-        self.raw.acquire_with(&mut policy);
-        policy.note_acquired();
+        acquire(&self.control, |policy| self.raw.acquire_with(policy));
         LcSemaphorePermit {
             semaphore: self,
             _not_send: PhantomData,
@@ -134,15 +132,10 @@ impl LcSemaphore {
 
     /// Attempts to acquire one permit without waiting.
     pub fn try_acquire(&self) -> Option<LcSemaphorePermit<'_>> {
-        if self.raw.try_acquire() {
-            with_ctx(&self.control, |ctx| ctx.note_acquired());
-            Some(LcSemaphorePermit {
-                semaphore: self,
-                _not_send: PhantomData,
-            })
-        } else {
-            None
-        }
+        try_acquire(&self.control, || self.raw.try_acquire()).then(|| LcSemaphorePermit {
+            semaphore: self,
+            _not_send: PhantomData,
+        })
     }
 
     /// Permits currently available (racy, diagnostics only).
@@ -186,9 +179,9 @@ impl fmt::Debug for LcSemaphorePermit<'_> {
 
 impl Drop for LcSemaphorePermit<'_> {
     fn drop(&mut self) {
-        // Release first; the bookkeeping must not extend the hold time.
-        unsafe { self.semaphore.raw.release() };
-        with_ctx(&self.semaphore.control, |ctx| ctx.note_released());
+        release(&self.semaphore.control, || unsafe {
+            self.semaphore.raw.release()
+        });
     }
 }
 

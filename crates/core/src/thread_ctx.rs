@@ -21,6 +21,11 @@
 //!   claims a slot when the controller wants threads to sleep, aborts the
 //!   lock attempt, parks until the slot is cleared or a timeout expires, and
 //!   then retries the lock.
+//!
+//! The `Lc*` wrappers themselves go through `acquire` / `release`, whose
+//! policy is the same algorithm built lazily: an acquisition pays for nothing
+//! load-control-specific — no gate, no reference count, no list borrow — until
+//! its backend has polled for a whole slot-check period.
 
 use crate::controller::LoadControl;
 use crate::slots::{ClaimOutcome, SleeperId};
@@ -30,6 +35,7 @@ use lc_locks::delegation::{self, CombinerObserver};
 use lc_locks::{Parker, SpinDecision, SpinPolicy};
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::ptr;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,6 +106,11 @@ impl ThreadCtx {
 
     fn holds_locks(&self) -> bool {
         self.hold_count.get() > 0
+    }
+
+    /// Whether `iteration` is one on which the slot buffer is consulted.
+    fn is_due(&self, iteration: u64) -> bool {
+        iteration.is_multiple_of(self.slot_check_period)
     }
 
     /// A sleep-slot claim was taken on behalf of this thread.
@@ -175,13 +186,27 @@ impl ThreadCtx {
     }
 }
 
+/// This thread's contexts keyed by [`LoadControl`] address, most recently
+/// used first: the owner of every context and the miss path of [`with_ctx`].
+/// A thread touches one or two controls, so the first probe almost always
+/// hits.  (A context keeps its control alive, so an address is never reused
+/// while its entry exists.)
+struct CtxList(RefCell<Vec<(usize, Rc<ThreadCtx>)>>);
+
+impl Drop for CtxList {
+    fn drop(&mut self) {
+        // Runs before the entries are freed: a lock taken from a thread-local
+        // destructor that runs after this one must miss, not find them.
+        LAST.set((0, ptr::null()));
+    }
+}
+
 thread_local! {
-    /// This thread's contexts keyed by [`LoadControl`] address, most recently
-    /// used first.  A thread touches one or two controls, so the first probe
-    /// almost always hits: a lookup is one pointer compare, no hashing.  (A
-    /// context keeps its control alive, so an address is never reused while
-    /// its entry exists.)
-    static CTXS: RefCell<Vec<(usize, Rc<ThreadCtx>)>> = const { RefCell::new(Vec::new()) };
+    static CTXS: CtxList = const { CtxList(RefCell::new(Vec::new())) };
+    /// The entry of `CTXS` this thread looked up last, as (control address,
+    /// context): what makes the lookup on an acquisition one load and one
+    /// compare.  Written only by [`current_ctx`] and `CtxList::drop`.
+    static LAST: Cell<(usize, *const ThreadCtx)> = const { Cell::new((0, ptr::null())) };
 }
 
 /// The per-thread combiner hook wiring `lc_locks::delegation` to load
@@ -213,8 +238,35 @@ impl CombinerObserver for CtxCombinerObserver {
 }
 
 /// Runs `f` on the calling thread's context for `control`, creating the
-/// context if necessary.  `f` runs with the thread's context list borrowed
-/// and must not call back into this module's lookup.
+/// context if necessary.  No thread-local borrow is held while `f` runs, so
+/// `f` may take other load-controlled locks — a delegation backend does, when
+/// it runs other threads' critical sections inside an acquisition.
+#[inline]
+pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&ThreadCtx) -> T) -> T {
+    let (key, last) = LAST.get();
+    let looked_up;
+    let ctx = if key == Arc::as_ptr(control) as usize {
+        // SAFETY: `LAST` holds a non-zero key only between `current_ctx`
+        // storing the address of a context owned by an entry of this
+        // thread's `CTXS` and `CtxList::drop` clearing it, which happens
+        // before any entry is dropped.  Entries are never removed while the
+        // list lives, and reordering or growing the list moves `Rc`s, not the
+        // contexts they point to.  The list is destroyed on this thread, by
+        // its thread-local destructor, which cannot start while this frame is
+        // running; so the context outlives `f`.  Only shared references to a
+        // context are ever made (its mutable state is in `Cell`s).
+        unsafe { &*last }
+    } else {
+        looked_up = current_ctx(control);
+        &*looked_up
+    };
+    f(ctx)
+}
+
+/// The calling thread's context for `control`, as an owned handle (for state
+/// that outlives one call: a gate, a worker registration).  Also the miss
+/// path of [`with_ctx`]: finds or creates the list entry, moves it to the
+/// front and remembers it in `LAST`.
 ///
 /// Context creation also installs the thread's [`CombinerObserver`], linking
 /// the delegation lock plane (`flat-combining` / `ccsynch` with
@@ -222,10 +274,10 @@ impl CombinerObserver for CtxCombinerObserver {
 /// using several [`LoadControl`] instances keeps the observer of the instance
 /// it touched most recently — per-thread delegation state is a single hook,
 /// matching the one-control-plane-per-process deployment of the paper.
-pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&Rc<ThreadCtx>) -> T) -> T {
+pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
     let key = Arc::as_ptr(control) as usize;
-    CTXS.with(|ctxs| {
-        let mut ctxs = ctxs.borrow_mut();
+    CTXS.try_with(|list| {
+        let mut ctxs = list.0.borrow_mut();
         match ctxs.iter().position(|(k, _)| *k == key) {
             Some(0) => {}
             Some(i) => ctxs.swap(0, i),
@@ -237,14 +289,56 @@ pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&Rc<ThreadC
                 ctxs.insert(0, (key, ctx));
             }
         }
-        f(&ctxs[0].1)
+        let ctx = Rc::clone(&ctxs[0].1);
+        LAST.set((key, Rc::as_ptr(&ctx)));
+        ctx
+    })
+    .unwrap_or_else(|_| {
+        // The list is already destroyed: a lock taken from a thread-local
+        // destructor that runs after ours.  Serve the call from a context of
+        // its own.  It cannot carry a hold from an acquisition to its
+        // release, so it starts as if holding: the thread never volunteers
+        // to sleep through it, and a release finds a hold to give back.
+        let ctx = Rc::new(ThreadCtx::new(Arc::clone(control)));
+        ctx.note_acquired();
+        ctx
     })
 }
 
-/// The calling thread's context for `control`, as an owned handle (for state
-/// that outlives one call: a gate, a worker registration).
-pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
-    with_ctx(control, Rc::clone)
+/// One load-controlled acquisition: `wait` runs the backend's abortable
+/// waiting loop under the policy it is handed.  Shared by every sync `Lc*`
+/// primitive.  An acquisition whose backend never polls does nothing here
+/// but mark the thread `Running` (a load and a compare when it already is)
+/// and count the hold.
+#[inline]
+pub(crate) fn acquire(control: &Arc<LoadControl>, wait: impl FnOnce(&mut AcquirePolicy<'_>)) {
+    with_ctx(control, |ctx| {
+        wait(&mut AcquirePolicy {
+            control,
+            ctx,
+            gate: None,
+        });
+        ctx.note_acquired();
+    });
+}
+
+/// The non-waiting form of [`acquire`]: counts the hold if `attempt` won.
+#[inline]
+pub(crate) fn try_acquire(control: &Arc<LoadControl>, attempt: impl FnOnce() -> bool) -> bool {
+    let won = attempt();
+    if won {
+        with_ctx(control, ThreadCtx::note_acquired);
+    }
+    won
+}
+
+/// Releases what [`acquire`] or [`try_acquire`] took.  `unlock` runs first:
+/// the thread-local bookkeeping must not extend the hold time the next
+/// waiter sees.
+#[inline]
+pub(crate) fn release(control: &Arc<LoadControl>, unlock: impl FnOnce()) {
+    unlock();
+    with_ctx(control, ThreadCtx::note_released);
 }
 
 /// Handle returned by [`LoadControl::register_worker`].
@@ -356,12 +450,7 @@ impl LoadGate {
             // Defensive: an earlier claim was never resolved by the caller.
             return true;
         }
-        self.is_due(iteration) && self.try_claim()
-    }
-
-    /// Whether `iteration` is one on which the slot buffer is consulted.
-    fn is_due(&self, iteration: u64) -> bool {
-        iteration.is_multiple_of(self.ctx.slot_check_period)
+        self.ctx.is_due(iteration) && self.try_claim()
     }
 
     /// Attempts to claim a sleep slot right now (the unconditioned form of
@@ -455,6 +544,36 @@ impl LoadGate {
         }
     }
 
+    /// [`SpinPolicy::on_spin`] over this gate.
+    fn spin(&mut self, spins: u64) -> SpinDecision {
+        if self.has_claim() {
+            return SpinDecision::Abort;
+        }
+        if !self.ctx.is_due(spins) {
+            return SpinDecision::Continue;
+        }
+        // `Spinning` is published at the first due slot check, not at the
+        // first poll: a hand-off shorter than one check period then costs no
+        // registry transition at all (each is a clock read plus shared
+        // stores).  `Running` and `Spinning` are both runnable, so the
+        // controller's load signal does not move; repeating the call at later
+        // checks is a load and a compare.
+        self.ctx.handle.set_state(ThreadState::Spinning);
+        if self.try_claim() {
+            SpinDecision::Abort
+        } else {
+            SpinDecision::Continue
+        }
+    }
+
+    /// [`SpinPolicy::on_acquired`] over this gate.
+    fn acquired(&mut self) {
+        // We may have won the lock in the window between claiming a slot and
+        // sleeping: clear the claim and proceed (paper §3.1.2).
+        self.cancel();
+        self.ctx.handle.set_state(ThreadState::Running);
+    }
+
     pub(crate) fn ctx(&self) -> &Rc<ThreadCtx> {
         &self.ctx
     }
@@ -470,10 +589,10 @@ impl Drop for LoadGate {
 
 /// The client-side load-control algorithm, as a [`SpinPolicy`].
 ///
-/// A thin adapter over [`LoadGate`]: plugged into
-/// [`lc_locks::AbortableLock::lock_with`] by [`crate::LcLock`],
-/// [`crate::LcRwLock`] and [`crate::LcSemaphore`]; can equally be used with
-/// any other abort-capable waiting loop.
+/// A thin adapter over [`LoadGate`] for any abort-capable waiting loop
+/// outside the `Lc*` primitives ([`lc_locks::AbortableLock::lock_with`] on a
+/// raw lock, [`crate::SpinHook`]).  It does not count a hold: the caller's
+/// critical section is invisible to the nested-hold sleep refusal.
 pub struct LoadControlPolicy {
     gate: LoadGate,
     /// Number of times this acquisition has slept (for tests/diagnostics).
@@ -497,34 +616,11 @@ impl LoadControlPolicy {
             sleeps_this_acquire: 0,
         }
     }
-
-    /// The acquisition this policy waited for succeeded: count the hold, so
-    /// the thread refuses to sleep until the matching release (paper §6.1.2).
-    pub(crate) fn note_acquired(&self) {
-        self.gate.ctx.note_acquired();
-    }
 }
 
 impl SpinPolicy for LoadControlPolicy {
     fn on_spin(&mut self, spins: u64) -> SpinDecision {
-        if self.gate.has_claim() {
-            return SpinDecision::Abort;
-        }
-        if !self.gate.is_due(spins) {
-            return SpinDecision::Continue;
-        }
-        // `Spinning` is published at the first due slot check, not at the
-        // first poll: a hand-off shorter than one check period then costs no
-        // registry transition at all (each is a clock read plus shared
-        // stores).  `Running` and `Spinning` are both runnable, so the
-        // controller's load signal does not move; repeating the call at later
-        // checks is a load and a compare.
-        self.gate.ctx.handle.set_state(ThreadState::Spinning);
-        if self.gate.try_claim() {
-            SpinDecision::Abort
-        } else {
-            SpinDecision::Continue
-        }
+        self.gate.spin(spins)
     }
 
     fn on_aborted(&mut self) {
@@ -536,10 +632,44 @@ impl SpinPolicy for LoadControlPolicy {
     }
 
     fn on_acquired(&mut self, _spins: u64) {
-        // We may have won the lock in the window between claiming a slot and
-        // sleeping: clear the claim and proceed (paper §3.1.2).
-        self.gate.cancel();
-        self.gate.ctx.handle.set_state(ThreadState::Running);
+        self.gate.acquired();
+    }
+}
+
+/// The [`SpinPolicy`] [`acquire`] hands a backend: [`LoadControlPolicy`]
+/// with the gate built at the first due slot check instead of up front, so
+/// an acquisition that is granted sooner owns nothing that needs dropping.
+pub(crate) struct AcquirePolicy<'a> {
+    control: &'a Arc<LoadControl>,
+    ctx: &'a ThreadCtx,
+    gate: Option<LoadGate>,
+}
+
+impl SpinPolicy for AcquirePolicy<'_> {
+    #[inline]
+    fn on_spin(&mut self, spins: u64) -> SpinDecision {
+        if self.gate.is_none() && !self.ctx.is_due(spins) {
+            return SpinDecision::Continue;
+        }
+        self.gate
+            .get_or_insert_with(|| LoadGate::new(self.control))
+            .spin(spins)
+    }
+
+    fn on_aborted(&mut self) {
+        if let Some(gate) = &mut self.gate {
+            gate.park();
+        }
+    }
+
+    #[inline]
+    fn on_acquired(&mut self, _spins: u64) {
+        match &mut self.gate {
+            Some(gate) => gate.acquired(),
+            None => {
+                self.ctx.handle.set_state(ThreadState::Running);
+            }
+        }
     }
 }
 
@@ -583,6 +713,68 @@ mod tests {
             assert!(Rc::ptr_eq(&current_ctx(&other), &c));
         }
         assert!(Arc::ptr_eq(&a.control, &lc) && Arc::ptr_eq(&c.control, &other));
+        // The one-load lookup answers with the same contexts as the list.
+        for _ in 0..2 {
+            with_ctx(&lc, |ctx| assert!(ptr::eq(ctx, &*a)));
+            with_ctx(&lc, |ctx| assert!(ptr::eq(ctx, &*a)));
+            with_ctx(&other, |ctx| assert!(ptr::eq(ctx, &*c)));
+        }
+    }
+
+    #[test]
+    fn the_remembered_context_is_forgotten_before_the_list_is_freed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Probe(Arc<AtomicUsize>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.0.store(LAST.get().0, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static PROBE: RefCell<Option<Probe>> = const { RefCell::new(None) };
+        }
+        let lc = test_control(2);
+        let key_at_exit = Arc::new(AtomicUsize::new(usize::MAX));
+        let (lc2, key2) = (Arc::clone(&lc), Arc::clone(&key_at_exit));
+        std::thread::spawn(move || {
+            // First used before the context list, so destroyed after it.
+            PROBE.with(|probe| *probe.borrow_mut() = Some(Probe(key2)));
+            let ctx = current_ctx(&lc2);
+            assert_eq!(LAST.get(), (Arc::as_ptr(&lc2) as usize, Rc::as_ptr(&ctx)));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(key_at_exit.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn acquire_builds_its_gate_at_the_first_due_slot_check() {
+        let lc = test_control(2);
+        let period = u64::from(lc.config().slot_check_period);
+        // Granted without polling, or before the first due check: no gate.
+        acquire(&lc, |policy| {
+            policy.on_acquired(0);
+            assert!(policy.gate.is_none());
+        });
+        acquire(&lc, |policy| {
+            for spins in 1..period {
+                assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
+            }
+            policy.on_acquired(period - 1);
+            assert!(policy.gate.is_none());
+        });
+        acquire(&lc, |policy| {
+            assert_eq!(policy.on_spin(period), SpinDecision::Continue);
+            assert!(policy.gate.is_some());
+            policy.on_acquired(period);
+        });
+        // Each acquisition counted one hold on the one context.
+        with_ctx(&lc, |ctx| assert_eq!(ctx.hold_count.get(), 3));
+        assert!(try_acquire(&lc, || true) && !try_acquire(&lc, || false));
+        for remaining in (0..4).rev() {
+            release(&lc, || {});
+            with_ctx(&lc, |ctx| assert_eq!(ctx.hold_count.get(), remaining));
+        }
     }
 
     #[test]

@@ -147,6 +147,9 @@ pub struct TimePublishedLock {
     owner_ticket: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<Slot>]>,
     config: TpConfig,
+    /// `config.patience` in nanoseconds, converted once: the releaser compares
+    /// against it inside the hand-off.
+    patience_ns: u64,
     /// Written by the holder on every acquisition; `LockStats` is aligned to
     /// a line of its own so those writes never invalidate `slots`/`config`,
     /// which every spinner reads.
@@ -182,6 +185,7 @@ impl TimePublishedLock {
             owner_ticket: CachePadded::new(AtomicU64::new(u64::MAX)),
             slots,
             config,
+            patience_ns: u64::try_from(config.patience.as_nanos()).unwrap_or(u64::MAX),
             stats: LockStats::new(),
         }
     }
@@ -217,7 +221,7 @@ impl TimePublishedLock {
     fn is_stale(&self, slot: &Slot) -> bool {
         let published = slot.published.load(Ordering::Relaxed);
         let age = now_ns().saturating_sub(published);
-        age > self.config.patience.as_nanos() as u64
+        age > self.patience_ns
     }
 
     /// Attempts the uncontended fast path: if nobody is queued, take the next

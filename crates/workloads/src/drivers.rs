@@ -682,14 +682,19 @@ mod tests {
         assert!(r.acquisitions > 100, "only {} acquisitions", r.acquisitions);
         let stats = control.buffer().stats();
         let wait = slot_wait_summary(&control);
-        assert_eq!(
-            wait.count, stats.ever_slept,
-            "sleep episodes missing from the wait histogram"
+        // A claim cancelled because the lock was won between claim and park
+        // counts in `S` but records no wait, so the histogram may hold fewer
+        // episodes than there were claims — never more, and every claim left.
+        assert_eq!(stats.ever_slept, stats.woken_and_left);
+        assert!(
+            wait.count <= stats.ever_slept,
+            "{} waits recorded for {} claims",
+            wait.count,
+            stats.ever_slept
         );
-        if wait.count > 0 {
-            assert!(wait.p50_ns <= wait.p99_ns && wait.p99_ns <= wait.max_ns);
-            assert!(wait.max_ns > 0, "parked threads recorded zero-length waits");
-        }
+        assert!(wait.count > 0, "no sleep episode reached the histogram");
+        assert!(wait.p50_ns <= wait.p99_ns && wait.p99_ns <= wait.max_ns);
+        assert!(wait.max_ns > 0, "parked threads recorded zero-length waits");
     }
 
     #[test]

@@ -289,7 +289,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn block_on_drives_a_future() {
@@ -374,6 +374,13 @@ mod tests {
             hook_counter.fetch_add(1, Ordering::SeqCst);
             Box::new(())
         });
+        // One idle task says nothing about the other two threads having
+        // started: wait for the hooks themselves.  The deadline only turns a
+        // hang into a report.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while started.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         pool.spawn(async {});
         pool.wait_idle();
         assert_eq!(started.load(Ordering::SeqCst), 3);

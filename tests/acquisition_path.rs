@@ -1,15 +1,24 @@
 //! What one load-controlled acquisition does to per-thread and registry state:
 //! the wrappers release the backend before their own bookkeeping without
-//! weakening the "never sleep while holding a lock" rule (paper §6.1.2), and
-//! a waiter publishes `Spinning` only once it has polled for a whole slot
-//! check period.
+//! weakening the "never sleep while holding a lock" rule (paper §6.1.2), an
+//! acquisition does nothing load-control-specific until its backend has
+//! polled for a whole slot check period — and only then publishes `Spinning`
+//! — and the per-thread context behind all of it survives nesting, several
+//! controls on one thread and thread exit.
 
-use load_control_suite::accounting::{ThreadState, Transition, TransitionTrace};
+use load_control_suite::accounting::{ThreadState, TransitionTrace};
 use load_control_suite::core::policy::FixedPolicy;
 use load_control_suite::core::{
-    LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlPolicy, LoadGate,
+    LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlPolicy,
+    LoadGate,
 };
-use load_control_suite::locks::{SpinDecision, SpinPolicy};
+use load_control_suite::locks::delegation::{self, CombinerObserver, CombinerStrategy};
+use load_control_suite::locks::{
+    AbortableLock, DelegationLock, FlatCombiningLock, RawLock, SpinDecision, SpinPolicy,
+};
+use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn manual_control() -> Arc<LoadControl> {
@@ -26,6 +35,11 @@ fn would_claim(control: &Arc<LoadControl>) -> bool {
     let claimed = gate.try_claim();
     gate.cancel();
     claimed
+}
+
+/// The transitions `trace` recorded, in order, as (from, to).
+fn steps(trace: &TransitionTrace) -> Vec<(ThreadState, ThreadState)> {
+    trace.snapshot().iter().map(|t| (t.from, t.to)).collect()
 }
 
 /// With the controller asking for one sleeper, a thread refuses to claim a
@@ -97,13 +111,8 @@ fn spinning_is_published_at_the_first_due_slot_check() {
     }
     policy.on_acquired(3 * period);
     assert_eq!(registry.runnable_threads(), runnable);
-    let steps: Vec<(ThreadState, ThreadState)> = trace
-        .snapshot()
-        .iter()
-        .map(|t: &Transition| (t.from, t.to))
-        .collect();
     assert_eq!(
-        steps,
+        steps(&trace),
         [
             (ThreadState::Running, ThreadState::Spinning),
             (ThreadState::Spinning, ThreadState::Running)
@@ -118,4 +127,322 @@ fn spinning_is_published_at_the_first_due_slot_check() {
     }
     policy.on_acquired(period);
     assert_eq!(trace.len(), 2);
+}
+
+#[test]
+fn an_uncontended_acquisition_touches_the_registry_only_to_leave_idle() {
+    let control = manual_control();
+    let worker = control.register_worker();
+    let trace = Arc::new(TransitionTrace::with_capacity(64));
+    control.registry().attach_trace(Arc::clone(&trace));
+    // A sleep target makes any slot check visible as a claim.
+    control.set_sleep_target(1);
+
+    let mutex = LcMutex::<u32>::new_with(0, &control);
+    let rw = LcRwLock::new_with(0u32, &control);
+    let semaphore = LcSemaphore::new_with(1, &control);
+    let acquisitions: [(&str, &dyn Fn()); 4] = [
+        ("LcMutex::lock", &|| drop(mutex.lock())),
+        ("LcRwLock::read", &|| drop(rw.read())),
+        ("LcRwLock::write", &|| drop(rw.write())),
+        ("LcSemaphore::acquire", &|| drop(semaphore.acquire())),
+    ];
+    for (what, acquire) in acquisitions {
+        acquire();
+        assert!(trace.is_empty(), "{what}: {:?}", trace.snapshot());
+        assert_eq!(control.buffer().stats().ever_slept, 0, "{what} claimed");
+
+        // Lock operations re-activate accounting for a thread left idle.
+        worker.set_state(ThreadState::Idle);
+        acquire();
+        assert_eq!(worker.state(), ThreadState::Running, "{what}");
+        assert_eq!(
+            steps(&trace),
+            [
+                (ThreadState::Running, ThreadState::Idle),
+                (ThreadState::Idle, ThreadState::Running)
+            ],
+            "{what}"
+        );
+        trace.clear();
+    }
+    assert_eq!(control.registry().runnable_threads(), 1);
+}
+
+#[test]
+fn two_controls_on_one_thread_keep_their_own_books() {
+    let (a, b) = (manual_control(), manual_control());
+    a.set_sleep_target(1);
+    b.set_sleep_target(1);
+    let on_a = LcMutex::<u32>::new_with(0, &a);
+    let on_b = LcRwLock::new_with(0u32, &b);
+    for _ in 0..3 {
+        let guard_a = on_a.lock();
+        assert!(!would_claim(&a) && would_claim(&b));
+        let guard_b = on_b.read();
+        assert!(!would_claim(&a) && !would_claim(&b));
+        drop(guard_a);
+        assert!(would_claim(&a) && !would_claim(&b));
+        drop(guard_b);
+        assert!(would_claim(&a) && would_claim(&b));
+    }
+    // One context, so one registry record, per control.
+    assert_eq!((a.registry().len(), b.registry().len()), (1, 1));
+    assert_eq!((a.sleepers(), b.sleepers()), (0, 0));
+}
+
+/// Takes its lock when the thread-local holding it is destroyed.
+struct LocksOnDrop(Arc<LcMutex<u32>>);
+
+impl Drop for LocksOnDrop {
+    fn drop(&mut self) {
+        *self.0.lock() += 1;
+    }
+}
+
+thread_local! {
+    static LOCKS_AT_EXIT: RefCell<Option<LocksOnDrop>> = const { RefCell::new(None) };
+}
+
+#[test]
+fn a_thread_leaves_nothing_behind_even_when_it_locks_while_exiting() {
+    let control = manual_control();
+    let mutex = Arc::new(LcMutex::<u32>::new_with(0, &control));
+    let refs_before = Arc::strong_count(&control);
+    // `first_use_locks`: whether the thread takes the lock before or after it
+    // first touches the thread-local that locks again at exit.  Thread-local
+    // destructors run in reverse order of first use, so one of the two
+    // orders takes the exit-time lock after the thread's load-control
+    // contexts are gone.
+    for first_use_locks in [false, true] {
+        let (control2, mutex2) = (Arc::clone(&control), Arc::clone(&mutex));
+        std::thread::spawn(move || {
+            if first_use_locks {
+                *mutex2.lock() += 1;
+            }
+            LOCKS_AT_EXIT.with(|slot| *slot.borrow_mut() = Some(LocksOnDrop(Arc::clone(&mutex2))));
+            *mutex2.lock() += 1;
+            assert_eq!(control2.registry().len(), 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(control.registry().len(), 0);
+        assert_eq!(control.registry().runnable_threads(), 0);
+        assert_eq!(control.sleepers(), 0);
+        assert_eq!(Arc::strong_count(&control), refs_before);
+        assert!(!mutex.is_locked());
+    }
+    assert_eq!(*mutex.lock(), 5);
+}
+
+/// Refuses the combiner role, so this thread's delegated jobs are always run
+/// by somebody else.
+struct NeverCombines;
+
+impl CombinerObserver for NeverCombines {
+    fn may_self_elect(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
+    let control = manual_control();
+    let other_control = manual_control();
+    let outer: Arc<LcLock<FlatCombiningLock>> = Arc::new(LcLock::from_raw(
+        FlatCombiningLock::with_config(2, CombinerStrategy::LoadAware),
+        &control,
+    ));
+    let inner = Arc::new(LcMutex::<u32>::new_with(0, &control));
+    let inner_elsewhere = Arc::new(LcRwLock::new_with(0u32, &other_control));
+    let nested_ok = Arc::new(AtomicBool::new(false));
+
+    // This thread holds the lock while the other two queue up behind it.
+    outer.lock();
+
+    let publisher = {
+        let (outer, inner, inner_elsewhere, nested_ok) = (
+            Arc::clone(&outer),
+            Arc::clone(&inner),
+            Arc::clone(&inner_elsewhere),
+            Arc::clone(&nested_ok),
+        );
+        std::thread::spawn(move || {
+            delegation::install_combiner_observer(Box::new(NeverCombines));
+            outer.inner().run_locked(move || {
+                // Runs on the combiner, inside its `LcLock::lock`.  A panic
+                // here would strand this publisher, so report it instead.
+                let nested = catch_unwind(AssertUnwindSafe(|| {
+                    *inner.lock() += 1;
+                    // Another control: misses the one-load lookup and goes
+                    // through the thread's context list.
+                    *inner_elsewhere.write() += 1;
+                    *inner.try_lock().expect("uncontended") += 1;
+                }));
+                nested_ok.store(nested.is_ok(), Ordering::SeqCst);
+            });
+        })
+    };
+    while outer.inner().pending_requests() < 1 {
+        std::thread::yield_now();
+    }
+    let combiner = {
+        let (outer, control, inner_elsewhere) = (
+            Arc::clone(&outer),
+            Arc::clone(&control),
+            Arc::clone(&inner_elsewhere),
+        );
+        std::thread::spawn(move || {
+            // Touched first, so that `control`'s context is the one this
+            // thread used last — and the one its combiner hook reports to.
+            drop(inner_elsewhere.read());
+            outer.lock();
+            // The hold counted by that acquisition is this thread's only one:
+            // the closure's nested holds were all given back.
+            control.set_sleep_target(1);
+            assert!(!would_claim(&control));
+            unsafe { outer.unlock() };
+            assert!(would_claim(&control));
+            control.set_sleep_target(0);
+        })
+    };
+    while outer.inner().pending_requests() < 2 {
+        std::thread::yield_now();
+    }
+    // A plain unlock grants nobody: the waiting locker takes the flag, finds
+    // the published job and runs it before its own acquisition completes.
+    unsafe { outer.unlock() };
+    combiner.join().unwrap();
+    publisher.join().unwrap();
+    assert!(nested_ok.load(Ordering::SeqCst), "nested lock panicked");
+    assert_eq!((*inner.lock(), *inner_elsewhere.read()), (2, 1));
+    assert_eq!(outer.inner().delegation_stats().combined_jobs, 1);
+}
+
+/// A backend nobody contends for: `lock_with` replays `polls` polling
+/// iterations against the policy it is handed, then is granted.
+struct Scripted {
+    polls: u64,
+    /// Runs when the policy answers `Abort`; `true` means the lock was won in
+    /// that window, `false` that the waiter really aborted.
+    on_abort: Box<dyn Fn() -> bool + Send + Sync>,
+    held: AtomicBool,
+}
+
+impl Scripted {
+    fn new(polls: u64, on_abort: impl Fn() -> bool + Send + Sync + 'static) -> Self {
+        Self {
+            polls,
+            on_abort: Box::new(on_abort),
+            held: AtomicBool::new(false),
+        }
+    }
+}
+
+unsafe impl RawLock for Scripted {
+    fn new() -> Self {
+        Scripted::new(0, || false)
+    }
+
+    fn lock(&self) {
+        self.held.store(true, Ordering::SeqCst);
+    }
+
+    unsafe fn unlock(&self) {
+        self.held.store(false, Ordering::SeqCst);
+    }
+
+    fn is_locked(&self) -> bool {
+        self.held.load(Ordering::SeqCst)
+    }
+
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+}
+
+unsafe impl AbortableLock for Scripted {
+    fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) {
+        for spins in 1..=self.polls {
+            if policy.on_spin(spins) == SpinDecision::Abort {
+                if (self.on_abort)() {
+                    break;
+                }
+                policy.on_aborted();
+            }
+        }
+        policy.on_acquired(self.polls);
+        self.lock();
+    }
+}
+
+#[test]
+fn a_wrapper_that_polls_runs_the_whole_client_side_algorithm() {
+    let control = manual_control();
+    let _worker = control.register_worker();
+    let trace = Arc::new(TransitionTrace::with_capacity(64));
+    control.registry().attach_trace(Arc::clone(&trace));
+    let period = u64::from(control.config().slot_check_period);
+    let lock_once = |backend: Scripted| {
+        let lock = LcLock::from_raw(backend, &control);
+        lock.lock();
+        lock
+    };
+
+    // Granted before the first due slot check: nothing was published.
+    let lock = lock_once(Scripted::new(period - 1, || unreachable!()));
+    assert!(trace.is_empty(), "{:?}", trace.snapshot());
+    unsafe { lock.unlock() };
+
+    // A longer wait: `Spinning` once, at the first due check, then `Running`.
+    let lock = lock_once(Scripted::new(3 * period, || unreachable!()));
+    assert_eq!(
+        steps(&trace),
+        [
+            (ThreadState::Running, ThreadState::Spinning),
+            (ThreadState::Spinning, ThreadState::Running)
+        ]
+    );
+    unsafe { lock.unlock() };
+    trace.clear();
+
+    // Overloaded, and the lock is won between claim and park: the claim is
+    // given back and the hold is counted.
+    control.set_sleep_target(1);
+    let seen = Arc::clone(&control);
+    let lock = lock_once(Scripted::new(period, move || {
+        assert_eq!(seen.sleepers(), 1);
+        true
+    }));
+    assert_eq!(control.sleepers(), 0);
+    assert!(
+        !would_claim(&control),
+        "the won lock is not counted as held"
+    );
+    unsafe { lock.unlock() };
+    let stats = control.buffer().stats();
+    assert_eq!((stats.ever_slept, stats.woken_and_left), (1, 1));
+    trace.clear();
+
+    // Overloaded, and the waiter aborts: it parks in its slot, and comes back
+    // once the controller has cleared it.
+    let controller = Arc::clone(&control);
+    let lock = lock_once(Scripted::new(2 * period, move || {
+        assert_eq!(controller.sleepers(), 1);
+        controller.set_sleep_target(0);
+        false
+    }));
+    assert_eq!(control.sleepers(), 0);
+    assert_eq!(
+        steps(&trace),
+        [
+            (ThreadState::Running, ThreadState::Spinning),
+            (ThreadState::Spinning, ThreadState::ParkedByLoadControl),
+            (ThreadState::ParkedByLoadControl, ThreadState::Spinning),
+            (ThreadState::Spinning, ThreadState::Running)
+        ]
+    );
+    unsafe { lock.unlock() };
+    let stats = control.buffer().stats();
+    assert_eq!((stats.ever_slept, stats.woken_and_left), (2, 2));
 }
