@@ -2,46 +2,6 @@
 
 use std::time::Duration;
 
-/// Contention management for the head-`S` claim CAS, after Dice, Hendler and
-/// Mirsky's *Lightweight Contention Management for Efficient Compare-and-Swap
-/// Operations*: a lost CAS waits a bounded random number of spins, **reloads**
-/// the head (load-then-CAS) and retries, up to `retries` extra attempts.
-///
-/// The uncontended path is untouched — still a single CAS, exactly the
-/// paper's claim protocol — so [`ClaimBackoff::DISABLED`] (the default) is
-/// bit-for-bit the seed behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClaimBackoff {
-    /// Extra CAS attempts after a lost head CAS (0 = the paper's behavior:
-    /// report [`crate::ClaimOutcome::Raced`] and go back to polling).
-    pub retries: u32,
-    /// Upper bound on the randomized spin wait before each retry; the
-    /// window grows with the attempt number up to this cap.
-    pub max_spins: u32,
-}
-
-impl ClaimBackoff {
-    /// No contention management: a lost CAS is reported immediately.
-    pub const DISABLED: Self = Self {
-        retries: 0,
-        max_spins: 0,
-    };
-
-    /// The tuning used when contention management is switched on without
-    /// further parameters: a few load-then-CAS retries behind short
-    /// randomized waits.
-    pub const DEFAULT_MANAGED: Self = Self {
-        retries: 3,
-        max_spins: 128,
-    };
-}
-
-impl Default for ClaimBackoff {
-    fn default() -> Self {
-        Self::DISABLED
-    }
-}
-
 /// Order in which the controller's batched wake scan clears excess slots
 /// within a shard.
 ///
@@ -88,45 +48,6 @@ impl std::fmt::Display for WakeOrder {
     }
 }
 
-/// Live-reshard policy: the controller grows the active shard count on
-/// sustained per-shard claim races and shrinks it when the claim path goes
-/// quiet, between `min_shards` and `max_shards` (both normalized to powers
-/// of two by [`LoadControlConfig::with_reshard`]).
-///
-/// Mechanically the buffer preallocates `max_shards` and only moves its
-/// active mask, so outstanding claims keep their indices; a shrunk shard is
-/// quiesced through its per-shard `S − W` book (the controller re-sweeps it
-/// every cycle until the book balances), so no sleeper is stranded
-/// mid-migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReshardPolicy {
-    /// Floor on the active shard count (≥ 1).
-    pub min_shards: usize,
-    /// Ceiling on the active shard count (the physical allocation).
-    pub max_shards: usize,
-    /// Per-cycle, per-shard claim-race delta at or above which a cycle
-    /// counts as contended.
-    pub grow_races: u64,
-    /// Consecutive contended cycles before the shard count doubles.
-    pub grow_cycles: u32,
-    /// Consecutive race-free cycles before the shard count halves.
-    pub shrink_cycles: u32,
-}
-
-impl Default for ReshardPolicy {
-    /// Grow 1→8 under sustained contention, shrink back when quiet:
-    /// 2+ races on some shard for 3 cycles doubles, 50 quiet cycles halve.
-    fn default() -> Self {
-        Self {
-            min_shards: 1,
-            max_shards: 8,
-            grow_races: 2,
-            grow_cycles: 3,
-            shrink_cycles: 50,
-        }
-    }
-}
-
 /// Tuning parameters for [`crate::LoadControl`].
 ///
 /// The defaults follow the paper's evaluation (§4–§5): a controller update
@@ -164,13 +85,6 @@ pub struct LoadControlConfig {
     /// core group, with the global target partitioned across shards by the
     /// controller's [`crate::policy::TargetSplitter`].
     pub shards: usize,
-    /// Contention management for the claim CAS
-    /// ([`ClaimBackoff::DISABLED`] by default — the paper's single-CAS
-    /// behavior).
-    pub claim_backoff: ClaimBackoff,
-    /// Live-reshard policy; `None` (the default) pins the shard count at
-    /// `shards` for the lifetime of the buffer.
-    pub reshard: Option<ReshardPolicy>,
     /// Order of the controller's batched wake scan within a shard
     /// ([`WakeOrder::Fifo`], the paper's array-order scan, by default).
     pub wake_order: WakeOrder,
@@ -202,8 +116,6 @@ impl LoadControlConfig {
             max_sleepers: Self::DEFAULT_MAX_SLEEPERS,
             overload_headroom: 0,
             shards: Self::DEFAULT_SHARDS,
-            claim_backoff: ClaimBackoff::DISABLED,
-            reshard: None,
             wake_order: WakeOrder::Fifo,
         }
     }
@@ -247,33 +159,10 @@ impl LoadControlConfig {
         self
     }
 
-    /// Returns `self` with claim-CAS contention management tuned to
-    /// `backoff` ([`ClaimBackoff::DISABLED`] restores the paper's behavior).
-    pub fn with_claim_backoff(mut self, backoff: ClaimBackoff) -> Self {
-        self.claim_backoff = backoff;
-        self
-    }
-
     /// Returns `self` with the controller's wake scan running in `order`
     /// ([`WakeOrder::Fifo`] restores the paper's array-order scan).
     pub fn with_wake_order(mut self, order: WakeOrder) -> Self {
         self.wake_order = order;
-        self
-    }
-
-    /// Returns `self` with live resharding governed by `policy`, its bounds
-    /// normalized: `min_shards` at least 1, both bounds rounded up to powers
-    /// of two, and `max_shards` at least `min_shards`.  The starting shard
-    /// count (`shards`) is clamped into the normalized range.
-    pub fn with_reshard(mut self, policy: ReshardPolicy) -> Self {
-        let min = policy.min_shards.max(1).next_power_of_two();
-        let max = policy.max_shards.max(min).next_power_of_two();
-        self.reshard = Some(ReshardPolicy {
-            min_shards: min,
-            max_shards: max,
-            ..policy
-        });
-        self.shards = self.shards.clamp(min, max);
         self
     }
 
@@ -406,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_backoff_defaults_to_the_paper_behavior() {
-        let c = LoadControlConfig::for_capacity(8);
-        assert_eq!(c.claim_backoff, ClaimBackoff::DISABLED);
-        assert_eq!(ClaimBackoff::default(), ClaimBackoff::DISABLED);
-        let managed = c.with_claim_backoff(ClaimBackoff::DEFAULT_MANAGED);
-        assert_eq!(managed.claim_backoff.retries, 3);
-    }
-
-    #[test]
     fn wake_order_defaults_to_fifo_and_round_trips_names() {
         let c = LoadControlConfig::for_capacity(8);
         assert_eq!(c.wake_order, WakeOrder::Fifo);
@@ -427,33 +307,6 @@ mod tests {
             assert_eq!(order.to_string(), order.as_str());
         }
         assert_eq!(WakeOrder::parse("lifo"), None);
-    }
-
-    #[test]
-    fn reshard_bounds_are_normalized_and_clamp_the_start() {
-        let c = LoadControlConfig::for_capacity(8)
-            .with_shards(1)
-            .with_reshard(ReshardPolicy {
-                min_shards: 3,
-                max_shards: 6,
-                ..ReshardPolicy::default()
-            });
-        let policy = c.reshard.expect("reshard set");
-        assert_eq!(policy.min_shards, 4);
-        assert_eq!(policy.max_shards, 8);
-        assert_eq!(c.shards, 4, "start clamps up into the reshard range");
-
-        let c = LoadControlConfig::for_capacity(8)
-            .with_shards(16)
-            .with_reshard(ReshardPolicy {
-                min_shards: 0,
-                max_shards: 0,
-                ..ReshardPolicy::default()
-            });
-        let policy = c.reshard.expect("reshard set");
-        assert_eq!(policy.min_shards, 1);
-        assert_eq!(policy.max_shards, 1);
-        assert_eq!(c.shards, 1, "start clamps down into the reshard range");
     }
 
     #[test]

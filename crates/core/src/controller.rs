@@ -9,7 +9,7 @@
 //! default.
 
 use crate::async_gate::AsyncPlane;
-use crate::config::{LoadControlConfig, ReshardPolicy, WakeOrder};
+use crate::config::{LoadControlConfig, WakeOrder};
 use crate::policy::{
     ControlPolicy, EvenSplitter, PaperPolicy, PolicyInputs, TargetSplitter, POLICY_SPECS,
     SPLITTER_SPECS,
@@ -18,7 +18,6 @@ use crate::slots::{even_split, SleepSlotBuffer};
 use crate::spec::{LoadControlSpec, SpecError};
 use crate::thread_ctx::{current_ctx, WorkerRegistration};
 use crate::time::{ParkOps, RealClock, ThreadPark, TimeSource};
-use crate::topology::{RegistrationShardMap, ShardMap, TOPOLOGY_SPECS};
 use lc_accounting::{LoadSampler, RegistryLoadSampler, ThreadRegistry, SAMPLER_SPECS};
 use lc_locks::stats::WaitSnapshot;
 use std::fmt;
@@ -43,16 +42,6 @@ pub struct ControllerStats {
     pub woken_and_left: u64,
 }
 
-/// The controller's live-reshard bookkeeping: per-shard claim-race counters
-/// as of the previous cycle plus the grow/shrink streak lengths the
-/// [`ReshardPolicy`] thresholds compare against.
-#[derive(Default)]
-struct ReshardState {
-    last_races: Vec<u64>,
-    grow_streak: u32,
-    shrink_streak: u32,
-}
-
 struct Shared {
     config: LoadControlConfig,
     buffer: SleepSlotBuffer,
@@ -60,7 +49,6 @@ struct Shared {
     sampler: Box<dyn LoadSampler>,
     policy: Mutex<Box<dyn ControlPolicy>>,
     splitter: Mutex<Box<dyn TargetSplitter>>,
-    reshard: Mutex<ReshardState>,
     /// Wait-histogram snapshot as of the previous cycle: each cycle hands the
     /// policy the *delta* window (waits recorded since the last decision), so
     /// latency-aware policies react to current conditions rather than the
@@ -124,7 +112,6 @@ pub struct LoadControlBuilder {
     policy: Box<dyn ControlPolicy>,
     splitter: Box<dyn TargetSplitter>,
     sampler: Option<(Arc<ThreadRegistry>, Box<dyn LoadSampler>)>,
-    topology: Option<Arc<dyn ShardMap>>,
     time: Option<Arc<dyn TimeSource>>,
     park_ops: Option<Arc<dyn ParkOps>>,
     start: bool,
@@ -148,7 +135,6 @@ impl LoadControlBuilder {
             policy: Box::new(PaperPolicy),
             splitter: Box::new(EvenSplitter),
             sampler: None,
-            topology: None,
             time: None,
             park_ops: None,
             start: false,
@@ -212,24 +198,8 @@ impl LoadControlBuilder {
         Ok(self.sampler(registry, sampler))
     }
 
-    /// Uses `map` to home sleepers onto slot-buffer shards (default:
-    /// [`RegistrationShardMap`] — the registration-order mapping the paper's
-    /// unsharded buffer degenerates to).
-    pub fn topology(mut self, map: Arc<dyn ShardMap>) -> Self {
-        self.topology = Some(map);
-        self
-    }
-
-    /// Selects the shard-topology mapping from [`TOPOLOGY_SPECS`] by spec
-    /// string — `topology(mode=registration|cpu|node)`, optionally with a
-    /// `revalidate` claim-count for the per-thread CPU cache.
-    pub fn topology_spec(self, spec: &str) -> Result<Self, SpecError> {
-        let map = TOPOLOGY_SPECS.build(spec)?;
-        Ok(self.topology(map))
-    }
-
     /// Applies a declarative [`LoadControlSpec`] — policy, splitter, shard
-    /// count and (when present) sampler and topology — on top of the current
+    /// count and (when present) sampler — on top of the current
     /// builder state.  A spec that never mentioned `shards` keeps the
     /// configuration's shard count instead of silently resetting it.
     pub fn apply_spec(mut self, spec: &LoadControlSpec) -> Result<Self, SpecError> {
@@ -243,9 +213,6 @@ impl LoadControlBuilder {
         self = self.splitter_spec(&spec.splitter.to_string())?;
         if let Some(sampler) = &spec.sampler {
             self = self.sampler_spec(&sampler.to_string())?;
-        }
-        if let Some(topology) = &spec.topology {
-            self = self.topology_spec(&topology.to_string())?;
         }
         Ok(self)
     }
@@ -281,21 +248,6 @@ impl LoadControlBuilder {
         // `buffer().shard_count()` — rather than letting the buffer
         // constructor panic on a hand-set non-power-of-two.
         self.config.shards = self.config.shards.max(1).next_power_of_two();
-        // A reshard policy widens the *physical* layout to its ceiling (and
-        // clamps the starting count into its range) so the active mask can
-        // move at runtime without reallocating slots.
-        let physical = match &mut self.config.reshard {
-            Some(policy) => {
-                policy.min_shards = policy.min_shards.max(1).next_power_of_two();
-                policy.max_shards = policy.max_shards.max(policy.min_shards).next_power_of_two();
-                self.config.shards = self
-                    .config
-                    .shards
-                    .clamp(policy.min_shards, policy.max_shards);
-                policy.max_shards
-            }
-            None => self.config.shards,
-        };
         let (registry, sampler) = match self.sampler {
             Some((registry, sampler)) => (registry, sampler),
             None => {
@@ -305,24 +257,14 @@ impl LoadControlBuilder {
                 (registry, sampler)
             }
         };
-        let shard_map = self
-            .topology
-            .unwrap_or_else(|| Arc::new(RegistrationShardMap) as Arc<dyn ShardMap>);
         let shared = Arc::new(Shared {
-            buffer: SleepSlotBuffer::with_layout(
-                self.config.max_sleepers,
-                self.config.shards,
-                physical,
-                shard_map,
-                self.config.claim_backoff,
-            )
-            .with_wake_order(self.config.wake_order),
+            buffer: SleepSlotBuffer::with_shards(self.config.max_sleepers, self.config.shards)
+                .with_wake_order(self.config.wake_order),
             config: self.config,
             registry,
             sampler,
             policy: Mutex::new(self.policy),
             splitter: Mutex::new(self.splitter),
-            reshard: Mutex::new(ReshardState::default()),
             last_wait: Mutex::new(WaitSnapshot::default()),
             async_plane: AsyncPlane::new(),
             time: self
@@ -494,14 +436,12 @@ impl LoadControl {
     }
 
     /// The canonical spec of the **live** configuration: current policy
-    /// (with parameters), current splitter, shard count, sampler and shard
-    /// topology.
+    /// (with parameters), current splitter, shard count and sampler.
     ///
     /// The rendered string (`spec().to_string()`) parses back to an
     /// equivalent [`LoadControlSpec`], so logs and bench labels can record
     /// the exact control plane a measurement ran under.  Runtime swaps
-    /// ([`LoadControl::set_policy`], [`LoadControl::set_splitter`]) and live
-    /// reshards (the reported `shards` is the buffer's *active* count) are
+    /// ([`LoadControl::set_policy`], [`LoadControl::set_splitter`]) are
     /// reflected immediately.
     pub fn spec(&self) -> LoadControlSpec {
         LoadControlSpec {
@@ -509,7 +449,6 @@ impl LoadControl {
             splitter: self.shared.splitter.lock().unwrap().spec(),
             shards: Some(self.shared.buffer.shard_count()),
             sampler: Some(self.shared.sampler.spec()),
-            topology: Some(self.shared.buffer.shard_map().spec()),
             // Elide the default so existing spec strings (and artifacts that
             // embed them) are byte-stable.
             wake_order: (self.shared.buffer.wake_order() != WakeOrder::Fifo)
@@ -604,17 +543,6 @@ impl LoadControl {
             let changed = target != inputs.current_target;
             if changed || (target > 0 && splitter.rebalances()) {
                 let shard_capacity = self.shared.buffer.shard_capacity() as u64;
-                // A node topology exposes which NUMA group each active shard
-                // serves; a group-aware splitter (load-weighted) uses it to
-                // keep each node's share proportional to node-local load.
-                if let Some(groups) = self
-                    .shared
-                    .buffer
-                    .shard_map()
-                    .shard_groups(self.shared.buffer.shard_count())
-                {
-                    splitter.observe_shard_groups(&groups);
-                }
                 let mut split = splitter.split(
                     target,
                     &self.shared.buffer.shard_snapshots(),
@@ -639,17 +567,6 @@ impl LoadControl {
                 }
             }
         }
-        // Live reshard: widen the active shard set under sustained claim
-        // races, narrow it when the claim path goes quiet.
-        if let Some(policy) = self.shared.config.reshard {
-            self.run_reshard_cycle(policy);
-        }
-        // A shrunk shard quiesces through its S − W book: re-sweep every
-        // cycle until the last straggler (a claim that raced the resize) is
-        // woken, so no sleeper is stranded outside the active set.
-        if self.shared.buffer.drained_sleepers() > 0 {
-            self.shared.buffer.sweep_drained();
-        }
         // Async sleepers cannot wake themselves at their deadline the way a
         // thread's `park_timeout` does, so the controller sweeps them: any
         // parked task whose sleep timeout has passed is unparked (its waker
@@ -657,47 +574,6 @@ impl LoadControl {
         self.shared.async_plane.wake_expired(self.shared.time.now());
         self.shared.cycles.fetch_add(1, Ordering::Relaxed);
         self.stats()
-    }
-
-    /// One reshard decision: compare this cycle's per-shard claim-race
-    /// deltas against the policy thresholds and grow/shrink the active
-    /// shard count when a streak completes.
-    fn run_reshard_cycle(&self, policy: ReshardPolicy) {
-        let races = self.shared.buffer.claim_races_per_shard();
-        let active = self.shared.buffer.shard_count();
-        let mut state = self.shared.reshard.lock().unwrap();
-        if state.last_races.len() != races.len() {
-            state.last_races = vec![0; races.len()];
-        }
-        let mut max_delta = 0u64;
-        for (shard, &now) in races.iter().enumerate() {
-            let delta = now.saturating_sub(state.last_races[shard]);
-            if shard < active && delta > max_delta {
-                max_delta = delta;
-            }
-            state.last_races[shard] = now;
-        }
-        if max_delta >= policy.grow_races {
-            state.grow_streak += 1;
-            state.shrink_streak = 0;
-        } else if max_delta == 0 {
-            state.shrink_streak += 1;
-            state.grow_streak = 0;
-        } else {
-            // Some races, but below the contention threshold: the current
-            // width is doing its job, so both streaks reset.
-            state.grow_streak = 0;
-            state.shrink_streak = 0;
-        }
-        if state.grow_streak >= policy.grow_cycles && active < policy.max_shards {
-            self.shared.buffer.resize_active_shards(active * 2);
-            state.grow_streak = 0;
-            state.shrink_streak = 0;
-        } else if state.shrink_streak >= policy.shrink_cycles && active > policy.min_shards {
-            self.shared.buffer.resize_active_shards(active / 2);
-            state.grow_streak = 0;
-            state.shrink_streak = 0;
-        }
     }
 
     /// Starts the controller daemon if it is not already running.
@@ -1190,106 +1066,6 @@ mod tests {
             total,
             "cached global target diverged from sum(T_i) after racing publishers"
         );
-    }
-
-    #[test]
-    fn builder_selects_topologies_by_spec() {
-        for spec in ["topology", "topology(mode=cpu)", "topology(mode=node)"] {
-            let lc = LoadControl::builder(LoadControlConfig::for_capacity(2).with_shards(2))
-                .topology_spec(spec)
-                .unwrap_or_else(|e| panic!("{spec}: {e}"))
-                .build();
-            let reported = lc.spec().topology.expect("live spec reports topology");
-            assert_eq!(reported, lc.buffer().shard_map().spec());
-        }
-        assert!(LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .topology_spec("topology(mode=hyperspace)")
-            .is_err());
-    }
-
-    #[test]
-    fn spec_round_trips_topology_through_a_live_instance() {
-        let spec: LoadControlSpec = "policy=paper; splitter=even; shards=2; \
-                                     topology=topology(mode=cpu, revalidate=16)"
-            .parse()
-            .unwrap();
-        let lc = LoadControl::from_spec(LoadControlConfig::for_capacity(4), &spec).unwrap();
-        let reported = lc.spec();
-        assert_eq!(
-            reported
-                .topology
-                .as_ref()
-                .map(ToString::to_string)
-                .as_deref(),
-            Some("topology(mode=cpu, revalidate=16)")
-        );
-        let reparsed: LoadControlSpec = reported.to_string().parse().unwrap();
-        assert_eq!(reparsed, reported);
-        // Default construction reports registration-order homing.
-        let lc = LoadControl::new(LoadControlConfig::for_capacity(2));
-        assert_eq!(
-            lc.spec()
-                .topology
-                .as_ref()
-                .map(ToString::to_string)
-                .as_deref(),
-            Some("topology")
-        );
-    }
-
-    #[test]
-    fn controller_grows_and_shrinks_the_shard_count_on_race_streaks() {
-        let config = LoadControlConfig::for_capacity(2)
-            .with_shards(1)
-            .with_reshard(ReshardPolicy {
-                min_shards: 1,
-                max_shards: 4,
-                grow_races: 1,
-                grow_cycles: 2,
-                shrink_cycles: 3,
-            });
-        let lc = LoadControl::with_policy(config, Box::new(FixedPolicy::manual()));
-        assert_eq!(lc.buffer().shard_count(), 1);
-        assert_eq!(lc.buffer().max_shard_count(), 4);
-
-        // Manufacture claim races on the active shard: two sleepers observe
-        // the same head, one commit wins, the other's CAS loses.
-        lc.set_sleep_target(4);
-        let race = |n: u32| {
-            for _ in 0..n {
-                let a = lc
-                    .buffer()
-                    .register_sleeper(Arc::new(lc_locks::Parker::new()));
-                let b = lc
-                    .buffer()
-                    .register_sleeper(Arc::new(lc_locks::Parker::new()));
-                let observed = lc.buffer().begin_claim_at(0).expect("target leaves space");
-                let winner = lc.buffer().commit_claim_at(0, a, observed);
-                assert!(matches!(winner, crate::ClaimOutcome::Claimed(_)));
-                let loser = lc.buffer().commit_claim_at(0, b, observed);
-                assert!(matches!(loser, crate::ClaimOutcome::Raced));
-                if let crate::ClaimOutcome::Claimed(slot) = winner {
-                    lc.buffer().leave(slot, a);
-                }
-            }
-        };
-        race(1);
-        lc.run_cycle();
-        race(1);
-        lc.run_cycle();
-        assert_eq!(
-            lc.buffer().shard_count(),
-            2,
-            "two contended cycles must double the active shards"
-        );
-        // Quiet cycles shrink it back to the floor.
-        for _ in 0..8 {
-            lc.run_cycle();
-        }
-        assert_eq!(lc.buffer().shard_count(), 1);
-        assert_eq!(lc.buffer().drained_sleepers(), 0);
-        // The live spec tracks the resized count.
-        assert_eq!(lc.spec().shards, Some(1));
     }
 
     #[test]

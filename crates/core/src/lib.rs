@@ -81,8 +81,8 @@
 //!
 //! Whole control planes are described declaratively by
 //! [`LoadControlSpec`] — parsed from a string, a `key = value` config file,
-//! or the `LC_POLICY` / `LC_SPLITTER` / `LC_SHARDS` / `LC_SAMPLER` /
-//! `LC_TOPOLOGY` environment variables — and built with [`LoadControl::from_spec`]:
+//! or the `LC_POLICY` / `LC_SPLITTER` / `LC_SHARDS` / `LC_SAMPLER`
+//! environment variables — and built with [`LoadControl::from_spec`]:
 //!
 //! ```
 //! use lc_core::spec::LoadControlSpec;
@@ -110,10 +110,9 @@ pub mod spec;
 pub mod spin_hook;
 pub mod thread_ctx;
 pub mod time;
-pub mod topology;
 
 pub use async_gate::{AsyncLoadGate, AsyncSpinHook};
-pub use config::{ClaimBackoff, LoadControlConfig, ReshardPolicy, WakeOrder};
+pub use config::{LoadControlConfig, WakeOrder};
 pub use controller::{ControllerStats, LoadControl, LoadControlBuilder};
 pub use lc_condvar::LcCondvar;
 pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
@@ -132,10 +131,6 @@ pub use thread_ctx::{LoadControlPolicy, LoadGate, WorkerRegistration};
 pub use time::{
     ParkOps, RealClock, SlotHost, SlotWait, ThreadPark, TimeSource, VirtualClock, WaitOutcome,
     WaitPoll,
-};
-pub use topology::{
-    build_topology_spec, CpuShardMap, NodeShardMap, RegistrationShardMap, ShardMap,
-    DEFAULT_REVALIDATE, ENV_TOPOLOGY, TOPOLOGY_SPECS,
 };
 
 // Re-export the pieces of the substrate crates that appear in this crate's

@@ -1018,14 +1018,6 @@ pub trait TargetSplitter: Send + fmt::Debug {
     /// `min(total, shards.len() * shard_capacity)`.
     fn split(&mut self, total: u64, shards: &[ShardSnapshot], shard_capacity: u64) -> Vec<u64>;
 
-    /// Observes which topology group (NUMA node) each active shard serves,
-    /// as reported by [`crate::topology::ShardMap::shard_groups`].  The
-    /// controller calls this before [`TargetSplitter::split`] whenever the
-    /// buffer's shard map exposes groups (`topology(mode=node)`); splitters
-    /// that partition group-locally ([`LoadWeightedSplitter`]) record the
-    /// grouping, the rest ignore it.
-    fn observe_shard_groups(&mut self, _groups: &[usize]) {}
-
     /// The canonical spec of this splitter's configuration (see
     /// [`ControlPolicy::spec`]); defaults to the bare name.
     fn spec(&self) -> ParsedSpec {
@@ -1069,10 +1061,6 @@ pub struct LoadWeightedSplitter {
     activity: Vec<f64>,
     /// Last observed `(ever_slept, claim_races)` per shard.
     last: Vec<(u64, u64)>,
-    /// Topology group of each shard when a node shard map is active (see
-    /// [`TargetSplitter::observe_shard_groups`]); splits become two-level —
-    /// across groups by node-local load, then within each group.
-    groups: Option<Vec<usize>>,
 }
 
 impl LoadWeightedSplitter {
@@ -1095,7 +1083,6 @@ impl LoadWeightedSplitter {
             alpha,
             activity: Vec::new(),
             last: Vec::new(),
-            groups: None,
         }
     }
 }
@@ -1179,37 +1166,7 @@ impl TargetSplitter for LoadWeightedSplitter {
         // One unit of baseline weight per shard: idle shards stay reachable
         // and zero traffic degenerates to the even split.
         let weights: Vec<f64> = self.activity.iter().map(|a| a + 1.0).collect();
-        match self.groups.as_ref().filter(|g| g.len() == n) {
-            // Node topology active: split across groups by node-local load
-            // first, then within each group — so one hot node's traffic
-            // draws sleep target to *its* shards without starving the
-            // other nodes' baselines.
-            Some(groups) => {
-                let ngroups = groups.iter().copied().max().unwrap_or(0) + 1;
-                let mut gweights = vec![0.0; ngroups];
-                let mut gcaps = vec![0u64; ngroups];
-                for (shard, &g) in groups.iter().enumerate() {
-                    gweights[g] += weights[shard];
-                    gcaps[g] += shard_capacity;
-                }
-                let gshares = apportion(total, &gweights, &gcaps);
-                let mut out = vec![0u64; n];
-                for (g, &gshare) in gshares.iter().enumerate() {
-                    let members: Vec<usize> = (0..n).filter(|&shard| groups[shard] == g).collect();
-                    let mweights: Vec<f64> = members.iter().map(|&s| weights[s]).collect();
-                    let mcaps = vec![shard_capacity; members.len()];
-                    for (k, share) in apportion(gshare, &mweights, &mcaps).into_iter().enumerate() {
-                        out[members[k]] = share;
-                    }
-                }
-                out
-            }
-            None => apportion(total, &weights, &vec![shard_capacity; n]),
-        }
-    }
-
-    fn observe_shard_groups(&mut self, groups: &[usize]) {
-        self.groups = Some(groups.to_vec());
+        apportion(total, &weights, &vec![shard_capacity; n])
     }
 
     fn spec(&self) -> ParsedSpec {
@@ -1821,28 +1778,6 @@ mod tests {
                 target: 0,
             })
             .collect()
-    }
-
-    #[test]
-    fn node_groups_make_the_load_weighted_split_two_level() {
-        let mut s = LoadWeightedSplitter::with_alpha(1.0);
-        // Shards 0–1 serve node 0, shards 2–3 node 1.
-        s.observe_shard_groups(&[0, 0, 1, 1]);
-        // Seeding cycle (even split while deltas don't exist yet).
-        s.split(8, &snapshots(&[(0, 0), (0, 0), (0, 0), (0, 0)]), 8);
-        // All traffic lands on node 0 (shards 0 and 1, equally).
-        let split = s.split(8, &snapshots(&[(30, 0), (30, 0), (0, 0), (0, 0)]), 8);
-        assert_eq!(split.iter().sum::<u64>(), 8);
-        let node0: u64 = split[..2].iter().sum();
-        let node1: u64 = split[2..].iter().sum();
-        assert!(node0 > node1, "hot node must draw the target: {split:?}");
-        assert_eq!(split[0], split[1], "within-group split follows weights");
-        // A stale grouping (shard count changed) is ignored, not misapplied.
-        let mut stale = LoadWeightedSplitter::new();
-        stale.observe_shard_groups(&[0, 1]);
-        let split = stale.split(4, &snapshots(&[(0, 0), (0, 0), (0, 0), (0, 0)]), 8);
-        assert_eq!(split.iter().sum::<u64>(), 4);
-        assert_eq!(split.len(), 4);
     }
 
     #[test]

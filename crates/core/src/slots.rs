@@ -27,10 +27,8 @@
 //! buffer is therefore split into a power-of-two number of **shards**, each
 //! with its own cache-padded `S`/`W`/`T` triple and slot ring:
 //!
-//! * every registered sleeper has a **home shard** assigned by the buffer's
-//!   [`crate::topology::ShardMap`] — by default its stable registration id
-//!   (`id mod N`), so a thread always contends on the same shard's head
-//!   word; the `cpu` and `node` topologies home by thread placement instead;
+//! * every registered sleeper has a **home shard** — its stable registration
+//!   id `mod N` — so a thread always contends on the same shard's head word;
 //! * a claim that finds its home shard full or loses the home CAS makes one
 //!   overflow probe to the *neighbour* shard (`home + 1 mod N`) so a raced or
 //!   saturated home shard cannot strand a sleeper; if neither local shard
@@ -49,14 +47,12 @@
 //! exactly one [`SleepSlotBuffer::leave`], and with `N = 1` (the default) the
 //! buffer is behaviourally identical to the unsharded original.
 
-use crate::config::{ClaimBackoff, WakeOrder};
-use crate::topology::{RegistrationShardMap, ShardMap};
+use crate::config::WakeOrder;
 use crossbeam_utils::CachePadded;
 use lc_locks::stats::{WaitHistogram, WaitObservation, WaitSnapshot};
 use lc_locks::Parker;
-use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -72,14 +68,6 @@ impl SleeperId {
     /// The raw index of this sleeper in the buffer's parker table.
     pub fn index(self) -> u64 {
         self.0
-    }
-
-    /// An id with a chosen raw index — only for in-crate tests of id-keyed
-    /// components (shard maps); real ids come from
-    /// [`SleepSlotBuffer::register_sleeper`].
-    #[cfg(test)]
-    pub(crate) fn from_index(index: u64) -> Self {
-        Self(index)
     }
 
     /// Reconstructs an id from its raw index — in-crate plumbing for the
@@ -359,63 +347,63 @@ impl Shard {
     }
 
     /// Second half of a claim: the head CAS against the `S` observed by
-    /// [`Shard::begin_claim`], then the slot write.
+    /// [`Shard::begin_claim`], the slot write, then a re-check of the
+    /// admission.
+    ///
+    /// `S` advances before the slot is written, so a wake scan that runs in
+    /// between (the target shrank) counts this claim among the sleepers but
+    /// finds no slot to clear — and the controller republishes on change
+    /// only, so nobody would wake this thread before its sleep timeout.  The
+    /// claimer therefore re-reads `T` and `S − W` after publishing its slot
+    /// and backs out if the shard is now over target.
     fn commit_claim(&self, sleeper: SleeperId, observed: u64) -> ClaimOutcome {
-        match self.ever_slept.compare_exchange(
-            observed,
-            observed + 1,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                let idx = (observed as usize) % self.slots.len();
-                // Stamp before the slot write: once the slot reads occupied,
-                // its claim-order key is already in place for the window
-                // wake scan.
-                self.stamps[idx].store(observed + 1, Ordering::Release);
-                self.slots[idx].store(sleeper.slot_value(), Ordering::Release);
-                ClaimOutcome::Claimed(idx)
-            }
-            Err(_) => {
-                self.claim_races.fetch_add(1, Ordering::Relaxed);
-                ClaimOutcome::Raced
-            }
+        if self
+            .ever_slept
+            .compare_exchange(observed, observed + 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            self.claim_races.fetch_add(1, Ordering::Relaxed);
+            return ClaimOutcome::Raced;
         }
-    }
-
-    /// One claim attempt on this shard's head.  The uncontended path is a
-    /// single CAS exactly as in the paper; a lost CAS either returns
-    /// [`ClaimOutcome::Raced`] immediately (paper behavior,
-    /// `backoff.retries == 0`) or enters the contention-managed retry loop.
-    fn try_claim(&self, sleeper: SleeperId, backoff: ClaimBackoff) -> ClaimOutcome {
-        let Some(s) = self.begin_claim() else {
+        let idx = (observed as usize) % self.slots.len();
+        // Stamp before the slot write: once the slot reads occupied, its
+        // claim-order key is already in place for the window wake scan.
+        self.stamps[idx].store(observed + 1, Ordering::Release);
+        self.slots[idx].store(sleeper.slot_value(), Ordering::Release);
+        // Pairs with the fence in `SleepSlotBuffer::publish_locked` /
+        // `wake_all` (store `T`; fence; scan slots): of a claimer's slot
+        // store and a publisher's target store, at least one is seen by the
+        // other side, so either the scan clears this slot or the loads below
+        // see the shrunk target.
+        fence(Ordering::SeqCst);
+        if self.sleepers() > self.target.load(Ordering::Acquire) {
+            self.leave(idx, sleeper);
             return ClaimOutcome::NoSpace;
-        };
-        match self.commit_claim(sleeper, s) {
-            ClaimOutcome::Raced if backoff.retries > 0 => self.try_claim_managed(sleeper, backoff),
-            outcome => outcome,
         }
+        ClaimOutcome::Claimed(idx)
     }
 
-    /// Claim-CAS contention management in the style of Dice/Hendler/Mirsky's
-    /// *Lightweight Contention Management for Efficient Compare-and-Swap
-    /// Operations*: after a lost head CAS, wait a bounded random number of
-    /// spins (growing with the attempt number), then **reload** the head
-    /// before the next CAS — load-then-CAS narrows the window a stale `S`
-    /// is CASed against, so retries mostly succeed instead of racing again.
-    #[cold]
-    fn try_claim_managed(&self, sleeper: SleeperId, backoff: ClaimBackoff) -> ClaimOutcome {
-        for attempt in 1..=backoff.retries {
-            claim_backoff_spin(backoff.max_spins, attempt);
-            let Some(s) = self.begin_claim() else {
-                return ClaimOutcome::NoSpace;
-            };
-            match self.commit_claim(sleeper, s) {
-                ClaimOutcome::Raced => continue,
-                outcome => return outcome,
-            }
+    /// Releases the claim in slot `idx`: clears the slot if it is still
+    /// `sleeper`'s (a lost CAS means the wake scan cleared it first) and
+    /// records the departure in `W`.
+    fn leave(&self, idx: usize, sleeper: SleeperId) {
+        let _ = self.slots[idx].compare_exchange(
+            sleeper.slot_value(),
+            0,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
+        self.woken.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One claim attempt on this shard's head — a single CAS, exactly as in
+    /// the paper; a lost CAS reports [`ClaimOutcome::Raced`] and the caller
+    /// goes back to polling.
+    fn try_claim(&self, sleeper: SleeperId) -> ClaimOutcome {
+        match self.begin_claim() {
+            Some(s) => self.commit_claim(sleeper, s),
+            None => ClaimOutcome::NoSpace,
         }
-        ClaimOutcome::Raced
     }
 
     /// Clears up to `count` occupied slots in this shard, skipping any slot
@@ -501,50 +489,15 @@ impl Shard {
     }
 }
 
-/// The randomized wait of the contention-managed claim path: a bounded
-/// number of `spin_loop` hints drawn from a per-thread xorshift64* stream
-/// (no clocks, no shared state — deterministic single-threaded, which keeps
-/// the DES engine and the fast-path bench reproducible).  The window grows
-/// with the attempt number and is capped at `max_spins`.
-fn claim_backoff_spin(max_spins: u32, attempt: u32) {
-    thread_local! {
-        static CLAIM_RNG: Cell<u64> = const { Cell::new(0x9E37_79B9_7F4A_7C15) };
-    }
-    let window = (8u64 << attempt.min(16)).min(u64::from(max_spins.max(1)));
-    let spins = CLAIM_RNG.with(|state| {
-        let mut x = state.get();
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        state.set(x);
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D) % window
-    });
-    for _ in 0..spins {
-        std::hint::spin_loop();
-    }
-}
-
 /// The shared sleep slot buffer: one or more shards plus the global
 /// parker table.
 pub struct SleepSlotBuffer {
-    /// Every *physical* shard.  The physical layout is fixed at construction
-    /// ([`SleepSlotBuffer::max_shard_count`] shards), so a claim's global
-    /// index stays valid across live reshards; only [`Self::active_mask`]
-    /// moves.
+    /// The shards; the set is fixed at construction (a power of two).
     shards: Box<[Shard]>,
-    /// Slots per shard (`capacity / initial shard count`, rounded up).
+    /// Slots per shard (`capacity / shard count`, rounded up).
     shard_capacity: usize,
-    /// `active_count − 1`: the mask over the shards claims may currently
-    /// target.  Live reshard raises it (grow: new shards start at target 0)
-    /// or lowers it (shrink: drained shards are swept until their `S − W`
-    /// book balances) without moving any physical slot.
-    active_mask: AtomicUsize,
-    /// How each sleeper finds its home among the active shards (the
-    /// `topology(mode=..)` plane).
-    shard_map: Arc<dyn ShardMap>,
-    /// Contention management for the head-`S` claim CAS
-    /// ([`ClaimBackoff::DISABLED`] = the paper's single-attempt behavior).
-    backoff: ClaimBackoff,
+    /// `shard count − 1`: a sleeper's home shard is `id & mask`.
+    mask: usize,
     /// The capacity the caller asked for.  Per-shard rounding can make the
     /// physical slot count ([`SleepSlotBuffer::capacity`]) larger; the
     /// global target cap stays at the *requested* value so a sharded buffer
@@ -592,8 +545,6 @@ impl fmt::Debug for SleepSlotBuffer {
             .field("exempt", &stats.exempt)
             .field("capacity", &self.capacity())
             .field("shards", &self.shard_count())
-            .field("max_shards", &self.shards.len())
-            .field("topology", &self.shard_map.mode())
             .finish()
     }
 }
@@ -619,57 +570,16 @@ impl SleepSlotBuffer {
     /// Panics if `capacity` is zero or `shards` is not a non-zero power of
     /// two.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_layout(
-            capacity,
-            shards,
-            shards,
-            Arc::new(RegistrationShardMap),
-            ClaimBackoff::DISABLED,
-        )
-    }
-
-    /// The fully parameterized constructor: `shards` *active* shards out of
-    /// `max_shards` physically allocated ones (both non-zero powers of two,
-    /// `max_shards ≥ shards`), home shards assigned by `shard_map`, and
-    /// head-CAS contention management per `backoff`.
-    ///
-    /// Each shard holds `capacity / shards` slots (rounded up), so the
-    /// *initial* active set covers the requested capacity; growing the
-    /// active set spreads the same (requested-capacity-capped) target over
-    /// more heads rather than admitting more sleepers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero, either shard count is not a non-zero
-    /// power of two, or `max_shards < shards`.
-    pub fn with_layout(
-        capacity: usize,
-        shards: usize,
-        max_shards: usize,
-        shard_map: Arc<dyn ShardMap>,
-        backoff: ClaimBackoff,
-    ) -> Self {
         assert!(capacity > 0, "sleep slot buffer capacity must be non-zero");
         assert!(
             shards > 0 && shards.is_power_of_two(),
             "shard count must be a non-zero power of two (got {shards})"
         );
-        assert!(
-            max_shards >= shards && max_shards.is_power_of_two(),
-            "max shard count must be a power of two ≥ the active count \
-             (got {max_shards} < {shards})"
-        );
         let shard_capacity = capacity.div_ceil(shards);
-        let physical = (0..max_shards)
-            .map(|_| Shard::new(shard_capacity))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            shards: physical,
+            shards: (0..shards).map(|_| Shard::new(shard_capacity)).collect(),
             shard_capacity,
-            active_mask: AtomicUsize::new(shards - 1),
-            shard_map,
-            backoff,
+            mask: shards - 1,
             requested_capacity: capacity as u64,
             total_target: CachePadded::new(AtomicU64::new(0)),
             publish: Mutex::new(()),
@@ -708,34 +618,20 @@ impl SleepSlotBuffer {
         self.wait.snapshot()
     }
 
-    /// Total number of slots across all *physical* shards.
+    /// Total number of slots across all shards.
     pub fn capacity(&self) -> usize {
         self.shard_capacity * self.shards.len()
     }
 
-    /// Number of currently *active* shards (always a power of two; 1 for the
-    /// unsharded default).  Live reshard moves this between 1 and
-    /// [`SleepSlotBuffer::max_shard_count`].
+    /// Number of shards (always a power of two; 1 for the unsharded
+    /// default), fixed at construction.
     pub fn shard_count(&self) -> usize {
-        self.active_mask.load(Ordering::Acquire) + 1
-    }
-
-    /// Number of physically allocated shards (the reshard ceiling; equals
-    /// [`SleepSlotBuffer::shard_count`] unless the buffer was built with
-    /// reshard headroom).
-    pub fn max_shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Number of slots in each shard's ring.
     pub fn shard_capacity(&self) -> usize {
         self.shard_capacity
-    }
-
-    /// The home-shard mapping this buffer was built with (the
-    /// `topology(mode=..)` plane).
-    pub fn shard_map(&self) -> &Arc<dyn ShardMap> {
-        &self.shard_map
     }
 
     /// Registers a thread (by its parker) as a potential sleeper.
@@ -745,15 +641,11 @@ impl SleepSlotBuffer {
         SleeperId(table.len() as u64 - 1)
     }
 
-    /// The home shard of `sleeper` among the currently active shards, as
-    /// assigned by the buffer's [`ShardMap`].  With the default
-    /// `registration` topology this is `id & (active − 1)` — stable for the
-    /// buffer's lifetime at a fixed shard count; `cpu`/`node` topologies
-    /// follow the calling thread's placement instead.
+    /// The home shard of `sleeper`: `id & (shard_count − 1)`, stable for the
+    /// buffer's lifetime.
     #[inline]
     pub fn home_shard(&self, sleeper: SleeperId) -> usize {
-        let mask = self.active_mask.load(Ordering::Acquire);
-        self.shard_map.home_shard(sleeper, mask + 1) & mask
+        sleeper.0 as usize & self.mask
     }
 
     /// The current global sleep target (`sum(T_i)`).
@@ -808,15 +700,14 @@ impl SleepSlotBuffer {
     /// [`SleepSlotBuffer::has_space`] when there is a single shard.
     #[inline]
     pub fn has_space_for(&self, sleeper: SleeperId) -> bool {
-        let mask = self.active_mask.load(Ordering::Acquire);
-        let home = self.shard_map.home_shard(sleeper, mask + 1) & mask;
+        let home = self.home_shard(sleeper);
         if self.shards[home].has_space() {
             return true;
         }
-        if mask == 0 {
+        if self.mask == 0 {
             return false;
         }
-        let neighbour = (home + 1) & mask;
+        let neighbour = (home + 1) & self.mask;
         if self.shards[neighbour].has_space() {
             return true;
         }
@@ -824,12 +715,11 @@ impl SleepSlotBuffer {
         // the local fast path failed, and the check itself only runs once
         // per slot-check period — the cost of not stranding spinners behind
         // a closed or saturated local pair is a bounded, period-amortized
-        // walk of the remaining active shards in the saturated steady state.
+        // walk of the remaining shards in the saturated steady state.
         self.target() > 0
             && self
                 .shards
                 .iter()
-                .take(mask + 1)
                 .enumerate()
                 .any(|(idx, shard)| idx != home && idx != neighbour && shard.has_space())
     }
@@ -844,19 +734,18 @@ impl SleepSlotBuffer {
     /// can make the global target unreachable.  Losing everywhere just means
     /// going back to polling, as in the paper.
     pub fn try_claim(&self, sleeper: SleeperId) -> ClaimOutcome {
-        let mask = self.active_mask.load(Ordering::Acquire);
-        let home = self.shard_map.home_shard(sleeper, mask + 1) & mask;
-        let first = match self.shards[home].try_claim(sleeper, self.backoff) {
+        let home = self.home_shard(sleeper);
+        let first = match self.shards[home].try_claim(sleeper) {
             ClaimOutcome::Claimed(idx) => {
                 return ClaimOutcome::Claimed(home * self.shard_capacity + idx)
             }
             other => other,
         };
-        if mask == 0 {
+        if self.mask == 0 {
             return first;
         }
-        let neighbour = (home + 1) & mask;
-        let second = match self.shards[neighbour].try_claim(sleeper, self.backoff) {
+        let neighbour = (home + 1) & self.mask;
+        let second = match self.shards[neighbour].try_claim(sleeper) {
             ClaimOutcome::Claimed(idx) => {
                 return ClaimOutcome::Claimed(neighbour * self.shard_capacity + idx)
             }
@@ -864,11 +753,11 @@ impl SleepSlotBuffer {
         };
         let mut raced = first == ClaimOutcome::Raced || second == ClaimOutcome::Raced;
         if self.target() > 0 {
-            for (idx, shard) in self.shards.iter().take(mask + 1).enumerate() {
+            for (idx, shard) in self.shards.iter().enumerate() {
                 if idx == home || idx == neighbour {
                     continue;
                 }
-                match shard.try_claim(sleeper, self.backoff) {
+                match shard.try_claim(sleeper) {
                     ClaimOutcome::Claimed(slot) => {
                         return ClaimOutcome::Claimed(idx * self.shard_capacity + slot)
                     }
@@ -881,38 +770,6 @@ impl SleepSlotBuffer {
             ClaimOutcome::Raced
         } else {
             ClaimOutcome::NoSpace
-        }
-    }
-
-    /// First half of a claim against a specific shard: the `T`/`S`/`W` loads
-    /// and admission check of [`SleepSlotBuffer::try_claim`], returning the
-    /// observed head `S` (or `None` when the shard has no space).  Together
-    /// with [`SleepSlotBuffer::commit_claim_at`] this exposes the *exact*
-    /// production claim protocol as two halves, so a deterministic harness
-    /// (the `slot_fastpath` bench, the reshard proptests) can interleave
-    /// real head CASes in a chosen order — the same seam philosophy as the
-    /// DES engine's slot-wait hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= max_shard_count()`.
-    pub fn begin_claim_at(&self, shard: usize) -> Option<u64> {
-        self.shards[shard].begin_claim()
-    }
-
-    /// Second half of a split claim: the head CAS against `observed` (from
-    /// [`SleepSlotBuffer::begin_claim_at`] on the same shard) and the slot
-    /// write.  A lost CAS increments the shard's `claim_races` counter
-    /// exactly as on the production path.  On success the returned index is
-    /// global, as from [`SleepSlotBuffer::try_claim`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= max_shard_count()`.
-    pub fn commit_claim_at(&self, shard: usize, sleeper: SleeperId, observed: u64) -> ClaimOutcome {
-        match self.shards[shard].commit_claim(sleeper, observed) {
-            ClaimOutcome::Claimed(idx) => ClaimOutcome::Claimed(shard * self.shard_capacity + idx),
-            other => other,
         }
     }
 
@@ -929,13 +786,7 @@ impl SleepSlotBuffer {
     /// lock before ever sleeping.
     pub fn leave(&self, idx: usize, sleeper: SleeperId) {
         let (shard, slot) = self.locate(idx);
-        let _ = self.shards[shard].slots[slot].compare_exchange(
-            sleeper.slot_value(),
-            0,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
-        self.shards[shard].woken.fetch_add(1, Ordering::AcqRel);
+        self.shards[shard].leave(slot, sleeper);
     }
 
     #[inline]
@@ -955,11 +806,8 @@ impl SleepSlotBuffer {
     /// / single-shard entry point.
     pub fn set_target(&self, new_target: u64) -> usize {
         let capped = new_target.min(self.requested_capacity);
-        // The split is computed under the publish lock so a concurrent live
-        // reshard cannot change the active shard count between the split and
-        // its publication.
-        let _publish = self.publish.lock().unwrap();
         let split = even_split(capped, self.shard_count(), self.shard_capacity as u64);
+        let _publish = self.publish.lock().unwrap();
         self.publish_locked(&split)
     }
 
@@ -973,17 +821,15 @@ impl SleepSlotBuffer {
     ///
     /// Panics if `targets.len() != shard_count()`.
     pub fn set_shard_targets(&self, targets: &[u64]) -> usize {
-        // One publisher at a time: a partition is many stores, and two
-        // interleaved publishers would leave the shard targets a mix of two
-        // partitions with the cached total out of sync.  The length check
-        // runs under the same lock so it is judged against the shard count
-        // the publication will actually see.
-        let _publish = self.publish.lock().unwrap();
         assert_eq!(
             targets.len(),
             self.shard_count(),
-            "one target per active shard required"
+            "one target per shard required"
         );
+        // One publisher at a time: a partition is many stores, and two
+        // interleaved publishers would leave the shard targets a mix of two
+        // partitions with the cached total out of sync.
+        let _publish = self.publish.lock().unwrap();
         self.publish_locked(targets)
     }
 
@@ -991,17 +837,13 @@ impl SleepSlotBuffer {
     /// `expected_total` — the controller's *rebalance* path, which
     /// repartitions an unchanged total and must not clobber a target that an
     /// external [`SleepSlotBuffer::set_target`] caller changed since the
-    /// cycle read it.  Returns `None` (nothing published) when the
-    /// precondition fails — the total moved, or a live reshard changed the
-    /// active shard count since the partition was computed.
+    /// cycle read it.  Returns `None` (nothing published) when the total
+    /// moved or `targets` does not hold one entry per shard.
     pub fn set_shard_targets_if(&self, targets: &[u64], expected_total: u64) -> Option<usize> {
-        let _publish = self.publish.lock().unwrap();
         if targets.len() != self.shard_count() {
-            // The active shard count moved since the caller took its
-            // snapshot (a live reshard won the race): the partition is
-            // stale, like a changed total.
             return None;
         }
+        let _publish = self.publish.lock().unwrap();
         if self.total_target.load(Ordering::Relaxed) != expected_total {
             return None;
         }
@@ -1015,24 +857,30 @@ impl SleepSlotBuffer {
     /// and the whole list is unparked in a single pass over the parker
     /// table — one lock round trip instead of one per slot.
     fn publish_locked(&self, targets: &[u64]) -> usize {
-        let active = self.shard_count();
         let mut total = 0u64;
-        let mut wakes = Vec::new();
-        for (shard, &target) in self.shards.iter().take(active).zip(targets) {
+        for (shard, &target) in self.shards.iter().zip(targets) {
             let capped = target.min(self.shard_capacity as u64);
             total += capped;
             shard.target.store(capped, Ordering::Release);
+        }
+        self.total_target.store(total, Ordering::Release);
+        // Pairs with the fence in `Shard::commit_claim` (store slot; fence;
+        // re-read `T`): a claim whose slot this scan misses sees the targets
+        // stored above and backs out on its own.
+        fence(Ordering::SeqCst);
+        let mut wakes = Vec::new();
+        for shard in self.shards.iter() {
+            let target = shard.target.load(Ordering::Relaxed);
             let sleepers = shard.sleepers();
-            if sleepers > capped {
+            if sleepers > target {
                 shard.collect_wakes(
-                    (sleepers - capped) as usize,
+                    (sleepers - target) as usize,
                     self.wake_order,
                     &self.exempt,
                     &mut wakes,
                 );
             }
         }
-        self.total_target.store(total, Ordering::Release);
         self.unpark_batch(&wakes);
         wakes.len()
     }
@@ -1051,10 +899,9 @@ impl SleepSlotBuffer {
         }
     }
 
-    /// Clears up to `count` occupied slots (scanning all physical shards in
-    /// order, so sleepers still draining out of resized-away shards are
-    /// reachable) and unparks their owners in one batch.  Returns how many
-    /// were actually woken.
+    /// Clears up to `count` occupied slots (scanning the shards in order) and
+    /// unparks their owners in one batch.  Returns how many were actually
+    /// woken.
     pub fn wake(&self, count: usize) -> usize {
         if count == 0 {
             return 0;
@@ -1071,81 +918,6 @@ impl SleepSlotBuffer {
         wakes.len()
     }
 
-    /// Changes the number of *active* shards to `new_count` (clamped to
-    /// `[1, max_shard_count()]` and rounded up to a power of two), keeping
-    /// the current global target — the **live reshard** mechanism.
-    ///
-    /// * **Grow**: the wider mask is exposed first (the new shards start at
-    ///   target 0, so claims cannot outrun the controller), then the current
-    ///   total is re-split over the wider set.
-    /// * **Shrink**: the drained shards' targets drop to 0 and the narrower
-    ///   mask is exposed, so no new claim lands on them; the total is
-    ///   re-split over the survivors; then every sleeper still parked in a
-    ///   drained shard is woken in one batch.  Outstanding claims keep their
-    ///   global indices — the physical layout never moves — and each leaves
-    ///   through its own shard's `W`, so the drained shards' `S − W` books
-    ///   drain to zero.  [`SleepSlotBuffer::drained_sleepers`] reports the
-    ///   remaining debt; callers re-run [`SleepSlotBuffer::sweep_drained`]
-    ///   until it clears (a claim can race the sweep by one publication, and
-    ///   sleep timeouts bound the wait regardless).
-    ///
-    /// Returns how many sleepers the resize woke — a shrink wakes the
-    /// drained shards' occupants, and a grow's re-publication wakes sleepers
-    /// clustered above their shard's narrower per-shard target (they migrate
-    /// by re-claiming on the wider set).
-    pub fn resize_active_shards(&self, new_count: usize) -> usize {
-        let new = new_count.clamp(1, self.shards.len()).next_power_of_two();
-        let _publish = self.publish.lock().unwrap();
-        let current = self.shard_count();
-        if new == current {
-            return 0;
-        }
-        let total = self.total_target.load(Ordering::Relaxed);
-        if new > current {
-            self.active_mask.store(new - 1, Ordering::Release);
-            let split = even_split(total, new, self.shard_capacity as u64);
-            return self.publish_locked(&split);
-        }
-        for shard in self.shards.iter().take(current).skip(new) {
-            shard.target.store(0, Ordering::Release);
-        }
-        self.active_mask.store(new - 1, Ordering::Release);
-        let split = even_split(total, new, self.shard_capacity as u64);
-        let woken = self.publish_locked(&split);
-        woken + self.sweep_drained_locked()
-    }
-
-    /// Wakes every sleeper still parked in a drained (inactive) shard, in
-    /// one batch.  The controller calls this each cycle while
-    /// [`SleepSlotBuffer::drained_sleepers`] is non-zero, so a claim that
-    /// raced the shrink by one publication is woken on the next cycle — no
-    /// sleeper is stranded mid-migration.  Returns how many were woken.
-    pub fn sweep_drained(&self) -> usize {
-        let _publish = self.publish.lock().unwrap();
-        self.sweep_drained_locked()
-    }
-
-    fn sweep_drained_locked(&self) -> usize {
-        let active = self.shard_count();
-        if active == self.shards.len() {
-            return 0;
-        }
-        let mut wakes = Vec::new();
-        for shard in self.shards.iter().skip(active) {
-            shard.collect_wakes(usize::MAX, self.wake_order, &self.exempt, &mut wakes);
-        }
-        self.unpark_batch(&wakes);
-        wakes.len()
-    }
-
-    /// Outstanding claims (`S_i − W_i`) still held in drained (inactive)
-    /// shards — the quiesce debt of the most recent shrink.  Zero once every
-    /// displaced sleeper has woken and left.
-    pub fn drained_sleepers(&self) -> u64 {
-        let active = self.shard_count();
-        self.shards.iter().skip(active).map(Shard::sleepers).sum()
-    }
-
     /// Wakes every sleeper and resets all targets to zero (shutdown path).
     ///
     /// Exemptions are cleared first: shutdown must release *everyone*,
@@ -1159,6 +931,9 @@ impl SleepSlotBuffer {
             self.total_target.store(0, Ordering::Release);
         }
         self.exempt.clear_all();
+        // As in `publish_locked`: a claim this scan misses sees the zero
+        // target and backs out.
+        fence(Ordering::SeqCst);
         self.wake(self.capacity())
     }
 
@@ -1243,8 +1018,7 @@ impl SleepSlotBuffer {
         }
     }
 
-    /// Lost head-CAS counts per *physical* shard, in shard order (inactive
-    /// shards keep the races they accumulated while active).
+    /// Lost head-CAS counts per shard, in shard order.
     ///
     /// The per-shard breakdown of [`SlotBufferStats::claim_races`]: a single
     /// hot shard (skewed home-shard assignment, or too few shards for the
@@ -1257,12 +1031,10 @@ impl SleepSlotBuffer {
             .collect()
     }
 
-    /// Per-shard snapshots of the *active* shards for the controller's
-    /// target splitter (one snapshot per shard a partition may target).
+    /// Per-shard snapshots for the controller's target splitter.
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         self.shards
             .iter()
-            .take(self.shard_count())
             .map(|shard| {
                 let w = shard.woken.load(Ordering::Acquire);
                 let s = shard.ever_slept.load(Ordering::Acquire);
@@ -1513,7 +1285,11 @@ mod tests {
         assert_eq!(buf.sleepers(), 0);
         let stats = buf.stats();
         assert_eq!(stats.ever_slept, stats.woken_and_left);
-        assert_eq!(stats.ever_slept, claimed.load(Ordering::Relaxed));
+        // `>=`, not `==`: the post-claim re-check reads `S − W` through the
+        // same conservative snapshot, so a stalled claimer may back out of a
+        // claim that was in fact within target — `S` advanced, nothing
+        // reported.
+        assert!(stats.ever_slept >= claimed.load(Ordering::Relaxed));
         // Admission soundness, checked deterministically now that the herd
         // is gone: exactly `target` further claims fit, never one more.
         let ids: Vec<SleeperId> = (0..10)
@@ -1904,21 +1680,6 @@ mod tests {
         assert_eq!(stats.ever_slept, stats.woken_and_left);
     }
 
-    // -- topology, reshard and contention management ----------------------
-
-    use crate::config::ClaimBackoff;
-    use crate::topology::{CpuShardMap, RegistrationShardMap};
-
-    fn reshardable(capacity: usize, shards: usize, max_shards: usize) -> SleepSlotBuffer {
-        SleepSlotBuffer::with_layout(
-            capacity,
-            shards,
-            max_shards,
-            Arc::new(RegistrationShardMap),
-            ClaimBackoff::DISABLED,
-        )
-    }
-
     #[test]
     fn exempt_count_surfaces_in_stats_and_display() {
         let buf = SleepSlotBuffer::new(8);
@@ -1935,26 +1696,26 @@ mod tests {
     }
 
     #[test]
-    fn split_claim_seam_runs_the_real_protocol() {
+    fn split_claim_halves_run_the_real_protocol() {
         let buf = SleepSlotBuffer::new(8);
         buf.set_target(4);
         let a = sleeper(&buf);
         let b = sleeper(&buf);
+        let shard = &buf.shards[0];
         // Two claimers observe the same head; the commit order decides the
         // winner, and the loser's CAS failure is a *real* claim race.
-        let sa = buf.begin_claim_at(0).expect("space available");
-        let sb = buf.begin_claim_at(0).expect("space available");
+        let sa = shard.begin_claim().expect("space available");
+        let sb = shard.begin_claim().expect("space available");
         assert_eq!(sa, sb);
-        let ClaimOutcome::Claimed(idx_a) = buf.commit_claim_at(0, a, sa) else {
+        let ClaimOutcome::Claimed(idx_a) = shard.commit_claim(a, sa) else {
             panic!("first committer must win");
         };
-        assert_eq!(buf.commit_claim_at(0, b, sb), ClaimOutcome::Raced);
+        assert_eq!(shard.commit_claim(b, sb), ClaimOutcome::Raced);
         assert_eq!(buf.stats().claim_races, 1);
-        // Load-then-CAS: the loser re-begins against the fresh head and
-        // succeeds.
-        let sb2 = buf.begin_claim_at(0).expect("space available");
+        // The loser re-begins against the fresh head and succeeds.
+        let sb2 = shard.begin_claim().expect("space available");
         assert_ne!(sb2, sb);
-        let ClaimOutcome::Claimed(idx_b) = buf.commit_claim_at(0, b, sb2) else {
+        let ClaimOutcome::Claimed(idx_b) = shard.commit_claim(b, sb2) else {
             panic!("reloaded commit must win");
         };
         buf.leave(idx_a, a);
@@ -1965,173 +1726,19 @@ mod tests {
     }
 
     #[test]
-    fn contention_managed_claims_keep_the_books_balanced() {
-        use std::thread;
-        let buf = Arc::new(SleepSlotBuffer::with_layout(
-            64,
-            1,
-            1,
-            Arc::new(RegistrationShardMap),
-            ClaimBackoff {
-                retries: 3,
-                max_spins: 64,
-            },
-        ));
-        buf.set_target(8);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let buf = Arc::clone(&buf);
-            handles.push(thread::spawn(move || {
-                let id = buf.register_sleeper(Arc::new(Parker::new()));
-                for _ in 0..500 {
-                    if let ClaimOutcome::Claimed(idx) = buf.try_claim(id) {
-                        assert!(buf.sleepers() <= 16);
-                        buf.leave(idx, id);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = buf.stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
-    }
-
-    #[test]
-    fn cpu_topology_homes_claims_by_simulated_placement() {
-        use std::sync::atomic::AtomicUsize as StdUsize;
-        let cpu = Arc::new(StdUsize::new(2));
-        let probe_cpu = Arc::clone(&cpu);
-        let map = CpuShardMap::with_probe(
-            Arc::new(move || Some(probe_cpu.load(Ordering::Relaxed))),
-            1, // revalidate every claim so the moved "CPU" is seen at once
-        );
-        let buf = SleepSlotBuffer::with_layout(16, 4, 4, Arc::new(map), ClaimBackoff::DISABLED);
-        buf.set_shard_targets(&[2, 2, 2, 2]);
+    fn a_claim_that_straddles_a_target_shrink_backs_out() {
+        // The wake scan of `set_target(0)` runs between the two halves of a
+        // claim: it finds no slot to clear, so the claimer itself must notice
+        // the shrunk target instead of parking until its timeout.
+        let buf = SleepSlotBuffer::new(8);
+        buf.set_target(2);
         let id = sleeper(&buf);
-        assert_eq!(buf.home_shard(id), 2);
-        let ClaimOutcome::Claimed(idx) = buf.try_claim(id) else {
-            panic!("expected a claim");
-        };
-        assert_eq!(idx / buf.shard_capacity(), 2, "claim must follow the CPU");
-        cpu.store(1, Ordering::Relaxed);
-        assert_eq!(buf.home_shard(id), 1, "migration must move the home");
-        buf.leave(idx, id);
-    }
-
-    #[test]
-    fn live_reshard_grows_and_shrinks_without_stranding_sleepers() {
-        let buf = reshardable(16, 1, 4);
-        assert_eq!(buf.shard_count(), 1);
-        assert_eq!(buf.max_shard_count(), 4);
-        buf.set_target(4);
-        let parkers: Vec<Arc<Parker>> = (0..4).map(|_| Arc::new(Parker::new())).collect();
-        let ids: Vec<SleeperId> = parkers
-            .iter()
-            .map(|p| buf.register_sleeper(Arc::clone(p)))
-            .collect();
-        let claims: Vec<usize> = ids
-            .iter()
-            .map(|id| match buf.try_claim(*id) {
-                ClaimOutcome::Claimed(idx) => idx,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(buf.sleepers(), 4);
-
-        // Grow 1 → 4: total target unchanged, re-split [1,1,1,1]; the three
-        // sleepers above shard 0's narrower target are woken to migrate.
-        let woken = buf.resize_active_shards(4);
-        assert_eq!(woken, 3, "grow must wake the clustered excess");
-        assert_eq!(buf.shard_count(), 4);
-        assert_eq!(buf.target(), 4);
-        // Woken sleepers leave and re-claim; they now spread over the wider
-        // active set.
-        let mut placed: Vec<(usize, SleeperId)> = Vec::new();
-        for (idx, id) in claims.iter().zip(&ids) {
-            if buf.still_claimed(*idx, *id) {
-                placed.push((*idx, *id));
-            } else {
-                buf.leave(*idx, *id);
-                if let ClaimOutcome::Claimed(again) = buf.try_claim(*id) {
-                    placed.push((again, *id));
-                }
-            }
-        }
-        assert_eq!(buf.sleepers(), 4, "every migrant re-claimed");
-        assert!(
-            placed.iter().any(|(idx, _)| idx / buf.shard_capacity() > 0),
-            "growth must actually spread claims beyond shard 0"
-        );
-
-        // Shrink 4 → 1: claims outside shard 0 are woken in one batch and
-        // keep their valid global indices until they leave — nobody is
-        // stranded mid-migration.
-        let woken = buf.resize_active_shards(1);
-        assert!(woken >= 1, "shrink must wake the drained shards' sleepers");
-        assert_eq!(buf.shard_count(), 1);
-        assert_eq!(buf.target(), 4);
-        for (idx, id) in &placed {
-            if idx / buf.shard_capacity() > 0 {
-                assert!(
-                    !buf.still_claimed(*idx, *id),
-                    "sleeper stranded in a drained shard"
-                );
-            }
-        }
-        for (idx, id) in &placed {
-            if !buf.still_claimed(*idx, *id) {
-                buf.leave(*idx, *id);
-            }
-        }
-        assert_eq!(buf.drained_sleepers(), 0, "drained books must balance");
-        for (idx, id) in &placed {
-            if buf.still_claimed(*idx, *id) {
-                buf.leave(*idx, *id);
-            }
-        }
+        let shard = &buf.shards[0];
+        let observed = shard.begin_claim().expect("space available");
+        assert_eq!(buf.set_target(0), 0, "nothing is parked yet");
+        assert_eq!(shard.commit_claim(id, observed), ClaimOutcome::NoSpace);
         let stats = buf.stats();
         assert_eq!(stats.ever_slept, stats.woken_and_left);
-        // Idempotent sweeps and no-op resizes are free.
-        assert_eq!(buf.sweep_drained(), 0);
-        assert_eq!(buf.resize_active_shards(1), 0);
-    }
-
-    #[test]
-    fn resize_clamps_to_the_physical_layout() {
-        let buf = reshardable(16, 2, 4);
-        assert_eq!(buf.resize_active_shards(64), 0); // clamped to 4, no sleepers
-        assert_eq!(buf.shard_count(), 4);
-        assert_eq!(buf.resize_active_shards(0), 0); // clamped to 1
-        assert_eq!(buf.shard_count(), 1);
-        assert_eq!(buf.resize_active_shards(3), 0); // rounded to 4
-        assert_eq!(buf.shard_count(), 4);
-    }
-
-    #[test]
-    fn shrink_sweep_rescues_a_claim_that_raced_the_resize() {
-        // A claim that lands in a shard *as* it drains (begin before the
-        // shrink, commit after) is exactly what the repeated controller
-        // sweep exists for.
-        let buf = reshardable(16, 2, 2);
-        buf.set_shard_targets(&[2, 2]);
-        let _a = sleeper(&buf); // id 0 → home shard 0
-        let b = sleeper(&buf); // id 1 → home shard 1
-        let observed = buf.begin_claim_at(1).expect("space in shard 1");
-        assert_eq!(buf.resize_active_shards(1), 0, "nothing parked yet");
-        // The straggler's commit still wins (the physical shard exists) even
-        // though the shard is now inactive with target 0.
-        let ClaimOutcome::Claimed(idx) = buf.commit_claim_at(1, b, observed) else {
-            panic!("late commit must still land");
-        };
-        assert_eq!(buf.drained_sleepers(), 1);
-        // The next controller sweep clears it.
-        assert_eq!(buf.sweep_drained(), 1);
-        assert!(!buf.still_claimed(idx, b));
-        buf.leave(idx, b);
-        assert_eq!(buf.drained_sleepers(), 0);
-        let stats = buf.stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
+        assert!(shard.slots.iter().all(|s| s.load(Ordering::Acquire) == 0));
     }
 }

@@ -13,8 +13,7 @@
 //! * a **config file** of `key = value` lines with `#` comments
 //!   ([`LoadControlSpec::from_config_file`]),
 //! * the **environment** (`LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-//!   `LC_SAMPLER`, `LC_TOPOLOGY`, `LC_WAKE_ORDER`;
-//!   [`LoadControlSpec::from_env`]), or
+//!   `LC_SAMPLER`, `LC_WAKE_ORDER`; [`LoadControlSpec::from_env`]), or
 //! * the builder, programmatically.
 //!
 //! Every source is validated against the registries at parse time: unknown
@@ -41,7 +40,6 @@ pub use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
 
 use crate::config::WakeOrder;
 use crate::policy::{POLICY_SPECS, SPLITTER_SPECS};
-use crate::topology::TOPOLOGY_SPECS;
 use lc_accounting::SAMPLER_SPECS;
 use std::fmt;
 use std::path::Path;
@@ -85,9 +83,6 @@ pub struct LoadControlSpec {
     pub shards: Option<usize>,
     /// The load sampler, or `None` for the default registry sampler.
     pub sampler: Option<ParsedSpec>,
-    /// The shard-topology mapping (`topology(mode=..)`), or `None` for
-    /// registration-order homing.
-    pub topology: Option<ParsedSpec>,
     /// The controller wake order (`fifo` or `window`), or `None` to keep the
     /// configuration's (array-order `fifo`).
     pub wake_order: Option<WakeOrder>,
@@ -100,7 +95,6 @@ impl Default for LoadControlSpec {
             splitter: ParsedSpec::bare("even"),
             shards: None,
             sampler: None,
-            topology: None,
             wake_order: None,
         }
     }
@@ -117,9 +111,6 @@ impl LoadControlSpec {
     pub const ENV_SHARDS: &'static str = crate::LoadControlConfig::SHARDS_ENV;
     /// Environment variable holding the load-sampler spec.
     pub const ENV_SAMPLER: &'static str = "LC_SAMPLER";
-    /// Environment variable holding the shard-topology spec (the same
-    /// constant as [`crate::topology::ENV_TOPOLOGY`]).
-    pub const ENV_TOPOLOGY: &'static str = crate::topology::ENV_TOPOLOGY;
     /// Environment variable holding the controller wake order (`fifo` or
     /// `window`).
     pub const ENV_WAKE_ORDER: &'static str = "LC_WAKE_ORDER";
@@ -157,17 +148,6 @@ impl LoadControlSpec {
         Ok(self)
     }
 
-    /// Returns `self` with the topology mapping set from `spec`, validated
-    /// against [`TOPOLOGY_SPECS`].  Validation goes through the registry's
-    /// builder so a bad `mode=` *value* (not just an unknown key) is an
-    /// explicit error at parse time.
-    pub fn with_topology(mut self, spec: &str) -> Result<Self, SpecError> {
-        let parsed = ParsedSpec::parse(spec)?;
-        TOPOLOGY_SPECS.build_spec(&parsed)?;
-        self.topology = Some(parsed);
-        Ok(self)
-    }
-
     /// Returns `self` with `shards` slot-buffer shards (must be ≥ 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
@@ -193,7 +173,6 @@ impl LoadControlSpec {
             "policy" => staged.with_policy(value)?,
             "splitter" => staged.with_splitter(value)?,
             "sampler" => staged.with_sampler(value)?,
-            "topology" => staged.with_topology(value)?,
             "shards" => staged.with_shards(parse_shards_value(source, value)?),
             "wake_order" => staged.with_wake_order(Self::parse_wake_order(source, value)?),
             _ => {
@@ -202,7 +181,7 @@ impl LoadControlSpec {
                     source: source.to_string(),
                     reason: format!(
                         "unknown key {key:?}; accepted keys: policy, splitter, shards, \
-                         sampler, topology, wake_order"
+                         sampler, wake_order"
                     ),
                 });
             }
@@ -212,9 +191,9 @@ impl LoadControlSpec {
 
     /// Parses a spec from its string form: `key=value` entries separated by
     /// `;` or newlines, with `#` starting a comment.  Accepted keys are
-    /// `policy`, `splitter`, `shards`, `sampler`, `topology` and
-    /// `wake_order`; every value is validated against its registry.  Unset
-    /// keys keep their defaults.
+    /// `policy`, `splitter`, `shards`, `sampler` and `wake_order`; every
+    /// value is validated against its registry.  Unset keys keep their
+    /// defaults.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
         Self::parse_from(input, "spec")
     }
@@ -262,8 +241,7 @@ impl LoadControlSpec {
     }
 
     /// The default spec with the `LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-    /// `LC_SAMPLER`, `LC_TOPOLOGY` and `LC_WAKE_ORDER` environment variables
-    /// applied.  A malformed variable is an explicit error, never a silent
+    /// `LC_SAMPLER` and `LC_WAKE_ORDER` environment variables applied.  A malformed variable is an explicit error, never a silent
     /// fall-back to the default.
     pub fn from_env() -> Result<Self, SpecError> {
         Self::default().apply_env()
@@ -278,7 +256,6 @@ impl LoadControlSpec {
             (Self::ENV_SPLITTER, "splitter"),
             (Self::ENV_SHARDS, "shards"),
             (Self::ENV_SAMPLER, "sampler"),
-            (Self::ENV_TOPOLOGY, "topology"),
             (Self::ENV_WAKE_ORDER, "wake_order"),
         ] {
             if let Ok(value) = std::env::var(var) {
@@ -299,9 +276,6 @@ impl fmt::Display for LoadControlSpec {
         }
         if let Some(sampler) = &self.sampler {
             write!(f, "; sampler={sampler}")?;
-        }
-        if let Some(topology) = &self.topology {
-            write!(f, "; topology={topology}")?;
         }
         if let Some(order) = self.wake_order {
             write!(f, "; wake_order={order}")?;
@@ -335,7 +309,6 @@ mod tests {
         assert_eq!(spec.splitter, ParsedSpec::bare("even"));
         assert_eq!(spec.shards, None, "shards must default to unspecified");
         assert_eq!(spec.sampler, None);
-        assert_eq!(spec.topology, None);
         assert_eq!(spec.wake_order, None);
         assert_eq!(spec.to_string(), "policy=paper; splitter=even");
     }
@@ -347,8 +320,6 @@ mod tests {
             "policy=paper; splitter=even; shards=1",
             "policy=pid(kp=0.5, ki=0.1); splitter=load-weighted(ewma=0.25); shards=4",
             "policy=hysteresis(alpha=0.3, deadband=2); splitter=even; shards=2; sampler=fixed(runnable=9)",
-            "policy=paper; splitter=even; topology=topology(mode=cpu)",
-            "policy=paper; splitter=load-weighted; shards=4; topology=topology(mode=node, revalidate=16)",
             "policy=latency(target_p99=20); splitter=even; wake_order=window",
             "policy=autotune(inner=pid, objective=p99); splitter=even; shards=2; wake_order=fifo",
         ] {
@@ -399,14 +370,13 @@ mod tests {
             LoadControlSpec::parse("policy=paper; policy=fixed"),
             Err(SpecError::Config { .. })
         ));
-        assert!(matches!(
-            LoadControlSpec::parse("topology=mesh"),
-            Err(SpecError::UnknownName { .. })
-        ));
-        assert!(matches!(
-            LoadControlSpec::parse("topology=topology(mode=hyperspace)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
+        match LoadControlSpec::parse("topology=mesh") {
+            Err(SpecError::Config { reason, .. }) => assert!(
+                reason.ends_with("policy, splitter, shards, sampler, wake_order"),
+                "an unknown key must list the accepted ones: {reason}"
+            ),
+            other => panic!("expected an unknown-key error, got {other:?}"),
+        }
         assert!(matches!(
             LoadControlSpec::parse("policy"),
             Err(SpecError::Config { .. })
@@ -438,7 +408,6 @@ mod tests {
             LoadControlSpec::ENV_SPLITTER,
             LoadControlSpec::ENV_SHARDS,
             LoadControlSpec::ENV_SAMPLER,
-            LoadControlSpec::ENV_TOPOLOGY,
             LoadControlSpec::ENV_WAKE_ORDER,
         ]
         .into_iter()
@@ -447,7 +416,6 @@ mod tests {
 
         std::env::set_var(LoadControlSpec::ENV_POLICY, "pid(kp=0.8, ki=0.2)");
         std::env::set_var(LoadControlSpec::ENV_SHARDS, "4");
-        std::env::set_var(LoadControlSpec::ENV_TOPOLOGY, "topology(mode=cpu)");
         std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "window");
         std::env::remove_var(LoadControlSpec::ENV_SPLITTER);
         std::env::remove_var(LoadControlSpec::ENV_SAMPLER);
@@ -455,12 +423,7 @@ mod tests {
         assert_eq!(spec.policy.to_string(), "pid(kp=0.8, ki=0.2)");
         assert_eq!(spec.shards, Some(4));
         assert_eq!(spec.splitter, ParsedSpec::bare("even"));
-        assert_eq!(
-            spec.topology.as_ref().map(ToString::to_string).as_deref(),
-            Some("topology(mode=cpu)")
-        );
         assert_eq!(spec.wake_order, Some(WakeOrder::Window));
-        std::env::remove_var(LoadControlSpec::ENV_TOPOLOGY);
 
         // Malformed wake order names the variable.
         std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "lifo");

@@ -20,7 +20,6 @@ struct Args {
     workers: usize,
     capacity: usize,
     shards: usize,
-    topology: String,
     horizon: Duration,
     seed: u64,
     out: Option<String>,
@@ -33,10 +32,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 1_000_000,
         capacity: 64,
         shards: 8,
-        // The committed sweep keeps the registration mapping: `cpu`/`node`
-        // topologies probe the *host's* thread placement, which would leak
-        // scheduler noise into an otherwise bit-reproducible artifact.
-        topology: "topology".to_string(),
         horizon: Duration::from_millis(300),
         seed: lc_des::test_seed(),
         out: None,
@@ -50,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = num(&value("--workers")?)? as usize,
             "--capacity" => args.capacity = num(&value("--capacity")?)? as usize,
             "--shards" => args.shards = num(&value("--shards")?)? as usize,
-            "--topology" => args.topology = value("--topology")?,
             "--horizon-ms" => args.horizon = Duration::from_millis(num(&value("--horizon-ms")?)?),
             "--seed" => args.seed = num(&value("--seed")?)?,
             "--out" => args.out = Some(value("--out")?),
@@ -101,57 +95,36 @@ fn main() {
         }
     };
     eprintln!(
-        "des_policy_sweep: workers={} capacity={} shards={} topology={} horizon={:?} seed={:#x}",
-        args.workers, args.capacity, args.shards, args.topology, args.horizon, args.seed
+        "des_policy_sweep: workers={} capacity={} shards={} horizon={:?} seed={:#x}",
+        args.workers, args.capacity, args.shards, args.horizon, args.seed
     );
 
     // One row per control policy with the native spin discipline, plus one
     // delegation row (the paper's policy over flat-combining publish-then-
     // poll waiters, so the sweep shows load control composing with a
-    // delegation lock plane), plus the shards/topology dimension: the
-    // paper's policy re-run single-sharded and with the topology spec made
-    // explicit, so the fast-path layout's effect on the same workload sits
-    // in the same artifact.
-    let mut rows: Vec<(String, WaiterDiscipline, usize, String)> = args
+    // delegation lock plane), plus the shards dimension: the paper's policy
+    // re-run single-sharded, so the buffer layout's effect on the same
+    // workload sits in the same artifact.
+    let mut rows: Vec<(String, WaiterDiscipline, usize)> = args
         .policies
         .iter()
-        .map(|p| {
-            (
-                p.clone(),
-                WaiterDiscipline::LoadControlledSpin,
-                args.shards,
-                args.topology.clone(),
-            )
-        })
+        .map(|p| (p.clone(), WaiterDiscipline::LoadControlledSpin, args.shards))
         .collect();
     rows.push((
         "paper".to_string(),
         WaiterDiscipline::Combining,
         args.shards,
-        args.topology.clone(),
     ));
     if args.shards != 1 {
-        rows.push((
-            "paper".to_string(),
-            WaiterDiscipline::LoadControlledSpin,
-            1,
-            args.topology.clone(),
-        ));
+        rows.push(("paper".to_string(), WaiterDiscipline::LoadControlledSpin, 1));
     }
-    rows.push((
-        "paper".to_string(),
-        WaiterDiscipline::LoadControlledSpin,
-        args.shards,
-        "topology(mode=registration)".to_string(),
-    ));
 
     let mut bodies = Vec::new();
-    for (policy, discipline, shards, topology) in &rows {
+    for (policy, discipline, shards) in &rows {
         let mut config = DesConfig::new(args.workers, args.capacity);
         config.policy = policy.clone();
         config.discipline = *discipline;
         config.shards = *shards;
-        config.topology = topology.clone();
         config.horizon = args.horizon;
         config.seed = args.seed;
         config.sleep_timeout = Duration::from_millis(200);
@@ -186,7 +159,6 @@ fn main() {
     out.push_str(&format!("  \"workers\": {},\n", args.workers));
     out.push_str(&format!("  \"capacity\": {},\n", args.capacity));
     out.push_str(&format!("  \"shards\": {},\n", args.shards));
-    out.push_str(&format!("  \"topology\": {:?},\n", args.topology));
     out.push_str(&format!("  \"horizon_ns\": {},\n", args.horizon.as_nanos()));
     out.push_str("  \"runs\": [\n");
     for (i, body) in bodies.iter().enumerate() {

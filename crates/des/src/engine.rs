@@ -96,11 +96,6 @@ pub struct DesConfig {
     pub capacity: usize,
     /// Slot-buffer shards.
     pub shards: usize,
-    /// Shard-topology spec string (e.g. `"topology"` or
-    /// `"topology(mode=cpu)"`).  Deterministic runs should keep the default
-    /// `registration` mapping — the `cpu`/`node` maps probe the *host's*
-    /// thread placement, which the virtual clock does not control.
-    pub topology: String,
     /// Control-policy spec string (e.g. `"paper"` or
     /// `"hysteresis(alpha=0.3)"`).
     pub policy: String,
@@ -145,7 +140,6 @@ impl DesConfig {
             workers,
             capacity,
             shards: 1,
-            topology: "topology".to_string(),
             policy: "paper".to_string(),
             splitter: "even".to_string(),
             wake_order: WakeOrder::Fifo,
@@ -320,7 +314,6 @@ impl Engine {
         let control = LoadControl::builder(lc_config)
             .policy_spec(&config.policy)?
             .splitter_spec(&config.splitter)?
-            .topology_spec(&config.topology)?
             .time_source(Arc::clone(&clock) as Arc<dyn TimeSource>)
             .sampler(registry, sampler)
             .build();

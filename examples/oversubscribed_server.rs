@@ -24,11 +24,11 @@
 //! where `<policy-spec>` is a bare policy name (`paper`, `hysteresis`,
 //! `fixed`, `pid`) or a parameterized spec such as `"pid(kp=0.5, ki=0.1)"`
 //! or `"hysteresis(alpha=0.3, deadband=2)"`.  A `--spec-file` supplies the
-//! full control plane (policy, splitter, shards, sampler, topology) as
+//! full control plane (policy, splitter, shards, sampler) as
 //! `key = value` lines; the `LC_POLICY` / `LC_SPLITTER` / `LC_SHARDS` /
-//! `LC_SAMPLER` / `LC_TOPOLOGY` / `LC_WAKE_ORDER`
-//! environment variables layer on top of either source, and a malformed
-//! spec anywhere fails loudly before the measurement sweep.
+//! `LC_SAMPLER` / `LC_WAKE_ORDER` environment variables layer on top of
+//! either source, and a malformed spec anywhere fails loudly before the
+//! measurement sweep.
 
 use lc_core::policy::ALL_POLICY_NAMES;
 use lc_core::spec::LoadControlSpec;

@@ -471,143 +471,6 @@ fn sharded_buffer_shrink_wakes_exactly_the_excess_per_shard() {
     });
 }
 
-#[test]
-fn live_reshard_random_interleavings_never_strand_a_sleeper() {
-    // The live-reshard mechanism under random claim / raced-claim / leave /
-    // retarget / resize / sweep interleavings: the global `S − W` book always
-    // equals the outstanding claims, every claim lands on an *active* shard,
-    // and no sleeper is ever stranded — a claim left in a resized-away shard
-    // has always had its slot cleared (= its parker unparked), and the
-    // drained shards' books drain to zero once their occupants leave.
-    use lc_core::{ClaimBackoff, RegistrationShardMap};
-
-    for_each_seed(64, |seed, rng| {
-        let max_shards = 4usize;
-        let shard_capacity = 4usize;
-        let buf = SleepSlotBuffer::with_layout(
-            shard_capacity * max_shards,
-            1,
-            max_shards,
-            Arc::new(RegistrationShardMap),
-            ClaimBackoff::DEFAULT_MANAGED,
-        );
-        buf.set_target(8);
-        let sleepers: Vec<_> = (0..10)
-            .map(|_| buf.register_sleeper(Arc::new(Parker::new())))
-            .collect();
-        let mut outstanding: Vec<(usize, SleeperId)> = Vec::new();
-        let free = |outstanding: &Vec<(usize, SleeperId)>, id: SleeperId| {
-            !outstanding.iter().any(|(_, s)| *s == id)
-        };
-
-        let ops = rng.random_range(1usize..300);
-        for op in 0..ops {
-            match rng.random_range(0u32..6) {
-                0 => {
-                    buf.set_target(rng.random_range(0u64..12));
-                }
-                1 => {
-                    // Live reshard to a random active count (1, 2 or 4).
-                    buf.resize_active_shards(1usize << rng.random_range(0u32..3));
-                }
-                2 => {
-                    // Production-path claim.
-                    let id = sleepers[rng.random_range(0usize..sleepers.len())];
-                    if !free(&outstanding, id) {
-                        continue;
-                    }
-                    let active = buf.shard_count();
-                    if let ClaimOutcome::Claimed(idx) = buf.try_claim(id) {
-                        assert!(
-                            idx / buf.shard_capacity() < active,
-                            "seed {seed} op {op}: claim landed on an inactive shard"
-                        );
-                        outstanding.push((idx, id));
-                    }
-                }
-                3 => {
-                    // A manufactured CAS race through the split-claim seam:
-                    // two sleepers observe the same head on an active shard,
-                    // the first commit wins, the second loses.
-                    let shard = rng.random_range(0usize..buf.shard_count());
-                    let pair: Vec<SleeperId> = sleepers
-                        .iter()
-                        .copied()
-                        .filter(|&id| free(&outstanding, id))
-                        .take(2)
-                        .collect();
-                    let [a, b] = pair[..] else { continue };
-                    let Some(observed) = buf.begin_claim_at(shard) else {
-                        continue;
-                    };
-                    match buf.commit_claim_at(shard, a, observed) {
-                        ClaimOutcome::Claimed(idx) => outstanding.push((idx, a)),
-                        other => panic!("seed {seed} op {op}: winner lost: {other:?}"),
-                    }
-                    assert_eq!(
-                        buf.commit_claim_at(shard, b, observed),
-                        ClaimOutcome::Raced,
-                        "seed {seed} op {op}: stale CAS must race"
-                    );
-                }
-                4 => {
-                    if !outstanding.is_empty() {
-                        let pick = rng.random_range(0usize..outstanding.len());
-                        let (idx, id) = outstanding.remove(pick);
-                        buf.leave(idx, id);
-                    }
-                }
-                _ => {
-                    // The controller's quiesce step after a shrink.
-                    buf.sweep_drained();
-                }
-            }
-            // Invariant: global S − W (summed over *all* physical shards,
-            // drained ones included) equals the outstanding claims.
-            assert_eq!(
-                buf.sleepers(),
-                outstanding.len() as u64,
-                "seed {seed} op {op}: sleeper count diverged from claims"
-            );
-            // Invariant: the quiesce debt is exactly the outstanding claims
-            // stuck in drained shards, and every one of those has had its
-            // slot cleared — i.e. its owner was unparked, never stranded.
-            let active = buf.shard_count();
-            let drained: Vec<&(usize, SleeperId)> = outstanding
-                .iter()
-                .filter(|(idx, _)| idx / buf.shard_capacity() >= active)
-                .collect();
-            assert_eq!(
-                buf.drained_sleepers(),
-                drained.len() as u64,
-                "seed {seed} op {op}: quiesce debt diverged"
-            );
-            for (idx, id) in drained {
-                assert!(
-                    !buf.still_claimed(*idx, *id),
-                    "seed {seed} op {op}: sleeper stranded in drained shard {}",
-                    idx / buf.shard_capacity()
-                );
-            }
-        }
-        // Drain: each claimant leaves exactly once; every book balances.
-        for (idx, id) in outstanding.drain(..) {
-            buf.leave(idx, id);
-        }
-        assert_eq!(buf.sleepers(), 0, "seed {seed}");
-        assert_eq!(buf.drained_sleepers(), 0, "seed {seed}");
-        let stats = buf.stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left, "seed {seed}");
-        for shard in 0..max_shards {
-            let s = buf.shard_stats(shard);
-            assert_eq!(
-                s.ever_slept, s.woken_and_left,
-                "seed {seed} shard {shard}: book did not drain"
-            );
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Load-control configuration arithmetic.
 // ---------------------------------------------------------------------------

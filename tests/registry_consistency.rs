@@ -1,12 +1,12 @@
 //! Registry-consistency tests: the string-keyed construction paths must stay
 //! in lockstep.
 //!
-//! Five registries now share one `name(key=value)` spec grammar and one
+//! Four registries share one `name(key=value)` spec grammar and one
 //! generic `Registry<T>` (`lc_spec`): the lock registry in
 //! `lc_locks::registry`, the control-policy and target-splitter registries in
-//! `lc_core::policy`, the load-sampler registry in `lc_accounting`, and the
-//! shard-topology registry in `lc_core::topology` — plus the combiner
-//! strategies and the simulator policy labels in `lc_sim::LockPolicy`.
+//! `lc_core::policy`, and the load-sampler registry in `lc_accounting` —
+//! plus the combiner strategies and the simulator policy labels in
+//! `lc_sim::LockPolicy`.
 //! Benchmarks, drivers and experiment configurations assume a spec accepted
 //! by one is meaningful to the others; these tests fail the build the moment
 //! any side drifts.
@@ -16,7 +16,6 @@ use load_control_suite::core::policy::{
     self, build_policy_spec, build_splitter_spec, POLICY_SPECS, SPLITTER_SPECS,
 };
 use load_control_suite::core::spec::{LoadControlSpec, ParsedSpec, SpecError};
-use load_control_suite::core::topology::{build_topology_spec, TOPOLOGY_SPECS};
 use load_control_suite::core::{LoadControl, LoadControlConfig};
 use load_control_suite::des::discipline::{self, WaiterDiscipline};
 use load_control_suite::locks::delegation::{
@@ -179,11 +178,6 @@ fn every_registered_name_parses_with_and_without_parens_and_rejects_unknown_keys
     for name in COMBINER_SPECS.names() {
         check("combiner", name, &|s| build_combiner_spec(s).map(|_| ()));
     }
-    for name in TOPOLOGY_SPECS.names() {
-        check("topology", name, &|s| {
-            build_topology_spec_str(s).map(|_| ())
-        });
-    }
     assert_eq!(
         checked,
         ALL_LOCK_NAMES.len()
@@ -191,16 +185,7 @@ fn every_registered_name_parses_with_and_without_parens_and_rejects_unknown_keys
             + policy::ALL_SPLITTER_NAMES.len()
             + ALL_SAMPLER_NAMES.len()
             + COMBINER_SPECS.names().len()
-            + TOPOLOGY_SPECS.names().len()
     );
-}
-
-/// String-spec front door for the topology registry, mirroring the other
-/// `build_*_spec` helpers (the `lc_core` export takes a parsed spec).
-fn build_topology_spec_str(
-    spec: &str,
-) -> Result<Arc<dyn load_control_suite::core::topology::ShardMap>, SpecError> {
-    build_topology_spec(&ParsedSpec::parse(spec)?)
 }
 
 /// For every registered entry: `parse → Display → parse` is the identity on
@@ -241,15 +226,9 @@ fn every_registered_entry_spec_round_trips() {
             .unwrap_or_else(|e| panic!("{name}: reported spec does not rebuild: {e}"));
         assert_eq!(rebuilt, built, "{name}");
     }
-    for name in TOPOLOGY_SPECS.names() {
-        let built = build_topology_spec_str(name).unwrap();
-        let rebuilt = build_topology_spec_str(&built.spec().to_string())
-            .unwrap_or_else(|e| panic!("{name}: reported spec does not rebuild: {e}"));
-        assert_eq!(rebuilt.spec(), built.spec(), "{name}");
-    }
 }
 
-/// Parameterized variants round-trip too, across all five registries.
+/// Parameterized variants round-trip too, across all four registries.
 #[test]
 fn parameterized_specs_round_trip_across_registries() {
     let reg = Arc::new(ThreadRegistry::new());
@@ -279,11 +258,6 @@ fn parameterized_specs_round_trip_across_registries() {
     assert_eq!(
         built.spec().to_string(),
         "combiner(strategy=window, window=8)"
-    );
-    let built = build_topology_spec_str("topology(mode=cpu, revalidate=16)").unwrap();
-    assert_eq!(
-        built.spec().to_string(),
-        "topology(mode=cpu, revalidate=16)"
     );
 }
 
@@ -393,8 +367,7 @@ fn latency_and_autotune_specs_build_and_reject_malformed_params() {
 #[test]
 fn load_control_spec_round_trips_through_a_live_instance() {
     let spec: LoadControlSpec = "policy=hysteresis(alpha=0.3, up=3, down=4); \
-                                 splitter=load-weighted(ewma=0.25); shards=4; \
-                                 topology=topology(mode=cpu, revalidate=16)"
+                                 splitter=load-weighted(ewma=0.25); shards=4"
         .parse()
         .unwrap();
     let control = LoadControl::from_spec(LoadControlConfig::for_capacity(2), &spec).unwrap();
@@ -405,14 +378,6 @@ fn load_control_spec_round_trips_through_a_live_instance() {
     );
     assert_eq!(reported.splitter.to_string(), "load-weighted(ewma=0.25)");
     assert_eq!(reported.shards, Some(4));
-    assert_eq!(
-        reported
-            .topology
-            .as_ref()
-            .map(ToString::to_string)
-            .as_deref(),
-        Some("topology(mode=cpu, revalidate=16)")
-    );
     let reparsed: LoadControlSpec = reported.to_string().parse().unwrap();
     assert_eq!(reparsed, reported);
     let rebuilt = LoadControl::from_spec(LoadControlConfig::for_capacity(2), &reparsed).unwrap();
