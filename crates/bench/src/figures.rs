@@ -3,8 +3,7 @@
 //! Each `figNN` function runs the corresponding experiment on the simulator
 //! (64 hardware contexts, like the paper's Niagara II) and returns the data
 //! series the paper plots.  Pass `quick = true` for smoke-test-sized runs
-//! (used by `cargo bench` and the test suite); `quick = false` runs the
-//! full-size experiment.
+//! (used by the test suite); `quick = false` runs the full-size experiment.
 
 use lc_sim::{LockPolicy, MicroState, SimConfig, SimReport, Simulation, MICROS, MILLIS};
 use lc_workloads::scenarios::{self, ScenarioKind};
@@ -42,14 +41,6 @@ impl FigureResult {
     /// Looks up a column index by name.
     pub fn column(&self, name: &str) -> Option<usize> {
         self.header.iter().position(|h| h == name)
-    }
-
-    /// Maximum of one column.
-    pub fn max_of(&self, name: &str) -> f64 {
-        let Some(i) = self.column(name) else {
-            return 0.0;
-        };
-        self.rows.iter().map(|r| r[i]).fold(f64::MIN, f64::max)
     }
 }
 
@@ -639,6 +630,14 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 10);
+        for (id, runner) in FIGURES {
+            let f = runner(true);
+            assert_eq!(f.id, *id);
+            assert!(!f.rows.is_empty(), "{id}: no rows");
+            for row in &f.rows {
+                assert_eq!(row.len(), f.header.len(), "{id}: ragged row {row:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # lc-bench — the evaluation harness
+//! # lc-bench — the paper's figures, reproduced on the simulator
 //!
 //! One function per figure of the paper's evaluation (Figures 1, 3, 4, 5, 6,
 //! 8, 9, 10, 11 and 12), each returning the series the paper plots as plain
@@ -9,10 +9,6 @@
 //! cargo run --release -p lc-bench --bin figures -- all
 //! cargo run --release -p lc-bench --bin figures -- fig11 --quick
 //! ```
-//!
-//! Criterion micro-benchmarks for the real lock implementations live in
-//! `benches/` (lock families, the load-control machinery, policy/splitter/
-//! shard sweeps, and the async-vs-sync gate comparison).
 //!
 //! ```
 //! use lc_bench::{fmt, FIGURES};

@@ -24,7 +24,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Counters describing the controller's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -308,15 +307,6 @@ impl LoadControl {
         Self::builder(config).boxed_policy(policy).build()
     }
 
-    /// Creates a load-control instance with a caller-supplied load sampler.
-    pub fn with_sampler(
-        config: LoadControlConfig,
-        registry: Arc<ThreadRegistry>,
-        sampler: Box<dyn LoadSampler>,
-    ) -> Arc<Self> {
-        Self::builder(config).sampler(registry, sampler).build()
-    }
-
     /// Creates a load-control instance from a declarative
     /// [`LoadControlSpec`] (policy, splitter, shard count, sampler), daemon
     /// not started.
@@ -484,12 +474,6 @@ impl LoadControl {
         self.shared.buffer.exempt_ids()
     }
 
-    /// Number of wake-scan encounters that skipped an exempt combiner's
-    /// slot (the wake was redirected to another sleeper).
-    pub fn combiner_exempt_skips(&self) -> u64 {
-        self.shared.buffer.exempt_skips()
-    }
-
     /// Whether the controller currently considers the process overloaded.
     pub fn is_overloaded(&self) -> bool {
         self.shared.buffer.target() > 0
@@ -625,12 +609,6 @@ impl LoadControl {
             woken_and_left: buffer.woken_and_left,
         }
     }
-
-    /// Blocks the calling thread for `duration` while keeping its registry
-    /// state accurate (used by workloads to model think time or I/O).
-    pub fn blocked_sleep(&self, duration: Duration) {
-        std::thread::sleep(duration);
-    }
 }
 
 impl Drop for LoadControl {
@@ -650,6 +628,7 @@ mod tests {
     use super::*;
     use crate::policy::{FixedPolicy, HysteresisPolicy};
     use lc_accounting::ThreadState;
+    use std::time::Duration;
 
     #[test]
     fn manual_target_controls_buffer() {

@@ -13,9 +13,7 @@
 use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
 use crate::thread_ctx::{acquire, release, try_acquire};
-use lc_locks::{
-    AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock, TpConfig,
-};
+use lc_locks::{AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::future::Future;
@@ -79,12 +77,6 @@ impl<R: AbortableLock> LcLock<R> {
 }
 
 impl LcLock<TimePublishedLock> {
-    /// Creates a lock attached to `control` with a custom queue-lock
-    /// configuration (patience, publish interval, strict-FIFO mode).
-    pub fn with_tp_config(control: &Arc<LoadControl>, config: TpConfig) -> Self {
-        Self::from_raw(TimePublishedLock::with_config(config), control)
-    }
-
     /// Statistics of the underlying queue lock.
     pub fn stats(&self) -> LockStatsSnapshot {
         self.inner.stats()

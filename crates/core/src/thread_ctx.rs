@@ -673,16 +673,6 @@ impl SpinPolicy for AcquirePolicy<'_> {
     }
 }
 
-/// Sleeps the calling thread as if load control had descheduled it, for
-/// `duration`, keeping registry accounting correct.  Used by workload drivers
-/// to emulate blocking I/O.
-pub fn accounted_sleep(control: &Arc<LoadControl>, state: ThreadState, duration: Duration) {
-    let ctx = current_ctx(control);
-    let previous = ctx.handle.set_state(state);
-    std::thread::sleep(duration);
-    ctx.handle.set_state(previous);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,14 +1086,5 @@ mod tests {
             "exemption must be cleared when combining ends"
         );
         assert_eq!(lc.combiner_exempt_ids(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn accounted_sleep_changes_state_temporarily() {
-        let lc = test_control(2);
-        let _w = lc.register_worker();
-        assert_eq!(lc.registry().runnable_threads(), 1);
-        accounted_sleep(&lc, ThreadState::BlockedOnIo, Duration::from_millis(5));
-        assert_eq!(lc.registry().runnable_threads(), 1);
     }
 }

@@ -95,11 +95,6 @@ impl AdaptiveLock {
         self.stats.snapshot()
     }
 
-    /// Number of threads currently parked (racy, diagnostics only).
-    pub fn parked_waiters(&self) -> u64 {
-        self.parked_hint.load(Ordering::Relaxed)
-    }
-
     fn park_self(&self) {
         let parker = crate::blocking::current_parker();
         {

@@ -557,6 +557,13 @@ const FC_SLOTS: usize = 64;
 /// One publication record in the flat-combining array.
 struct PubRecord {
     state: AtomicU32,
+    /// Owned by whoever last moved `state` out of `FREE` (the claimer, from
+    /// `CLAIMED` until it publishes) or out of `PENDING_JOB` into `TAKEN`
+    /// (the combiner).  A thread that stores or CASes `state` to `FREE` gives
+    /// the cell up with that write and must not touch it afterwards: the next
+    /// claimer may already be writing its own job.  A stale job left in a
+    /// `FREE` slot is harmless — `claim_slot` overwrites the cell before it
+    /// publishes `PENDING_JOB`, and `ErasedJob` has no destructor.
     job: UnsafeCell<Option<ErasedJob>>,
 }
 
@@ -763,7 +770,6 @@ impl FlatCombiningLock {
                             ) {
                                 Ok(_) => {
                                     self.pending.fetch_sub(1, Ordering::Relaxed);
-                                    unsafe { *slot.job.get() = None };
                                     self.stats.record_direct();
                                     unsafe { (job.run)(job.data) };
                                 }

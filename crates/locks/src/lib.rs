@@ -34,10 +34,10 @@
 //! All primitives implement [`RawLock`], so they are interchangeable inside
 //! the RAII [`Mutex`] wrapper and everywhere else in the suite (the
 //! load-controlled lock in `lc-core`, workload drivers in `lc-workloads`,
-//! benches in `lc-bench`).  Every spinning primitive additionally implements
-//! [`AbortableLock`], the policy-parameterized acquire path that load control
-//! plugs into, and the [`registry`] constructs any family from its stable
-//! name at runtime.
+//! the wall-clock benchmark in `perf/`).  Every spinning primitive
+//! additionally implements [`AbortableLock`], the policy-parameterized
+//! acquire path that load control plugs into, and the [`registry`]
+//! constructs any family from its stable name at runtime.
 //!
 //! ## Quick example
 //!

@@ -200,11 +200,6 @@ impl TimePublishedLock {
         self.stats.snapshot()
     }
 
-    /// Resets the statistics counters.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
     /// Number of threads currently queued (racy, diagnostics only).
     pub fn queue_depth(&self) -> u64 {
         self.next_ticket

@@ -106,18 +106,6 @@ impl ShmController {
         }
     }
 
-    /// Replaces the decision policy by spec string.
-    pub fn with_policy_spec(mut self, spec: &str) -> Result<Self, lc_core::SpecError> {
-        self.policy = build_policy_spec(spec)?;
-        Ok(self)
-    }
-
-    /// Replaces the target splitter by spec string.
-    pub fn with_splitter_spec(mut self, spec: &str) -> Result<Self, lc_core::SpecError> {
-        self.splitter = build_splitter_spec(spec)?;
-        Ok(self)
-    }
-
     /// Injects a liveness probe (tests, deterministic bench).
     pub fn with_liveness(mut self, liveness: Box<dyn PidLiveness>) -> Self {
         self.liveness = liveness;

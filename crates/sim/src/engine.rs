@@ -364,11 +364,6 @@ impl Simulation {
         ThreadId(id)
     }
 
-    /// Number of spawned threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     // ---- event plumbing ----------------------------------------------------
 
     fn push_event(&mut self, at: SimTime, kind: EvKind) {

@@ -77,13 +77,6 @@ pub struct ThreadReport {
     pub micro_ns: [u64; MICROSTATE_COUNT],
 }
 
-impl ThreadReport {
-    /// Nanoseconds spent in `state`.
-    pub fn in_state(&self, state: MicroState) -> u64 {
-        self.micro_ns[state as usize]
-    }
-}
-
 /// Per-lock results.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LockReport {

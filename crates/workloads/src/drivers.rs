@@ -2,7 +2,7 @@
 //!
 //! These exercise the *actual* lock implementations from `lc-locks` and
 //! `lc-core` (as opposed to the simulator models) and are used by the
-//! criterion benches, the examples and the integration tests.
+//! examples and the integration tests.
 
 use lc_core::spec::SpecError;
 use lc_core::thread_ctx::LoadControlPolicy;

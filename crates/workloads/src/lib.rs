@@ -10,7 +10,7 @@
 //!   These drive every figure reproduction in `lc-bench`.
 //! * **Real-thread drivers** ([`drivers`]): a host-machine microbenchmark that
 //!   exercises the actual lock implementations from `lc-locks`/`lc-core`
-//!   (used by the criterion benches and the examples).
+//!   (used by the examples and the integration tests).
 //!
 //! The simulator scenarios model the *lock footprint* of each application —
 //! how many latches a transaction touches, how long it holds them, how much
