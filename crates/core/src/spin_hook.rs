@@ -36,14 +36,13 @@ use std::sync::Arc;
 pub struct SpinHook {
     policy: LoadControlPolicy,
     spins: u64,
-    sleeps: u64,
 }
 
 impl fmt::Debug for SpinHook {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SpinHook")
             .field("spins", &self.spins)
-            .field("sleeps", &self.sleeps)
+            .field("sleeps", &self.sleeps())
             .finish()
     }
 }
@@ -54,13 +53,14 @@ impl SpinHook {
         Self {
             policy: LoadControlPolicy::new(control),
             spins: 0,
-            sleeps: 0,
         }
     }
 
     /// One polling-iteration pause.  Usually just a `spin_loop` hint; when the
     /// controller wants threads asleep, this call claims a slot, parks, and
-    /// returns once the thread has been woken.
+    /// returns once the thread has been woken.  A wait past capacity that has
+    /// found no slot for a long time steps aside for one short park, which is
+    /// not a sleep.
     ///
     /// Returns `true` if the thread slept.
     pub fn pause(&mut self) -> bool {
@@ -70,11 +70,7 @@ impl SpinHook {
                 std::hint::spin_loop();
                 false
             }
-            SpinDecision::Abort => {
-                self.policy.on_aborted();
-                self.sleeps += 1;
-                true
-            }
+            SpinDecision::Abort => self.policy.aborted(),
         }
     }
 
@@ -91,7 +87,7 @@ impl SpinHook {
 
     /// Number of times the hook put this thread to sleep.
     pub fn sleeps(&self) -> u64 {
-        self.sleeps
+        u64::from(self.policy.sleeps_this_acquire)
     }
 }
 

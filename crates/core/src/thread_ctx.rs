@@ -20,7 +20,9 @@
 //!   [`lc_locks::AbortableLock`]: it checks the buffer every few iterations,
 //!   claims a slot when the controller wants threads to sleep, aborts the
 //!   lock attempt, parks until the slot is cleared or a timeout expires, and
-//!   then retries the lock.
+//!   then retries the lock.  A waiter past capacity (`T > 0`) that has found
+//!   no slot for sixteen checks *steps aside* instead: it aborts, parks for
+//!   50 µs outside the slot buffer, and retries.
 //!
 //! The `Lc*` wrappers themselves go through `acquire` / `release`, whose
 //! policy is the same algorithm built lazily: an acquisition pays for nothing
@@ -104,8 +106,16 @@ impl ThreadCtx {
         self.hold_count.set(h.saturating_sub(1));
     }
 
-    fn holds_locks(&self) -> bool {
-        self.hold_count.get() > 0
+    /// Whether this thread may leave its wait for load control's sake, by a
+    /// sleep or by a step-aside.
+    fn may_leave(&self) -> bool {
+        // Never while holding another load-controlled lock (extension of
+        // paper §6.1.2: avoids creating our own priority inversion).  Nor
+        // while acting as a delegation-lock combiner: the combiner is
+        // executing *other* threads' critical sections, so parking it stalls
+        // every publisher at once — the delegation analogue of the same
+        // hazard.
+        self.hold_count.get() == 0 && !delegation::is_combining()
     }
 
     /// Whether `iteration` is one on which the slot buffer is consulted.
@@ -407,6 +417,11 @@ pub struct LoadGate {
     ctx: Rc<ThreadCtx>,
     claimed: Option<usize>,
     sleeps: u64,
+    /// Due slot checks of this acquisition since its first poll or its last
+    /// step-aside (counted by the [`SpinPolicy`] face only).
+    checks: u64,
+    /// An abort was answered to step aside rather than to sleep.
+    stepping_aside: bool,
 }
 
 impl fmt::Debug for LoadGate {
@@ -414,9 +429,22 @@ impl fmt::Debug for LoadGate {
         f.debug_struct("LoadGate")
             .field("claimed", &self.claimed)
             .field("sleeps", &self.sleeps)
+            .field("stepping_aside", &self.stepping_aside)
             .finish()
     }
 }
+
+/// Due slot checks without a claim (1024 polls at the default period) after
+/// which a waiter past capacity steps aside.  Each step-aside leaves one
+/// abandoned queue entry and gives up the waiter's place, so the count bounds
+/// how often a waiter can do either.
+const STEP_ASIDE_AFTER_CHECKS: u64 = 16;
+
+/// How long a step-aside parks.  What moves the waiter is the wake-up, which
+/// the kernel places on an idle CPU; the length only has to be short next to
+/// the scheduler tick (4 ms) a co-located holder and spinner would otherwise
+/// lose.
+const STEP_ASIDE_PARK: Duration = Duration::from_micros(50);
 
 impl LoadGate {
     /// Creates a gate for the calling thread on `control`.
@@ -425,6 +453,8 @@ impl LoadGate {
             ctx: current_ctx(control),
             claimed: None,
             sleeps: 0,
+            checks: 0,
+            stepping_aside: false,
         }
     }
 
@@ -434,7 +464,7 @@ impl LoadGate {
         self.claimed.is_some()
     }
 
-    /// Number of times this gate has parked its thread.
+    /// Number of times this gate has parked its thread in a sleep slot.
     pub fn sleeps(&self) -> u64 {
         self.sleeps
     }
@@ -459,17 +489,7 @@ impl LoadGate {
         if self.claimed.is_some() {
             return true;
         }
-        // Never volunteer to sleep while holding another load-controlled lock
-        // (extension of paper §6.1.2: avoids creating our own priority
-        // inversion).
-        if self.ctx.holds_locks() {
-            return false;
-        }
-        // Nor while acting as a delegation-lock combiner: the combiner is
-        // executing *other* threads' critical sections, so parking it stalls
-        // every publisher at once — the delegation analogue of the same
-        // hazard.
-        if delegation::is_combining() {
+        if !self.ctx.may_leave() {
             return false;
         }
         let buffer = self.ctx.control.buffer();
@@ -546,7 +566,7 @@ impl LoadGate {
 
     /// [`SpinPolicy::on_spin`] over this gate.
     fn spin(&mut self, spins: u64) -> SpinDecision {
-        if self.has_claim() {
+        if self.has_claim() || self.stepping_aside {
             return SpinDecision::Abort;
         }
         if !self.ctx.is_due(spins) {
@@ -559,18 +579,65 @@ impl LoadGate {
         // controller's load signal does not move; repeating the call at later
         // checks is a load and a compare.
         self.ctx.handle.set_state(ThreadState::Spinning);
+        self.checks += 1;
         if self.try_claim() {
-            SpinDecision::Abort
-        } else {
-            SpinDecision::Continue
+            self.checks = 0;
+            return SpinDecision::Abort;
         }
+        // Past capacity (`T > 0`) with every slot taken, and the lock has not
+        // come for sixteen periods: more threads are runnable than there are
+        // CPUs, so its holder (or the waiter it was handed to) may share this
+        // CPU and wait for us to be preempted.  Leave the queue for one short
+        // park.  Within capacity every runnable thread has a CPU, and a long
+        // wait is a long critical section or a deep queue, where leaving only
+        // loses the waiter's place.
+        if self.checks >= STEP_ASIDE_AFTER_CHECKS
+            && self.ctx.control.buffer().target() > 0
+            && self.ctx.may_leave()
+        {
+            self.checks = 0;
+            self.stepping_aside = true;
+            return SpinDecision::Abort;
+        }
+        SpinDecision::Continue
+    }
+
+    /// [`SpinPolicy::on_aborted`] over this gate: sleeps in the claimed slot
+    /// or steps aside.  Returns `true` if the thread slept in a slot.
+    fn aborted(&mut self) -> bool {
+        if std::mem::take(&mut self.stepping_aside) {
+            self.step_aside();
+            return false;
+        }
+        self.park()
+    }
+
+    /// One bounded park on the thread's own parker, and nothing else: no
+    /// claim, no `S`/`W`/`T` book and no registry transition (the thread stays
+    /// `Spinning`, so the load signal does not move), and no sleep counted.
+    /// Spinning or yielding would leave the waiter on the run-queue it shares
+    /// with the thread it waits for; the wake-up that ends a park is placed
+    /// by the kernel, on an idle CPU if there is one.
+    fn step_aside(&self) {
+        // No claim is outstanding, so nobody is waking this thread on
+        // purpose: a permit here is stale and would turn the park into a
+        // no-op.
+        self.ctx.parker.try_consume_permit();
+        let _ = self
+            .ctx
+            .control
+            .park_ops()
+            .park(&self.ctx.parker, STEP_ASIDE_PARK);
     }
 
     /// [`SpinPolicy::on_acquired`] over this gate.
     fn acquired(&mut self) {
-        // We may have won the lock in the window between claiming a slot and
-        // sleeping: clear the claim and proceed (paper §3.1.2).
+        // We may have won the lock in the window between claiming a slot (or
+        // deciding to step aside) and parking: clear the claim and proceed
+        // (paper §3.1.2).
         self.cancel();
+        self.stepping_aside = false;
+        self.checks = 0;
         self.ctx.handle.set_state(ThreadState::Running);
     }
 
@@ -616,6 +683,16 @@ impl LoadControlPolicy {
             sleeps_this_acquire: 0,
         }
     }
+
+    /// [`SpinPolicy::on_aborted`], returning `true` if the thread slept in a
+    /// slot (a step-aside is not a sleep).
+    pub(crate) fn aborted(&mut self) -> bool {
+        let slept = self.gate.aborted();
+        if slept {
+            self.sleeps_this_acquire += 1;
+        }
+        slept
+    }
 }
 
 impl SpinPolicy for LoadControlPolicy {
@@ -624,11 +701,9 @@ impl SpinPolicy for LoadControlPolicy {
     }
 
     fn on_aborted(&mut self) {
-        if self.gate.park() {
-            self.sleeps_this_acquire += 1;
-        }
-        // If we were aborted without a claim (the lock skipped us while we
-        // looked preempted) we simply retry immediately.
+        // If we were aborted without a claim or a step-aside (the lock
+        // skipped us while we looked preempted) we simply retry immediately.
+        self.aborted();
     }
 
     fn on_acquired(&mut self, _spins: u64) {
@@ -658,7 +733,7 @@ impl SpinPolicy for AcquirePolicy<'_> {
 
     fn on_aborted(&mut self) {
         if let Some(gate) = &mut self.gate {
-            gate.park();
+            gate.aborted();
         }
     }
 
@@ -880,18 +955,57 @@ mod tests {
         lc.set_sleep_target(4);
         let ctx = current_ctx(&lc);
         ctx.note_acquired();
+        let period = u64::from(lc.config().slot_check_period);
         let mut p = LoadControlPolicy::new(&lc);
-        for i in 1..=2_000 {
+        // Long enough for four step-asides, which the hold refuses too.
+        for i in 1..=4 * STEP_ASIDE_AFTER_CHECKS * period {
             assert_eq!(p.on_spin(i), SpinDecision::Continue);
         }
         ctx.note_released();
         let mut p2 = LoadControlPolicy::new(&lc);
-        let period = u64::from(lc.config().slot_check_period);
         let mut aborted = false;
         for i in 1..=period {
             aborted |= p2.on_spin(i) == SpinDecision::Abort;
         }
         assert!(aborted);
+    }
+
+    #[test]
+    fn only_a_waiter_past_capacity_with_no_slot_steps_aside() {
+        let lc = test_control(1);
+        let period = u64::from(lc.config().slot_check_period);
+        let steps_aside_at = STEP_ASIDE_AFTER_CHECKS * period;
+        // T = 0: within capacity a wait of any length stays in the queue.
+        let mut p = LoadControlPolicy::new(&lc);
+        for i in 1..=4 * steps_aside_at {
+            assert_eq!(p.on_spin(i), SpinDecision::Continue);
+        }
+        p.on_acquired(4 * steps_aside_at);
+
+        // T = 1 with the one slot taken by another sleeper.
+        lc.set_sleep_target(1);
+        let other = lc.buffer().register_sleeper(Arc::new(Parker::new()));
+        let ClaimOutcome::Claimed(idx) = lc.buffer().try_claim(other) else {
+            panic!("the other sleeper found no slot");
+        };
+        let mut p = LoadControlPolicy::new(&lc);
+        for i in 1..steps_aside_at {
+            assert_eq!(p.on_spin(i), SpinDecision::Continue);
+        }
+        assert_eq!(p.on_spin(steps_aside_at), SpinDecision::Abort);
+        // One timed-out park of the step-aside's length on this thread's
+        // own parker, and no sleep.
+        let parker = Arc::clone(current_ctx(&lc).parker());
+        let (parks, timeouts) = (parker.park_count(), parker.timeout_count());
+        let start = Instant::now();
+        p.on_aborted();
+        assert!(start.elapsed() >= STEP_ASIDE_PARK);
+        assert_eq!(parker.park_count() - parks, 1);
+        assert_eq!(parker.timeout_count() - timeouts, 1);
+        assert_eq!(p.sleeps_this_acquire, 0);
+        p.on_acquired(steps_aside_at);
+        lc.buffer().leave(idx, other);
+        assert_eq!(lc.sleepers(), 0);
     }
 
     #[test]
@@ -1071,16 +1185,21 @@ mod tests {
         let sleeper = current_ctx(&lc).sleeper;
         let lock = <FlatCombiningLock as RawLock>::new();
         let lc2 = Arc::clone(&lc);
-        let mut observed = (false, false, true);
+        let period = u64::from(lc.config().slot_check_period);
+        let mut observed = (false, false, true, true);
         lock.run_locked(|| {
             observed.0 = delegation::is_combining();
             observed.1 = lc2.buffer().is_exempt(sleeper);
             let mut gate = LoadGate::new(&lc2);
             observed.2 = gate.try_claim();
+            let mut p = LoadControlPolicy::new(&lc2);
+            observed.3 = (1..=2 * STEP_ASIDE_AFTER_CHECKS * period)
+                .any(|i| p.on_spin(i) == SpinDecision::Abort);
         });
         assert!(observed.0, "direct run_locked must combine");
         assert!(observed.1, "combiner was not exempt from the wake scan");
         assert!(!observed.2, "combiner claimed a sleep slot");
+        assert!(!observed.3, "combiner stepped aside");
         assert!(
             !lc.buffer().is_exempt(sleeper),
             "exemption must be cleared when combining ends"

@@ -3,23 +3,27 @@
 //! weakening the "never sleep while holding a lock" rule (paper §6.1.2), an
 //! acquisition does nothing load-control-specific until its backend has
 //! polled for a whole slot check period — and only then publishes `Spinning`
-//! — and the per-thread context behind all of it survives nesting, several
-//! controls on one thread and thread exit.
+//! — a waiter past capacity that finds no slot for sixteen periods steps
+//! aside for one short park that touches no book, and the per-thread context
+//! behind all of it survives nesting, several controls on one thread and
+//! thread exit.
 
 use load_control_suite::accounting::{ThreadState, TransitionTrace};
 use load_control_suite::core::policy::FixedPolicy;
 use load_control_suite::core::{
-    LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlPolicy,
-    LoadGate,
+    ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
+    LoadControlPolicy, LoadGate, ParkOps, SleeperId, SpinHook,
 };
 use load_control_suite::locks::delegation::{self, CombinerObserver, CombinerStrategy};
 use load_control_suite::locks::{
-    AbortableLock, DelegationLock, FlatCombiningLock, RawLock, SpinDecision, SpinPolicy,
+    AbortableLock, DelegationLock, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision,
+    SpinPolicy,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn manual_control() -> Arc<LoadControl> {
     LoadControl::with_policy(
@@ -445,4 +449,241 @@ fn a_wrapper_that_polls_runs_the_whole_client_side_algorithm() {
     unsafe { lock.unlock() };
     let stats = control.buffer().stats();
     assert_eq!((stats.ever_slept, stats.woken_and_left), (2, 2));
+}
+
+/// One park a [`CountingPark`] was asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeenPark {
+    timeout: Duration,
+    /// A permit was already waiting: a real park would have returned at once.
+    permit: bool,
+    /// The parker's `unpark_count()`, which tells parkers apart.
+    unparks: u64,
+}
+
+/// A `ParkOps` that never blocks: it records each park and consumes a
+/// waiting permit, as the real parker would.
+#[derive(Debug, Default)]
+struct CountingPark(Mutex<Vec<SeenPark>>);
+
+impl CountingPark {
+    fn seen(&self) -> Vec<SeenPark> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl ParkOps for CountingPark {
+    fn park(&self, parker: &Parker, timeout: Duration) -> ParkResult {
+        let permit = parker.try_consume_permit();
+        self.0.lock().unwrap().push(SeenPark {
+            timeout,
+            permit,
+            unparks: parker.unpark_count(),
+        });
+        if permit {
+            ParkResult::Unparked
+        } else {
+            ParkResult::TimedOut
+        }
+    }
+}
+
+/// A manual control whose waiters park through a [`CountingPark`].
+fn counting_control() -> (Arc<LoadControl>, Arc<CountingPark>) {
+    let parks = Arc::new(CountingPark::default());
+    let control = LoadControl::builder(LoadControlConfig::for_capacity(1))
+        .policy(FixedPolicy::manual())
+        .park_ops(Arc::clone(&parks) as Arc<dyn ParkOps>)
+        .build();
+    (control, parks)
+}
+
+/// Past capacity with no slot to be had: `T = 1`, and the one slot goes to a
+/// sleeper that is not this thread.  Returns that claim, for
+/// `SleepSlotBuffer::leave`.
+fn fill_the_only_slot(control: &LoadControl) -> (usize, SleeperId) {
+    control.set_sleep_target(1);
+    let other = control.buffer().register_sleeper(Arc::new(Parker::new()));
+    match control.buffer().try_claim(other) {
+        ClaimOutcome::Claimed(idx) => (idx, other),
+        outcome => panic!("the other sleeper found no slot: {outcome:?}"),
+    }
+}
+
+/// The poll at which a waiter on `control` steps aside, as the gate answers
+/// it (`thread_ctx`'s unit tests pin the number); the step-aside itself is
+/// dropped, as for a lock won in the abort window.
+fn step_aside_poll(control: &Arc<LoadControl>) -> u64 {
+    let mut policy = LoadControlPolicy::new(control);
+    let limit = 64 * u64::from(control.config().slot_check_period);
+    let at = (1..=limit)
+        .find(|&spins| policy.on_spin(spins) == SpinDecision::Abort)
+        .expect("no step-aside in 64 periods");
+    policy.on_acquired(at);
+    at
+}
+
+#[test]
+fn a_waiter_past_capacity_with_no_slot_steps_aside_again_and_again() {
+    let (control, parks) = counting_control();
+    let worker = control.register_worker();
+    let period = u64::from(control.config().slot_check_period);
+    let (idx, other) = fill_the_only_slot(&control);
+    let steps_aside_at = step_aside_poll(&control);
+    assert_eq!(steps_aside_at % period, 0, "not at a due check");
+    assert!(
+        steps_aside_at > period,
+        "stepped aside at the first due check"
+    );
+    let trace = Arc::new(TransitionTrace::with_capacity(64));
+    control.registry().attach_trace(Arc::clone(&trace));
+
+    // The waiter aborts, the abort path parks once, and the count restarts.
+    let mut policy = LoadControlPolicy::new(&control);
+    let mut spins = 0;
+    for round in 1..=2 {
+        for _ in 1..steps_aside_at {
+            spins += 1;
+            assert_eq!(
+                policy.on_spin(spins),
+                SpinDecision::Continue,
+                "poll {spins}"
+            );
+        }
+        spins += 1;
+        assert_eq!(policy.on_spin(spins), SpinDecision::Abort, "poll {spins}");
+        assert_eq!(parks.seen().len(), round - 1, "parked before the abort");
+        policy.on_aborted();
+        assert_eq!(parks.seen().len(), round);
+    }
+    policy.on_acquired(spins);
+    // Both parks alike: short next to a scheduler tick, on this thread's
+    // parker (no wake ever reached it), with no permit waiting.
+    let seen = parks.seen();
+    assert_eq!(seen[0], seen[1]);
+    assert!(!seen[0].permit && seen[0].unparks == 0, "{seen:?}");
+    assert!(
+        seen[0].timeout > Duration::ZERO && seen[0].timeout < Duration::from_millis(1),
+        "{seen:?}"
+    );
+
+    // A step-aside is not a sleep: no claim, no count, and the thread stayed
+    // `Spinning`, so the load signal never moved.
+    assert_eq!(policy.sleeps_this_acquire, 0);
+    assert_eq!(worker.sleep_count(), 0);
+    assert_eq!(control.sleepers(), 1, "only the other sleeper's claim");
+    assert_eq!(control.buffer().stats().ever_slept, 1);
+    assert_eq!(
+        steps(&trace),
+        [
+            (ThreadState::Running, ThreadState::Spinning),
+            (ThreadState::Spinning, ThreadState::Running)
+        ]
+    );
+
+    // `SpinHook` runs the same gate and does not count it as a sleep either.
+    let mut hook = SpinHook::new(&control);
+    for _ in 0..steps_aside_at {
+        assert!(!hook.pause(), "a step-aside reported as a sleep");
+    }
+    hook.finish();
+    assert_eq!((hook.sleeps(), parks.seen().len()), (0, 3));
+    assert_eq!(worker.sleep_count(), 0);
+    control.buffer().leave(idx, other);
+}
+
+#[test]
+fn a_wrapper_steps_aside_through_its_backend_unless_the_lock_is_won_in_the_window() {
+    let (control, parks) = counting_control();
+    let (idx, other) = fill_the_only_slot(&control);
+    let steps_aside_at = step_aside_poll(&control);
+    let aborts = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&aborts);
+    let lock = LcLock::from_raw(
+        Scripted::new(steps_aside_at + 1, move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            false
+        }),
+        &control,
+    );
+    lock.lock();
+    unsafe { lock.unlock() };
+    assert_eq!(aborts.load(Ordering::SeqCst), 1);
+    assert_eq!(parks.seen().len(), 1);
+
+    // Granted between the abort and the park: the step-aside is dropped.
+    let lock = LcLock::from_raw(Scripted::new(steps_aside_at, || true), &control);
+    lock.lock();
+    unsafe { lock.unlock() };
+    assert_eq!(parks.seen().len(), 1, "a won lock still stepped aside");
+    control.buffer().leave(idx, other);
+    let stats = control.buffer().stats();
+    assert_eq!(
+        (stats.ever_slept, stats.woken_and_left),
+        (1, 1),
+        "only the other sleeper's claim"
+    );
+}
+
+#[test]
+fn a_due_check_with_space_claims_rather_than_steps_aside() {
+    let (control, parks) = counting_control();
+    let (idx, other) = fill_the_only_slot(&control);
+    let steps_aside_at = step_aside_poll(&control);
+    let mut policy = LoadControlPolicy::new(&control);
+    for spins in 1..steps_aside_at {
+        assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
+    }
+    // The other sleeper leaves just before the due check.
+    control.buffer().leave(idx, other);
+    assert_eq!(policy.on_spin(steps_aside_at), SpinDecision::Abort);
+    assert_eq!(control.sleepers(), 1, "stepped aside instead of claiming");
+    // The slot is cleared before the thread parks, so it leaves at once.
+    control.set_sleep_target(0);
+    policy.on_aborted();
+    assert_eq!(policy.sleeps_this_acquire, 1);
+    assert!(parks.seen().is_empty(), "{:?}", parks.seen());
+
+    // The claim restarted the count: with the slot taken again, the next
+    // step-aside needs as many polls as the first.
+    let (idx, other) = fill_the_only_slot(&control);
+    for spins in steps_aside_at + 1..2 * steps_aside_at {
+        assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
+    }
+    assert_eq!(policy.on_spin(2 * steps_aside_at), SpinDecision::Abort);
+    policy.on_aborted();
+    policy.on_acquired(2 * steps_aside_at);
+    assert_eq!((policy.sleeps_this_acquire, parks.seen().len()), (1, 1));
+    control.buffer().leave(idx, other);
+    let stats = control.buffer().stats();
+    assert_eq!((stats.ever_slept, stats.woken_and_left), (3, 3));
+}
+
+#[test]
+fn a_stale_permit_is_drained_before_a_step_aside() {
+    let (control, parks) = counting_control();
+    // A controller wake that lands after its sleeper has left leaves a permit
+    // on the thread's parker.
+    control.set_sleep_target(1);
+    let mut gate = LoadGate::new(&control);
+    assert!(gate.try_claim());
+    control.set_sleep_target(0);
+    gate.cancel();
+    drop(gate);
+
+    let (idx, other) = fill_the_only_slot(&control);
+    let steps_aside_at = step_aside_poll(&control);
+    let mut policy = LoadControlPolicy::new(&control);
+    for spins in 1..steps_aside_at {
+        assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
+    }
+    assert_eq!(policy.on_spin(steps_aside_at), SpinDecision::Abort);
+    policy.on_aborted();
+    policy.on_acquired(steps_aside_at);
+    control.buffer().leave(idx, other);
+    // One park, on the parker the controller's wake reached (its one
+    // unpark), and with the permit gone: a real park would have blocked.
+    let seen = parks.seen();
+    assert_eq!(seen.len(), 1);
+    assert!(!seen[0].permit && seen[0].unparks == 1, "{seen:?}");
 }
