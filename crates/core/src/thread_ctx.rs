@@ -58,9 +58,9 @@ pub(crate) struct ThreadCtx {
     /// hazard of paper §6.1.2).
     hold_count: Cell<u32>,
     /// Number of unresolved sleep-slot claims this thread holds (0 or 1 in
-    /// practice — a gate resolves its claim before the next one).  The
-    /// load-aware combiner-election strategy consults this: a thread that
-    /// has committed to sleeping must not elect itself combiner.
+    /// practice — a gate resolves its claim before the next one).  Combiner
+    /// election consults this: a thread that has committed to sleeping must
+    /// not elect itself combiner.
     slot_claims: Cell<u32>,
     /// Number of times this thread has been put to sleep by load control.
     sleeps: Cell<u64>,
@@ -279,11 +279,11 @@ pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&ThreadCtx)
 /// front and remembers it in `LAST`.
 ///
 /// Context creation also installs the thread's [`CombinerObserver`], linking
-/// the delegation lock plane (`flat-combining` / `ccsynch` with
-/// `strategy=load-aware`) to this control instance's sleep books.  A thread
-/// using several [`LoadControl`] instances keeps the observer of the instance
-/// it touched most recently — per-thread delegation state is a single hook,
-/// matching the one-control-plane-per-process deployment of the paper.
+/// flat combining's election and wake-scan exemption to this control
+/// instance's sleep books.  A thread using several [`LoadControl`] instances
+/// keeps the observer of the one whose context it created last — per-thread
+/// delegation state is a single hook, matching the paper's deployment of one
+/// control plane per process.
 pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
     let key = Arc::as_ptr(control) as usize;
     CTXS.try_with(|list| {
@@ -1179,7 +1179,7 @@ mod tests {
 
     #[test]
     fn combining_refuses_claims_and_exempts_the_sleeper() {
-        use lc_locks::{DelegationLock, FlatCombiningLock, RawLock};
+        use lc_locks::{FlatCombiningLock, RawLock};
         let lc = test_control(1);
         lc.set_sleep_target(1);
         let sleeper = current_ctx(&lc).sleeper;

@@ -29,10 +29,10 @@ pub enum WaiterDiscipline {
     /// overloaded spinner sleeps for a random time and cannot be woken
     /// early.
     LoadBackoff,
-    /// Delegation (flat combining / CCSynch): waiters *publish* their
-    /// critical sections and poll for completion while one combiner executes
-    /// them; the handoff favours waiters that are on a CPU, and an
-    /// unexecuted request can be withdrawn (the abort path).
+    /// Delegation (flat combining): waiters *publish* their critical
+    /// sections and poll for completion while one combiner executes them; the
+    /// handoff favours waiters that are on a CPU, and an unexecuted request
+    /// can be withdrawn (the abort path).
     Combining,
 }
 
@@ -63,8 +63,7 @@ impl WaiterDiscipline {
     ///   modes);
     /// * `"spin-then-yield"` — spins and then involves the scheduler,
     ///   treated as spin-then-block;
-    /// * `"flat-combining"`, `"ccsynch"` — delegation: both publish requests
-    ///   and poll, differing only in the publication structure.
+    /// * `"flat-combining"` — delegation: waiters publish requests and poll.
     pub fn for_lock(name: &str) -> Option<Self> {
         Some(match name {
             "mcs" | "ticket" => WaiterDiscipline::FifoSpin,
@@ -75,7 +74,7 @@ impl WaiterDiscipline {
             "adaptive" | "spin-then-yield" => WaiterDiscipline::SpinThenBlock,
             "load-control" => WaiterDiscipline::LoadControlledSpin,
             "load-backoff" => WaiterDiscipline::LoadBackoff,
-            "flat-combining" | "ccsynch" => WaiterDiscipline::Combining,
+            "flat-combining" => WaiterDiscipline::Combining,
             _ => return None,
         })
     }

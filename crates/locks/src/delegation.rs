@@ -1,4 +1,4 @@
-//! Delegation locks: waiters publish critical sections, a combiner runs them.
+//! Flat combining: waiters publish critical sections, a combiner runs them.
 //!
 //! Every other family in this crate makes waiters *wait* — spin, yield or
 //! park until the lock is free, then execute their own critical section.
@@ -6,81 +6,50 @@
 //! request record, and whichever thread currently owns the lock (the
 //! **combiner**) executes batches of published requests on their owners'
 //! behalf.  The shared data stays hot in one cache, and waiters never touch
-//! it.  Two classic designs are implemented:
+//! it.  [`FlatCombiningLock`] is the one design implemented: a fixed
+//! publication array that the combiner scans ([Hendler, Incze, Shavit,
+//! Tzafrir, SPAA'10]).
 //!
-//! * [`FlatCombiningLock`] — a fixed publication array that the combiner
-//!   scans ([Hendler, Incze, Shavit, Tzafrir, SPAA'10]).  Simple, great under
-//!   bursty contention, `scan_budget` bounds how many passes one combiner
-//!   performs.
-//! * [`CcSynchLock`] — a per-request node queue in arrival order
-//!   ([Fatourou & Kallimanis, PPoPP'12]).  FIFO execution of requests,
-//!   `max_combine` bounds how many requests one combiner executes.
-//!
-//! Both expose the delegated path through [`DelegationLock::run_locked`] and
-//! *also* implement the crate-wide [`RawLock`]/[`RawTryLock`]/
-//! [`AbortableLock`] contract, so they slot into [`crate::registry::DynMutex`],
-//! the benchmark drivers, and — crucially — load control: **abort =
-//! atomically withdrawing an unexecuted published request**, so
-//! `LoadGate`/`LoadControlPolicy` in `lc-core` work unchanged on top.
+//! The delegated path is [`FlatCombiningLock::run_locked`]; the lock *also*
+//! implements the crate-wide [`RawLock`]/[`RawTryLock`]/[`AbortableLock`]
+//! contract, so it slots into [`crate::registry::DynMutex`], the benchmark
+//! drivers, and — crucially — load control: **abort = atomically withdrawing
+//! an unexecuted published request**, so `LoadGate`/`LoadControlPolicy` in
+//! `lc-core` work unchanged on top.
 //!
 //! ## Combiner election and load control
 //!
 //! The combiner is exactly the thread the load controller must never put to
 //! sleep: parking it stalls every published request behind it (the
-//! scheduler-subversion effect, see ROADMAP).  [`CombinerStrategy`] decides
-//! *which* waiter may elect itself combiner:
-//!
-//! * `first` — whoever wins the flag CAS combines (classic behaviour);
-//! * `window` — self-elect only once enough requests are pending (window
-//!   greedy scheduling), with a spin-count escape hatch for liveness;
-//! * `load-aware` — consult the per-thread [`CombinerObserver`] installed by
-//!   the load-control runtime: a thread that currently holds a sleep slot (or
-//!   is about to be targeted) refuses the combiner role, and the observer is
-//!   told when combining starts/stops so the controller's wake scan can
-//!   exempt the active combiner.
-//!
-//! Strategies parse from the shared spec grammar via [`COMBINER_SPECS`]
-//! (`combiner(strategy=window, window=8)`), and both lock families accept the
-//! same `strategy`/`window` keys in their own specs
-//! (`flat-combining(scan_budget=4, strategy=load-aware)`).
+//! scheduler-subversion effect, see ROADMAP).  The thread that wins the lock
+//! flag combines, unless the per-thread [`CombinerObserver`] installed by the
+//! load-control runtime refuses: a thread that holds an unresolved sleep-slot
+//! claim does not take the combiner role.  The observer is also told when
+//! combining starts and stops, so the controller's wake scan can exempt the
+//! active combiner.
 //!
 //! ## Constraints
 //!
 //! Delegated closures run on *another* thread's stack frame, so
-//! [`DelegationLock::run_locked`] requires `F: Send` and `R: Send`.  Delegated
-//! closures must not panic: an unwind through a combiner would strand every
-//! publisher behind it.
+//! [`FlatCombiningLock::run_locked`] requires `F: Send` and `R: Send`.
+//! Delegated closures must not panic: an unwind through a combiner would
+//! strand every publisher behind it.
 
 use crate::raw::{AbortableLock, NeverAbort, RawLock, RawTryLock, SpinDecision, SpinPolicy};
-use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Shared `Debug` body for the two delegation locks (they expose the same
-/// diagnostic fields).
-macro_rules! fmt_delegation_debug {
-    ($name:literal) => {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct($name)
-                .field("locked", &self.is_locked())
-                .field("pending", &self.pending_now())
-                .field("strategy", &self.strategy)
-                .finish_non_exhaustive()
-        }
-    };
-}
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Request states
 // ---------------------------------------------------------------------------
 
-/// Publication-slot / queue-node states.  A request record moves
-/// `FREE → CLAIMED → PENDING_* → (TAKEN → DONE | GRANTED | withdrawn)`.
+/// Publication-slot states.  A slot moves `FREE → CLAIMED → PENDING_*`, then
+/// `TAKEN → DONE` or `GRANTED`, or straight back to `FREE` when its publisher
+/// withdraws the request.
 const FREE: u32 = 0;
-/// Slot won by a publisher, record not yet visible (flat combining only).
+/// Slot won by a publisher, record not yet visible.
 const CLAIMED: u32 = 1;
 /// A published critical section awaiting a combiner.
 const PENDING_JOB: u32 = 2;
@@ -92,11 +61,6 @@ const TAKEN: u32 = 4;
 const DONE: u32 = 5;
 /// Lock ownership was handed to this waiter without a release in between.
 const GRANTED: u32 = 6;
-/// The publisher withdrew the request (CCSynch: node stays chained for the
-/// combiner to reclaim; flat combining reuses the slot directly).
-const WITHDRAWN: u32 = 7;
-/// A CCSynch node that is the queue tail placeholder (nothing published yet).
-const INIT: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Type-erased published critical sections
@@ -153,165 +117,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Combiner election strategies
-// ---------------------------------------------------------------------------
-
-/// Default pending-request window for [`CombinerStrategy::Window`].
-pub const DEFAULT_WINDOW: u32 = 4;
-
-/// Spin count after which a `window` waiter elects itself regardless of the
-/// pending count (liveness escape: without it, a lone waiter below the window
-/// would poll forever).
-const WINDOW_ESCAPE_SPINS: u64 = 4096;
-
-/// Names of the combiner-election strategies, in a stable order (mirrors the
-/// `strategy=` values accepted by [`COMBINER_SPECS`]).
-pub const ALL_COMBINER_STRATEGY_NAMES: &[&str] = &["first", "window", "load-aware"];
-
-/// Decides which waiter may elect itself combiner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CombinerStrategy {
-    /// Whoever wins the lock-flag CAS combines (classic flat combining).
-    #[default]
-    First,
-    /// Self-elect only once at least `window` requests are pending, so each
-    /// combining pass amortizes over a batch (window greedy scheduling).
-    Window {
-        /// Minimum pending requests before a waiter self-elects.
-        window: u32,
-    },
-    /// Consult the installed [`CombinerObserver`]: a thread the load
-    /// controller has targeted for sleep refuses the combiner role.
-    LoadAware,
-}
-
-impl CombinerStrategy {
-    /// Whether a waiter that has spun `spins` times with `pending` published
-    /// requests outstanding may elect itself combiner.
-    pub fn may_elect(&self, spins: u64, pending: usize) -> bool {
-        match self {
-            CombinerStrategy::First => true,
-            CombinerStrategy::Window { window } => {
-                pending >= *window as usize || spins >= WINDOW_ESCAPE_SPINS
-            }
-            CombinerStrategy::LoadAware => thread_may_self_elect(),
-        }
-    }
-
-    /// The strategy's stable name (the `strategy=` spec value).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CombinerStrategy::First => "first",
-            CombinerStrategy::Window { .. } => "window",
-            CombinerStrategy::LoadAware => "load-aware",
-        }
-    }
-
-    /// The canonical spec of this strategy in the shared `name(key=value)`
-    /// grammar; feeding it back to [`COMBINER_SPECS`] reconstructs it.
-    pub fn spec(&self) -> ParsedSpec {
-        let spec = ParsedSpec::bare("combiner");
-        match self {
-            CombinerStrategy::First => spec,
-            CombinerStrategy::Window { window } => {
-                let spec = spec.with_param("strategy", "window");
-                if *window == DEFAULT_WINDOW {
-                    spec
-                } else {
-                    spec.with_param("window", *window)
-                }
-            }
-            CombinerStrategy::LoadAware => spec.with_param("strategy", "load-aware"),
-        }
-    }
-}
-
-/// Reads the shared `strategy` / `window` keys out of `spec` (either a
-/// `combiner(...)` spec or a lock spec that embeds them).
-fn strategy_from_params(spec: &ParsedSpec) -> Result<CombinerStrategy, SpecError> {
-    let strategy = match spec.get("strategy") {
-        None => {
-            if spec.get("window").is_some() {
-                return Err(spec.invalid_value("window", "only valid with strategy=window"));
-            }
-            return Ok(CombinerStrategy::First);
-        }
-        Some(name) => name,
-    };
-    match strategy {
-        "first" | "window" | "load-aware" => {}
-        _ => {
-            return Err(spec.invalid_value("strategy", "must be one of: first, window, load-aware"))
-        }
-    }
-    if strategy != "window" && spec.get("window").is_some() {
-        return Err(spec.invalid_value("window", "only valid with strategy=window"));
-    }
-    Ok(match strategy {
-        "first" => CombinerStrategy::First,
-        "window" => {
-            let window = spec.param_or("window", DEFAULT_WINDOW)?;
-            if window == 0 {
-                return Err(spec.invalid_value("window", "must be at least 1"));
-            }
-            CombinerStrategy::Window { window }
-        }
-        _ => CombinerStrategy::LoadAware,
-    })
-}
-
-/// Appends the non-default `strategy` / `window` parameters of `strategy` to
-/// a lock's canonical spec (shared between the lock builders).
-fn append_strategy_params(spec: ParsedSpec, strategy: &CombinerStrategy) -> ParsedSpec {
-    match strategy {
-        CombinerStrategy::First => spec,
-        CombinerStrategy::Window { window } => {
-            let spec = spec.with_param("strategy", "window");
-            if *window == DEFAULT_WINDOW {
-                spec
-            } else {
-                spec.with_param("window", *window)
-            }
-        }
-        CombinerStrategy::LoadAware => spec.with_param("strategy", "load-aware"),
-    }
-}
-
-/// Reads a [`CombinerStrategy`] from a *lock* spec that embeds the shared
-/// `strategy` / `window` keys (e.g. `flat-combining(strategy=load-aware)`).
-pub fn strategy_from_lock_spec(spec: &ParsedSpec) -> Result<CombinerStrategy, SpecError> {
-    strategy_from_params(spec)
-}
-
-/// The combiner-election strategy plane, in the shared spec grammar.
-///
-/// ```
-/// use lc_locks::delegation::{build_combiner_spec, CombinerStrategy};
-///
-/// assert_eq!(build_combiner_spec("combiner").unwrap(), CombinerStrategy::First);
-/// let w = build_combiner_spec("combiner(strategy=window, window=8)").unwrap();
-/// assert_eq!(w, CombinerStrategy::Window { window: 8 });
-/// assert_eq!(w.spec().to_string(), "combiner(strategy=window, window=8)");
-/// assert!(build_combiner_spec("combiner(strategy=bogus)").is_err());
-/// ```
-pub static COMBINER_SPECS: Registry<CombinerStrategy> = Registry::new(
-    "combiner",
-    &[SpecEntry {
-        name: "combiner",
-        keys: &["strategy", "window"],
-        summary:
-            "combiner election: first | window (batch threshold) | load-aware (sleep-book veto)",
-        build: |_, spec| strategy_from_params(spec),
-    }],
-);
-
-/// Constructs the [`CombinerStrategy`] described by `spec`
-/// (`combiner(strategy=..., window=...)` or bare `combiner`).
-pub fn build_combiner_spec(spec: &str) -> Result<CombinerStrategy, SpecError> {
-    COMBINER_SPECS.build(spec)
-}
-
-// ---------------------------------------------------------------------------
 // Per-thread combiner observer (the load-control hook)
 // ---------------------------------------------------------------------------
 
@@ -333,8 +138,9 @@ pub trait CombinerObserver {
         let _ = active;
     }
 
-    /// Whether this thread may currently elect itself combiner (used by
-    /// [`CombinerStrategy::LoadAware`]).  Default: always.
+    /// Whether this thread may currently elect itself combiner (asked by a
+    /// thread that has won the lock flag, before it scans for other threads'
+    /// requests).  Default: always.
     fn may_self_elect(&self) -> bool {
         true
     }
@@ -505,48 +311,6 @@ impl DelegationStats {
 }
 
 // ---------------------------------------------------------------------------
-// The DelegationLock trait
-// ---------------------------------------------------------------------------
-
-/// A lock whose critical sections can be *delegated*: published as request
-/// records and executed by the current combiner.
-///
-/// Also implements the full [`AbortableLock`] contract, where aborting a wait
-/// atomically withdraws the unexecuted published request — which is what lets
-/// `LoadGate`-style policies park delegation waiters exactly like spin
-/// waiters.
-pub trait DelegationLock: AbortableLock + RawTryLock {
-    /// Executes `f` under the lock, consulting `policy` while waiting.
-    ///
-    /// `f` may run on another thread (the combiner), hence `Send` on both the
-    /// closure and its result.  `f` must not panic.
-    fn run_locked_with<R, F, P>(&self, policy: &mut P, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-        P: SpinPolicy + ?Sized;
-
-    /// Executes `f` under the lock ([`run_locked_with`] with a non-aborting
-    /// policy).
-    ///
-    /// [`run_locked_with`]: DelegationLock::run_locked_with
-    fn run_locked<R, F>(&self, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-    {
-        self.run_locked_with(&mut NeverAbort, f)
-    }
-
-    /// Number of currently published, unexecuted requests (racy; feeds the
-    /// `window` election strategy and diagnostics).
-    fn pending_requests(&self) -> usize;
-
-    /// Snapshot of the lock's delegation counters.
-    fn delegation_stats(&self) -> DelegationStatsSnapshot;
-}
-
-// ---------------------------------------------------------------------------
 // Flat combining
 // ---------------------------------------------------------------------------
 
@@ -567,6 +331,11 @@ struct PubRecord {
     job: UnsafeCell<Option<ErasedJob>>,
 }
 
+/// Passes one combining session makes over the publication array: the
+/// second picks up requests published while the first ran, and a pass that
+/// finds nothing ends the session early.
+const SCAN_PASSES: u32 = 2;
+
 /// A flat-combining delegation lock: a publication array scanned by the
 /// current combiner.
 ///
@@ -576,7 +345,7 @@ struct PubRecord {
 /// exclusive.
 ///
 /// ```
-/// use lc_locks::delegation::{DelegationLock, FlatCombiningLock};
+/// use lc_locks::delegation::FlatCombiningLock;
 /// use lc_locks::RawLock;
 ///
 /// let lock = <FlatCombiningLock as RawLock>::new();
@@ -586,8 +355,6 @@ struct PubRecord {
 pub struct FlatCombiningLock {
     flag: AtomicBool,
     slots: Box<[PubRecord]>,
-    scan_budget: u32,
-    strategy: CombinerStrategy,
     pending: AtomicU32,
     stats: DelegationStats,
 }
@@ -595,38 +362,40 @@ pub struct FlatCombiningLock {
 unsafe impl Send for FlatCombiningLock {}
 unsafe impl Sync for FlatCombiningLock {}
 
-/// Default number of scan passes one flat-combining pass performs.
-pub const DEFAULT_SCAN_BUDGET: u32 = 2;
-
 impl FlatCombiningLock {
-    /// Creates a lock with the given scan budget (passes per combining
-    /// session) and election strategy.
-    pub fn with_config(scan_budget: u32, strategy: CombinerStrategy) -> Self {
-        assert!(scan_budget >= 1, "scan_budget must be at least 1");
-        let slots = (0..FC_SLOTS)
-            .map(|_| PubRecord {
-                state: AtomicU32::new(FREE),
-                job: UnsafeCell::new(None),
-            })
-            .collect();
-        Self {
-            flag: AtomicBool::new(false),
-            slots,
-            scan_budget,
-            strategy,
-            pending: AtomicU32::new(0),
-            stats: DelegationStats::default(),
-        }
+    /// Executes `f` under the lock, consulting `policy` while waiting.
+    ///
+    /// `f` may run on another thread (the combiner), hence `Send` on both the
+    /// closure and its result.  `f` must not panic.  An abort answered by
+    /// `policy` withdraws the published request unexecuted.
+    pub fn run_locked_with<R, F, P>(&self, policy: &mut P, f: F) -> R
+    where
+        F: FnOnce() -> R + Send,
+        R: Send,
+        P: SpinPolicy + ?Sized,
+    {
+        with_erased_job(f, |job| self.run_job_with(&mut &mut *policy, job))
     }
 
-    /// The configured election strategy.
-    pub fn strategy(&self) -> CombinerStrategy {
-        self.strategy
+    /// Executes `f` under the lock ([`Self::run_locked_with`] with a
+    /// non-aborting policy).
+    pub fn run_locked<R, F>(&self, f: F) -> R
+    where
+        F: FnOnce() -> R + Send,
+        R: Send,
+    {
+        self.run_locked_with(&mut NeverAbort, f)
     }
 
-    /// The configured scan budget.
-    pub fn scan_budget(&self) -> u32 {
-        self.scan_budget
+    /// Number of currently published, unexecuted requests (racy;
+    /// diagnostics).
+    pub fn pending_requests(&self) -> usize {
+        self.pending.load(Ordering::Relaxed) as usize
+    }
+
+    /// Snapshot of the lock's delegation counters.
+    pub fn delegation_stats(&self) -> DelegationStatsSnapshot {
+        self.stats.snapshot()
     }
 
     #[inline]
@@ -634,11 +403,6 @@ impl FlatCombiningLock {
         self.flag
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
-    }
-
-    #[inline]
-    fn pending_now(&self) -> usize {
-        self.pending.load(Ordering::Relaxed) as usize
     }
 
     /// Claims a free slot and publishes `kind` (+ job for `PENDING_JOB`).
@@ -666,11 +430,11 @@ impl FlatCombiningLock {
         None
     }
 
-    /// Runs up to `scan_budget` passes over the publication array, executing
-    /// every published job found.  Caller must hold the flag.
+    /// Runs up to [`SCAN_PASSES`] passes over the publication array,
+    /// executing every published job found.  Caller must hold the flag.
     fn scan_jobs(&self) {
         let mut jobs_run = 0u64;
-        for _ in 0..self.scan_budget {
+        for _ in 0..SCAN_PASSES {
             let mut progress = false;
             for slot in self.slots.iter() {
                 if slot.state.load(Ordering::Acquire) == PENDING_JOB
@@ -722,7 +486,7 @@ impl FlatCombiningLock {
             // Direct path: the flag is free, run the job in place.
             if self.try_lock_flag() {
                 self.stats.record_direct();
-                if self.strategy.may_elect(spins, self.pending_now()) {
+                if thread_may_self_elect() {
                     let _guard = CombineGuard::enter();
                     unsafe { (job.run)(job.data) };
                     self.scan_jobs();
@@ -755,9 +519,7 @@ impl FlatCombiningLock {
                     }
                     TAKEN => std::hint::spin_loop(),
                     PENDING_JOB => {
-                        if self.strategy.may_elect(spins, self.pending_now())
-                            && self.try_lock_flag()
-                        {
+                        if thread_may_self_elect() && self.try_lock_flag() {
                             let _guard = CombineGuard::enter();
                             // Reclaim our own request first: under the flag
                             // no combiner runs, so the slot is PENDING_JOB
@@ -854,7 +616,7 @@ impl FlatCombiningLock {
                                     unreachable!("grant raced a successful try_lock ({state})")
                                 }
                             }
-                            if self.strategy.may_elect(spins, self.pending_now()) {
+                            if thread_may_self_elect() {
                                 let _guard = CombineGuard::enter();
                                 self.scan_jobs();
                             }
@@ -894,7 +656,18 @@ impl FlatCombiningLock {
 
 unsafe impl RawLock for FlatCombiningLock {
     fn new() -> Self {
-        Self::with_config(DEFAULT_SCAN_BUDGET, CombinerStrategy::default())
+        let slots = (0..FC_SLOTS)
+            .map(|_| PubRecord {
+                state: AtomicU32::new(FREE),
+                job: UnsafeCell::new(None),
+            })
+            .collect();
+        Self {
+            flag: AtomicBool::new(false),
+            slots,
+            pending: AtomicU32::new(0),
+            stats: DelegationStats::default(),
+        }
     }
 
     fn lock(&self) {
@@ -926,523 +699,17 @@ unsafe impl AbortableLock for FlatCombiningLock {
     }
 }
 
-impl DelegationLock for FlatCombiningLock {
-    fn run_locked_with<R, F, P>(&self, policy: &mut P, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-        P: SpinPolicy + ?Sized,
-    {
-        with_erased_job(f, |job| self.run_job_with(&mut &mut *policy, job))
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending_now()
-    }
-
-    fn delegation_stats(&self) -> DelegationStatsSnapshot {
-        self.stats.snapshot()
-    }
-}
-
 impl fmt::Debug for FlatCombiningLock {
-    fmt_delegation_debug!("FlatCombiningLock");
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlatCombiningLock")
+            .field("locked", &self.is_locked())
+            .field("pending", &self.pending_requests())
+            .finish_non_exhaustive()
+    }
 }
 
 // ---------------------------------------------------------------------------
-// CCSynch
-// ---------------------------------------------------------------------------
-
-/// One request node in the CCSynch queue.
-struct CcNode {
-    state: AtomicU32,
-    job: UnsafeCell<Option<ErasedJob>>,
-    next: AtomicPtr<CcNode>,
-}
-
-// SAFETY: nodes are shared between the publisher and the combiner, but every
-// access to `job` is serialized by the `state` machine (a publisher writes it
-// before the PENDING_JOB release-store; the combiner reads it only after the
-// TAKEN acquire-CAS), and `state`/`next` are atomics.
-unsafe impl Send for CcNode {}
-unsafe impl Sync for CcNode {}
-
-impl CcNode {
-    fn new_init() -> *mut CcNode {
-        Arc::into_raw(Arc::new(CcNode {
-            state: AtomicU32::new(INIT),
-            job: UnsafeCell::new(None),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        })) as *mut CcNode
-    }
-}
-
-/// Default per-combining-session request cap for [`CcSynchLock`].
-pub const DEFAULT_MAX_COMBINE: u32 = 64;
-
-/// A CCSynch delegation lock: requests queue in arrival order and the
-/// combiner walks the queue, executing up to `max_combine` of them.
-///
-/// Node lifetime uses a two-reference [`Arc`] scheme: every node holds one
-/// *chain* reference (owned by the queue links, dropped by the combiner as it
-/// walks past) and one *observer* reference (minted by the publisher when it
-/// enqueues, dropped when it stops polling) — so neither side can free a node
-/// the other still reads.  Withdrawn nodes stay chained until a later
-/// combiner reclaims them (or the lock is dropped).
-///
-/// ```
-/// use lc_locks::delegation::{CcSynchLock, DelegationLock};
-/// use lc_locks::RawLock;
-///
-/// let lock = <CcSynchLock as RawLock>::new();
-/// assert_eq!(lock.run_locked(|| 7), 7);
-/// ```
-pub struct CcSynchLock {
-    flag: AtomicBool,
-    tail: AtomicPtr<CcNode>,
-    /// Next unexecuted node; only the flag holder dereferences it.
-    cursor: UnsafeCell<*mut CcNode>,
-    max_combine: u32,
-    strategy: CombinerStrategy,
-    pending: AtomicU32,
-    stats: DelegationStats,
-}
-
-unsafe impl Send for CcSynchLock {}
-unsafe impl Sync for CcSynchLock {}
-
-impl CcSynchLock {
-    /// Creates a lock with the given combining cap and election strategy.
-    pub fn with_config(max_combine: u32, strategy: CombinerStrategy) -> Self {
-        assert!(max_combine >= 1, "max_combine must be at least 1");
-        let dummy = CcNode::new_init();
-        Self {
-            flag: AtomicBool::new(false),
-            tail: AtomicPtr::new(dummy),
-            cursor: UnsafeCell::new(dummy),
-            max_combine,
-            strategy,
-            pending: AtomicU32::new(0),
-            stats: DelegationStats::default(),
-        }
-    }
-
-    /// The configured election strategy.
-    pub fn strategy(&self) -> CombinerStrategy {
-        self.strategy
-    }
-
-    /// The configured combining cap.
-    pub fn max_combine(&self) -> u32 {
-        self.max_combine
-    }
-
-    #[inline]
-    fn try_lock_flag(&self) -> bool {
-        self.flag
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    #[inline]
-    fn pending_now(&self) -> usize {
-        self.pending.load(Ordering::Relaxed) as usize
-    }
-
-    /// Enqueues a request of `kind` and returns the node to poll on.
-    ///
-    /// Swaps a fresh `INIT` node in as the new tail placeholder and publishes
-    /// into the previous one (classic CCSynch).  The returned node carries an
-    /// extra *observer* reference the caller must drop via
-    /// [`Self::drop_observer_ref`] when it stops polling.
-    fn publish(&self, kind: u32, job: Option<ErasedJob>) -> *mut CcNode {
-        let fresh = CcNode::new_init();
-        let prev = self.tail.swap(fresh, Ordering::AcqRel);
-        unsafe {
-            // `prev` is still INIT, so no combiner frees it before this.
-            Arc::increment_strong_count(prev as *const CcNode);
-            *(*prev).job.get() = job;
-            (*prev).next.store(fresh, Ordering::Release);
-            (*prev).state.store(kind, Ordering::Release);
-        }
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        prev
-    }
-
-    /// Drops the observer reference minted by [`Self::publish`].
-    ///
-    /// # Safety
-    ///
-    /// Must be called exactly once per published node, after the caller has
-    /// stopped reading it.
-    unsafe fn drop_observer_ref(node: *mut CcNode) {
-        drop(Arc::from_raw(node as *const CcNode));
-    }
-
-    /// Walks the queue from the cursor, executing published jobs.
-    ///
-    /// With `keep_flag` the walk stops at the first grant request and the
-    /// flag is retained by the caller; otherwise the first grant request (or
-    /// queue exhaustion) ends the walk and the flag is transferred
-    /// (respectively released).  Returns whether `own` was executed.  Caller
-    /// must hold the flag.
-    fn combine_holding_flag(&self, keep_flag: bool, own: *mut CcNode) -> bool {
-        let mut own_done = false;
-        let mut executed = 0u64;
-        unsafe {
-            let cursor = self.cursor.get();
-            let mut cur = *cursor;
-            loop {
-                match (*cur).state.load(Ordering::Acquire) {
-                    INIT => break,
-                    WITHDRAWN => {
-                        let next = (*cur).next.load(Ordering::Acquire);
-                        drop(Arc::from_raw(cur as *const CcNode)); // chain ref
-                        cur = next;
-                    }
-                    PENDING_JOB => {
-                        if executed >= self.max_combine as u64 {
-                            break;
-                        }
-                        if (*cur)
-                            .state
-                            .compare_exchange(
-                                PENDING_JOB,
-                                TAKEN,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            let job = (*(*cur).job.get()).take().expect("published job missing");
-                            // Read the link before DONE: the publisher may
-                            // drop its observer reference the moment it sees
-                            // DONE, and ours goes with the chain ref below.
-                            let next = (*cur).next.load(Ordering::Acquire);
-                            self.pending.fetch_sub(1, Ordering::Relaxed);
-                            (job.run)(job.data);
-                            if cur == own {
-                                own_done = true;
-                            }
-                            (*cur).state.store(DONE, Ordering::Release);
-                            drop(Arc::from_raw(cur as *const CcNode)); // chain ref
-                            executed += 1;
-                            tally_job();
-                            cur = next;
-                        }
-                        // CAS failure: withdrawn concurrently, re-examine.
-                    }
-                    PENDING_GRANT => {
-                        if keep_flag {
-                            break;
-                        }
-                        let next = (*cur).next.load(Ordering::Acquire);
-                        let granted = (*cur)
-                            .state
-                            .compare_exchange(
-                                PENDING_GRANT,
-                                GRANTED,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok();
-                        if granted {
-                            self.pending.fetch_sub(1, Ordering::Relaxed);
-                            self.stats.record_grant();
-                        }
-                        drop(Arc::from_raw(cur as *const CcNode)); // chain ref
-                        *cursor = next;
-                        if granted {
-                            // Flag ownership transferred to the grantee.
-                            self.stats.record_combine(executed);
-                            return own_done;
-                        }
-                        cur = next;
-                    }
-                    state => unreachable!("queued request in state {state}"),
-                }
-            }
-            *cursor = cur;
-        }
-        self.stats.record_combine(executed);
-        if !keep_flag {
-            self.flag.store(false, Ordering::Release);
-        }
-        own_done
-    }
-
-    /// The delegated execution path behind `run_locked_with`.
-    fn run_job_with(&self, policy: &mut dyn SpinPolicy, job: ErasedJob) {
-        let mut spins = 0u64;
-        'restart: loop {
-            // Direct path: nothing published yet, run in place.
-            if self.try_lock_flag() {
-                self.stats.record_direct();
-                if self.strategy.may_elect(spins, self.pending_now()) {
-                    let _guard = CombineGuard::enter();
-                    unsafe { (job.run)(job.data) };
-                    self.combine_holding_flag(false, std::ptr::null_mut());
-                } else {
-                    unsafe { (job.run)(job.data) };
-                    self.flag.store(false, Ordering::Release);
-                }
-                policy.on_acquired(spins);
-                return;
-            }
-
-            let own = self.publish(PENDING_JOB, Some(job));
-            loop {
-                match unsafe { (*own).state.load(Ordering::Acquire) } {
-                    DONE => {
-                        unsafe { Self::drop_observer_ref(own) };
-                        policy.on_acquired(spins);
-                        return;
-                    }
-                    TAKEN => std::hint::spin_loop(),
-                    PENDING_JOB => {
-                        if self.strategy.may_elect(spins, self.pending_now())
-                            && self.try_lock_flag()
-                        {
-                            let _guard = CombineGuard::enter();
-                            // Requests execute in queue order, so service the
-                            // queue from the cursor; our own job runs when
-                            // the walk reaches it (it may not, if the cap or
-                            // a grant handoff ends the walk first).
-                            if self.combine_holding_flag(false, own) {
-                                unsafe { Self::drop_observer_ref(own) };
-                                policy.on_acquired(spins);
-                                return;
-                            }
-                            continue;
-                        }
-                        spins += 1;
-                        if policy.on_spin(spins) == SpinDecision::Abort
-                            && unsafe {
-                                (*own)
-                                    .state
-                                    .compare_exchange(
-                                        PENDING_JOB,
-                                        WITHDRAWN,
-                                        Ordering::AcqRel,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            }
-                        {
-                            // Withdrawn before any combiner took it; if the CAS
-                            // lost instead, a combiner won the race and the job
-                            // will run.
-                            self.pending.fetch_sub(1, Ordering::Relaxed);
-                            self.stats.record_withdrawal();
-                            unsafe { Self::drop_observer_ref(own) };
-                            policy.on_aborted();
-                            continue 'restart;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    state => unreachable!("own job node in state {state}"),
-                }
-            }
-        }
-    }
-
-    /// The plain-ownership acquire path behind `lock`/`lock_with`.
-    fn acquire_with(&self, policy: &mut dyn SpinPolicy) {
-        let mut spins = 0u64;
-        'restart: loop {
-            if self.try_lock_flag() {
-                policy.on_acquired(spins);
-                return;
-            }
-            let own = self.publish(PENDING_GRANT, None);
-            loop {
-                match unsafe { (*own).state.load(Ordering::Acquire) } {
-                    GRANTED => {
-                        unsafe { Self::drop_observer_ref(own) };
-                        policy.on_acquired(spins);
-                        return;
-                    }
-                    PENDING_GRANT => {
-                        if self.try_lock_flag() {
-                            // Barged in; withdraw the queued request (grants
-                            // only happen while the flag is held, and we just
-                            // took it from free, so the CAS cannot lose).
-                            match unsafe {
-                                (*own).state.compare_exchange(
-                                    PENDING_GRANT,
-                                    WITHDRAWN,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                            } {
-                                Ok(_) => {
-                                    self.pending.fetch_sub(1, Ordering::Relaxed);
-                                }
-                                Err(state) => {
-                                    unreachable!("grant raced a successful try_lock ({state})")
-                                }
-                            }
-                            unsafe { Self::drop_observer_ref(own) };
-                            if self.strategy.may_elect(spins, self.pending_now()) {
-                                let _guard = CombineGuard::enter();
-                                self.combine_holding_flag(true, std::ptr::null_mut());
-                            }
-                            policy.on_acquired(spins);
-                            return;
-                        }
-                        spins += 1;
-                        if policy.on_spin(spins) == SpinDecision::Abort {
-                            if unsafe {
-                                (*own)
-                                    .state
-                                    .compare_exchange(
-                                        PENDING_GRANT,
-                                        WITHDRAWN,
-                                        Ordering::AcqRel,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            } {
-                                self.pending.fetch_sub(1, Ordering::Relaxed);
-                                self.stats.record_withdrawal();
-                                unsafe { Self::drop_observer_ref(own) };
-                                policy.on_aborted();
-                                continue 'restart;
-                            }
-                            // Granted between the load and the CAS: acquired.
-                            unsafe { Self::drop_observer_ref(own) };
-                            policy.on_acquired(spins);
-                            return;
-                        }
-                        std::hint::spin_loop();
-                    }
-                    state => unreachable!("own grant node in state {state}"),
-                }
-            }
-        }
-    }
-}
-
-impl Drop for CcSynchLock {
-    fn drop(&mut self) {
-        // Exclusive access: no publishers or combiners are in flight, so
-        // every node from the cursor to the tail holds exactly its chain
-        // reference (plus no observer references).
-        let mut cur = unsafe { *self.cursor.get() };
-        while !cur.is_null() {
-            let next = unsafe { (*cur).next.load(Ordering::Relaxed) };
-            unsafe { drop(Arc::from_raw(cur as *const CcNode)) };
-            cur = next;
-        }
-    }
-}
-
-unsafe impl RawLock for CcSynchLock {
-    fn new() -> Self {
-        Self::with_config(DEFAULT_MAX_COMBINE, CombinerStrategy::default())
-    }
-
-    fn lock(&self) {
-        self.acquire_with(&mut NeverAbort);
-    }
-
-    unsafe fn unlock(&self) {
-        self.flag.store(false, Ordering::Release);
-    }
-
-    fn is_locked(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-
-    fn name(&self) -> &'static str {
-        "ccsynch"
-    }
-}
-
-unsafe impl RawTryLock for CcSynchLock {
-    fn try_lock(&self) -> bool {
-        self.try_lock_flag()
-    }
-}
-
-unsafe impl AbortableLock for CcSynchLock {
-    fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) {
-        self.acquire_with(&mut &mut *policy);
-    }
-}
-
-impl DelegationLock for CcSynchLock {
-    fn run_locked_with<R, F, P>(&self, policy: &mut P, f: F) -> R
-    where
-        F: FnOnce() -> R + Send,
-        R: Send,
-        P: SpinPolicy + ?Sized,
-    {
-        with_erased_job(f, |job| self.run_job_with(&mut &mut *policy, job))
-    }
-
-    fn pending_requests(&self) -> usize {
-        self.pending_now()
-    }
-
-    fn delegation_stats(&self) -> DelegationStatsSnapshot {
-        self.stats.snapshot()
-    }
-}
-
-impl fmt::Debug for CcSynchLock {
-    fmt_delegation_debug!("CcSynchLock");
-}
-
-// ---------------------------------------------------------------------------
-// Spec builders shared with the lock registry
-// ---------------------------------------------------------------------------
-
-/// Builds a [`FlatCombiningLock`] plus its canonical spec from a parsed
-/// `flat-combining(scan_budget=..., strategy=..., window=...)` spec.
-pub(crate) fn flat_combining_from_spec(
-    spec: &ParsedSpec,
-) -> Result<(FlatCombiningLock, ParsedSpec), SpecError> {
-    let scan_budget = spec.param_or("scan_budget", DEFAULT_SCAN_BUDGET)?;
-    if scan_budget == 0 {
-        return Err(spec.invalid_value("scan_budget", "must be at least 1"));
-    }
-    if scan_budget > 1024 {
-        return Err(spec.invalid_value("scan_budget", "must be at most 1024"));
-    }
-    let strategy = strategy_from_lock_spec(spec)?;
-    let mut canonical = ParsedSpec::bare("flat-combining");
-    if scan_budget != DEFAULT_SCAN_BUDGET {
-        canonical = canonical.with_param("scan_budget", scan_budget);
-    }
-    canonical = append_strategy_params(canonical, &strategy);
-    Ok((
-        FlatCombiningLock::with_config(scan_budget, strategy),
-        canonical,
-    ))
-}
-
-/// Builds a [`CcSynchLock`] plus its canonical spec from a parsed
-/// `ccsynch(max_combine=..., strategy=..., window=...)` spec.
-pub(crate) fn ccsynch_from_spec(spec: &ParsedSpec) -> Result<(CcSynchLock, ParsedSpec), SpecError> {
-    let max_combine = spec.param_or("max_combine", DEFAULT_MAX_COMBINE)?;
-    if max_combine == 0 {
-        return Err(spec.invalid_value("max_combine", "must be at least 1"));
-    }
-    if max_combine > 1 << 16 {
-        return Err(spec.invalid_value("max_combine", "must be at most 65536"));
-    }
-    let strategy = strategy_from_lock_spec(spec)?;
-    let mut canonical = ParsedSpec::bare("ccsynch");
-    if max_combine != DEFAULT_MAX_COMBINE {
-        canonical = canonical.with_param("max_combine", max_combine);
-    }
-    canonical = append_strategy_params(canonical, &strategy);
-    Ok((CcSynchLock::with_config(max_combine, strategy), canonical))
-}
-
-// ---------------------------------------------------------------------------
-// DelegationMutex: typed data + delegation lock
+// DelegationMutex: typed data + flat combining
 // ---------------------------------------------------------------------------
 
 /// Wraps a `*mut T` so a delegated closure (which may run on the combiner's
@@ -1450,7 +717,7 @@ pub(crate) fn ccsynch_from_spec(spec: &ParsedSpec) -> Result<(CcSynchLock, Parse
 struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 
-/// A value protected by a [`DelegationLock`], accessed by *delegating*
+/// A value protected by a [`FlatCombiningLock`], accessed by *delegating*
 /// closures over it.
 ///
 /// The delegation counterpart of [`crate::Mutex`]: [`DelegationMutex::run_locked`]
@@ -1460,11 +727,11 @@ unsafe impl<T> Send for SendPtr<T> {}
 /// statements.
 ///
 /// ```
-/// use lc_locks::delegation::{DelegationMutex, FlatCombiningLock};
+/// use lc_locks::delegation::DelegationMutex;
 /// use std::sync::Arc;
 /// use std::thread;
 ///
-/// let counter = Arc::new(DelegationMutex::<u64, FlatCombiningLock>::new(0));
+/// let counter = Arc::new(DelegationMutex::new(0u64));
 /// let mut handles = Vec::new();
 /// for _ in 0..4 {
 ///     let counter = Arc::clone(&counter);
@@ -1479,24 +746,23 @@ unsafe impl<T> Send for SendPtr<T> {}
 /// }
 /// assert_eq!(counter.run_locked(|n| *n), 4000);
 /// ```
-pub struct DelegationMutex<T, L: DelegationLock = FlatCombiningLock> {
-    raw: L,
+pub struct DelegationMutex<T> {
+    raw: FlatCombiningLock,
     data: UnsafeCell<T>,
 }
 
-unsafe impl<T: Send, L: DelegationLock> Send for DelegationMutex<T, L> {}
-unsafe impl<T: Send, L: DelegationLock> Sync for DelegationMutex<T, L> {}
+// SAFETY: the lock serializes every access to `data`.  Through a shared
+// reference `data` is reached only by a closure that runs under the lock —
+// possibly on the combiner's thread — or through a guard, so moving `T`
+// between threads is all that sharing the mutex needs: `T: Send`.
+unsafe impl<T: Send> Send for DelegationMutex<T> {}
+unsafe impl<T: Send> Sync for DelegationMutex<T> {}
 
-impl<T, L: DelegationLock> DelegationMutex<T, L> {
-    /// Wraps `value` behind a default-configured lock.
+impl<T> DelegationMutex<T> {
+    /// Wraps `value` behind a new lock.
     pub fn new(value: T) -> Self {
-        Self::with_lock(<L as RawLock>::new(), value)
-    }
-
-    /// Wraps `value` behind the given lock instance.
-    pub fn with_lock(lock: L, value: T) -> Self {
         Self {
-            raw: lock,
+            raw: <FlatCombiningLock as RawLock>::new(),
             data: UnsafeCell::new(value),
         }
     }
@@ -1512,12 +778,12 @@ impl<T, L: DelegationLock> DelegationMutex<T, L> {
     }
 
     /// The underlying delegation lock.
-    pub fn raw(&self) -> &L {
+    pub fn raw(&self) -> &FlatCombiningLock {
         &self.raw
     }
 }
 
-impl<T: Send, L: DelegationLock> DelegationMutex<T, L> {
+impl<T: Send> DelegationMutex<T> {
     /// Executes `f` over the protected value under the lock, possibly on the
     /// combiner's thread.  `f` must not panic.
     pub fn run_locked<R, F>(&self, f: F) -> R
@@ -1543,24 +809,21 @@ impl<T: Send, L: DelegationLock> DelegationMutex<T, L> {
     }
 }
 
-impl<T, L: DelegationLock> DelegationMutex<T, L> {
+impl<T> DelegationMutex<T> {
     /// Acquires the lock for the classic guard-based access path.
-    pub fn lock(&self) -> DelegationMutexGuard<'_, T, L> {
+    pub fn lock(&self) -> DelegationMutexGuard<'_, T> {
         self.raw.lock();
         DelegationMutexGuard { mutex: self }
     }
 
     /// Acquires the lock, consulting `policy` while waiting.
-    pub fn lock_with<P: SpinPolicy + ?Sized>(
-        &self,
-        policy: &mut P,
-    ) -> DelegationMutexGuard<'_, T, L> {
+    pub fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) -> DelegationMutexGuard<'_, T> {
         self.raw.lock_with(policy);
         DelegationMutexGuard { mutex: self }
     }
 
     /// Attempts to acquire the lock without waiting.
-    pub fn try_lock(&self) -> Option<DelegationMutexGuard<'_, T, L>> {
+    pub fn try_lock(&self) -> Option<DelegationMutexGuard<'_, T>> {
         if self.raw.try_lock() {
             Some(DelegationMutexGuard { mutex: self })
         } else {
@@ -1569,7 +832,7 @@ impl<T, L: DelegationLock> DelegationMutex<T, L> {
     }
 }
 
-impl<T: fmt::Debug, L: DelegationLock> fmt::Debug for DelegationMutex<T, L> {
+impl<T: fmt::Debug> fmt::Debug for DelegationMutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.try_lock() {
             Some(g) => f
@@ -1585,11 +848,11 @@ impl<T: fmt::Debug, L: DelegationLock> fmt::Debug for DelegationMutex<T, L> {
 }
 
 /// RAII guard returned by [`DelegationMutex::lock`]; releases on drop.
-pub struct DelegationMutexGuard<'a, T, L: DelegationLock> {
-    mutex: &'a DelegationMutex<T, L>,
+pub struct DelegationMutexGuard<'a, T> {
+    mutex: &'a DelegationMutex<T>,
 }
 
-impl<T, L: DelegationLock> Deref for DelegationMutexGuard<'_, T, L> {
+impl<T> Deref for DelegationMutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
@@ -1597,19 +860,19 @@ impl<T, L: DelegationLock> Deref for DelegationMutexGuard<'_, T, L> {
     }
 }
 
-impl<T, L: DelegationLock> DerefMut for DelegationMutexGuard<'_, T, L> {
+impl<T> DerefMut for DelegationMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         unsafe { &mut *self.mutex.data.get() }
     }
 }
 
-impl<T, L: DelegationLock> Drop for DelegationMutexGuard<'_, T, L> {
+impl<T> Drop for DelegationMutexGuard<'_, T> {
     fn drop(&mut self) {
         unsafe { self.mutex.raw.unlock() };
     }
 }
 
-impl<T: fmt::Debug, L: DelegationLock> fmt::Debug for DelegationMutexGuard<'_, T, L> {
+impl<T: fmt::Debug> fmt::Debug for DelegationMutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
@@ -1623,8 +886,9 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    fn hammer<L: DelegationLock + 'static>() {
-        let m = Arc::new(DelegationMutex::<u64, L>::new(0));
+    #[test]
+    fn flat_combining_counts_correctly() {
+        let m = Arc::new(DelegationMutex::new(0u64));
         let mut handles = Vec::new();
         for _ in 0..6 {
             let m = Arc::clone(&m);
@@ -1643,18 +907,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_combining_counts_correctly() {
-        hammer::<FlatCombiningLock>();
-    }
-
-    #[test]
-    fn ccsynch_counts_correctly() {
-        hammer::<CcSynchLock>();
-    }
-
-    fn mixed_paths<L: DelegationLock + 'static>() {
+    fn flat_combining_mixed_paths() {
         // run_locked, lock()/unlock and lock_with interleaved.
-        let m = Arc::new(DelegationMutex::<u64, L>::new(0));
+        let m = Arc::new(DelegationMutex::new(0u64));
         let mut handles = Vec::new();
         for worker in 0..6 {
             let m = Arc::clone(&m);
@@ -1679,17 +934,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_combining_mixed_paths() {
-        mixed_paths::<FlatCombiningLock>();
-    }
-
-    #[test]
-    fn ccsynch_mixed_paths() {
-        mixed_paths::<CcSynchLock>();
-    }
-
-    fn withdrawn_jobs_never_execute<L: DelegationLock + 'static>() {
-        let m = Arc::new(DelegationMutex::<u64, L>::new(0));
+    fn flat_combining_withdraws_cleanly() {
+        let m = Arc::new(DelegationMutex::new(0u64));
         let executed = Arc::new(AtomicUsize::new(0));
         // Hold the lock so published jobs sit unexecuted.
         let guard = m.lock();
@@ -1724,20 +970,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_combining_withdraws_cleanly() {
-        withdrawn_jobs_never_execute::<FlatCombiningLock>();
-    }
-
-    #[test]
-    fn ccsynch_withdraws_cleanly() {
-        withdrawn_jobs_never_execute::<CcSynchLock>();
-    }
-
-    #[test]
     fn combiner_executes_waiting_jobs() {
-        // One slow direct job + waiters published behind it: the combiner
-        // (whoever ends up with the flag) must execute them all.
-        let m = Arc::new(DelegationMutex::<Vec<u64>, CcSynchLock>::new(Vec::new()));
+        // Every published job runs exactly once: in place (direct) or on
+        // whichever thread is combining.
+        let m = Arc::new(DelegationMutex::new(Vec::new()));
         let mut handles = Vec::new();
         for worker in 0..4u64 {
             let m = Arc::clone(&m);
@@ -1756,15 +992,6 @@ mod tests {
         assert_eq!(len, 2_000);
     }
 
-    #[test]
-    fn window_strategy_defers_until_batch() {
-        let strategy = CombinerStrategy::Window { window: 4 };
-        assert!(!strategy.may_elect(0, 1));
-        assert!(strategy.may_elect(0, 4));
-        // Liveness escape after enough spins.
-        assert!(strategy.may_elect(WINDOW_ESCAPE_SPINS, 0));
-    }
-
     struct VetoObserver {
         vetoed: Arc<AtomicBool>,
         active: Arc<AtomicBool>,
@@ -1781,32 +1008,28 @@ mod tests {
     }
 
     #[test]
-    fn load_aware_strategy_consults_observer() {
+    fn election_consults_the_observer() {
         let vetoed = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicBool::new(false));
         install_combiner_observer(Box::new(VetoObserver {
             vetoed: Arc::clone(&vetoed),
             active: Arc::clone(&active),
         }));
-        let strategy = CombinerStrategy::LoadAware;
-        assert!(strategy.may_elect(0, 0));
-        vetoed.store(true, Ordering::SeqCst);
-        assert!(!strategy.may_elect(u64::MAX, usize::MAX));
-        vetoed.store(false, Ordering::SeqCst);
-
-        // Combining fires the observer transition on a direct run.
-        let lock = FlatCombiningLock::with_config(1, CombinerStrategy::LoadAware);
-        let mut saw_active = false;
-        lock.run_locked(|| {
-            saw_active = true;
-        });
-        assert!(saw_active);
+        let lock = <FlatCombiningLock as RawLock>::new();
+        // A permitted direct run combines, and fires the observer both ways.
+        assert!(thread_may_self_elect());
+        assert!(lock.run_locked(is_combining));
         assert!(
             !active.load(Ordering::SeqCst),
             "combining never deactivated"
         );
+        // A vetoed one runs its own job without taking the combiner role.
+        vetoed.store(true, Ordering::SeqCst);
+        assert!(!thread_may_self_elect());
+        assert!(!lock.run_locked(is_combining));
         assert!(!is_combining());
         clear_combiner_observer();
+        assert!(thread_may_self_elect());
     }
 
     #[test]
@@ -1820,89 +1043,8 @@ mod tests {
     }
 
     #[test]
-    fn combiner_spec_round_trips() {
-        for spec in [
-            "combiner",
-            "combiner(strategy=window)",
-            "combiner(strategy=window, window=8)",
-            "combiner(strategy=load-aware)",
-        ] {
-            let strategy = build_combiner_spec(spec).unwrap();
-            let rendered = strategy.spec().to_string();
-            let rebuilt = build_combiner_spec(&rendered).unwrap();
-            assert_eq!(strategy, rebuilt, "{spec}");
-        }
-        assert_eq!(
-            build_combiner_spec("combiner(strategy=window)").unwrap(),
-            CombinerStrategy::Window {
-                window: DEFAULT_WINDOW
-            }
-        );
-    }
-
-    #[test]
-    fn combiner_spec_rejects_malformed_input() {
-        assert!(matches!(
-            build_combiner_spec("combiner(strategy=bogus)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_combiner_spec("combiner(window=8)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_combiner_spec("combiner(strategy=first, window=8)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_combiner_spec("combiner(strategy=window, window=0)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(build_combiner_spec("combiner(bogus=1)").is_err());
-        assert!(build_combiner_spec("no-such-plane").is_err());
-    }
-
-    #[test]
-    fn strategy_names_match_registry() {
-        assert_eq!(COMBINER_SPECS.names(), vec!["combiner"]);
-        for &name in ALL_COMBINER_STRATEGY_NAMES {
-            let spec = format!("combiner(strategy={name})");
-            let strategy = build_combiner_spec(&spec).unwrap();
-            assert_eq!(strategy.name(), name);
-        }
-    }
-
-    #[test]
-    fn lock_spec_builders_render_canonical_specs() {
-        let (lock, spec) = flat_combining_from_spec(&ParsedSpec::bare("flat-combining")).unwrap();
-        assert_eq!(spec, ParsedSpec::bare("flat-combining"));
-        assert_eq!(lock.scan_budget(), DEFAULT_SCAN_BUDGET);
-        let parsed = ParsedSpec::bare("flat-combining")
-            .with_param("scan_budget", 4u32)
-            .with_param("strategy", "load-aware");
-        let (lock, spec) = flat_combining_from_spec(&parsed).unwrap();
-        assert_eq!(
-            spec.to_string(),
-            "flat-combining(scan_budget=4, strategy=load-aware)"
-        );
-        assert_eq!(lock.strategy(), CombinerStrategy::LoadAware);
-
-        let parsed = ParsedSpec::bare("ccsynch")
-            .with_param("max_combine", 8u32)
-            .with_param("strategy", "window")
-            .with_param("window", 2u32);
-        let (lock, spec) = ccsynch_from_spec(&parsed).unwrap();
-        assert_eq!(
-            spec.to_string(),
-            "ccsynch(max_combine=8, strategy=window, window=2)"
-        );
-        assert_eq!(lock.max_combine(), 8);
-        assert_eq!(lock.strategy(), CombinerStrategy::Window { window: 2 });
-    }
-
-    #[test]
     fn abort_with_nothing_published_is_harmless() {
-        let lock = <CcSynchLock as RawLock>::new();
+        let lock = <FlatCombiningLock as RawLock>::new();
         let mut policy = AbortAfter::new(0);
         // Uncontended: acquires directly, no aborts consulted.
         lock.run_locked_with(&mut policy, || {});

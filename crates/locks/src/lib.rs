@@ -21,11 +21,11 @@
 //!   permit it doubles as a spin mutex).  These extend the abortable-waiting
 //!   contract beyond mutual exclusion so the whole sync surface can be
 //!   load-controlled.
-//! * **Delegation** — [`FlatCombiningLock`] and [`CcSynchLock`] invert
-//!   waiting entirely: waiters *publish* their critical sections and the
-//!   current combiner executes them (see the [`delegation`] module).  Abort =
-//!   withdrawing the unexecuted published request, so load control composes
-//!   with delegation exactly like with spinning.
+//! * **Delegation** — [`FlatCombiningLock`] inverts waiting entirely:
+//!   waiters *publish* their critical sections and the current combiner
+//!   executes them (see the [`delegation`] module).  Abort = withdrawing the
+//!   unexecuted published request, so load control composes with delegation
+//!   exactly like with spinning.
 //! * **Blocking** — [`BlockingLock`] parks every waiter (the behaviour of a
 //!   classic heavyweight mutex), [`AdaptiveLock`] spins while the holder
 //!   appears to be running and blocks otherwise (a Solaris-adaptive-mutex /
@@ -106,9 +106,8 @@ pub mod ttas;
 pub use adaptive::{AdaptiveConfig, AdaptiveLock};
 pub use blocking::BlockingLock;
 pub use delegation::{
-    take_thread_combine_tally, thread_combine_tally, CcSynchLock, CombineTally, CombinerObserver,
-    CombinerStrategy, DelegationLock, DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock,
-    COMBINER_SPECS,
+    take_thread_combine_tally, thread_combine_tally, CombineTally, CombinerObserver,
+    DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock,
 };
 pub use mcs::McsLock;
 pub use mutex::{aliases, Mutex, MutexGuard};
@@ -149,7 +148,6 @@ pub const ALL_LOCK_NAMES: &[&str] = &[
     "blocking",
     "adaptive",
     "flat-combining",
-    "ccsynch",
 ];
 
 /// Names of the lock families that implement [`AbortableLock`] — the
@@ -167,7 +165,6 @@ pub const ABORTABLE_LOCK_NAMES: &[&str] = &[
     "rw-lock",
     "semaphore",
     "flat-combining",
-    "ccsynch",
 ];
 
 #[cfg(test)]
@@ -176,12 +173,12 @@ mod crate_tests {
 
     #[test]
     fn all_lock_names_is_consistent() {
-        assert_eq!(ALL_LOCK_NAMES.len(), 12);
+        assert_eq!(ALL_LOCK_NAMES.len(), 11);
         // No duplicates.
         let mut names: Vec<&str> = ALL_LOCK_NAMES.to_vec();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 12);
+        assert_eq!(names.len(), 11);
     }
 
     #[test]

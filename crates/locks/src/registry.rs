@@ -21,8 +21,8 @@ use crate::raw::{AbortableLock, RawLock, RawTryLock, SpinPolicy};
 use crate::spin_wait::Backoff;
 use crate::time_published::TpConfig;
 use crate::{
-    AdaptiveConfig, AdaptiveLock, BlockingLock, McsLock, RawRwLock, RawSemaphore,
-    SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock,
+    AdaptiveConfig, AdaptiveLock, BlockingLock, FlatCombiningLock, McsLock, RawRwLock,
+    RawSemaphore, SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock,
 };
 use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
 use std::cell::UnsafeCell;
@@ -327,21 +327,9 @@ pub static LOCK_SPECS: Registry<Box<dyn DynLock>> = Registry::new(
         },
         SpecEntry {
             name: "flat-combining",
-            keys: &["scan_budget", "strategy", "window"],
+            keys: &[],
             summary: "flat-combining delegation lock (publication array, combiner scan)",
-            build: |_, spec| {
-                let (lock, canonical) = crate::delegation::flat_combining_from_spec(spec)?;
-                Ok(abortable(lock, canonical))
-            },
-        },
-        SpecEntry {
-            name: "ccsynch",
-            keys: &["max_combine", "strategy", "window"],
-            summary: "CCSynch delegation lock (FIFO request queue, capped combining)",
-            build: |_, spec| {
-                let (lock, canonical) = crate::delegation::ccsynch_from_spec(spec)?;
-                Ok(abortable(lock, canonical))
-            },
+            build: |_, spec| Ok(abortable(<FlatCombiningLock as RawLock>::new(), spec.clone())),
         },
     ],
 );
@@ -594,6 +582,13 @@ mod tests {
         ));
         assert!(matches!(
             build_spec("tp-queue(patience=500)"),
+            Err(SpecError::UnknownKey { .. })
+        ));
+        // Flat combining has nothing to set: no election strategy, no pass
+        // count.
+        assert!(LOCK_SPECS.entry("flat-combining").unwrap().keys.is_empty());
+        assert!(matches!(
+            build_spec("flat-combining(strategy=first)"),
             Err(SpecError::UnknownKey { .. })
         ));
     }

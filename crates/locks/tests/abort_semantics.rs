@@ -15,13 +15,12 @@
 //! The critical-section step is pluggable ([`CsPath`]): classic
 //! `lock_with`/`unlock` pairs, or delegation-style `run_locked_with` where
 //! the body may execute on another thread's combiner pass and an abort
-//! withdraws the published request.  The delegation locks run under *both*
+//! withdraws the published request.  Flat combining runs under *both*
 //! paths.
 
 use lc_locks::{
-    AbortableLock, BoundedAbort, CcSynchLock, DelegationLock, FlatCombiningLock, McsLock,
-    RawRwLock, RawSemaphore, RawTryLock, SpinDecision, SpinPolicy, SpinThenYieldLock, TasLock,
-    TicketLock, TimePublishedLock, TtasLock,
+    AbortableLock, BoundedAbort, FlatCombiningLock, McsLock, RawRwLock, RawSemaphore, RawTryLock,
+    SpinDecision, SpinPolicy, SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -93,8 +92,8 @@ impl<L: AbortableLock> CsPath<L> for LockUnlock {
 /// place or on whichever thread is combining, and an abort withdraws it.
 struct Delegated;
 
-impl<L: DelegationLock> CsPath<L> for Delegated {
-    fn with_cs(lock: &L, policy: &mut CountingPolicy, body: impl FnOnce() + Send) {
+impl CsPath<FlatCombiningLock> for Delegated {
+    fn with_cs(lock: &FlatCombiningLock, policy: &mut CountingPolicy, body: impl FnOnce() + Send) {
         lock.run_locked_with(policy, body);
     }
 }
@@ -262,12 +261,10 @@ abort_semantics_suite! {
     // sync surface obeys the same abortable-waiting contract as the mutexes.
     rw_lock => (RawRwLock, LockUnlock),
     semaphore => (RawSemaphore, LockUnlock),
-    // The delegation locks obey the contract through both faces: the plain
+    // Flat combining obeys the contract through both faces: the plain
     // ownership face (grant requests withdraw on abort)...
     flat_combining => (FlatCombiningLock, LockUnlock),
-    ccsynch => (CcSynchLock, LockUnlock),
     // ...and the delegated face, where the critical section is a published
     // request that may run on a combiner and aborting withdraws it.
     flat_combining_delegated => (FlatCombiningLock, Delegated),
-    ccsynch_delegated => (CcSynchLock, Delegated),
 }

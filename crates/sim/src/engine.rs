@@ -51,8 +51,8 @@ pub enum LockPolicy {
         /// Mean of the exponential sleep distribution.
         mean_sleep: SimTime,
     },
-    /// Delegation (flat combining / CCSynch): waiters publish their critical
-    /// sections and poll for completion while one combiner executes them.
+    /// Delegation (flat combining): waiters publish their critical sections
+    /// and poll for completion while one combiner executes them.
     /// In the scheduler model this behaves like time-published spinning — the
     /// handoff (of the combiner role) favours waiters on a CPU — but the
     /// label keeps delegation runs distinguishable in reports.
@@ -94,7 +94,7 @@ impl LockPolicy {
         }
     }
 
-    /// Delegation-style combining (flat combining / CCSynch waiters).
+    /// Delegation-style combining (flat-combining waiters).
     pub fn combining() -> Self {
         LockPolicy::Combining
     }

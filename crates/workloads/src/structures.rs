@@ -5,16 +5,17 @@
 //! closed loop of worker threads.  The point of the suite is the comparison
 //! the delegation plane exists for: the same structure behind
 //!
-//! * a delegation lock ([`FlatCombiningLock`] / [`CcSynchLock`]), where the
+//! * the delegation lock ([`DelegationMutex`], flat combining), where the
 //!   critical section is *published* and may execute on a combiner, and
 //! * a classic spin lock (any [`lc_locks::ALL_LOCK_NAMES`] family via
 //!   [`DynMutex`]), where every thread executes its own critical section,
 //!
 //! with and without the load controller, under oversubscription.  Every run
 //! reports completed operations over the measured window **and** per-thread
-//! usage ([`ThreadUsageRow`]): raw ops per thread, plus — for delegation locks — how many *other* threads'
-//! requests each thread executed while combining, so combiner monopolization
-//! shows up as a fairness number instead of an anecdote.
+//! usage ([`ThreadUsageRow`]): raw ops per thread, plus — for flat combining
+//! — how many *other* threads' requests each thread executed while
+//! combining, so combiner monopolization shows up as a fairness number
+//! instead of an anecdote.
 //!
 //! The structures self-check while they measure (exact op accounting, FIFO
 //! order per producer, counter balance), so every bench run doubles as a
@@ -24,11 +25,9 @@ use crate::drivers::oversubscribed_control;
 use lc_core::spec::SpecError;
 use lc_core::thread_ctx::LoadControlPolicy;
 use lc_core::LoadControl;
-use lc_locks::delegation::{build_combiner_spec, DEFAULT_MAX_COMBINE, DEFAULT_SCAN_BUDGET};
 use lc_locks::registry::DynMutex;
 use lc_locks::{
-    jains_index, take_thread_combine_tally, CcSynchLock, CombinerStrategy, DelegationLock,
-    DelegationMutex, FlatCombiningLock, ThreadUsageRow, ThreadUsageTable,
+    jains_index, take_thread_combine_tally, DelegationMutex, ThreadUsageRow, ThreadUsageTable,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -242,9 +241,6 @@ pub struct DlockBenchConfig {
     pub capacity: usize,
     /// Wall-clock measurement duration.
     pub duration: Duration,
-    /// Combiner-election strategy for the delegation locks, in the
-    /// `combiner(...)` spec grammar.
-    pub combiner_spec: String,
 }
 
 impl Default for DlockBenchConfig {
@@ -253,7 +249,6 @@ impl Default for DlockBenchConfig {
             threads: 8,
             capacity: 2,
             duration: Duration::from_millis(100),
-            combiner_spec: "combiner".to_string(),
         }
     }
 }
@@ -263,8 +258,7 @@ impl Default for DlockBenchConfig {
 pub struct DlockRunResult {
     /// Structure label (from [`ALL_STRUCTURE_NAMES`]).
     pub structure: String,
-    /// Lock label (registry name, plus the combiner strategy for delegation
-    /// locks).
+    /// Lock label (the lock spec the run was given).
     pub lock: String,
     /// Whether a load controller was running.
     pub controller: bool,
@@ -313,9 +307,9 @@ impl<S: Send + 'static> StructureCell<S> for SpinCell<S> {
     }
 }
 
-struct DelegationCell<S, L: DelegationLock>(DelegationMutex<S, L>);
+struct DelegationCell<S>(DelegationMutex<S>);
 
-impl<S: Send + 'static, L: DelegationLock + 'static> StructureCell<S> for DelegationCell<S, L> {
+impl<S: Send + 'static> StructureCell<S> for DelegationCell<S> {
     fn with_structure(
         &self,
         control: Option<&Arc<LoadControl>>,
@@ -329,50 +323,28 @@ impl<S: Send + 'static, L: DelegationLock + 'static> StructureCell<S> for Delega
             }
             None => self.0.run_locked(|s| f(s)),
         }
-        // Requests executed during this thread's combining passes for this
-        // op (flat combining tallies others' jobs; CCSynch routes the
-        // combiner's own job through the same loop, so its tally includes
-        // it).  Either way the column measures who shoulders the combining
-        // work.
+        // Other threads' requests executed during this thread's combining
+        // passes for this op: the column measures who shoulders the
+        // combining work.
         take_thread_combine_tally().jobs
     }
 }
 
-/// Builds the lock cell for `lock_spec` over structure `S`: the delegation
-/// families get concrete [`DelegationMutex`] backends honouring
-/// `combiner_spec`; every other registered lock goes through [`DynMutex`].
+/// Builds the lock cell for `lock_spec` over structure `S`: `flat-combining`
+/// gets a [`DelegationMutex`] so its critical sections are delegated; every
+/// other registered lock goes through [`DynMutex`].
 fn build_cell<S: Send + 'static>(
     lock_spec: &str,
-    combiner_spec: &str,
     structure: S,
-) -> Result<(Box<dyn StructureCell<S>>, String), SpecError> {
-    let strategy: CombinerStrategy = build_combiner_spec(combiner_spec)?;
-    match lock_spec {
-        "flat-combining" => {
-            let lock = FlatCombiningLock::with_config(DEFAULT_SCAN_BUDGET, strategy);
-            let label = format!("flat-combining[{}]", strategy.name());
-            Ok((
-                Box::new(DelegationCell(DelegationMutex::with_lock(lock, structure))),
-                label,
-            ))
-        }
-        "ccsynch" => {
-            let lock = CcSynchLock::with_config(DEFAULT_MAX_COMBINE, strategy);
-            let label = format!("ccsynch[{}]", strategy.name());
-            Ok((
-                Box::new(DelegationCell(DelegationMutex::with_lock(lock, structure))),
-                label,
-            ))
-        }
-        other => {
-            let mutex = DynMutex::build(other, structure).ok_or_else(|| SpecError::Config {
-                source: format!("lock spec {other:?}"),
-                reason: "not a registered lock".to_string(),
-            })?;
-            let label = other.to_string();
-            Ok((Box::new(SpinCell(mutex)), label))
-        }
+) -> Result<Box<dyn StructureCell<S>>, SpecError> {
+    if lock_spec == "flat-combining" {
+        return Ok(Box::new(DelegationCell(DelegationMutex::new(structure))));
     }
+    let mutex = DynMutex::build(lock_spec, structure).ok_or_else(|| SpecError::Config {
+        source: format!("lock spec {lock_spec:?}"),
+        reason: "not a registered lock".to_string(),
+    })?;
+    Ok(Box::new(SpinCell(mutex)))
 }
 
 /// Runs one structure bench: `config.threads` workers hammer `structure`
@@ -477,8 +449,7 @@ fn drive<S: Send + 'static>(
     op: fn(&mut S, usize, u64),
     verify: impl FnOnce(&S, &[ThreadUsageRow]) + Send,
 ) -> Result<DlockRunResult, SpecError> {
-    let (cell, label) = build_cell(lock_spec, &config.combiner_spec, initial)?;
-    let cell: Arc<dyn StructureCell<S>> = Arc::from(cell);
+    let cell: Arc<dyn StructureCell<S>> = Arc::from(build_cell(lock_spec, initial)?);
     let control = controller.then(|| oversubscribed_control(config.capacity, 1));
     let usage = Arc::new(ThreadUsageTable::new(config.threads));
     let stop = Arc::new(AtomicBool::new(false));
@@ -523,7 +494,7 @@ fn drive<S: Send + 'static>(
 
     Ok(DlockRunResult {
         structure: structure.name().to_string(),
-        lock: label,
+        lock: lock_spec.to_string(),
         controller,
         ops,
         elapsed,
@@ -558,7 +529,6 @@ mod tests {
             threads: 4,
             capacity: 2,
             duration: Duration::from_millis(40),
-            combiner_spec: "combiner".to_string(),
         }
     }
 
@@ -604,11 +574,7 @@ mod tests {
     }
 
     /// The structure × lock × controller matrix at smoke size; the driver
-    /// asserts each structure's invariants after every run.  ccsynch is
-    /// missing from the lock column on purpose: its combiner can still walk
-    /// onto an already-granted node and panic (ROADMAP item 1(a)), so its
-    /// cells stay at `ccsynch_under_controller_parks_and_completes` until
-    /// that is fixed.
+    /// asserts each structure's invariants after every run.
     #[test]
     fn every_structure_runs_on_a_delegation_lock() {
         for &name in ALL_STRUCTURE_NAMES {
@@ -630,15 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn ccsynch_under_controller_parks_and_completes() {
-        let r = run_structure_bench(StructureKind::Counter, "ccsynch", true, &quick())
-            .expect("valid spec");
-        assert!(r.ops > 0);
-        assert!(r.controller);
-        assert!(r.lock.starts_with("ccsynch["), "label: {}", r.lock);
-    }
-
-    #[test]
     fn spin_locks_drive_the_same_suite() {
         let r = run_structure_bench(StructureKind::Queue, "tp-queue", false, &quick())
             .expect("valid spec");
@@ -652,20 +609,5 @@ mod tests {
     #[test]
     fn unknown_specs_are_rejected() {
         assert!(run_structure_bench(StructureKind::Counter, "bogus", false, &quick()).is_err());
-        let mut config = quick();
-        config.combiner_spec = "combiner(strategy=bogus)".to_string();
-        assert!(
-            run_structure_bench(StructureKind::Counter, "flat-combining", false, &config).is_err()
-        );
-    }
-
-    #[test]
-    fn load_aware_combiner_strategy_runs_end_to_end() {
-        let mut config = quick();
-        config.combiner_spec = "combiner(strategy=load-aware)".to_string();
-        let r = run_structure_bench(StructureKind::Hashmap, "flat-combining", true, &config)
-            .expect("valid spec");
-        assert!(r.ops > 0);
-        assert!(r.lock.contains("load-aware"), "label: {}", r.lock);
     }
 }

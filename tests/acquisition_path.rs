@@ -14,10 +14,9 @@ use load_control_suite::core::{
     ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
     LoadControlPolicy, LoadGate, ParkOps, SleeperId, SpinHook,
 };
-use load_control_suite::locks::delegation::{self, CombinerObserver, CombinerStrategy};
+use load_control_suite::locks::delegation::{self, CombinerObserver};
 use load_control_suite::locks::{
-    AbortableLock, DelegationLock, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision,
-    SpinPolicy,
+    AbortableLock, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision, SpinPolicy,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -254,7 +253,7 @@ fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
     let control = manual_control();
     let other_control = manual_control();
     let outer: Arc<LcLock<FlatCombiningLock>> = Arc::new(LcLock::from_raw(
-        FlatCombiningLock::with_config(2, CombinerStrategy::LoadAware),
+        <FlatCombiningLock as RawLock>::new(),
         &control,
     ));
     let inner = Arc::new(LcMutex::<u32>::new_with(0, &control));

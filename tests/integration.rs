@@ -7,12 +7,11 @@ use load_control_suite::core::thread_ctx::{LoadControlPolicy, LoadGate};
 use load_control_suite::core::{
     LcCondvar, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
 };
-use load_control_suite::locks::delegation::{self, DEFAULT_MAX_COMBINE, DEFAULT_SCAN_BUDGET};
+use load_control_suite::locks::delegation;
 use load_control_suite::locks::registry;
 use load_control_suite::locks::{
-    AbortableLock, BoundedAbort, CcSynchLock, CombinerStrategy, DelegationLock, DelegationMutex,
-    FlatCombiningLock, McsLock, Mutex, Parker, RawLock, TicketLock, TimePublishedLock, TtasLock,
-    ALL_LOCK_NAMES,
+    AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, TicketLock,
+    TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
 use load_control_suite::sim::{LockPolicy, MicroState, SimConfig, Simulation};
 use load_control_suite::workloads::drivers::{
@@ -476,19 +475,20 @@ fn sharding_reduces_claim_races_under_contention() {
     );
 }
 
-/// Oversubscribed delegated-counter workload for one delegation backend with
-/// the load-aware election strategy: publishers must get load-parked (S > 0)
-/// while the acting combiner can never obtain a sleep-slot claim — the
-/// combiner is the one thread the controller must never put to sleep.
+/// Oversubscribed delegated-counter workload on flat combining: publishers
+/// must get load-parked (S > 0) while the acting combiner can never obtain a
+/// sleep-slot claim — the combiner is the one thread the controller must
+/// never put to sleep.
 ///
 /// The "never" half is checked from *inside* the delegated critical sections:
 /// every job runs on whichever thread is currently combining, so probing the
 /// gate there asks, at the exact moment the hazard exists, whether the sleep
 /// books would admit the combiner.
-fn delegation_combiner_hammer<L: DelegationLock + 'static>(lock: L, family: &str) {
+#[test]
+fn flat_combining_combiner_is_never_load_parked() {
     use std::sync::atomic::{AtomicU64, Ordering};
     let control = aggressive_control();
-    let counter = Arc::new(DelegationMutex::with_lock(lock, 0u64));
+    let counter = Arc::new(DelegationMutex::new(0u64));
     let combiner_claims = Arc::new(AtomicU64::new(0));
     let combiner_runs = Arc::new(AtomicU64::new(0));
     let threads = 8u64;
@@ -534,42 +534,26 @@ fn delegation_combiner_hammer<L: DelegationLock + 'static>(lock: L, family: &str
     assert_eq!(
         counter.run_locked(|n| *n),
         threads * per_thread,
-        "{family}: delegated increments were lost"
+        "delegated increments were lost"
     );
     assert!(
         combiner_runs.load(Ordering::Relaxed) > 0,
-        "{family}: no job ever ran on an active combiner"
+        "no job ever ran on an active combiner"
     );
     assert_eq!(
         combiner_claims.load(Ordering::Relaxed),
         0,
-        "{family}: an active combiner was admitted to the sleep books"
+        "an active combiner was admitted to the sleep books"
     );
     let stats = control.buffer().stats();
     assert!(
         stats.ever_slept > 0,
-        "{family}: no publisher ever slept under 8x oversubscription"
+        "no publisher ever slept under 8x oversubscription"
     );
     assert_eq!(stats.ever_slept, stats.woken_and_left);
     assert!(
         control.combiner_exempt_ids().is_empty(),
-        "{family}: a wake-scan exemption leaked past the run"
-    );
-}
-
-#[test]
-fn flat_combining_combiner_is_never_load_parked() {
-    delegation_combiner_hammer(
-        FlatCombiningLock::with_config(DEFAULT_SCAN_BUDGET, CombinerStrategy::LoadAware),
-        "flat-combining",
-    );
-}
-
-#[test]
-fn ccsynch_combiner_is_never_load_parked() {
-    delegation_combiner_hammer(
-        CcSynchLock::with_config(DEFAULT_MAX_COMBINE, CombinerStrategy::LoadAware),
-        "ccsynch",
+        "a wake-scan exemption leaked past the run"
     );
 }
 
@@ -580,73 +564,61 @@ fn delegation_withdrawals_never_execute_aborted_requests() {
     // half go through real load control under an aggressive controller.
     // Withdrawn requests must never execute (the counter stays arithmetic-
     // exact), no request may linger, and the S/W books must balance.
-    fn hammer<L: DelegationLock + 'static>(lock: L, family: &str) {
-        let control = aggressive_control();
-        let counter = Arc::new(DelegationMutex::with_lock(lock, 0u64));
-        let threads = 6u64;
-        let per_thread = 2_000u64;
-        let mut handles = Vec::new();
-        for thread in 0..threads {
-            let counter = Arc::clone(&counter);
-            let control = Arc::clone(&control);
-            handles.push(thread::spawn(move || {
-                let _worker = control.register_worker();
-                let mut lc_policy = LoadControlPolicy::new(&control);
-                for _ in 0..per_thread {
-                    // The burn keeps requests pending long enough that the
-                    // impatient publishers actually reach their withdrawal
-                    // window, even in a release build on one CPU.
-                    let job = |n: &mut u64| {
-                        *n += 1;
-                        for _ in 0..300 {
-                            std::hint::spin_loop();
-                        }
-                    };
-                    if thread % 2 == 0 {
-                        // Withdraw-happy: request an abort on every poll, up
-                        // to 256 times per op, then settle down and finish.
-                        let mut policy = BoundedAbort::new(1, 256);
-                        counter.run_locked_with(&mut policy, job);
-                    } else {
-                        counter.run_locked_with(&mut lc_policy, job);
+    let control = aggressive_control();
+    let counter = Arc::new(DelegationMutex::new(0u64));
+    let threads = 6u64;
+    let per_thread = 2_000u64;
+    let mut handles = Vec::new();
+    for thread in 0..threads {
+        let counter = Arc::clone(&counter);
+        let control = Arc::clone(&control);
+        handles.push(thread::spawn(move || {
+            let _worker = control.register_worker();
+            let mut lc_policy = LoadControlPolicy::new(&control);
+            for _ in 0..per_thread {
+                // The burn keeps requests pending long enough that the
+                // impatient publishers actually reach their withdrawal
+                // window, even in a release build on one CPU.
+                let job = |n: &mut u64| {
+                    *n += 1;
+                    for _ in 0..300 {
+                        std::hint::spin_loop();
                     }
+                };
+                if thread % 2 == 0 {
+                    // Withdraw-happy: request an abort on every poll, up
+                    // to 256 times per op, then settle down and finish.
+                    let mut policy = BoundedAbort::new(1, 256);
+                    counter.run_locked_with(&mut policy, job);
+                } else {
+                    counter.run_locked_with(&mut lc_policy, job);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        control.stop_controller();
-        assert_eq!(
-            counter.run_locked(|n| *n),
-            threads * per_thread,
-            "{family}: a withdrawn request executed anyway (or one was lost)"
-        );
-        let stats = counter.raw().delegation_stats();
-        assert!(
-            stats.withdrawals > 0,
-            "{family}: the hammer never exercised a withdrawal"
-        );
-        assert_eq!(
-            counter.raw().pending_requests(),
-            0,
-            "{family}: a published request outlived its publisher"
-        );
-        let books = control.buffer().stats();
-        assert_eq!(
-            books.ever_slept, books.woken_and_left,
-            "{family}: unbalanced sleep-slot bookkeeping"
-        );
+            }
+        }));
     }
-    hammer(
-        FlatCombiningLock::with_config(DEFAULT_SCAN_BUDGET, CombinerStrategy::First),
-        "flat-combining",
+    for h in handles {
+        h.join().unwrap();
+    }
+    control.stop_controller();
+    assert_eq!(
+        counter.run_locked(|n| *n),
+        threads * per_thread,
+        "a withdrawn request executed anyway (or one was lost)"
     );
-    // A tight combining cap keeps requests pending long enough for the
-    // impatient publishers to actually reach their withdrawal window.
-    hammer(
-        CcSynchLock::with_config(2, CombinerStrategy::First),
-        "ccsynch",
+    let stats = counter.raw().delegation_stats();
+    assert!(
+        stats.withdrawals > 0,
+        "the hammer never exercised a withdrawal"
+    );
+    assert_eq!(
+        counter.raw().pending_requests(),
+        0,
+        "a published request outlived its publisher"
+    );
+    let books = control.buffer().stats();
+    assert_eq!(
+        books.ever_slept, books.woken_and_left,
+        "unbalanced sleep-slot bookkeeping"
     );
 }
 

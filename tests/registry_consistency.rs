@@ -5,8 +5,7 @@
 //! generic `Registry<T>` (`lc_spec`): the lock registry in
 //! `lc_locks::registry`, the control-policy and target-splitter registries in
 //! `lc_core::policy`, and the load-sampler registry in `lc_accounting` —
-//! plus the combiner strategies and the simulator policy labels in
-//! `lc_sim::LockPolicy`.
+//! plus the simulator policy labels in `lc_sim::LockPolicy`.
 //! Benchmarks, drivers and experiment configurations assume a spec accepted
 //! by one is meaningful to the others; these tests fail the build the moment
 //! any side drifts.
@@ -18,9 +17,6 @@ use load_control_suite::core::policy::{
 use load_control_suite::core::spec::{LoadControlSpec, ParsedSpec, SpecError};
 use load_control_suite::core::{LoadControl, LoadControlConfig};
 use load_control_suite::des::discipline::{self, WaiterDiscipline};
-use load_control_suite::locks::delegation::{
-    build_combiner_spec, ALL_COMBINER_STRATEGY_NAMES, COMBINER_SPECS,
-};
 use load_control_suite::locks::registry::{self, LOCK_SPECS};
 use load_control_suite::locks::{ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
 use load_control_suite::sim::LockPolicy;
@@ -175,16 +171,12 @@ fn every_registered_name_parses_with_and_without_parens_and_rejects_unknown_keys
             build_sampler_spec(&reg, s).map(|_| ())
         });
     }
-    for name in COMBINER_SPECS.names() {
-        check("combiner", name, &|s| build_combiner_spec(s).map(|_| ()));
-    }
     assert_eq!(
         checked,
         ALL_LOCK_NAMES.len()
             + policy::ALL_POLICY_NAMES.len()
             + policy::ALL_SPLITTER_NAMES.len()
             + ALL_SAMPLER_NAMES.len()
-            + COMBINER_SPECS.names().len()
     );
 }
 
@@ -220,12 +212,6 @@ fn every_registered_entry_spec_round_trips() {
             .unwrap_or_else(|e| panic!("{name}: reported spec does not rebuild: {e}"));
         assert_eq!(rebuilt.spec(), built.spec(), "{name}");
     }
-    for name in COMBINER_SPECS.names() {
-        let built = build_combiner_spec(name).unwrap();
-        let rebuilt = build_combiner_spec(&built.spec().to_string())
-            .unwrap_or_else(|e| panic!("{name}: reported spec does not rebuild: {e}"));
-        assert_eq!(rebuilt, built, "{name}");
-    }
 }
 
 /// Parameterized variants round-trip too, across all four registries.
@@ -254,40 +240,6 @@ fn parameterized_specs_round_trip_across_registries() {
     assert_eq!(built.spec().to_string(), "load-weighted(ewma=0.25)");
     let built = build_sampler_spec(&reg, "fixed(runnable=9)").unwrap();
     assert_eq!(built.spec().to_string(), "fixed(runnable=9)");
-    let built = build_combiner_spec("combiner(strategy=window, window=8)").unwrap();
-    assert_eq!(
-        built.spec().to_string(),
-        "combiner(strategy=window, window=8)"
-    );
-}
-
-/// The delegation lock families and the combiner-strategy registry stay in
-/// lockstep: every registered strategy value is accepted both standalone and
-/// embedded in either lock's spec, and what the combiner registry rejects is
-/// rejected there too.
-#[test]
-fn delegation_locks_accept_every_combiner_strategy() {
-    for lock in ["flat-combining", "ccsynch"] {
-        assert!(ALL_LOCK_NAMES.contains(&lock), "{lock} not registered");
-        assert!(ABORTABLE_LOCK_NAMES.contains(&lock), "{lock} not abortable");
-        for &strategy in ALL_COMBINER_STRATEGY_NAMES {
-            let spec = format!("{lock}(strategy={strategy})");
-            let built =
-                registry::build_spec(&spec).unwrap_or_else(|e| panic!("{spec} rejected: {e}"));
-            assert_eq!(built.name(), lock, "{spec} mislabelled");
-            build_combiner_spec(&format!("combiner(strategy={strategy})")).unwrap_or_else(|e| {
-                panic!("strategy {strategy} embeds in {lock} but not in combiner: {e}")
-            });
-        }
-        assert!(
-            registry::build_spec(&format!("{lock}(strategy=bogus)")).is_err(),
-            "{lock} accepted a bogus strategy"
-        );
-        // `window=` without `strategy=window` is meaningless everywhere.
-        assert!(registry::build_spec(&format!("{lock}(window=4)")).is_err());
-    }
-    assert!(build_combiner_spec("combiner(strategy=bogus)").is_err());
-    assert!(build_combiner_spec("combiner(window=4)").is_err());
 }
 
 /// The legacy lc_sim name resolver keeps matching the shared discipline
