@@ -103,7 +103,6 @@ pub mod lc_condvar;
 pub mod lc_lock;
 pub mod lc_rwlock;
 pub mod lc_semaphore;
-pub mod load_backoff;
 pub mod policy;
 pub mod slots;
 pub mod spec;
@@ -118,7 +117,6 @@ pub use lc_condvar::LcCondvar;
 pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};
 pub use lc_semaphore::{AcquireAsync, LcSemaphore, LcSemaphoreAsyncPermit, LcSemaphorePermit};
-pub use load_backoff::LoadTriggeredBackoffPolicy;
 pub use policy::{
     AutotuneInner, AutotuneObjective, AutotunePolicy, ControlPolicy, EvenSplitter, FixedPolicy,
     HysteresisPolicy, LatencyPolicy, LoadWeightedSplitter, PaperPolicy, PidPolicy, PolicyInputs,

@@ -126,8 +126,7 @@ pub struct DesConfig {
     /// published requests in one burst before releasing.  Publishers whose
     /// requests are claimed by the combiner leave the withdrawable queue —
     /// only still-queued publishers can be parked by load control, which is
-    /// exactly the real abort/withdraw boundary.  Any other discipline value
-    /// falls back to the native spin model.
+    /// exactly the real abort/withdraw boundary.
     pub discipline: WaiterDiscipline,
 }
 
@@ -155,8 +154,9 @@ impl DesConfig {
 }
 
 /// How many published requests (including the combiner's own) one combiner
-/// pass executes under [`WaiterDiscipline::Combining`]; mirrors the default
-/// combining caps of the real delegation backends in `lc_locks::delegation`.
+/// pass executes under [`WaiterDiscipline::Combining`]: the model's batch
+/// size.  The real flat-combining lock has no cap; it scans the publication
+/// list a fixed number of passes instead.
 pub const COMBINE_BATCH: usize = 8;
 
 /// The load sampler of the simulated machine: reports the engine's runnable

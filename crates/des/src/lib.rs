@@ -1,7 +1,7 @@
 //! # lc-des — deterministic discrete-event simulation of the real control plane
 //!
 //! The suite's load-control claims are validated at machine scale by real
-//! threads (`lc-core` tests, `lc-bench`), but the regime the paper cares
+//! threads (`lc-core` tests, `perf/`), but the regime the paper cares
 //! about — and the regime where wake-ordering and target decisions dominate —
 //! is *millions* of waiters.  This crate gets there with a discrete-event
 //! engine over virtual time that runs the **actual** production types:
@@ -32,9 +32,11 @@
 //!   claim/wake/retarget/cancel/advance actions against the real buffer and
 //!   controller, with invariants checked after every step and failures shrunk
 //!   to a replayable trace ([`fuzz::write_trace`] / [`fuzz::parse_trace`]).
-//! * [`discipline`] — the single source of truth mapping lock-family names to
-//!   waiter disciplines (what `lc_sim::LockPolicy::from_name` now delegates
-//!   to).
+//! * [`discipline`] — how the simulated lock's waiters wait: load-controlled
+//!   spinning, or flat combining's publish-then-poll.
+//!
+//! The paper's load-control figures (1, 8, 9 and 10) are claims on this
+//! engine, asserted by `tests/paper_figures.rs` at the repository root.
 //!
 //! See `ARCHITECTURE.md` at the repository root for the layer map and the
 //! "simulate a policy / reproduce a fuzz failure" recipes.

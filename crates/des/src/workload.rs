@@ -5,8 +5,8 @@
 //! on the control side is the real production code).  A workload is a
 //! population shape ([`Arrivals`]), a pair of duration distributions
 //! (critical section and think time), and an optional schedule of
-//! [`Phase`] shifts that swap the distributions at virtual times — the
-//! bump-test and diurnal-load scenarios of the paper's figures.
+//! [`Phase`] shifts that swap the distributions at virtual times — a bump
+//! test, for instance.
 
 use rand::{rngs::StdRng, Rng};
 use std::time::Duration;
@@ -63,24 +63,6 @@ impl Dist {
                 let u: f64 = rng.random_range(0.0..1.0);
                 let draw = min.as_secs_f64() / (1.0 - u).powf(1.0 / alpha.max(f64::EPSILON));
                 Duration::from_secs_f64(draw.min(cap.as_secs_f64()))
-            }
-        }
-    }
-
-    /// Rough mean of the distribution (used for staggering initial events,
-    /// not for anything that must be exact).
-    pub fn mean_estimate(&self) -> Duration {
-        match *self {
-            Dist::Fixed(d) => d,
-            Dist::Exp { mean } => mean,
-            Dist::Pareto { min, alpha, cap } => {
-                if alpha > 1.0 {
-                    Duration::from_secs_f64(
-                        (min.as_secs_f64() * alpha / (alpha - 1.0)).min(cap.as_secs_f64()),
-                    )
-                } else {
-                    cap
-                }
             }
         }
     }
@@ -187,6 +169,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let d = Dist::Fixed(Duration::from_micros(10));
         assert_eq!(d.sample(&mut rng), Duration::from_micros(10));
-        assert_eq!(d.mean_estimate(), Duration::from_micros(10));
     }
 }

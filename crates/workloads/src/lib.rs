@@ -1,22 +1,14 @@
 //! # lc-workloads — the evaluation workloads
 //!
-//! This crate builds the three applications the paper evaluates (§4) in two
-//! forms:
+//! Real threads on the host machine, over the actual lock implementations
+//! from `lc-locks`/`lc-core`:
 //!
-//! * **Simulator scenarios** ([`scenarios`]): transaction mixes plus lock sets
-//!   for the single-lock microbenchmark, a synthetic Raytrace-like irregular
-//!   renderer, the TM-1 telecom workload and the TPC-C order-processing
-//!   workload, parameterised by the contention-management policy under test.
-//!   These drive every figure reproduction in `lc-bench`.
-//! * **Real-thread drivers** ([`drivers`]): a host-machine microbenchmark that
-//!   exercises the actual lock implementations from `lc-locks`/`lc-core`
-//!   (used by the examples and the integration tests).
-//!
-//! The simulator scenarios model the *lock footprint* of each application —
-//! how many latches a transaction touches, how long it holds them, how much
-//! computation happens between acquisitions, and where threads block for I/O
-//! or logical database locks — which is what determines the contention and
-//! scheduling behaviour the paper studies.
+//! * **Drivers** ([`drivers`]): the paper's single-lock microbenchmark (§4)
+//!   and its reader-writer, semaphore and async variants, used by the
+//!   examples and the integration tests.
+//! * **Structures** ([`structures`]): a dlock2-style suite of three data
+//!   structures behind one lock each, comparing flat combining with the
+//!   spin-lock families under load control.
 //!
 //! For the async waiting plane there is additionally a minimal,
 //! dependency-free [`executor`] (a fixed worker pool plus [`block_on`]) and
@@ -47,7 +39,6 @@
 
 pub mod drivers;
 pub mod executor;
-pub mod scenarios;
 pub mod structures;
 
 pub use drivers::{
@@ -55,7 +46,6 @@ pub use drivers::{
     RwMicrobenchResult,
 };
 pub use executor::{block_on, MiniPool, WorkerGuard};
-pub use scenarios::{AppScenario, ScenarioKind};
 pub use structures::{
     BucketMap, DlockBenchConfig, DlockRunResult, FifoQueue, ProportionalCounter, StructureKind,
     ALL_STRUCTURE_NAMES,

@@ -14,26 +14,24 @@
 //! * [`core`] — the paper's contribution: the sleep slot buffer, the load
 //!   controller, the sync and async waiter-side gates, and the
 //!   load-controlled sync surface.
-//! * [`sim`] — the deterministic multicore scheduler simulator used to
-//!   reproduce the paper's figures at 64-context scale.
 //! * [`des`] — the deterministic discrete-event simulator that runs the
 //!   *real* control plane (policies, splitters, slot buffer) against a
 //!   million-plus simulated waiters on a virtual clock, plus the
 //!   interleaving fuzzer and the seeded-randomness conventions
-//!   (`LC_TEST_SEED`).
-//! * [`workloads`] — the microbenchmark, Raytrace, TM-1 and TPC-C scenarios
-//!   plus real-thread drivers and the `MiniPool` async executor.
+//!   (`LC_TEST_SEED`).  The paper's load-control figures are tests on it
+//!   (`tests/paper_figures.rs`).
+//! * [`workloads`] — real-thread drivers, the dlock2-style structure suite
+//!   and the `MiniPool` async executor.
 //!
 //! See `README.md` for a tour and `ARCHITECTURE.md` for the layer map
 //! (accounting → controller/policy/splitter → slots/gates → locks → sync
-//! surface → sim/workloads/bench), the `S`/`W`/`T` invariants, and the
+//! surface → des/workloads), the `S`/`W`/`T` invariants, and the
 //! recipes for adding a new lock, policy, splitter, or waiter kind.
 
 pub use lc_accounting as accounting;
 pub use lc_core as core;
 pub use lc_des as des;
 pub use lc_locks as locks;
-pub use lc_sim as sim;
 pub use lc_workloads as workloads;
 
 /// The paper this workspace reproduces.
@@ -45,7 +43,7 @@ mod tests {
     #[test]
     fn facade_reexports_are_wired() {
         let _cfg = crate::core::LoadControlConfig::for_capacity(4);
-        let _sim_cfg = crate::sim::SimConfig::new(4);
+        let _des_cfg = crate::des::engine::DesConfig::new(4, 2);
         assert!(crate::PAPER.contains("ASPLOS"));
     }
 }

@@ -10,7 +10,6 @@
 use lc_core::slots::{ClaimOutcome, SleepSlotBuffer, SleeperId};
 use lc_core::LoadControlConfig;
 use lc_locks::Parker;
-use lc_sim::{Dist, SimConfig, Simulation, Step, TransactionMix, TransactionSpec};
 use load_control_suite::accounting::{ThreadState, Transition, TransitionTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -489,109 +488,6 @@ fn target_for_load_is_consistent() {
         if load <= capacity + headroom {
             assert_eq!(target, 0, "seed {seed}");
         }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Simulator distributions and transaction mixes.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn uniform_samples_stay_in_bounds() {
-    for_each_seed(128, |seed, rng| {
-        let lo = rng.random_range(0u64..10_000);
-        let hi = lo + rng.random_range(0u64..10_000);
-        for _ in 0..50 {
-            let v = Dist::Uniform(lo, hi).sample(rng);
-            assert!(v >= lo && v <= hi, "seed {seed}: {v} outside {lo}..={hi}");
-        }
-    });
-}
-
-#[test]
-fn exponential_samples_are_bounded_by_twenty_means() {
-    for_each_seed(128, |seed, rng| {
-        let mean = rng.random_range(1u64..1_000_000);
-        for _ in 0..50 {
-            let v = Dist::Exponential(mean).sample(rng);
-            assert!(v <= mean.saturating_mul(20), "seed {seed}: {v} > 20×{mean}");
-        }
-    });
-}
-
-#[test]
-fn mix_draw_always_returns_a_valid_index() {
-    for_each_seed(128, |seed, rng| {
-        let count = rng.random_range(1usize..8);
-        let mix = TransactionMix::new(
-            (0..count)
-                .map(|_| TransactionSpec::new("t", vec![]).with_weight(rng.random_range(1u32..100)))
-                .collect(),
-        );
-        for _ in 0..100 {
-            let i = mix.draw(rng);
-            assert!(i < mix.transactions.len(), "seed {seed}");
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Simulator conservation laws on small random scenarios.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simulation_accounting_conserves_time() {
-    for_each_seed(16, |seed, rng| {
-        let contexts = rng.random_range(1usize..6);
-        let threads = rng.random_range(1usize..10);
-        let compute_us = rng.random_range(1u64..200);
-        let hold_us = rng.random_range(1u64..50);
-
-        let duration_ms = 20u64;
-        let mut sim = Simulation::new(
-            SimConfig::new(contexts)
-                .with_duration_ms(duration_ms)
-                .with_seed(seed),
-        );
-        let lock = sim.add_lock(lc_sim::LockPolicy::spin());
-        let mix = TransactionMix::single(TransactionSpec::new(
-            "random",
-            vec![
-                Step::Critical {
-                    lock,
-                    hold: Dist::Const(hold_us * 1_000),
-                },
-                Step::Compute {
-                    ns: Dist::Const(compute_us * 1_000),
-                },
-            ],
-        ));
-        sim.spawn_n(threads, &mix);
-        let report = sim.run();
-
-        // Every thread's accounted time equals the simulated duration.
-        for t in &report.per_thread {
-            let total: u64 = t.micro_ns.iter().sum();
-            let dur = report.duration_ns;
-            assert!(
-                total <= dur + 1_000 && total + 1_000 >= dur,
-                "seed {seed}: thread {} accounted {} of {} ns",
-                t.thread,
-                total,
-                dur
-            );
-        }
-        // Transactions are conserved across the per-thread/per-group splits.
-        let sum_threads: u64 = report.per_thread.iter().map(|t| t.transactions).sum();
-        assert_eq!(sum_threads, report.transactions, "seed {seed}");
-        let sum_groups: u64 = report.transactions_by_group.iter().sum();
-        assert_eq!(sum_groups, report.transactions, "seed {seed}");
-        // Lock acquisitions can never exceed completed critical sections +
-        // threads in flight.
-        assert!(
-            report.per_lock[0].acquisitions >= report.transactions,
-            "seed {seed}"
-        );
     });
 }
 

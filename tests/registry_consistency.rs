@@ -4,8 +4,7 @@
 //! Four registries share one `name(key=value)` spec grammar and one
 //! generic `Registry<T>` (`lc_spec`): the lock registry in
 //! `lc_locks::registry`, the control-policy and target-splitter registries in
-//! `lc_core::policy`, and the load-sampler registry in `lc_accounting` —
-//! plus the simulator policy labels in `lc_sim::LockPolicy`.
+//! `lc_core::policy`, and the load-sampler registry in `lc_accounting`.
 //! Benchmarks, drivers and experiment configurations assume a spec accepted
 //! by one is meaningful to the others; these tests fail the build the moment
 //! any side drifts.
@@ -16,10 +15,8 @@ use load_control_suite::core::policy::{
 };
 use load_control_suite::core::spec::{LoadControlSpec, ParsedSpec, SpecError};
 use load_control_suite::core::{LoadControl, LoadControlConfig};
-use load_control_suite::des::discipline::{self, WaiterDiscipline};
 use load_control_suite::locks::registry::{self, LOCK_SPECS};
 use load_control_suite::locks::{ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
-use load_control_suite::sim::LockPolicy;
 use load_control_suite::workloads::drivers::{run_microbench_lc_spec, MicrobenchConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,53 +35,6 @@ fn every_lock_name_round_trips_through_the_registry() {
         assert!(!lock.is_locked(), "{name} does not report being free");
     }
     assert!(registry::build_spec("no-such-lock").is_err());
-}
-
-#[test]
-fn every_lock_name_is_a_valid_waiter_discipline() {
-    // Both simulators accept every real lock name (aliasing families onto
-    // the nearest waiter discipline), so experiment configs can drive all
-    // sides with one string.  The alias table lives in `lc_des::discipline`
-    // — the single source of truth both `lc-des` and `lc-sim` resolve
-    // through.
-    assert!(discipline::covers_lock_registry());
-    for &name in ALL_LOCK_NAMES {
-        let discipline = WaiterDiscipline::for_lock(name)
-            .unwrap_or_else(|| panic!("{name} in ALL_LOCK_NAMES but has no waiter discipline"));
-        // The canonical discipline labels keep round-tripping exactly.
-        let canonical = discipline.canonical_name();
-        assert_eq!(
-            WaiterDiscipline::for_lock(canonical),
-            Some(discipline),
-            "canonical discipline label {canonical} does not round-trip"
-        );
-        // And the legacy scheduler model agrees with the shared table.
-        assert_eq!(
-            LockPolicy::from(discipline).name(),
-            canonical,
-            "lc_sim model for {name} is mislabelled"
-        );
-    }
-    assert!(WaiterDiscipline::for_lock("no-such-policy").is_none());
-}
-
-#[test]
-fn sim_canonical_labels_stay_known() {
-    // Every label the legacy simulator itself produces is accepted back by
-    // the shared discipline table.
-    for policy in [
-        LockPolicy::spin_fifo(),
-        LockPolicy::spin(),
-        LockPolicy::blocking(),
-        LockPolicy::adaptive(),
-        LockPolicy::load_controlled(),
-        LockPolicy::load_backoff(),
-        LockPolicy::combining(),
-    ] {
-        let discipline = WaiterDiscipline::for_lock(policy.name())
-            .unwrap_or_else(|| panic!("sim label {} unknown to lc_des", policy.name()));
-        assert_eq!(LockPolicy::from(discipline), policy);
-    }
 }
 
 #[test]
@@ -240,22 +190,6 @@ fn parameterized_specs_round_trip_across_registries() {
     assert_eq!(built.spec().to_string(), "load-weighted(ewma=0.25)");
     let built = build_sampler_spec(&reg, "fixed(runnable=9)").unwrap();
     assert_eq!(built.spec().to_string(), "fixed(runnable=9)");
-}
-
-/// The legacy lc_sim name resolver keeps matching the shared discipline
-/// table (the bare-name builder shims elsewhere are gone; specs are the one
-/// construction path).
-#[test]
-#[allow(deprecated)]
-fn sim_name_resolver_stays_in_lockstep() {
-    for &name in ALL_LOCK_NAMES {
-        assert_eq!(
-            LockPolicy::from_name(name),
-            WaiterDiscipline::for_lock(name).map(LockPolicy::from),
-            "{name}"
-        );
-    }
-    assert!(LockPolicy::from_name("no-such-policy").is_none());
 }
 
 /// The showcase parameterized entry: `pid(kp=.., ki=..)` selected by spec
