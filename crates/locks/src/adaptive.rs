@@ -123,26 +123,24 @@ unsafe impl RawLock for AdaptiveLock {
 
     fn lock(&self) {
         if !self.locked.swap(true, Ordering::Acquire) {
-            self.stats.record_acquire(false, 0);
+            self.stats.record_acquire();
             return;
         }
-        let mut spins: u64 = 0;
         loop {
             // Spin phase.
             let mut budget = self.config.spin_budget;
             while self.locked.load(Ordering::Relaxed) && budget > 0 {
                 hint::spin_loop();
                 budget -= 1;
-                spins += 1;
             }
             if !self.locked.swap(true, Ordering::Acquire) {
-                self.stats.record_acquire(true, spins);
+                self.stats.record_acquire();
                 return;
             }
             // Block phase.
             self.park_self();
             if !self.locked.swap(true, Ordering::Acquire) {
-                self.stats.record_acquire(true, spins);
+                self.stats.record_acquire();
                 return;
             }
         }
@@ -172,7 +170,7 @@ unsafe impl RawTryLock for AdaptiveLock {
             return false;
         }
         if !self.locked.swap(true, Ordering::Acquire) {
-            self.stats.record_acquire(false, 0);
+            self.stats.record_acquire();
             true
         } else {
             false

@@ -88,7 +88,7 @@ unsafe impl RawLock for BlockingLock {
             if !q.held {
                 q.held = true;
                 self.held_hint.store(true, Ordering::Relaxed);
-                self.stats.record_acquire(false, 0);
+                self.stats.record_acquire();
                 return;
             }
             q.waiters.push_back(Arc::clone(&parker));
@@ -98,7 +98,7 @@ unsafe impl RawLock for BlockingLock {
         self.stats.record_park();
         parker.park();
         // We own the lock from here on, as `record_acquire` requires.
-        self.stats.record_acquire(true, 0);
+        self.stats.record_acquire();
     }
 
     unsafe fn unlock(&self) {
@@ -137,7 +137,7 @@ unsafe impl RawTryLock for BlockingLock {
         } else {
             q.held = true;
             self.held_hint.store(true, Ordering::Relaxed);
-            self.stats.record_acquire(false, 0);
+            self.stats.record_acquire();
             true
         }
     }

@@ -1,11 +1,10 @@
 //! Lightweight per-lock statistics.
 //!
-//! Every lock in the suite optionally records how often it was acquired, how
-//! often an acquisition found the lock busy, and how much waiting happened.
-//! The counters are relaxed atomics off the critical path; the evaluation
-//! harness reads them between measurement intervals (the same way the paper
-//! instruments its spinlocks to separate contention from priority inversion,
-//! §2 / Figure 3).
+//! Every lock in the suite optionally records how often it was acquired, and
+//! how often a waiter parked, aborted or was skipped.  The counters are
+//! relaxed atomics; the evaluation harness reads them between measurement
+//! intervals (the same way the paper instruments its spinlocks to separate
+//! contention from priority inversion, §2 / Figure 3).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -215,16 +214,14 @@ pub struct WaitObservation {
 /// Aggregate counters for one lock instance.
 ///
 /// Aligned to a cache line of its own (128 bytes, as
-/// [`crossbeam_utils::CachePadded`] uses): the lock holder writes these on
-/// every acquisition, and a lock's read-mostly fields — a slot-ring pointer,
-/// its configuration — must not share that line with them or every spinner
-/// re-fetches it once per hand-off.
+/// [`crossbeam_utils::CachePadded`] uses): a lock holder that counts its
+/// acquisitions writes this line on every one, and a lock's read-mostly
+/// fields — a slot-ring pointer, its configuration — must not share that
+/// line or every spinner re-fetches it once per hand-off.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct LockStats {
     acquisitions: AtomicU64,
-    contended: AtomicU64,
-    spin_iterations: AtomicU64,
     parks: AtomicU64,
     aborts: AtomicU64,
     skipped_waiters: AtomicU64,
@@ -235,10 +232,6 @@ pub struct LockStats {
 pub struct LockStatsSnapshot {
     /// Total successful acquisitions.
     pub acquisitions: u64,
-    /// Acquisitions that observed the lock held at least once.
-    pub contended: u64,
-    /// Total polling-loop iterations spent waiting.
-    pub spin_iterations: u64,
     /// Times a waiter blocked (parked) while waiting.
     pub parks: u64,
     /// Acquisition attempts aborted at a spin policy's request.
@@ -253,36 +246,26 @@ impl LockStats {
         Self::default()
     }
 
-    /// Records one successful acquisition; `contended` says whether the lock
-    /// was observed busy, and `spins` how many polling iterations were spent.
+    /// Records one successful acquisition.
     ///
     /// **Single writer.**  Call this only from the thread that has just
     /// acquired the lock these statistics belong to, before it releases it.
-    /// The three counters are then only ever written inside the critical
-    /// section, and the lock's own release → acquire ordering carries each
-    /// holder's stores to the next holder's loads, so a plain load + store is
-    /// exact — no `lock`-prefixed instruction inside the critical section.
-    /// Called from anywhere else, increments can be lost.  A [`reset`]
-    /// concurrent with an acquisition can be lost the same way (the holder
-    /// stores `old + 1` over the zero); reset between measurement intervals,
-    /// not during them.
+    /// The counter is then only ever written inside the critical section,
+    /// and the lock's own release → acquire ordering carries each holder's
+    /// store to the next holder's load, so a plain load + store is exact —
+    /// no `lock`-prefixed instruction inside the critical section.  Called
+    /// from anywhere else, increments can be lost.  A [`reset`] concurrent
+    /// with an acquisition can be lost the same way (the holder stores
+    /// `old + 1` over the zero); reset between measurement intervals, not
+    /// during them.
     ///
     /// [`reset`]: LockStats::reset
     #[inline]
-    pub fn record_acquire(&self, contended: bool, spins: u64) {
-        let add = |counter: &AtomicU64, n: u64| {
-            counter.store(
-                counter.load(Ordering::Relaxed).wrapping_add(n),
-                Ordering::Relaxed,
-            );
-        };
-        add(&self.acquisitions, 1);
-        if contended {
-            add(&self.contended, 1);
-        }
-        if spins > 0 {
-            add(&self.spin_iterations, spins);
-        }
+    pub fn record_acquire(&self) {
+        self.acquisitions.store(
+            self.acquisitions.load(Ordering::Relaxed).wrapping_add(1),
+            Ordering::Relaxed,
+        );
     }
 
     /// Records that a waiter parked (blocked) once.
@@ -310,8 +293,6 @@ impl LockStats {
     pub fn snapshot(&self) -> LockStatsSnapshot {
         LockStatsSnapshot {
             acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-            spin_iterations: self.spin_iterations.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
             skipped_waiters: self.skipped_waiters.load(Ordering::Relaxed),
@@ -321,22 +302,9 @@ impl LockStats {
     /// Resets every counter to zero.
     pub fn reset(&self) {
         self.acquisitions.store(0, Ordering::Relaxed);
-        self.contended.store(0, Ordering::Relaxed);
-        self.spin_iterations.store(0, Ordering::Relaxed);
         self.parks.store(0, Ordering::Relaxed);
         self.aborts.store(0, Ordering::Relaxed);
         self.skipped_waiters.store(0, Ordering::Relaxed);
-    }
-}
-
-impl LockStatsSnapshot {
-    /// Fraction of acquisitions that encountered contention, in `[0, 1]`.
-    pub fn contention_ratio(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.contended as f64 / self.acquisitions as f64
-        }
     }
 }
 
@@ -434,20 +402,17 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let s = LockStats::new();
-        s.record_acquire(false, 0);
-        s.record_acquire(true, 17);
+        s.record_acquire();
+        s.record_acquire();
         s.record_park();
         s.record_abort();
         s.record_skipped(3);
         s.record_skipped(0);
         let snap = s.snapshot();
         assert_eq!(snap.acquisitions, 2);
-        assert_eq!(snap.contended, 1);
-        assert_eq!(snap.spin_iterations, 17);
         assert_eq!(snap.parks, 1);
         assert_eq!(snap.aborts, 1);
         assert_eq!(snap.skipped_waiters, 3);
-        assert!((snap.contention_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -473,10 +438,10 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let s = LockStats::new();
-        s.record_acquire(true, 5);
+        s.record_acquire();
+        s.record_abort();
         s.reset();
         assert_eq!(s.snapshot(), LockStatsSnapshot::default());
-        assert_eq!(s.snapshot().contention_ratio(), 0.0);
     }
 
     #[test]

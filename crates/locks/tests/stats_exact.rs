@@ -1,29 +1,36 @@
-//! `LockStats::record_acquire` is a plain load + store, exact only because
-//! every caller invokes it from the thread that has just acquired the lock.
-//! These tests hold the three callers — tp-queue, blocking, adaptive — to
-//! that: after `THREADS × ITERS` acquisitions through every acquisition path
-//! that records, the counters must say exactly that, every repetition.
+//! `stats().acquisitions` must be exact once the lock is quiescent.  Blocking
+//! and adaptive count with `LockStats::record_acquire`, a plain load + store
+//! that is exact only because each calls it from the thread that has just
+//! acquired the lock; tp-queue derives the count as `next_ticket − aborts`,
+//! exact only if every ticket ends in one acquisition or one recorded abort.
+//! After `THREADS × ITERS` acquisitions through every acquisition path — and,
+//! for tp-queue, through aborts and skips — the count must say exactly that,
+//! every repetition.
 
 use lc_locks::{
     AbortableLock, AdaptiveLock, BlockingLock, BoundedAbort, LockStatsSnapshot, RawLock,
-    RawTryLock, SpinDecision, SpinPolicy, TimePublishedLock,
+    RawTryLock, SpinDecision, SpinPolicy, TimePublishedLock, TpConfig,
 };
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 const THREADS: usize = 4;
 const ITERS: u64 = 2_000;
 const REPETITIONS: usize = 25;
 const HOLD_SPINS: u32 = 100;
 
-/// Runs `THREADS` workers that each acquire `lock` `ITERS` times through
-/// `acquire(lock, worker_index)` and release it, then checks the snapshot.
+/// Runs `THREADS` workers that each acquire a fresh `make()` lock `ITERS`
+/// times through `acquire(lock, worker_index)` and release it, then checks
+/// the snapshot.  Returns the snapshots summed over the repetitions.
 fn assert_exact<L: RawLock + Send + Sync + 'static>(
+    make: fn() -> L,
     acquire: fn(&L, usize),
     stats: fn(&L) -> LockStatsSnapshot,
-) {
+) -> LockStatsSnapshot {
+    let mut total = LockStatsSnapshot::default();
     for repetition in 0..REPETITIONS {
-        let lock = Arc::new(L::new());
+        let lock = Arc::new(make());
         let barrier = Arc::new(Barrier::new(THREADS));
         let workers: Vec<_> = (0..THREADS)
             .map(|worker| {
@@ -53,8 +60,12 @@ fn assert_exact<L: RawLock + Send + Sync + 'static>(
             "{} lost or invented acquisitions in repetition {repetition}: {snapshot:?}",
             lock.name()
         );
-        assert!(snapshot.contended <= snapshot.acquisitions, "{snapshot:?}");
+        total.acquisitions += snapshot.acquisitions;
+        total.parks += snapshot.parks;
+        total.aborts += snapshot.aborts;
+        total.skipped_waiters += snapshot.skipped_waiters;
     }
+    total
 }
 
 /// Odd workers poll `try_lock` (which records an uncontended acquisition),
@@ -93,25 +104,49 @@ impl SpinPolicy for YieldingAborts {
     }
 }
 
+/// Odd workers abort and retry, so acquisitions through the post-abort fast
+/// path are counted too; even workers never abort.
+fn tp_queue_lock_with_aborts(lock: &TimePublishedLock, worker: usize) {
+    let max_aborts = if worker % 2 == 1 { 6 } else { 0 };
+    lock.lock_with(&mut YieldingAborts(BoundedAbort::new(48, max_aborts)));
+}
+
 #[test]
 fn tp_queue_counts_every_acquisition_exactly() {
-    assert_exact::<TimePublishedLock>(
-        // Odd workers abort and retry, so acquisitions through the
-        // post-abort fast path are counted too; even workers never abort.
-        |lock, worker| {
-            let max_aborts = if worker % 2 == 1 { 6 } else { 0 };
-            lock.lock_with(&mut YieldingAborts(BoundedAbort::new(48, max_aborts)));
-        },
+    let total = assert_exact::<TimePublishedLock>(
+        TimePublishedLock::new,
+        tp_queue_lock_with_aborts,
         TimePublishedLock::stats,
+    );
+    assert!(total.aborts > 0, "no abort was exercised: {total:?}");
+}
+
+#[test]
+fn tp_queue_counts_every_acquisition_exactly_across_skips() {
+    // Zero patience: every queued waiter looks preempted, so releasers skip
+    // and skipped waiters re-enqueue on fresh tickets.
+    let total = assert_exact::<TimePublishedLock>(
+        || {
+            TimePublishedLock::with_config(TpConfig {
+                patience: Duration::ZERO,
+                ..TpConfig::default()
+            })
+        },
+        tp_queue_lock_with_aborts,
+        TimePublishedLock::stats,
+    );
+    assert!(
+        total.skipped_waiters > 0,
+        "no skip was exercised: {total:?}"
     );
 }
 
 #[test]
 fn blocking_counts_every_acquisition_exactly() {
-    assert_exact::<BlockingLock>(lock_or_try, BlockingLock::stats);
+    assert_exact::<BlockingLock>(BlockingLock::new, lock_or_try, BlockingLock::stats);
 }
 
 #[test]
 fn adaptive_counts_every_acquisition_exactly() {
-    assert_exact::<AdaptiveLock>(lock_or_try, AdaptiveLock::stats);
+    assert_exact::<AdaptiveLock>(AdaptiveLock::new, lock_or_try, AdaptiveLock::stats);
 }
