@@ -146,19 +146,9 @@ pub trait CombinerObserver {
     }
 }
 
-/// Per-thread tallies of combining work, for fairness accounting in drivers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CombineTally {
-    /// Combining passes this thread performed (times it became combiner).
-    pub passes: u64,
-    /// Delegated jobs this thread executed on behalf of other threads.
-    pub jobs: u64,
-}
-
 thread_local! {
     static OBSERVER: RefCell<Option<Box<dyn CombinerObserver>>> = const { RefCell::new(None) };
     static COMBINING_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static TALLY: Cell<CombineTally> = const { Cell::new(CombineTally { passes: 0, jobs: 0 }) };
     static SLOT_HINT: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -188,17 +178,6 @@ pub fn thread_may_self_elect() -> bool {
     })
 }
 
-/// The current thread's combining tallies since the last
-/// [`take_thread_combine_tally`].
-pub fn thread_combine_tally() -> CombineTally {
-    TALLY.with(|tally| tally.get())
-}
-
-/// Returns and resets the current thread's combining tallies.
-pub fn take_thread_combine_tally() -> CombineTally {
-    TALLY.with(|tally| tally.replace(CombineTally::default()))
-}
-
 fn notify_combining(active: bool) {
     OBSERVER.with(|cell| {
         if let Some(observer) = cell.borrow().as_ref() {
@@ -207,17 +186,9 @@ fn notify_combining(active: bool) {
     });
 }
 
-fn tally_job() {
-    TALLY.with(|tally| {
-        let mut t = tally.get();
-        t.jobs += 1;
-        tally.set(t);
-    });
-}
-
 /// RAII marker for "this thread is the combiner": maintains the per-thread
-/// depth, fires [`CombinerObserver::combining_changed`] on the outermost
-/// enter/exit, and counts a combining pass.
+/// depth and fires [`CombinerObserver::combining_changed`] on the outermost
+/// enter/exit.
 struct CombineGuard;
 
 impl CombineGuard {
@@ -228,11 +199,6 @@ impl CombineGuard {
             if d == 0 {
                 notify_combining(true);
             }
-        });
-        TALLY.with(|tally| {
-            let mut t = tally.get();
-            t.passes += 1;
-            tally.set(t);
         });
         CombineGuard
     }
@@ -448,7 +414,6 @@ impl FlatCombiningLock {
                     unsafe { (job.run)(job.data) };
                     slot.state.store(DONE, Ordering::Release);
                     jobs_run += 1;
-                    tally_job();
                     progress = true;
                 }
             }
@@ -1030,16 +995,6 @@ mod tests {
         assert!(!is_combining());
         clear_combiner_observer();
         assert!(thread_may_self_elect());
-    }
-
-    #[test]
-    fn tally_counts_combining_work() {
-        let _ = take_thread_combine_tally();
-        let lock = <FlatCombiningLock as RawLock>::new();
-        lock.run_locked(|| {});
-        let tally = take_thread_combine_tally();
-        assert!(tally.passes >= 1, "direct run did not count a pass");
-        assert_eq!(thread_combine_tally(), CombineTally::default());
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!
 //! All primitives implement [`RawLock`], so they are interchangeable inside
 //! the RAII [`Mutex`] wrapper and everywhere else in the suite (the
-//! load-controlled lock in `lc-core`, workload drivers in `lc-workloads`,
-//! the wall-clock benchmark in `perf/`).  Every spinning primitive
+//! load-controlled lock in `lc-core`, the root integration tests, the
+//! wall-clock benchmark in `perf/`).  Every spinning primitive
 //! additionally implements [`AbortableLock`], the policy-parameterized
 //! acquire path that load control plugs into, and the [`registry`]
 //! constructs any family from its stable name at runtime.
@@ -106,8 +106,7 @@ pub mod ttas;
 pub use adaptive::{AdaptiveConfig, AdaptiveLock};
 pub use blocking::BlockingLock;
 pub use delegation::{
-    take_thread_combine_tally, thread_combine_tally, CombineTally, CombinerObserver,
-    DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock,
+    CombinerObserver, DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock,
 };
 pub use mcs::McsLock;
 pub use mutex::{aliases, Mutex, MutexGuard};
@@ -121,10 +120,7 @@ pub use rwlock::RawRwLock;
 pub use semaphore::RawSemaphore;
 pub use spin_then_yield::SpinThenYieldLock;
 pub use spin_wait::{Backoff, SpinWait};
-pub use stats::{
-    jains_index, LockStats, LockStatsSnapshot, ThreadUsageRow, ThreadUsageTable, WaitHistogram,
-    WaitObservation, WaitSnapshot,
-};
+pub use stats::{LockStats, LockStatsSnapshot, WaitHistogram, WaitObservation, WaitSnapshot};
 pub use tas::TasLock;
 pub use ticket::TicketLock;
 pub use time_published::{TimePublishedLock, TpConfig};

@@ -308,93 +308,6 @@ impl LockStats {
     }
 }
 
-/// Per-thread lock-usage accounting for a fixed thread population.
-///
-/// The dlock-style structure benchmarks slot one row per worker thread:
-/// `acquisitions` counts that thread's completed critical sections, and
-/// `combines` counts the requests it executed while acting as a combiner
-/// (always zero for non-delegation locks).  Rows are
-/// relaxed atomics, so threads record concurrently without sharing a line
-/// with the protected data.
-#[derive(Debug)]
-pub struct ThreadUsageTable {
-    acquisitions: Vec<AtomicU64>,
-    combines: Vec<AtomicU64>,
-}
-
-/// A point-in-time copy of one [`ThreadUsageTable`] row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThreadUsageRow {
-    /// Critical sections this thread completed (its own requests).
-    pub acquisitions: u64,
-    /// Requests this thread executed while combining.
-    pub combines: u64,
-}
-
-impl ThreadUsageTable {
-    /// A zeroed table with one row per thread.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            acquisitions: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            combines: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of rows (threads).
-    pub fn threads(&self) -> usize {
-        self.acquisitions.len()
-    }
-
-    /// Adds `n` completed critical sections to `thread`'s row.
-    #[inline]
-    pub fn record_acquisitions(&self, thread: usize, n: u64) {
-        self.acquisitions[thread].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` requests executed while combining to `thread`'s row.
-    #[inline]
-    pub fn record_combines(&self, thread: usize, n: u64) {
-        self.combines[thread].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshot of every row, in thread order.
-    pub fn snapshot(&self) -> Vec<ThreadUsageRow> {
-        self.acquisitions
-            .iter()
-            .zip(&self.combines)
-            .map(|(a, c)| ThreadUsageRow {
-                acquisitions: a.load(Ordering::Relaxed),
-                combines: c.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Jain's fairness index over per-thread acquisitions, in `(0, 1]`
-    /// (1 = perfectly even; `1/n` = one thread did everything).  An empty or
-    /// all-zero table reports 1.0.
-    pub fn fairness(&self) -> f64 {
-        let counts: Vec<u64> = self
-            .acquisitions
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        jains_index(&counts)
-    }
-}
-
-/// Jain's fairness index of a count vector: `(Σx)² / (n · Σx²)`, 1.0 for an
-/// empty or all-zero population.
-pub fn jains_index(counts: &[u64]) -> f64 {
-    let n = counts.len() as f64;
-    let sum: f64 = counts.iter().map(|&c| c as f64).sum();
-    let sum_sq: f64 = counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
-    if sum_sq == 0.0 {
-        1.0
-    } else {
-        (sum * sum) / (n * sum_sq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,26 +326,6 @@ mod tests {
         assert_eq!(snap.parks, 1);
         assert_eq!(snap.aborts, 1);
         assert_eq!(snap.skipped_waiters, 3);
-    }
-
-    #[test]
-    fn thread_usage_rows_and_fairness() {
-        let t = ThreadUsageTable::new(4);
-        assert_eq!(t.threads(), 4);
-        assert_eq!(t.fairness(), 1.0, "all-zero table is vacuously fair");
-        for thread in 0..4 {
-            t.record_acquisitions(thread, 10);
-        }
-        t.record_combines(0, 7);
-        assert!((t.fairness() - 1.0).abs() < 1e-12, "even counts are fair");
-        let rows = t.snapshot();
-        assert_eq!(rows[0].combines, 7);
-        assert!(rows[1..].iter().all(|r| r.combines == 0));
-        // One thread does everything: the index collapses to 1/n.
-        let skew = ThreadUsageTable::new(4);
-        skew.record_acquisitions(2, 1000);
-        assert!((skew.fairness() - 0.25).abs() < 1e-12);
-        assert!((jains_index(&[1, 1, 1, 1]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,12 +32,55 @@
 
 use lc_core::policy::ALL_POLICY_NAMES;
 use lc_core::spec::LoadControlSpec;
-use lc_core::{LoadControl, LoadControlConfig};
-use lc_workloads::drivers::{
-    run_microbench_lc, run_microbench_named, run_rw_microbench_lc, MicrobenchConfig,
-    RwMicrobenchConfig,
-};
-use std::time::Duration;
+use lc_core::{LcMutex, LcRwLock, LoadControl, LoadControlConfig};
+use lc_locks::registry::DynMutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Busy-work iterations inside one request's critical section.
+const CRITICAL_ITERS: u32 = 60;
+/// Busy-work iterations between two requests.
+const DELAY_ITERS: u32 = 400;
+
+fn busy_work(iters: u32) {
+    for _ in 0..iters {
+        std::hint::spin_loop();
+    }
+}
+
+/// The request loop: `threads` workers (registered with `control` when one is
+/// given) each repeat `request(i)` followed by the think time until
+/// `duration` has passed.  Returns completed requests per second.
+fn serve(
+    threads: usize,
+    duration: Duration,
+    control: Option<&Arc<LoadControl>>,
+    request: impl Fn(u64) + Sync,
+) -> f64 {
+    let stop = AtomicBool::new(false);
+    let served = AtomicU64::new(0);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for worker in 0..threads as u64 {
+            let (stop, served, request) = (&stop, &served, &request);
+            scope.spawn(move || {
+                let _registration = control.map(|control| control.register_worker());
+                // Offset per worker, so rwlock writers desynchronize.
+                let mut i = worker;
+                while !stop.load(Ordering::Relaxed) {
+                    request(i);
+                    busy_work(DELAY_ITERS);
+                    i += 1;
+                }
+                served.fetch_add(i - worker, Ordering::Relaxed);
+            });
+        }
+        std::thread::sleep(duration);
+        stop.store(true, Ordering::Relaxed);
+    });
+    served.into_inner() as f64 / start.elapsed().as_secs_f64()
+}
 
 /// Layering, lowest to highest precedence regardless of argument order:
 /// defaults → `--spec-file` → positional policy spec → `LC_*` env vars.
@@ -111,12 +154,7 @@ fn main() {
     };
     // Oversubscribe the host by 2x, exactly the paper's "200 % load" point.
     let threads = host_cores * 2;
-    let config = MicrobenchConfig {
-        threads,
-        critical_iters: 60,
-        delay_iters: 400,
-        duration: Duration::from_millis(400),
-    };
+    let duration = Duration::from_millis(400);
 
     println!("host contexts: {host_cores}, worker threads: {threads} (200% load)");
     println!("control plane: {spec}");
@@ -135,27 +173,44 @@ fn main() {
     ]
     .into_iter()
     .map(|lock_spec| {
-        let result = run_microbench_named(lock_spec, config).expect("registered lock spec");
-        (lock_spec, result.throughput())
+        let mutex = DynMutex::build(lock_spec, 0u64).expect("registered lock spec");
+        let per_s = serve(threads, duration, None, |_| {
+            *mutex.lock() += 1;
+            busy_work(CRITICAL_ITERS);
+        });
+        (lock_spec, per_s)
     })
     .collect();
 
     let control = lc_builder.start_daemon().build();
-    results.push((
-        "load-control",
-        run_microbench_lc(config, &control).throughput(),
-    ));
+    let mutex = LcMutex::<u64>::new_with(0, &control);
+    let per_s = serve(threads, duration, Some(&control), |_| {
+        *mutex.lock() += 1;
+        busy_work(CRITICAL_ITERS);
+    });
+    results.push(("load-control", per_s));
 
     let best = results.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
     for (name, tput) in &results {
         println!("{:<34} {:>16.0} {:>11.0}%", name, tput, tput / best * 100.0);
     }
 
-    // The same controller also manages the rest of the sync surface: run the
-    // reader-heavy rwlock scenario against it.
-    let mut rw_cfg = RwMicrobenchConfig::reader_heavy(threads);
-    rw_cfg.duration = Duration::from_millis(200);
-    let rw = run_rw_microbench_lc(rw_cfg, &control);
+    // The same controller also manages the rest of the sync surface: a
+    // reader-heavy table (5 % writes) behind an rwlock, whose readers check
+    // that no write is ever seen half done.
+    let table = LcRwLock::new_with((0u64, 0u64), &control);
+    let rw_per_s = serve(threads, Duration::from_millis(200), Some(&control), |i| {
+        if i % 100 < 5 {
+            let mut g = table.write();
+            g.0 += 1;
+            g.1 += 1;
+            busy_work(CRITICAL_ITERS);
+        } else {
+            let g = table.read();
+            assert_eq!(g.0, g.1, "readers observed a torn write");
+            busy_work(CRITICAL_ITERS);
+        }
+    });
 
     let lc_stats = control.buffer().stats();
     // The live configuration reports back as a canonical spec string — the
@@ -165,10 +220,9 @@ fn main() {
 
     println!();
     println!(
-        "lc-rwlock (reader-heavy): {:.0} ops/sec ({} reads, {} writes)",
-        rw.throughput(),
-        rw.reads,
-        rw.writes
+        "lc-rwlock (reader-heavy): {:.0} ops/sec ({} writes)",
+        rw_per_s,
+        table.read().0
     );
     println!(
         "load control put threads to sleep {} times and woke {} of them early",

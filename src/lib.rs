@@ -20,19 +20,20 @@
 //!   interleaving fuzzer and the seeded-randomness conventions
 //!   (`LC_TEST_SEED`).  The paper's load-control figures are tests on it
 //!   (`tests/paper_figures.rs`).
-//! * [`workloads`] — real-thread drivers, the dlock2-style structure suite
-//!   and the `MiniPool` async executor.
+//!
+//! Real-thread workloads live outside the library: the root tests drive the
+//! `Lc*` types through `tests/support`, and every wall-clock number comes
+//! from the `perf/` package.
 //!
 //! See `README.md` for a tour and `ARCHITECTURE.md` for the layer map
 //! (accounting → controller/policy/splitter → slots/gates → locks → sync
-//! surface → des/workloads), the `S`/`W`/`T` invariants, and the
+//! surface → des), the `S`/`W`/`T` invariants, and the
 //! recipes for adding a new lock, policy, splitter, or waiter kind.
 
 pub use lc_accounting as accounting;
 pub use lc_core as core;
 pub use lc_des as des;
 pub use lc_locks as locks;
-pub use lc_workloads as workloads;
 
 /// The paper this workspace reproduces.
 pub const PAPER: &str =

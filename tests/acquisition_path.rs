@@ -16,13 +16,14 @@ use load_control_suite::core::{
 };
 use load_control_suite::locks::delegation::{self, CombinerObserver};
 use load_control_suite::locks::{
-    AbortableLock, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision, SpinPolicy,
+    AbortableLock, DynMutex, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision,
+    SpinPolicy, ABORTABLE_LOCK_NAMES,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn manual_control() -> Arc<LoadControl> {
     LoadControl::with_policy(
@@ -685,4 +686,44 @@ fn a_stale_permit_is_drained_before_a_step_aside() {
     let seen = parks.seen();
     assert_eq!(seen.len(), 1);
     assert!(!seen[0].permit && seen[0].unparks == 1, "{seen:?}");
+}
+
+/// Every abortable backend, past capacity with the only slot taken and the
+/// lock held for about 5 ms once two waiters wait: far past the 1024 polls
+/// after which a waiter steps aside, so each leaves its wait (flat combining
+/// withdraws its published request) and re-enters it.  No update is lost and
+/// no step-aside takes a claim.
+#[test]
+fn every_abortable_backend_steps_aside_without_losing_an_update() {
+    const PER_WORKER: u64 = 50;
+    let control = manual_control();
+    let (idx, other) = fill_the_only_slot(&control);
+    for &name in ABORTABLE_LOCK_NAMES {
+        let mutex = DynMutex::build(name, 0u64).expect("registered lock");
+        std::thread::scope(|scope| {
+            let mut guard = mutex.lock();
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..PER_WORKER {
+                        *mutex.lock_with(&mut LoadControlPolicy::new(&control)) += 1;
+                    }
+                });
+            }
+            // A waiter publishes `Spinning` at its first due slot check.
+            let spinning = Instant::now();
+            while control.registry().count_in_state(ThreadState::Spinning) < 2 {
+                assert!(
+                    spinning.elapsed() < Duration::from_secs(10),
+                    "{name}: the workers never waited"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            *guard += 1;
+        });
+        assert_eq!(*mutex.lock(), 2 * PER_WORKER + 1, "{name}");
+        assert_eq!(control.sleepers(), 1, "{name}: only the other claim");
+    }
+    control.buffer().leave(idx, other);
+    assert_eq!(control.sleepers(), 0);
 }

@@ -2,19 +2,18 @@
 //! sleeps under oversubscription, cancel-safety of pending `acquire_async`
 //! futures, and sync + async waiters sharing one `LoadControl`.
 
+mod support;
+
 use load_control_suite::core::{
     AsyncSpinHook, LcMutex, LcSemaphore, LoadControl, LoadControlConfig,
 };
-use load_control_suite::workloads::drivers::{
-    load_registered_guard, oversubscribed_control, run_async_semaphore_microbench,
-    AsyncMicrobenchConfig,
-};
-use load_control_suite::workloads::executor::MiniPool;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use support::pool::MiniPool;
+use support::{aggressive_control, check_books, run_threads, spin};
 
 /// The headline acceptance check: a fixed worker pool oversubscribed with
 /// poll-spinning tasks shows controller-induced task sleeps (slot `S` > 0)
@@ -22,58 +21,48 @@ use std::time::{Duration, Instant};
 /// same `SleepSlotBuffer` the sync plane uses.
 #[test]
 fn async_oversubscription_sleeps_tasks_only_under_a_controller() {
-    let config = AsyncMicrobenchConfig {
-        workers: 4,
-        tasks: 16,
-        permits: 2,
-        critical_iters: 20,
-        delay_iters: 100,
-        duration: Duration::from_millis(250),
+    const TASKS: u64 = 16;
+    const PER_TASK: u64 = 50;
+    // 16 tasks on 4 registered pool workers contend for 2 permits; returns
+    // the acquisitions, which must all complete.
+    let run = |control: &Arc<LoadControl>| {
+        let pool = MiniPool::new(4, control);
+        let semaphore = Arc::new(LcSemaphore::new_with(2, control));
+        let total = Arc::new(AtomicU64::new(0));
+        for _ in 0..TASKS {
+            let (semaphore, total) = (Arc::clone(&semaphore), Arc::clone(&total));
+            pool.spawn(async move {
+                for _ in 0..PER_TASK {
+                    {
+                        let _permit = semaphore.acquire_async().await;
+                        spin(20);
+                    }
+                    spin(100);
+                    total.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        pool.wait_idle();
+        let total = total.load(Ordering::Relaxed);
+        assert_eq!(total, TASKS * PER_TASK);
+        assert_eq!(control.async_parked_tasks(), 0);
+        total
     };
 
     // Daemon running on a pretend 1-context machine: 4 registered pool
     // workers mean sustained overload, so the controller must put starved
-    // tasks to sleep.  (`LC_SHARDS` re-runs this over a sharded buffer in
-    // CI, like the sync acceptance tests.)  When it first does is
-    // scheduling, so the run repeats — books checked after each — until the
-    // summed counters meet the bar; passing 5 s only reports, 60 s fails.
-    let control = LoadControl::start(
-        LoadControlConfig::for_capacity(1)
-            .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    );
-    let start = Instant::now();
-    let (mut runs, mut acquisitions, mut reported) = (0, 0, false);
-    loop {
-        acquisitions += run_async_semaphore_microbench(config, &control).acquisitions;
-        runs += 1;
-        let stats = control.buffer().stats();
-        assert_eq!(
-            stats.ever_slept, stats.woken_and_left,
-            "unbalanced books after async run {runs}: {stats}"
-        );
-        assert_eq!(control.async_parked_tasks(), 0, "run {runs}");
-        if acquisitions > 100 && stats.ever_slept > 0 {
-            break;
-        }
-        let waited = start.elapsed();
-        assert!(
-            waited < Duration::from_secs(60),
-            "controller never put an async task to sleep in {runs} runs \
-             ({acquisitions} acquisitions): {stats}"
-        );
-        if waited > Duration::from_secs(5) && !reported {
-            eprintln!("still waiting after {runs} runs ({acquisitions} acquisitions): {stats}");
-            reported = true;
-        }
-    }
+    // tasks to sleep.  When it first does is scheduling, so the run repeats
+    // until it has.
+    let control = aggressive_control(1);
+    support::run_until(Some(&control), || {
+        run(&control);
+        control.buffer().stats().ever_slept > 0
+    });
     control.stop_controller();
 
     // Same workload without any controller: nobody may sleep.
     let control = LoadControl::new(LoadControlConfig::for_capacity(1).with_shards_from_env());
-    let result = run_async_semaphore_microbench(config, &control);
-    assert!(result.acquisitions > 100);
+    run(&control);
     assert_eq!(
         control.buffer().stats().ever_slept,
         0,
@@ -118,8 +107,7 @@ fn dropping_a_pending_acquire_async_future_releases_its_claim() {
     }
     assert_eq!(control.sleepers(), 0, "dropped future stranded S − W");
     assert_eq!(control.async_parked_tasks(), 0);
-    let stats = control.buffer().stats();
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
+    check_books(&control);
     drop(held);
 }
 
@@ -128,11 +116,10 @@ fn dropping_a_pending_acquire_async_future_releases_its_claim() {
 /// controller wakes and timeouts.
 #[test]
 fn cancelled_and_completed_async_waits_interleave_without_leaking_claims() {
-    let control = oversubscribed_control(1, 1);
+    let control = aggressive_control(1);
     let semaphore = Arc::new(LcSemaphore::new_with(1, &control));
     let stop = Arc::new(AtomicBool::new(false));
-    let pool_control = Arc::clone(&control);
-    let pool = MiniPool::with_thread_hook(3, move |_| load_registered_guard(&pool_control));
+    let pool = MiniPool::new(3, &control);
     let completed = Arc::new(AtomicU64::new(0));
     for _ in 0..9 {
         let semaphore = Arc::clone(&semaphore);
@@ -175,11 +162,7 @@ fn cancelled_and_completed_async_waits_interleave_without_leaking_claims() {
     drop(pool);
     control.stop_controller();
     assert!(completed.load(Ordering::Relaxed) > 0);
-    let stats = control.buffer().stats();
-    assert_eq!(
-        stats.ever_slept, stats.woken_and_left,
-        "interleaved cancels leaked a claim: {stats}"
-    );
+    check_books(&control);
     assert_eq!(control.sleepers(), 0);
     assert_eq!(control.async_parked_tasks(), 0);
 }
@@ -189,31 +172,10 @@ fn cancelled_and_completed_async_waits_interleave_without_leaking_claims() {
 /// and the shared `S`/`W` books balance.
 #[test]
 fn mixed_sync_and_async_waiters_share_one_load_control() {
-    let control = LoadControl::start(
-        LoadControlConfig::for_capacity(2)
-            .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    );
-
-    // Sync plane: threads hammering a load-controlled mutex.
-    let counter = Arc::new(LcMutex::<u64>::new_with(0, &control));
-    let sync_threads: Vec<_> = (0..6)
-        .map(|_| {
-            let counter = Arc::clone(&counter);
-            let control = Arc::clone(&control);
-            thread::spawn(move || {
-                let _worker = control.register_worker();
-                for _ in 0..2_000 {
-                    *counter.lock() += 1;
-                }
-            })
-        })
-        .collect();
+    let control = aggressive_control(2);
 
     // Async plane: tasks on a fixed pool acquiring a shared semaphore.
-    let pool_control = Arc::clone(&control);
-    let pool = MiniPool::with_thread_hook(4, move |_| load_registered_guard(&pool_control));
+    let pool = MiniPool::new(4, &control);
     let semaphore = Arc::new(LcSemaphore::new_with(2, &control));
     let async_total = Arc::new(AtomicU64::new(0));
     for _ in 0..12 {
@@ -227,20 +189,20 @@ fn mixed_sync_and_async_waiters_share_one_load_control() {
         });
     }
 
-    for handle in sync_threads {
-        handle.join().unwrap();
-    }
+    // Sync plane: threads hammering a load-controlled mutex meanwhile.
+    let counter = LcMutex::<u64>::new_with(0, &control);
+    run_threads(6, Some(&control), |_| {
+        for _ in 0..2_000 {
+            *counter.lock() += 1;
+        }
+    });
     pool.wait_idle();
     drop(pool);
     control.stop_controller();
 
     assert_eq!(*counter.lock(), 12_000);
     assert_eq!(async_total.load(Ordering::Relaxed), 12 * 300);
-    let stats = control.buffer().stats();
-    assert_eq!(
-        stats.ever_slept, stats.woken_and_left,
-        "mixed-plane books unbalanced: {stats}"
-    );
+    check_books(&control);
     assert_eq!(control.sleepers(), 0);
     assert_eq!(control.async_parked_tasks(), 0);
 }
@@ -249,9 +211,8 @@ fn mixed_sync_and_async_waiters_share_one_load_control() {
 /// pool under an active controller.
 #[test]
 fn lock_async_is_correct_under_an_active_controller() {
-    let control = oversubscribed_control(1, 1);
-    let pool_control = Arc::clone(&control);
-    let pool = MiniPool::with_thread_hook(4, move |_| load_registered_guard(&pool_control));
+    let control = aggressive_control(1);
+    let pool = MiniPool::new(4, &control);
     let counter = Arc::new(LcMutex::<u64>::new_with(0, &control));
     for _ in 0..10 {
         let counter = Arc::clone(&counter);
@@ -268,17 +229,15 @@ fn lock_async_is_correct_under_an_active_controller() {
     drop(pool);
     control.stop_controller();
     assert_eq!(*counter.lock(), 5_000);
-    let stats = control.buffer().stats();
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
+    check_books(&control);
 }
 
 /// An `AsyncSpinHook`-instrumented custom wait loop parks its task under
 /// overload and resumes when the awaited condition arrives.
 #[test]
 fn async_spin_hook_parks_custom_wait_loops() {
-    let control = oversubscribed_control(1, 1);
-    let pool_control = Arc::clone(&control);
-    let pool = MiniPool::with_thread_hook(2, move |_| load_registered_guard(&pool_control));
+    let control = aggressive_control(1);
+    let pool = MiniPool::new(2, &control);
     let flag = Arc::new(AtomicBool::new(false));
     let done = Arc::new(AtomicBool::new(false));
     {
@@ -301,6 +260,5 @@ fn async_spin_hook_parks_custom_wait_loops() {
     drop(pool);
     control.stop_controller();
     assert!(done.load(Ordering::Acquire));
-    let stats = control.buffer().stats();
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
+    check_books(&control);
 }

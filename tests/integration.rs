@@ -3,6 +3,8 @@
 //! discrete-event simulator running the real control plane through the
 //! paper's headline comparison end to end.
 
+mod support;
+
 use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
 use load_control_suite::core::thread_ctx::{LoadControlPolicy, LoadGate};
 use load_control_suite::core::{
@@ -16,12 +18,10 @@ use load_control_suite::locks::{
     AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, TicketLock,
     TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
-use load_control_suite::workloads::drivers::{
-    run_microbench, run_rw_microbench_lc, MicrobenchConfig, RwMicrobenchConfig,
-};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use support::{aggressive_control, check_books, run_threads, spin};
 
 #[test]
 fn lc_mutex_is_correct_under_heavy_oversubscription() {
@@ -29,33 +29,17 @@ fn lc_mutex_is_correct_under_heavy_oversubscription() {
     // controller: the mechanism parks and wakes threads constantly, and the
     // protected counter must still be exact.  (`LC_SHARDS` re-runs this
     // whole suite over a sharded slot buffer in CI.)
-    let control = LoadControl::start(
-        LoadControlConfig::for_capacity(2)
-            .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    );
-    let counter = Arc::new(LcMutex::<u64>::new_with(0, &control));
+    let control = aggressive_control(2);
+    let counter = LcMutex::<u64>::new_with(0, &control);
     let per_thread = 3_000u64;
-    let mut handles = Vec::new();
-    for _ in 0..12 {
-        let counter = Arc::clone(&counter);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _worker = control.register_worker();
-            for _ in 0..per_thread {
-                *counter.lock() += 1;
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    run_threads(12, Some(&control), |_| {
+        for _ in 0..per_thread {
+            *counter.lock() += 1;
+        }
+    });
     control.stop_controller();
     assert_eq!(*counter.lock(), 12 * per_thread);
-    // Every sleep-slot claim was balanced by a departure.
-    let stats = control.buffer().stats();
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
+    check_books(&control);
 }
 
 /// Oversubscribed counter workload for one load-controlled backend: 10
@@ -63,36 +47,16 @@ fn lc_mutex_is_correct_under_heavy_oversubscription() {
 /// waiters are forced through the claim/park/abort/retry path while the
 /// counter must stay exact.
 fn hammer_lc_backend<R: AbortableLock + 'static>() -> u64 {
-    let control = LoadControl::start(
-        LoadControlConfig::for_capacity(2)
-            .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    );
-    let counter = Arc::new(LcMutex::<u64, R>::new_with(0, &control));
-    let per_thread = 2_000u64;
-    let mut handles = Vec::new();
-    for _ in 0..10 {
-        let counter = Arc::clone(&counter);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _worker = control.register_worker();
-            for _ in 0..per_thread {
-                *counter.lock() += 1;
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let control = aggressive_control(2);
+    let counter = LcMutex::<u64, R>::new_with(0, &control);
+    run_threads(10, Some(&control), |_| {
+        for _ in 0..2_000 {
+            *counter.lock() += 1;
+        }
+    });
     control.stop_controller();
-    let total = *counter.lock();
-    let stats = control.buffer().stats();
-    assert_eq!(
-        stats.ever_slept, stats.woken_and_left,
-        "unbalanced sleep-slot bookkeeping"
-    );
-    total
+    check_books(&control);
+    counter.into_inner()
 }
 
 #[test]
@@ -141,42 +105,41 @@ fn controller_reacts_to_registered_worker_load() {
 fn generic_mutex_and_lc_mutex_interoperate() {
     // The same worker body can run over any RawLock-backed mutex and over the
     // load-controlled one.
-    fn hammer<R: RawLock + 'static>(m: Arc<Mutex<u64, R>>) -> u64 {
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let m = Arc::clone(&m);
-            handles.push(thread::spawn(move || {
-                for _ in 0..1_000 {
-                    *m.lock() += 1;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = *m.lock();
-        v
+    fn hammer<R: RawLock + 'static>(m: Mutex<u64, R>) -> u64 {
+        run_threads(4, None, |_| {
+            for _ in 0..1_000 {
+                *m.lock() += 1;
+            }
+        });
+        m.into_inner()
     }
-    assert_eq!(hammer(Arc::new(Mutex::<u64, TicketLock>::new(0))), 4_000);
-    assert_eq!(
-        hammer(Arc::new(Mutex::<u64, TimePublishedLock>::new(0))),
-        4_000
-    );
+    assert_eq!(hammer(Mutex::<u64, TicketLock>::new(0)), 4_000);
+    assert_eq!(hammer(Mutex::<u64, TimePublishedLock>::new(0)), 4_000);
 }
 
 #[test]
 fn real_thread_microbench_ranks_spinning_reasonably() {
-    // Without oversubscription, a spinlock must not be slower than the
-    // blocking mutex by a large factor (sanity check of the drivers, not a
-    // performance assertion).
-    let cfg = MicrobenchConfig {
-        threads: 2,
-        critical_iters: 20,
-        delay_iters: 100,
-        duration: Duration::from_millis(80),
-    };
-    let spin = run_microbench::<TimePublishedLock>(cfg).throughput();
-    assert!(spin > 1_000.0, "spin throughput suspiciously low: {spin}");
+    // Two threads, so no more than the reference box's cores: the paper's
+    // lock must hand off at least a thousand times a second (a sanity check,
+    // not a performance assertion), and every acquisition must count.
+    let m = Mutex::<u64, TimePublishedLock>::new(0);
+    let ops = AtomicU64::new(0);
+    let start = Instant::now();
+    run_threads(2, None, |_| {
+        while start.elapsed() < Duration::from_millis(80) {
+            {
+                let mut g = m.lock();
+                *g += 1;
+                spin(20);
+            }
+            spin(100);
+            ops.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let ops = ops.into_inner();
+    assert_eq!(*m.lock(), ops);
+    let per_s = ops as f64 / start.elapsed().as_secs_f64();
+    assert!(per_s > 1_000.0, "spin throughput suspiciously low: {per_s}");
 }
 
 /// One run of the default contended workload (heavy-tailed critical
@@ -209,69 +172,34 @@ fn simulator_reproduces_the_headline_result() {
     );
 }
 
-/// Aggressive controller for the oversubscription acceptance tests: pretend
-/// 1-context machine, 1 ms cycles, 5 ms sleep timeout.  `LC_SHARDS` (set by
-/// the sharded CI acceptance step) re-runs the whole suite over a sharded
-/// slot buffer.
-fn aggressive_control() -> Arc<LoadControl> {
-    LoadControl::start(
-        LoadControlConfig::for_capacity(1)
-            .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    )
-}
-
 #[test]
 fn lc_rwlock_participates_in_load_control_under_oversubscription() {
     // Acceptance bar of the sync-surface redesign: with an active controller
     // and many more workers than capacity, rwlock waiters must actually be
     // put to sleep (sleep counts > 0) while readers never observe a torn
     // write; without a controller, nobody sleeps.
-    let control = aggressive_control();
-    let table = Arc::new(LcRwLock::new_with((0u64, 0u64), &control));
-    let mut handles = Vec::new();
-    for _ in 0..4 {
-        let table = Arc::clone(&table);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _w = control.register_worker();
-            for _ in 0..1_000 {
+    let control = aggressive_control(1);
+    let table = LcRwLock::new_with((0u64, 0u64), &control);
+    run_threads(8, Some(&control), |thread| {
+        for _ in 0..1_000 {
+            if thread < 4 {
                 let mut g = table.write();
                 g.0 += 1;
                 g.1 += 1;
-                // Hold the write lock long enough that waiters spin past the
-                // slot-check period and actually meet the gate.
-                for _ in 0..300 {
-                    std::hint::spin_loop();
-                }
-            }
-        }));
-    }
-    for _ in 0..4 {
-        let table = Arc::clone(&table);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _w = control.register_worker();
-            for _ in 0..1_000 {
+                spin(300);
+            } else {
                 let g = table.read();
                 assert_eq!(g.0, g.1, "torn write observed through the read lock");
             }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+        }
+    });
     control.stop_controller();
-    let g = table.read();
-    assert_eq!((g.0, g.1), (4_000, 4_000));
-    drop(g);
-    let stats = control.buffer().stats();
+    assert_eq!(*table.read(), (4_000, 4_000));
+    let stats = check_books(&control);
     assert!(
         stats.ever_slept > 0,
         "no rwlock waiter ever slept under 8x oversubscription"
     );
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
 }
 
 #[test]
@@ -279,68 +207,40 @@ fn lc_rwlock_sleeps_nobody_without_a_controller() {
     // Same workload, controller never started and target pinned at zero:
     // the gate must stay out of the way entirely.
     let control = LoadControl::new(LoadControlConfig::for_capacity(1));
-    let table = Arc::new(LcRwLock::new_with(0u64, &control));
-    let mut handles = Vec::new();
-    for _ in 0..6 {
-        let table = Arc::clone(&table);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _w = control.register_worker();
-            for _ in 0..1_000 {
-                *table.write() += 1;
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let table = LcRwLock::new_with(0u64, &control);
+    run_threads(6, Some(&control), |_| {
+        for _ in 0..1_000 {
+            *table.write() += 1;
+        }
+    });
     assert_eq!(*table.read(), 6_000);
     assert_eq!(control.buffer().stats().ever_slept, 0);
 }
 
 #[test]
 fn lc_semaphore_participates_in_load_control_under_oversubscription() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let control = aggressive_control();
-    let pool = Arc::new(LcSemaphore::new_with(2, &control));
-    let holders = Arc::new(AtomicU64::new(0));
-    let peak = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..8 {
-        let (pool, holders, peak, control) = (
-            Arc::clone(&pool),
-            Arc::clone(&holders),
-            Arc::clone(&peak),
-            Arc::clone(&control),
-        );
-        handles.push(thread::spawn(move || {
-            let _w = control.register_worker();
-            for _ in 0..1_000 {
-                let permit = pool.acquire();
-                let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                // Hold the permit long enough that waiters spin past the
-                // slot-check period and actually meet the gate.
-                for _ in 0..300 {
-                    std::hint::spin_loop();
-                }
-                holders.fetch_sub(1, Ordering::SeqCst);
-                drop(permit);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let control = aggressive_control(1);
+    let pool = LcSemaphore::new_with(2, &control);
+    let holders = AtomicU64::new(0);
+    let peak = AtomicU64::new(0);
+    run_threads(8, Some(&control), |_| {
+        for _ in 0..1_000 {
+            let permit = pool.acquire();
+            let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            spin(300);
+            holders.fetch_sub(1, Ordering::SeqCst);
+            drop(permit);
+        }
+    });
     control.stop_controller();
-    assert!(peak.load(Ordering::SeqCst) <= 2, "permit bound violated");
+    assert!(peak.into_inner() <= 2, "permit bound violated");
     assert_eq!(pool.available(), 2);
-    let stats = control.buffer().stats();
+    let stats = check_books(&control);
     assert!(
         stats.ever_slept > 0,
         "no semaphore waiter ever slept under 4x permit oversubscription"
     );
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
 }
 
 #[test]
@@ -348,61 +248,44 @@ fn full_sync_surface_shares_one_load_control() {
     // One controller, four primitives: mutex, rwlock, semaphore and condvar
     // all draw their sleep slots from the same buffer, and the S/W books
     // still balance at the end.
-    let control = aggressive_control();
-    let counter = Arc::new(LcMutex::<u64>::new_with(0, &control));
-    let table = Arc::new(LcRwLock::new_with(0u64, &control));
-    let pool = Arc::new(LcSemaphore::new_with(2, &control));
-    let done = Arc::new(LcMutex::<usize>::new_with(0, &control));
-    let cv = Arc::new(LcCondvar::new_with(&control));
+    let control = aggressive_control(1);
+    let counter = LcMutex::<u64>::new_with(0, &control);
+    let table = LcRwLock::new_with(0u64, &control);
+    let pool = LcSemaphore::new_with(2, &control);
+    let done = LcMutex::<usize>::new_with(0, &control);
+    let cv = LcCondvar::new_with(&control);
 
-    let workers = 6usize;
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        let (counter, table, pool, done, cv, control) = (
-            Arc::clone(&counter),
-            Arc::clone(&table),
-            Arc::clone(&pool),
-            Arc::clone(&done),
-            Arc::clone(&cv),
-            Arc::clone(&control),
-        );
-        handles.push(thread::spawn(move || {
-            let _w = control.register_worker();
-            for _ in 0..500 {
-                *counter.lock() += 1;
-                {
-                    let _permit = pool.acquire();
-                    *table.write() += 1;
-                }
-            }
-            *done.lock() += 1;
-            cv.notify_all();
-        }));
-    }
-    // Main thread waits on the condvar for every worker to finish.
-    let guard = cv.wait_while(done.lock(), |finished| *finished < workers);
-    assert_eq!(*guard, workers);
-    drop(guard);
-    for h in handles {
-        h.join().unwrap();
-    }
+    // Six workers, and a seventh thread that waits on the condvar for all of
+    // them to finish.
+    let workers = 6;
+    run_threads(workers + 1, Some(&control), |thread| {
+        if thread == workers {
+            let guard = cv.wait_while(done.lock(), |finished| *finished < workers);
+            assert_eq!(*guard, workers);
+            return;
+        }
+        for _ in 0..500 {
+            *counter.lock() += 1;
+            let _permit = pool.acquire();
+            *table.write() += 1;
+        }
+        *done.lock() += 1;
+        cv.notify_all();
+    });
     control.stop_controller();
     assert_eq!(*counter.lock(), 3_000);
     assert_eq!(*table.read(), 3_000);
-    let stats = control.buffer().stats();
-    assert_eq!(
-        stats.ever_slept, stats.woken_and_left,
-        "unbalanced sleep-slot bookkeeping across the shared surface"
-    );
+    check_books(&control);
 }
 
 #[test]
 fn two_shard_buffer_sleeps_waiters_on_both_shards() {
-    // Acceptance bar of the sharded-buffer refactor: under the mixed
-    // reader-writer oversubscription driver with a 2-shard buffer, load
+    // Acceptance bar of the sharded-buffer refactor: under a mixed
+    // reader-writer workload (40 % writes) with a 2-shard buffer, load
     // control must actually park waiters on *both* shards (workers get home
     // shards round-robin by registration id), and the books must balance per
-    // shard.
+    // shard.  When the second shard first parks someone is scheduling, so the
+    // run repeats until both have.
     let control = LoadControl::start(
         LoadControlConfig::for_capacity(1)
             .with_update_interval(Duration::from_millis(1))
@@ -410,24 +293,36 @@ fn two_shard_buffer_sleeps_waiters_on_both_shards() {
             .with_shards(2),
     );
     assert_eq!(control.buffer().shard_count(), 2);
-    let mut cfg = RwMicrobenchConfig::mixed(8);
-    cfg.duration = Duration::from_millis(300);
-    let r = run_rw_microbench_lc(cfg, &control);
+    let table = LcRwLock::new_with((0u64, 0u64), &control);
+    let writes = AtomicU64::new(0);
+    support::run_until(Some(&control), || {
+        run_threads(8, Some(&control), |thread| {
+            for i in thread as u64..thread as u64 + 500 {
+                if i % 100 < 40 {
+                    let mut g = table.write();
+                    g.0 += 1;
+                    g.1 += 1;
+                    spin(40);
+                    writes.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    let g = table.read();
+                    assert_eq!(g.0, g.1, "torn write observed through the read lock");
+                    spin(40);
+                }
+                spin(300);
+            }
+        });
+        // Real parks must also land in the wait histogram the latency
+        // policy steers by.
+        (0..2).all(|shard| control.buffer().shard_stats(shard).ever_slept > 0)
+            && control.buffer().stats().wait.count > 0
+    });
     control.stop_controller();
-    assert!(r.reads + r.writes > 0, "driver made no progress");
-    let stats = control.buffer().stats();
-    assert!(
-        stats.ever_slept > 0,
-        "nobody slept under 8x oversubscription"
-    );
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
+    let writes = writes.into_inner();
+    assert_eq!(*table.read(), (writes, writes));
+    assert!(check_books(&control).wait.max_ns > 0, "zero-length parks");
     for shard in 0..2 {
         let s = control.buffer().shard_stats(shard);
-        assert!(
-            s.ever_slept > 0,
-            "shard {shard} never put a waiter to sleep (global sleeps: {})",
-            stats.ever_slept
-        );
         assert_eq!(s.ever_slept, s.woken_and_left, "shard {shard} unbalanced");
     }
 }
@@ -436,23 +331,16 @@ fn two_shard_buffer_sleeps_waiters_on_both_shards() {
 /// threads (every claim immediately released, targets wide open) and
 /// returns the number of lost head CASes.
 fn hammer_claim_path(shards: usize) -> u64 {
-    let buf = Arc::new(SleepSlotBuffer::with_shards(64, shards));
+    let buf = SleepSlotBuffer::with_shards(64, shards);
     buf.set_target(64);
-    let mut handles = Vec::new();
-    for _ in 0..8 {
-        let buf = Arc::clone(&buf);
-        handles.push(thread::spawn(move || {
-            let id = buf.register_sleeper(Arc::new(Parker::new()));
-            for _ in 0..30_000 {
-                if let ClaimOutcome::Claimed(idx) = buf.try_claim(id) {
-                    buf.leave(idx, id);
-                }
+    run_threads(8, None, |_| {
+        let id = buf.register_sleeper(Arc::new(Parker::new()));
+        for _ in 0..30_000 {
+            if let ClaimOutcome::Claimed(idx) = buf.try_claim(id) {
+                buf.leave(idx, id);
             }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+        }
+    });
     let stats = buf.stats();
     assert_eq!(stats.ever_slept, stats.woken_and_left);
     stats.claim_races
@@ -493,71 +381,51 @@ fn sharding_reduces_claim_races_under_contention() {
 /// books would admit the combiner.
 #[test]
 fn flat_combining_combiner_is_never_load_parked() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let control = aggressive_control();
-    let counter = Arc::new(DelegationMutex::new(0u64));
-    let combiner_claims = Arc::new(AtomicU64::new(0));
-    let combiner_runs = Arc::new(AtomicU64::new(0));
-    let threads = 8u64;
-    let per_thread = 1_500u64;
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let counter = Arc::clone(&counter);
-        let control = Arc::clone(&control);
-        let combiner_claims = Arc::clone(&combiner_claims);
-        let combiner_runs = Arc::clone(&combiner_runs);
-        handles.push(thread::spawn(move || {
-            let _worker = control.register_worker();
-            let mut policy = LoadControlPolicy::new(&control);
-            for _ in 0..per_thread {
-                let control = Arc::clone(&control);
-                let combiner_claims = Arc::clone(&combiner_claims);
-                let combiner_runs = Arc::clone(&combiner_runs);
-                counter.run_locked_with(&mut policy, move |n| {
-                    *n += 1;
-                    // Hold the combining session long enough that publishers
-                    // spin past the slot-check period and actually meet the
-                    // gate (a release build on one CPU otherwise finishes
-                    // each job before any contention window opens).
-                    for _ in 0..300 {
-                        std::hint::spin_loop();
+    let control = aggressive_control(1);
+    let counter = DelegationMutex::new(0u64);
+    let combiner_claims = AtomicU64::new(0);
+    let combiner_runs = AtomicU64::new(0);
+    let threads = 8;
+    let per_thread = 1_500;
+    run_threads(threads, Some(&control), |_| {
+        let mut policy = LoadControlPolicy::new(&control);
+        for _ in 0..per_thread {
+            counter.run_locked_with(&mut policy, |n| {
+                *n += 1;
+                // Hold the combining session long enough that publishers
+                // meet the gate.
+                spin(300);
+                if delegation::is_combining() {
+                    combiner_runs.fetch_add(1, Ordering::Relaxed);
+                    let mut gate = LoadGate::new(&control);
+                    if gate.try_claim() {
+                        combiner_claims.fetch_add(1, Ordering::Relaxed);
+                        gate.cancel();
                     }
-                    if delegation::is_combining() {
-                        combiner_runs.fetch_add(1, Ordering::Relaxed);
-                        let mut gate = LoadGate::new(&control);
-                        if gate.try_claim() {
-                            combiner_claims.fetch_add(1, Ordering::Relaxed);
-                            gate.cancel();
-                        }
-                    }
-                });
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+                }
+            });
+        }
+    });
     control.stop_controller();
     assert_eq!(
         counter.run_locked(|n| *n),
-        threads * per_thread,
+        threads as u64 * per_thread,
         "delegated increments were lost"
     );
     assert!(
-        combiner_runs.load(Ordering::Relaxed) > 0,
+        combiner_runs.into_inner() > 0,
         "no job ever ran on an active combiner"
     );
     assert_eq!(
-        combiner_claims.load(Ordering::Relaxed),
+        combiner_claims.into_inner(),
         0,
         "an active combiner was admitted to the sleep books"
     );
-    let stats = control.buffer().stats();
+    let stats = check_books(&control);
     assert!(
         stats.ever_slept > 0,
         "no publisher ever slept under 8x oversubscription"
     );
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
     assert!(
         control.combiner_exempt_ids().is_empty(),
         "a wake-scan exemption leaked past the run"
@@ -571,45 +439,34 @@ fn delegation_withdrawals_never_execute_aborted_requests() {
     // half go through real load control under an aggressive controller.
     // Withdrawn requests must never execute (the counter stays arithmetic-
     // exact), no request may linger, and the S/W books must balance.
-    let control = aggressive_control();
-    let counter = Arc::new(DelegationMutex::new(0u64));
-    let threads = 6u64;
-    let per_thread = 2_000u64;
-    let mut handles = Vec::new();
-    for thread in 0..threads {
-        let counter = Arc::clone(&counter);
-        let control = Arc::clone(&control);
-        handles.push(thread::spawn(move || {
-            let _worker = control.register_worker();
-            let mut lc_policy = LoadControlPolicy::new(&control);
-            for _ in 0..per_thread {
-                // The burn keeps requests pending long enough that the
-                // impatient publishers actually reach their withdrawal
-                // window, even in a release build on one CPU.
-                let job = |n: &mut u64| {
-                    *n += 1;
-                    for _ in 0..300 {
-                        std::hint::spin_loop();
-                    }
-                };
-                if thread % 2 == 0 {
-                    // Withdraw-happy: request an abort on every poll, up
-                    // to 256 times per op, then settle down and finish.
-                    let mut policy = BoundedAbort::new(1, 256);
-                    counter.run_locked_with(&mut policy, job);
-                } else {
-                    counter.run_locked_with(&mut lc_policy, job);
-                }
+    let control = aggressive_control(1);
+    let counter = DelegationMutex::new(0u64);
+    let threads = 6;
+    let per_thread = 2_000;
+    run_threads(threads, Some(&control), |thread| {
+        let mut lc_policy = LoadControlPolicy::new(&control);
+        for _ in 0..per_thread {
+            // The burn keeps requests pending long enough that the
+            // impatient publishers actually reach their withdrawal window,
+            // even in a release build on one CPU.
+            let job = |n: &mut u64| {
+                *n += 1;
+                spin(300);
+            };
+            if thread % 2 == 0 {
+                // Withdraw-happy: request an abort on every poll, up to 256
+                // times per op, then settle down and finish.
+                let mut policy = BoundedAbort::new(1, 256);
+                counter.run_locked_with(&mut policy, job);
+            } else {
+                counter.run_locked_with(&mut lc_policy, job);
             }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+        }
+    });
     control.stop_controller();
     assert_eq!(
         counter.run_locked(|n| *n),
-        threads * per_thread,
+        threads as u64 * per_thread,
         "a withdrawn request executed anyway (or one was lost)"
     );
     let stats = counter.raw().delegation_stats();
@@ -622,11 +479,47 @@ fn delegation_withdrawals_never_execute_aborted_requests() {
         0,
         "a published request outlived its publisher"
     );
-    let books = control.buffer().stats();
-    assert_eq!(
-        books.ever_slept, books.woken_and_left,
-        "unbalanced sleep-slot bookkeeping"
-    );
+    check_books(&control);
+}
+
+/// The job wipe fixed in 4ae3b42: a publisher that reclaimed its own request
+/// wrote the slot's job cell after freeing the slot, so a job the next
+/// claimer had just published there could vanish ("published job missing",
+/// and then the survivors spin forever).  The window is a few instructions
+/// wide, so this needs many short jobs — no spin inside them — on few
+/// threads, where publishers often find the flag free and reclaim their own
+/// requests.  With the bug, two pinned cores and a release build, this hung
+/// in 7 runs of 10.
+#[test]
+fn flat_combining_runs_every_short_job_exactly_once() {
+    const THREADS: usize = 4;
+    const PER_THREAD: u64 = if cfg!(debug_assertions) {
+        100_000
+    } else {
+        2_000_000
+    };
+    for controller in [false, true] {
+        let control = controller.then(|| aggressive_control(1));
+        let counter = DelegationMutex::new(0u64);
+        run_threads(THREADS, control.as_ref(), |_| {
+            let mut policy = control.as_ref().map(LoadControlPolicy::new);
+            for _ in 0..PER_THREAD {
+                match policy.as_mut() {
+                    Some(policy) => counter.run_locked_with(policy, |n| *n += 1),
+                    None => counter.run_locked(|n| *n += 1),
+                }
+            }
+        });
+        assert_eq!(
+            counter.run_locked(|n| *n),
+            THREADS as u64 * PER_THREAD,
+            "controller={controller}"
+        );
+        if let Some(control) = control {
+            control.stop_controller();
+            check_books(&control);
+        }
+    }
 }
 
 #[test]

@@ -5,21 +5,21 @@
 //! generic `Registry<T>` (`lc_spec`): the lock registry in
 //! `lc_locks::registry`, the control-policy and target-splitter registries in
 //! `lc_core::policy`, and the load-sampler registry in `lc_accounting`.
-//! Benchmarks, drivers and experiment configurations assume a spec accepted
+//! Benchmarks, tests and experiment configurations assume a spec accepted
 //! by one is meaningful to the others; these tests fail the build the moment
 //! any side drifts.
+
+mod support;
 
 use load_control_suite::accounting::{build_sampler_spec, ThreadRegistry, ALL_SAMPLER_NAMES};
 use load_control_suite::core::policy::{
     self, build_policy_spec, build_splitter_spec, POLICY_SPECS, SPLITTER_SPECS,
 };
 use load_control_suite::core::spec::{LoadControlSpec, ParsedSpec, SpecError};
-use load_control_suite::core::{LoadControl, LoadControlConfig};
-use load_control_suite::locks::registry::{self, LOCK_SPECS};
+use load_control_suite::core::{LoadControl, LoadControlConfig, LoadControlPolicy};
+use load_control_suite::locks::registry::{self, DynMutex, LOCK_SPECS};
 use load_control_suite::locks::{ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
-use load_control_suite::workloads::drivers::{run_microbench_lc_spec, MicrobenchConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[test]
 fn every_lock_name_round_trips_through_the_registry() {
@@ -270,38 +270,31 @@ fn load_control_spec_round_trips_through_a_live_instance() {
     assert_eq!(rebuilt.spec(), reported);
 }
 
+/// Every advertised abortable family, bare or parameterized, runs under
+/// `LoadControlPolicy` through the dynamically dispatched
+/// `DynMutex::lock_with` — the waiter-side algorithm `LcMutex` monomorphizes,
+/// reached entirely through spec strings — without losing an update.
 #[test]
 fn every_abortable_spec_reaches_the_lc_dispatch() {
-    // The spec-driven LC dispatch must cover exactly the advertised
-    // abortable families — and reject the rest with an explicit error.
     let control = LoadControl::new(LoadControlConfig::for_capacity(8));
-    let tiny = MicrobenchConfig {
-        threads: 2,
-        critical_iters: 5,
-        delay_iters: 20,
-        duration: Duration::from_millis(10),
-    };
-    for &name in ABORTABLE_LOCK_NAMES {
+    for spec in ABORTABLE_LOCK_NAMES
+        .iter()
+        .copied()
+        .chain(["ttas-backoff(max_spins=128)"])
+    {
+        let lock = registry::build_spec(spec).expect("registered");
         assert!(
-            registry::build_spec(name)
-                .expect("registered")
-                .is_abortable(),
-            "{name} advertised as abortable but its adapter is not"
+            lock.is_abortable(),
+            "{spec} advertised as abortable but its adapter is not"
         );
-        let r = run_microbench_lc_spec(name, tiny, &control)
-            .unwrap_or_else(|e| panic!("{name} rejected by the LC dispatch: {e}"));
-        assert!(r.acquisitions > 0, "{name}: no progress under load control");
+        let mutex = DynMutex::new(lock, 0u64);
+        support::run_threads(2, Some(&control), |_| {
+            let mut policy = LoadControlPolicy::new(&control);
+            for _ in 0..1_000 {
+                *mutex.lock_with(&mut policy) += 1;
+            }
+        });
+        assert_eq!(mutex.into_inner(), 2_000, "{spec}");
+        support::check_books(&control);
     }
-    for &name in ALL_LOCK_NAMES {
-        if !ABORTABLE_LOCK_NAMES.contains(&name) {
-            assert!(
-                run_microbench_lc_spec(name, tiny, &control).is_err(),
-                "{name} is not abortable but the LC dispatch accepted it"
-            );
-        }
-    }
-    // Parameterized backends flow through the same dispatch.
-    let r = run_microbench_lc_spec("ttas-backoff(max_spins=128)", tiny, &control)
-        .expect("parameterized backend");
-    assert!(r.acquisitions > 0);
 }
