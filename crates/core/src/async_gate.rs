@@ -239,9 +239,9 @@ impl AsyncLoadGate {
     }
 
     /// The per-poll check of the client-side algorithm: every
-    /// `slot_check_period` iterations, consult the slot buffer and claim a
-    /// slot if the controller wants waiters asleep.  Returns `true` when a
-    /// claim is held.
+    /// [`LoadControlConfig::SLOT_CHECK_PERIOD`] iterations, consult the slot
+    /// buffer and claim a slot if the controller wants waiters asleep.
+    /// Returns `true` when a claim is held.
     ///
     /// Note one deliberate difference from the sync gate: there is no
     /// holds-locks refusal here, because a *task's* resource holds are not
@@ -253,7 +253,7 @@ impl AsyncLoadGate {
         if self.claimed.is_some() {
             return true;
         }
-        if !iteration.is_multiple_of(u64::from(self.config.slot_check_period)) {
+        if !LoadControlConfig::is_slot_check_due(iteration) {
             return false;
         }
         self.try_claim()
@@ -392,29 +392,20 @@ impl Drop for AsyncLoadGate {
 /// The shared poll-based acquisition protocol of the async primitives
 /// ([`crate::LcSemaphore::acquire_async`], [`crate::LcMutex::lock_async`]):
 /// drive any in-progress park, try the resource, consult the gate every
-/// `check_period` polls (with one more try in the claim-to-park window,
-/// paper §3.1.2), otherwise self-wake and yield.
+/// [`LoadControlConfig::SLOT_CHECK_PERIOD`] polls (with one more try in the
+/// claim-to-park window, paper §3.1.2), otherwise self-wake and yield.
 ///
 /// The gate — and with it the sleeper lease and the `Arc<LoadControl>`
 /// clone — is created lazily at the first slot-check boundary, so an
-/// acquisition that succeeds before `check_period` polls (the uncontended
-/// fast path) touches no shared load-control state at all.
-#[derive(Debug)]
+/// acquisition that succeeds before `SLOT_CHECK_PERIOD` polls (the
+/// uncontended fast path) touches no shared load-control state at all.
+#[derive(Debug, Default)]
 pub(crate) struct AsyncAcquire {
     gate: Option<AsyncLoadGate>,
     spins: u64,
-    check_period: u32,
 }
 
 impl AsyncAcquire {
-    pub(crate) fn new(check_period: u32) -> Self {
-        Self {
-            gate: None,
-            spins: 0,
-            check_period,
-        }
-    }
-
     /// One poll of the acquisition protocol; `Ready(())` means `try_acquire`
     /// succeeded and any pending claim was released.
     pub(crate) fn poll(
@@ -442,7 +433,7 @@ impl AsyncAcquire {
                 return Poll::Ready(());
             }
             self.spins += 1;
-            if self.spins.is_multiple_of(u64::from(self.check_period)) {
+            if LoadControlConfig::is_slot_check_due(self.spins) {
                 let gate = self.gate.get_or_insert_with(|| AsyncLoadGate::new(control));
                 if gate.try_claim() {
                     // One more try between claim and park, mirroring the
@@ -604,17 +595,13 @@ impl Future for PauseFuture<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
     use std::task::Waker;
     use std::time::Duration;
 
     fn manual_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     /// A waker that counts wakes, so tests can drive polls by hand.
@@ -669,9 +656,9 @@ mod tests {
 
     #[test]
     fn controller_sweep_wakes_timed_out_tasks() {
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(5)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let mut gate = AsyncLoadGate::new(&lc);

@@ -51,10 +51,11 @@ impl std::fmt::Display for WakeOrder {
 /// Tuning parameters for [`crate::LoadControl`].
 ///
 /// The defaults follow the paper's evaluation (§4–§5): a controller update
-/// interval of 7 ms (Figure 10 shows 3–10 ms is the sweet spot), a sleep
-/// timeout of 100 ms (§3.1.2), and a slot check every few dozen polling
-/// iterations so the common no-space case stays off the handoff path
-/// (§3.2.3).
+/// interval of 7 ms (Figure 10 shows 3–10 ms is the sweet spot) and a sleep
+/// timeout of 100 ms (§3.1.2).  The slot check every few dozen polling
+/// iterations (§3.2.3) is the fixed [`LoadControlConfig::SLOT_CHECK_PERIOD`].
+/// The control plane's choices — policy, splitter, shard count, sampler and
+/// wake order — are a [`crate::spec::LoadControlSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadControlConfig {
     /// Number of hardware contexts the process should aim to keep busy.
@@ -70,24 +71,20 @@ pub struct LoadControlConfig {
     ///
     /// Roughly one scheduler time slice in the paper (100 ms).
     pub sleep_timeout: Duration,
-    /// A spinning thread consults the sleep-slot buffer once every this many
-    /// polling iterations.
-    pub slot_check_period: u32,
     /// Upper bound on the sleep target (and on the slot ring size in use).
     pub max_sleepers: usize,
     /// Extra runnable threads tolerated above `capacity` before the
     /// controller starts removing threads (0 reproduces the paper exactly).
     pub overload_headroom: usize,
-    /// Number of sleep-slot-buffer shards (a non-zero power of two).
+    /// Number of sleep-slot-buffer shards, used when the spec names none.
     ///
     /// `1` (the default) reproduces the paper's single `S`/`W`/`T` buffer
     /// exactly; larger values split the claim path and the wake scan per
     /// core group, with the global target partitioned across shards by the
-    /// controller's [`crate::policy::TargetSplitter`].
+    /// controller's [`crate::policy::TargetSplitter`].  The constructor
+    /// rounds the count up to a power of two and rejects one that leaves a
+    /// shard without a slot.
     pub shards: usize,
-    /// Order of the controller's batched wake scan within a shard
-    /// ([`WakeOrder::Fifo`], the paper's array-order scan, by default).
-    pub wake_order: WakeOrder,
 }
 
 impl LoadControlConfig {
@@ -95,15 +92,15 @@ impl LoadControlConfig {
     pub const DEFAULT_UPDATE_INTERVAL: Duration = Duration::from_millis(7);
     /// The paper's sleep timeout (about one scheduler time slice).
     pub const DEFAULT_SLEEP_TIMEOUT: Duration = Duration::from_millis(100);
-    /// Default polling-loop iterations between slot-buffer checks.
-    pub const DEFAULT_SLOT_CHECK_PERIOD: u32 = 64;
+    /// Polling-loop iterations between slot-buffer checks: often enough to
+    /// notice a target within microseconds, rarely enough that the common
+    /// no-space case stays off the handoff path (§3.2.3).  A power of two,
+    /// so the per-poll check is a mask.
+    pub const SLOT_CHECK_PERIOD: u64 = 64;
     /// Default cap on simultaneous sleepers.
     pub const DEFAULT_MAX_SLEEPERS: usize = 1024;
     /// Default slot-buffer shard count (1 = the paper's unsharded buffer).
     pub const DEFAULT_SHARDS: usize = 1;
-    /// Environment variable consulted by
-    /// [`LoadControlConfig::with_shards_from_env`].
-    pub const SHARDS_ENV: &'static str = "LC_SHARDS";
 
     /// A configuration for a machine (or partition) with `capacity` hardware
     /// contexts and paper-default tuning.
@@ -112,11 +109,9 @@ impl LoadControlConfig {
             capacity: capacity.max(1),
             update_interval: Self::DEFAULT_UPDATE_INTERVAL,
             sleep_timeout: Self::DEFAULT_SLEEP_TIMEOUT,
-            slot_check_period: Self::DEFAULT_SLOT_CHECK_PERIOD,
             max_sleepers: Self::DEFAULT_MAX_SLEEPERS,
             overload_headroom: 0,
             shards: Self::DEFAULT_SHARDS,
-            wake_order: WakeOrder::Fifo,
         }
     }
 
@@ -140,61 +135,22 @@ impl LoadControlConfig {
         self
     }
 
-    /// Returns `self` with a different slot-check period.
-    pub fn with_slot_check_period(mut self, period: u32) -> Self {
-        self.slot_check_period = period.max(1);
-        self
-    }
-
     /// Returns `self` with a different overload headroom.
     pub fn with_overload_headroom(mut self, headroom: usize) -> Self {
         self.overload_headroom = headroom;
         self
     }
 
-    /// Returns `self` with `shards` slot-buffer shards, rounded up to the
-    /// next power of two (and at least 1).
+    /// Returns `self` with `shards` slot-buffer shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1).next_power_of_two();
+        self.shards = shards;
         self
     }
 
-    /// Returns `self` with the controller's wake scan running in `order`
-    /// ([`WakeOrder::Fifo`] restores the paper's array-order scan).
-    pub fn with_wake_order(mut self, order: WakeOrder) -> Self {
-        self.wake_order = order;
-        self
-    }
-
-    /// Returns `self` with the shard count taken from the `LC_SHARDS`
-    /// environment variable, unchanged when the variable is unset or empty.
-    /// This is how the CI acceptance runs re-exercise the whole suite over a
-    /// sharded buffer without editing each test.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `LC_SHARDS` is set but malformed (not a positive
-    /// integer).  A typo in the environment must abort the run, not silently
-    /// fall back to the default shard count; use
-    /// [`LoadControlConfig::try_with_shards_from_env`] to handle the error.
-    pub fn with_shards_from_env(self) -> Self {
-        match self.try_with_shards_from_env() {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Returns `self` with the shard count taken from the `LC_SHARDS`
-    /// environment variable, unchanged when the variable is unset or empty,
-    /// and an explicit [`lc_spec::SpecError`] when it is set but malformed.
-    pub fn try_with_shards_from_env(self) -> Result<Self, lc_spec::SpecError> {
-        match std::env::var(Self::SHARDS_ENV) {
-            Ok(v) if !v.trim().is_empty() => {
-                let shards = crate::spec::parse_shards_value(Self::SHARDS_ENV, &v)?;
-                Ok(self.with_shards(shards))
-            }
-            _ => Ok(self),
-        }
+    /// Whether polling iteration `iteration` is one on which a waiter
+    /// consults the slot buffer.
+    pub(crate) const fn is_slot_check_due(iteration: u64) -> bool {
+        iteration & (Self::SLOT_CHECK_PERIOD - 1) == 0
     }
 
     /// The sleep target implied by a measurement of `runnable` threads:
@@ -218,6 +174,8 @@ impl LoadControlConfig {
         (target as usize).min(self.max_sleepers)
     }
 }
+
+const _: () = assert!(LoadControlConfig::SLOT_CHECK_PERIOD.is_power_of_two());
 
 impl Default for LoadControlConfig {
     fn default() -> Self {
@@ -270,11 +228,9 @@ mod tests {
     fn builder_helpers() {
         let c = LoadControlConfig::for_capacity(8)
             .with_update_interval(Duration::from_millis(3))
-            .with_sleep_timeout(Duration::from_millis(50))
-            .with_slot_check_period(0);
+            .with_sleep_timeout(Duration::from_millis(50));
         assert_eq!(c.update_interval, Duration::from_millis(3));
         assert_eq!(c.sleep_timeout, Duration::from_millis(50));
-        assert_eq!(c.slot_check_period, 1);
     }
 
     #[test]
@@ -285,73 +241,12 @@ mod tests {
     }
 
     #[test]
-    fn shards_round_up_to_a_power_of_two() {
-        let c = LoadControlConfig::for_capacity(8);
-        assert_eq!(c.with_shards(0).shards, 1);
-        assert_eq!(c.with_shards(1).shards, 1);
-        assert_eq!(c.with_shards(3).shards, 4);
-        assert_eq!(c.with_shards(4).shards, 4);
-        assert_eq!(c.with_shards(9).shards, 16);
-    }
-
-    #[test]
     fn wake_order_defaults_to_fifo_and_round_trips_names() {
-        let c = LoadControlConfig::for_capacity(8);
-        assert_eq!(c.wake_order, WakeOrder::Fifo);
-        assert_eq!(
-            c.with_wake_order(WakeOrder::Window).wake_order,
-            WakeOrder::Window
-        );
+        assert_eq!(WakeOrder::default(), WakeOrder::Fifo);
         for order in [WakeOrder::Fifo, WakeOrder::Window] {
             assert_eq!(WakeOrder::parse(order.as_str()), Some(order));
             assert_eq!(order.to_string(), order.as_str());
         }
         assert_eq!(WakeOrder::parse("lifo"), None);
-    }
-
-    #[test]
-    fn shards_from_env_parses_or_errors_explicitly() {
-        let _env = crate::spec::ENV_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // Process-wide env mutation: use a dedicated variable value and
-        // restore it afterwards so parallel tests are unaffected.
-        let key = LoadControlConfig::SHARDS_ENV;
-        let previous = std::env::var(key).ok();
-        std::env::set_var(key, "4");
-        assert_eq!(
-            LoadControlConfig::for_capacity(2)
-                .with_shards_from_env()
-                .shards,
-            4
-        );
-        // Unset or empty keeps the default.
-        std::env::remove_var(key);
-        assert_eq!(
-            LoadControlConfig::for_capacity(2)
-                .with_shards_from_env()
-                .shards,
-            1
-        );
-        std::env::set_var(key, "  ");
-        assert_eq!(
-            LoadControlConfig::for_capacity(2)
-                .with_shards_from_env()
-                .shards,
-            1
-        );
-        // Malformed values are explicit errors (the panicking variant aborts;
-        // the try variant names the variable), never a silent default.
-        for bad in ["not-a-number", "0", "-2", "4.5"] {
-            std::env::set_var(key, bad);
-            let err = LoadControlConfig::for_capacity(2)
-                .try_with_shards_from_env()
-                .expect_err("malformed LC_SHARDS must error");
-            assert!(err.to_string().contains("LC_SHARDS"), "{err}");
-        }
-        match previous {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
     }
 }

@@ -4,16 +4,15 @@
 //! The controller is pure *data plane*: every update interval it samples
 //! load, asks its [`ControlPolicy`] for the next sleep target, and publishes
 //! the answer in the slot buffer.  The decision rule itself lives behind the
-//! [`ControlPolicy`] trait (see [`crate::policy`]) so deployments can swap it
-//! — the paper's `T = load − capacity` rule ([`PaperPolicy`]) is simply the
-//! default.
+//! [`ControlPolicy`] trait (see [`crate::policy`]); a [`LoadControlSpec`]
+//! picks it — the paper's `T = load − capacity` rule
+//! ([`PaperPolicy`](crate::policy::PaperPolicy)) by default — together with
+//! the target splitter, shard count, load sampler and wake order, and
+//! [`LoadControl::from_spec`] is the one constructor that reads it.
 
 use crate::async_gate::AsyncPlane;
 use crate::config::{LoadControlConfig, WakeOrder};
-use crate::policy::{
-    ControlPolicy, EvenSplitter, PaperPolicy, PolicyInputs, TargetSplitter, POLICY_SPECS,
-    SPLITTER_SPECS,
-};
+use crate::policy::{ControlPolicy, PolicyInputs, TargetSplitter, POLICY_SPECS, SPLITTER_SPECS};
 use crate::slots::{even_split, SleepSlotBuffer};
 use crate::spec::{LoadControlSpec, SpecError};
 use crate::thread_ctx::{current_ctx, WorkerRegistration};
@@ -70,7 +69,11 @@ struct Shared {
 /// The process-wide load-control facility.
 ///
 /// One `LoadControl` owns the sleep slot buffer, the thread registry, the
-/// control policy and the controller daemon.  Locks created with
+/// control policy and the controller daemon.  It is built from a
+/// [`LoadControlConfig`] and a [`LoadControlSpec`] by
+/// [`LoadControl::from_spec`] ([`LoadControl::new`] takes the default spec,
+/// [`LoadControl::start`] also starts the daemon), and its choices are fixed
+/// from then on.  Locks created with
 /// [`crate::LcLock::new_with`] — and the rest of the sync surface
 /// ([`crate::LcRwLock`], [`crate::LcSemaphore`], [`crate::LcCondvar`]) —
 /// share it; worker threads register through
@@ -84,235 +87,102 @@ impl fmt::Debug for LoadControl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LoadControl")
             .field("config", &self.shared.config)
-            .field("policy", &self.policy_name())
-            .field("splitter", &self.splitter_name())
+            .field("spec", &self.spec().to_string())
             .field("stats", &self.stats())
             .finish()
     }
 }
 
-/// Builder-style construction of a [`LoadControl`]: pick the control policy
-/// (by value or by spec string), optionally a custom sampler, and whether
-/// the controller daemon starts immediately.
-///
-/// ```
-/// use lc_core::{LoadControl, LoadControlConfig};
-///
-/// let control = LoadControl::builder(LoadControlConfig::for_capacity(4))
-///     .policy_spec("hysteresis(alpha=0.3, deadband=2)")
-///     .expect("registered policy")
-///     .build();
-/// assert_eq!(control.policy_name(), "hysteresis");
-/// // The live spec reports the non-default parameters back.
-/// assert_eq!(control.spec().policy.to_string(), "hysteresis(alpha=0.3, up=2)");
-/// ```
-pub struct LoadControlBuilder {
-    config: LoadControlConfig,
-    policy: Box<dyn ControlPolicy>,
-    splitter: Box<dyn TargetSplitter>,
-    sampler: Option<(Arc<ThreadRegistry>, Box<dyn LoadSampler>)>,
-    time: Option<Arc<dyn TimeSource>>,
-    park_ops: Option<Arc<dyn ParkOps>>,
-    start: bool,
+/// The parts of a [`LoadControl`] that a simulator or a test puts in place
+/// of the real machine: the clock, the load sampler with the thread registry
+/// it reads, and how waiter threads block.  `Substitutes::default()` is the
+/// real machine; [`LoadControl::with_substitutes`] takes the rest.
+pub struct Substitutes {
+    /// The clock every time-dependent path reads — the controller's async
+    /// timeout sweep and the waiters' sleep deadlines (default: a fresh
+    /// [`RealClock`]).  The `lc-des` simulator runs the whole control plane
+    /// on virtual time through this.
+    pub time: Arc<dyn TimeSource>,
+    /// A load sampler and the thread registry it reads, in place of the
+    /// spec's sampler (default: `None`, the spec's).
+    pub sampler: Option<(Arc<ThreadRegistry>, Box<dyn LoadSampler>)>,
+    /// How waiter threads block in their slots (default: [`ThreadPark`],
+    /// which really blocks).
+    pub park_ops: Arc<dyn ParkOps>,
 }
 
-impl fmt::Debug for LoadControlBuilder {
+impl Default for Substitutes {
+    fn default() -> Self {
+        Self {
+            time: Arc::new(RealClock::new()),
+            sampler: None,
+            park_ops: Arc::new(ThreadPark),
+        }
+    }
+}
+
+impl fmt::Debug for Substitutes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LoadControlBuilder")
-            .field("config", &self.config)
-            .field("policy", &self.policy.name())
-            .field("splitter", &self.splitter.name())
-            .field("start", &self.start)
+        f.debug_struct("Substitutes")
+            .field("time", &self.time)
+            .field("sampler", &self.sampler.as_ref().map(|(_, s)| s.name()))
+            .field("park_ops", &self.park_ops)
             .finish()
     }
 }
 
-impl LoadControlBuilder {
-    fn new(config: LoadControlConfig) -> Self {
-        Self {
-            config,
-            policy: Box::new(PaperPolicy),
-            splitter: Box::new(EvenSplitter),
-            sampler: None,
-            time: None,
-            park_ops: None,
-            start: false,
-        }
-    }
-
-    /// Uses `policy` as the control policy (default: [`PaperPolicy`]).
-    pub fn policy(mut self, policy: impl ControlPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
-    }
-
-    /// Uses an already-boxed control policy.
-    pub fn boxed_policy(mut self, policy: Box<dyn ControlPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Selects the control policy from the registry by spec string — a bare
-    /// name from [`crate::policy::ALL_POLICY_NAMES`] or a parameterized
-    /// `name(key=value, ...)` spec such as `pid(kp=0.5, ki=0.1)`.
-    pub fn policy_spec(self, spec: &str) -> Result<Self, SpecError> {
-        Ok(self.boxed_policy(POLICY_SPECS.build(spec)?))
-    }
-
-    /// Uses `splitter` to partition the sleep target across slot-buffer
-    /// shards (default: [`EvenSplitter`]; irrelevant with a single shard).
-    pub fn splitter(mut self, splitter: impl TargetSplitter + 'static) -> Self {
-        self.splitter = Box::new(splitter);
-        self
-    }
-
-    /// Uses an already-boxed target splitter.
-    pub fn boxed_splitter(mut self, splitter: Box<dyn TargetSplitter>) -> Self {
-        self.splitter = splitter;
-        self
-    }
-
-    /// Selects the target splitter from the registry by spec string — a bare
-    /// name from [`crate::policy::ALL_SPLITTER_NAMES`] or a parameterized
-    /// spec such as `load-weighted(ewma=0.25)`.
-    pub fn splitter_spec(self, spec: &str) -> Result<Self, SpecError> {
-        Ok(self.boxed_splitter(SPLITTER_SPECS.build(spec)?))
-    }
-
-    /// Uses a caller-supplied thread registry and load sampler instead of the
-    /// default registry-backed sampler.
-    pub fn sampler(mut self, registry: Arc<ThreadRegistry>, sampler: Box<dyn LoadSampler>) -> Self {
-        self.sampler = Some((registry, sampler));
-        self
-    }
-
-    /// Selects the load sampler from the registry by spec string — a bare
-    /// name from [`lc_accounting::ALL_SAMPLER_NAMES`] or a parameterized
-    /// spec such as `fixed(runnable=9)`.  A fresh thread registry is created
-    /// as the sampler's context (and becomes this instance's registry),
-    /// exactly as the default construction path does.
-    pub fn sampler_spec(self, spec: &str) -> Result<Self, SpecError> {
-        let registry = Arc::new(ThreadRegistry::new());
-        let sampler = SAMPLER_SPECS.build_in(&registry, spec)?;
-        Ok(self.sampler(registry, sampler))
-    }
-
-    /// Applies a declarative [`LoadControlSpec`] — policy, splitter, shard
-    /// count and (when present) sampler — on top of the current
-    /// builder state.  A spec that never mentioned `shards` keeps the
-    /// configuration's shard count instead of silently resetting it.
-    pub fn apply_spec(mut self, spec: &LoadControlSpec) -> Result<Self, SpecError> {
-        if let Some(shards) = spec.shards {
-            self.config = self.config.with_shards(shards);
-        }
-        if let Some(order) = spec.wake_order {
-            self.config = self.config.with_wake_order(order);
-        }
-        self = self.policy_spec(&spec.policy.to_string())?;
-        self = self.splitter_spec(&spec.splitter.to_string())?;
-        if let Some(sampler) = &spec.sampler {
-            self = self.sampler_spec(&sampler.to_string())?;
-        }
-        Ok(self)
-    }
-
-    /// Uses `time` as this instance's clock (default: a fresh
-    /// [`RealClock`]).  Every time-dependent path — the controller's async
-    /// timeout sweep and the waiters' sleep deadlines — reads this source,
-    /// which is how the `lc-des` simulator runs the whole control plane on
-    /// virtual time with no code forks.
-    pub fn time_source(mut self, time: Arc<dyn TimeSource>) -> Self {
-        self.time = Some(time);
-        self
-    }
-
-    /// Uses `park_ops` as the blocking primitive for waiter threads
-    /// (default: [`ThreadPark`], which really blocks).
-    pub fn park_ops(mut self, park_ops: Arc<dyn ParkOps>) -> Self {
-        self.park_ops = Some(park_ops);
-        self
-    }
-
-    /// Starts the controller daemon as part of [`LoadControlBuilder::build`].
-    pub fn start_daemon(mut self) -> Self {
-        self.start = true;
-        self
-    }
-
-    /// Constructs the [`LoadControl`] instance.
-    pub fn build(mut self) -> Arc<LoadControl> {
-        // `shards` is a pub config field, so normalize exactly as
-        // `with_shards` does — into the retained config too, keeping
-        // `LoadControl::config().shards` in agreement with
-        // `buffer().shard_count()` — rather than letting the buffer
-        // constructor panic on a hand-set non-power-of-two.
-        self.config.shards = self.config.shards.max(1).next_power_of_two();
-        let (registry, sampler) = match self.sampler {
-            Some((registry, sampler)) => (registry, sampler),
-            None => {
-                let registry = Arc::new(ThreadRegistry::new());
-                let sampler: Box<dyn LoadSampler> =
-                    Box::new(RegistryLoadSampler::new(Arc::clone(&registry)));
-                (registry, sampler)
-            }
-        };
-        let shared = Arc::new(Shared {
-            buffer: SleepSlotBuffer::with_shards(self.config.max_sleepers, self.config.shards)
-                .with_wake_order(self.config.wake_order),
-            config: self.config,
-            registry,
-            sampler,
-            policy: Mutex::new(self.policy),
-            splitter: Mutex::new(self.splitter),
-            last_wait: Mutex::new(WaitSnapshot::default()),
-            async_plane: AsyncPlane::new(),
-            time: self
-                .time
-                .unwrap_or_else(|| Arc::new(RealClock::new()) as Arc<dyn TimeSource>),
-            park_ops: self
-                .park_ops
-                .unwrap_or_else(|| Arc::new(ThreadPark) as Arc<dyn ParkOps>),
-            running: AtomicBool::new(false),
-            cycles: AtomicU64::new(0),
-            last_runnable: AtomicUsize::new(0),
-        });
-        let lc = Arc::new(LoadControl {
-            shared,
-            daemon: Mutex::new(None),
-        });
-        if self.start {
-            lc.start_controller();
-        }
-        lc
-    }
+/// The slot-buffer shard count that `requested` stands for: rounded up to a
+/// power of two (at least 1), and no more shards than `max_sleepers` has
+/// slots, so that every shard holds at least one.
+fn shard_count(requested: usize, max_sleepers: usize) -> Result<usize, SpecError> {
+    let bound = max_sleepers.max(1);
+    let reason = match requested.max(1).checked_next_power_of_two() {
+        Some(shards) if shards <= bound => return Ok(shards),
+        Some(shards) => format!(
+            "shard count {requested} rounds up to {shards} shards, more than the \
+             {bound} slots of max_sleepers"
+        ),
+        None => format!("shard count {requested} overflows when rounded up to a power of two"),
+    };
+    Err(SpecError::Config {
+        source: "shards".to_string(),
+        reason,
+    })
 }
 
 impl LoadControl {
-    /// Creates a load-control instance with the default [`PaperPolicy`],
-    /// *without* starting the controller daemon (useful for tests and for
-    /// manually driven experiments).
+    /// Creates a load-control instance with the default spec (the paper's
+    /// policy, even splitting, the configuration's shard count, the registry
+    /// sampler), *without* starting the controller daemon (useful for tests
+    /// and for manually driven experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.shards` is out of range, with the error
+    /// [`LoadControl::from_spec`] would return.
     pub fn new(config: LoadControlConfig) -> Arc<Self> {
-        Self::builder(config).build()
+        Self::from_spec(config, &LoadControlSpec::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Begins builder-style construction (policy selection, custom sampler,
-    /// daemon autostart).
-    pub fn builder(config: LoadControlConfig) -> LoadControlBuilder {
-        LoadControlBuilder::new(config)
-    }
-
-    /// Creates a load-control instance steered by `policy`, daemon not
-    /// started.
-    pub fn with_policy(config: LoadControlConfig, policy: Box<dyn ControlPolicy>) -> Arc<Self> {
-        Self::builder(config).boxed_policy(policy).build()
+    /// Creates a load-control instance and starts its controller daemon.
+    ///
+    /// # Panics
+    ///
+    /// As [`LoadControl::new`].
+    pub fn start(config: LoadControlConfig) -> Arc<Self> {
+        let control = Self::new(config);
+        control.start_controller();
+        control
     }
 
     /// Creates a load-control instance from a declarative
-    /// [`LoadControlSpec`] (policy, splitter, shard count, sampler), daemon
-    /// not started.
+    /// [`LoadControlSpec`] (policy, splitter, shard count, sampler, wake
+    /// order), daemon not started.
     ///
-    /// The spec's shard count is applied on top of `config` exactly like
-    /// [`LoadControlConfig::with_shards`].
+    /// The spec's shard count, when it names one, replaces the
+    /// configuration's; either is rounded up to a power of two, and one that
+    /// overflows or leaves a shard without a slot of `max_sleepers` is a
+    /// [`SpecError::Config`].
     ///
     /// ```
     /// use lc_core::spec::LoadControlSpec;
@@ -324,7 +194,6 @@ impl LoadControl {
     ///         .unwrap();
     /// let control =
     ///     LoadControl::from_spec(LoadControlConfig::for_capacity(4), &spec).unwrap();
-    /// assert_eq!(control.policy_name(), "pid");
     /// assert_eq!(control.buffer().shard_count(), 2);
     /// // The live configuration reports back as a spec string that
     /// // reconstructs it.
@@ -339,12 +208,50 @@ impl LoadControl {
         config: LoadControlConfig,
         spec: &LoadControlSpec,
     ) -> Result<Arc<Self>, SpecError> {
-        Ok(Self::builder(config).apply_spec(spec)?.build())
+        Self::with_substitutes(config, spec, Substitutes::default())
     }
 
-    /// Creates a load-control instance and starts its controller daemon.
-    pub fn start(config: LoadControlConfig) -> Arc<Self> {
-        Self::builder(config).start_daemon().build()
+    /// [`LoadControl::from_spec`] with a simulated or instrumented clock,
+    /// sampler or park primitive in place of the real one.
+    pub fn with_substitutes(
+        mut config: LoadControlConfig,
+        spec: &LoadControlSpec,
+        substitutes: Substitutes,
+    ) -> Result<Arc<Self>, SpecError> {
+        config.shards = shard_count(spec.shards.unwrap_or(config.shards), config.max_sleepers)?;
+        let policy = POLICY_SPECS.build_spec(&spec.policy)?;
+        let splitter = SPLITTER_SPECS.build_spec(&spec.splitter)?;
+        let (registry, sampler) = match substitutes.sampler {
+            Some(substitute) => substitute,
+            None => {
+                let registry = Arc::new(ThreadRegistry::new());
+                let sampler: Box<dyn LoadSampler> = match &spec.sampler {
+                    Some(sampler) => SAMPLER_SPECS.build_spec_in(&registry, sampler)?,
+                    None => Box::new(RegistryLoadSampler::new(Arc::clone(&registry))),
+                };
+                (registry, sampler)
+            }
+        };
+        let shared = Arc::new(Shared {
+            buffer: SleepSlotBuffer::with_shards(config.max_sleepers, config.shards)
+                .with_wake_order(spec.wake_order.unwrap_or_default()),
+            config,
+            registry,
+            sampler,
+            policy: Mutex::new(policy),
+            splitter: Mutex::new(splitter),
+            last_wait: Mutex::new(WaitSnapshot::default()),
+            async_plane: AsyncPlane::new(),
+            time: substitutes.time,
+            park_ops: substitutes.park_ops,
+            running: AtomicBool::new(false),
+            cycles: AtomicU64::new(0),
+            last_runnable: AtomicUsize::new(0),
+        });
+        Ok(Arc::new(LoadControl {
+            shared,
+            daemon: Mutex::new(None),
+        }))
     }
 
     /// The process-wide default instance (capacity = available parallelism),
@@ -376,14 +283,13 @@ impl LoadControl {
         &self.shared.async_plane
     }
 
-    /// The clock this instance runs on (see
-    /// [`LoadControlBuilder::time_source`]).
+    /// The clock this instance runs on (see [`Substitutes::time`]).
     pub fn time(&self) -> &Arc<dyn TimeSource> {
         &self.shared.time
     }
 
     /// The blocking primitive waiter threads park through (see
-    /// [`LoadControlBuilder::park_ops`]).
+    /// [`Substitutes::park_ops`]).
     pub fn park_ops(&self) -> &Arc<dyn ParkOps> {
         &self.shared.park_ops
     }
@@ -404,35 +310,13 @@ impl LoadControl {
         WorkerRegistration::new(current_ctx(self))
     }
 
-    /// Replaces the control policy; takes effect on the next cycle.
-    pub fn set_policy(&self, policy: Box<dyn ControlPolicy>) {
-        *self.shared.policy.lock().unwrap() = policy;
-    }
-
-    /// The registry name of the current control policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.shared.policy.lock().unwrap().name()
-    }
-
-    /// Replaces the target splitter; takes effect the next time the global
-    /// target changes.
-    pub fn set_splitter(&self, splitter: Box<dyn TargetSplitter>) {
-        *self.shared.splitter.lock().unwrap() = splitter;
-    }
-
-    /// The registry name of the current target splitter.
-    pub fn splitter_name(&self) -> &'static str {
-        self.shared.splitter.lock().unwrap().name()
-    }
-
-    /// The canonical spec of the **live** configuration: current policy
-    /// (with parameters), current splitter, shard count and sampler.
+    /// The canonical spec of the **live** configuration: policy and splitter
+    /// with their current parameters, shard count, sampler and (when not the
+    /// default) wake order.  A name is `spec().policy.name()`.
     ///
     /// The rendered string (`spec().to_string()`) parses back to an
     /// equivalent [`LoadControlSpec`], so logs and bench labels can record
-    /// the exact control plane a measurement ran under.  Runtime swaps
-    /// ([`LoadControl::set_policy`], [`LoadControl::set_splitter`]) are
-    /// reflected immediately.
+    /// the exact control plane a measurement ran under.
     pub fn spec(&self) -> LoadControlSpec {
         LoadControlSpec {
             policy: self.shared.policy.lock().unwrap().spec(),
@@ -623,19 +507,23 @@ impl Drop for LoadControl {
     }
 }
 
+/// A control on `config` built from the spec string `spec`, daemon not
+/// started: how the unit tests of every module build theirs.
+#[cfg(test)]
+pub(crate) fn spec_control(config: LoadControlConfig, spec: &str) -> Arc<LoadControl> {
+    let parsed = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
+    LoadControl::from_spec(config, &parsed).unwrap_or_else(|e| panic!("{spec}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FixedPolicy, HysteresisPolicy};
     use lc_accounting::ThreadState;
     use std::time::Duration;
 
     #[test]
     fn manual_target_controls_buffer() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(4),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(4), "policy=fixed");
         assert_eq!(lc.sleep_target(), 0);
         lc.set_sleep_target(3);
         assert_eq!(lc.sleep_target(), 3);
@@ -647,7 +535,8 @@ mod tests {
     #[test]
     fn automatic_cycle_tracks_registry_load() {
         let lc = LoadControl::new(LoadControlConfig::for_capacity(2));
-        assert_eq!(lc.policy_name(), "paper");
+        assert_eq!(lc.spec().policy.to_string(), "paper");
+        assert_eq!(lc.spec().sampler.unwrap().to_string(), "registry");
         // Register four runnable threads directly with the registry.
         let handles: Vec<_> = (0..4).map(|_| lc.registry().register()).collect();
         let stats = lc.run_cycle();
@@ -664,23 +553,17 @@ mod tests {
 
     #[test]
     fn fixed_policy_ignores_measurements() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(1),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "policy=fixed");
         let _h: Vec<_> = (0..5).map(|_| lc.registry().register()).collect();
         lc.set_sleep_target(2);
         lc.run_cycle();
         assert_eq!(lc.sleep_target(), 2);
-        assert_eq!(lc.policy_name(), "fixed");
+        assert_eq!(lc.spec().policy.name(), "fixed");
     }
 
     #[test]
     fn pinned_policy_overrides_manual_bumps() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(1),
-            Box::new(FixedPolicy::pinned(3)),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "policy=fixed(target=3)");
         lc.set_sleep_target(7);
         lc.run_cycle();
         assert_eq!(lc.sleep_target(), 3);
@@ -688,9 +571,10 @@ mod tests {
 
     #[test]
     fn hysteresis_policy_damps_target_flapping() {
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .policy(HysteresisPolicy::with_params(0.5, 1.0, 2.0))
-            .build();
+        let lc = spec_control(
+            LoadControlConfig::for_capacity(2),
+            "policy=hysteresis(alpha=0.5, up=1, down=2)",
+        );
         let handles: Vec<_> = (0..6).map(|_| lc.registry().register()).collect();
         lc.run_cycle();
         let settled = lc.sleep_target();
@@ -703,62 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_can_be_swapped_at_runtime() {
-        let lc = LoadControl::new(LoadControlConfig::for_capacity(1));
-        assert_eq!(lc.policy_name(), "paper");
-        let _h: Vec<_> = (0..4).map(|_| lc.registry().register()).collect();
-        lc.run_cycle();
-        assert_eq!(lc.sleep_target(), 3);
-        lc.set_policy(Box::new(FixedPolicy::pinned(1)));
-        assert_eq!(lc.policy_name(), "fixed");
-        lc.run_cycle();
-        assert_eq!(lc.sleep_target(), 1);
-    }
-
-    #[test]
-    fn builder_selects_policies_by_spec() {
-        for &name in crate::policy::ALL_POLICY_NAMES {
-            let lc = LoadControl::builder(LoadControlConfig::for_capacity(2))
-                .policy_spec(name)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .build();
-            assert_eq!(lc.policy_name(), name);
-        }
-        assert!(LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .policy_spec("no-such-policy")
-            .is_err());
-        // Parameterized specs reach the policy.
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .policy_spec("fixed(target=5)")
-            .unwrap()
-            .build();
-        lc.run_cycle();
-        assert_eq!(lc.sleep_target(), 5);
-    }
-
-    #[test]
-    fn builder_selects_samplers_by_spec() {
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .sampler_spec("fixed(runnable=6)")
-            .expect("registered sampler")
-            .build();
-        let stats = lc.run_cycle();
-        assert_eq!(stats.last_runnable, 6);
-        assert_eq!(stats.last_target, 4);
-        assert!(LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .sampler_spec("fixed(bogus=1)")
-            .is_err());
-    }
-
-    #[test]
     fn from_spec_builds_the_whole_control_plane() {
         let spec: LoadControlSpec =
             "policy=pid(kp=0.8, ki=0.2); splitter=load-weighted(ewma=0.25); shards=2; sampler=fixed(runnable=9)"
                 .parse()
                 .unwrap();
         let lc = LoadControl::from_spec(LoadControlConfig::for_capacity(4), &spec).unwrap();
-        assert_eq!(lc.policy_name(), "pid");
-        assert_eq!(lc.splitter_name(), "load-weighted");
         assert_eq!(lc.buffer().shard_count(), 2);
         let stats = lc.run_cycle();
         assert_eq!(stats.last_runnable, 9, "spec sampler not wired");
@@ -777,17 +611,30 @@ mod tests {
         let rebuilt =
             LoadControl::from_spec(LoadControlConfig::for_capacity(4), &reported).unwrap();
         assert_eq!(rebuilt.spec(), reported);
-    }
 
-    #[test]
-    fn live_spec_tracks_runtime_policy_swaps() {
-        let lc = LoadControl::new(LoadControlConfig::for_capacity(2));
-        assert_eq!(lc.spec().policy.to_string(), "paper");
-        assert_eq!(lc.spec().sampler.as_ref().unwrap().to_string(), "registry");
-        lc.set_policy(Box::new(crate::policy::PidPolicy::with_gains(
-            0.8, 0.2, 0.0,
-        )));
-        assert_eq!(lc.spec().policy.to_string(), "pid(kp=0.8, ki=0.2)");
+        // Parameters reach the policy and the sampler.
+        let lc = spec_control(LoadControlConfig::for_capacity(2), "policy=fixed(target=5)");
+        lc.run_cycle();
+        assert_eq!(lc.sleep_target(), 5);
+        let lc = spec_control(
+            LoadControlConfig::for_capacity(2),
+            "sampler=fixed(runnable=6)",
+        );
+        let stats = lc.run_cycle();
+        assert_eq!((stats.last_runnable, stats.last_target), (6, 4));
+        // Names and keys the registries do not know are errors.
+        for bad in [
+            "policy=no-such-policy",
+            "splitter=no-such-splitter",
+            "sampler=fixed(bogus=1)",
+        ] {
+            assert!(bad.parse::<LoadControlSpec>().is_err(), "{bad}");
+        }
+        let unchecked = LoadControlSpec {
+            policy: "no-such-policy".parse().unwrap(),
+            ..LoadControlSpec::default()
+        };
+        assert!(LoadControl::from_spec(LoadControlConfig::for_capacity(2), &unchecked).is_err());
     }
 
     #[test]
@@ -828,39 +675,13 @@ mod tests {
         config.max_sleepers = 16;
         let lc = LoadControl::new(config);
         assert_eq!(lc.buffer().shard_count(), 4);
-        assert_eq!(lc.splitter_name(), "even");
+        assert_eq!(lc.spec().splitter.name(), "even");
         let _handles: Vec<_> = (0..9).map(|_| lc.registry().register()).collect();
         let stats = lc.run_cycle();
         assert_eq!(stats.last_target, 7, "T = load − capacity");
         let per_shard: Vec<u64> = (0..4).map(|i| lc.buffer().shard_target(i)).collect();
         assert_eq!(per_shard.iter().sum::<u64>(), 7, "sum(T_i) must equal T");
         assert_eq!(per_shard, vec![2, 2, 2, 1]);
-    }
-
-    #[test]
-    fn builder_selects_splitters_by_spec() {
-        for &name in crate::policy::ALL_SPLITTER_NAMES {
-            let lc = LoadControl::builder(LoadControlConfig::for_capacity(2).with_shards(2))
-                .splitter_spec(name)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .build();
-            assert_eq!(lc.splitter_name(), name);
-        }
-        assert!(LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .splitter_spec("no-such-splitter")
-            .is_err());
-    }
-
-    #[test]
-    fn splitter_can_be_swapped_at_runtime() {
-        let lc = LoadControl::new(LoadControlConfig::for_capacity(1).with_shards(2));
-        assert_eq!(lc.splitter_name(), "even");
-        lc.set_splitter(Box::new(crate::policy::LoadWeightedSplitter::new()));
-        assert_eq!(lc.splitter_name(), "load-weighted");
-        let _h: Vec<_> = (0..5).map(|_| lc.registry().register()).collect();
-        lc.run_cycle();
-        let total: u64 = (0..2).map(|i| lc.buffer().shard_target(i)).sum();
-        assert_eq!(total, 4, "load-weighted shares must still sum to T");
     }
 
     #[test]
@@ -885,9 +706,8 @@ mod tests {
         }
 
         let calls = Arc::new(Counter::new(0));
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(1).with_shards(2))
-            .splitter(CountingSplitter(Arc::clone(&calls)))
-            .build();
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "shards=2");
+        *lc.shared.splitter.lock().unwrap() = Box::new(CountingSplitter(Arc::clone(&calls)));
         let _h: Vec<_> = (0..4).map(|_| lc.registry().register()).collect();
         // Constant load → the target settles at 3 and stops changing, but a
         // rebalancing splitter must still be consulted every cycle.
@@ -909,7 +729,7 @@ mod tests {
         // published partition untouched (preserving the manual-steering
         // publish-on-change semantics verified elsewhere); the partition
         // still follows every target change.
-        let lc = LoadControl::new(LoadControlConfig::for_capacity(1).with_shards(2));
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "shards=2");
         let handles: Vec<_> = (0..5).map(|_| lc.registry().register()).collect();
         lc.run_cycle();
         assert_eq!(lc.sleep_target(), 4);
@@ -928,10 +748,10 @@ mod tests {
         // The rebalance path republishes an *unchanged* total; if an
         // external set_sleep_target landed since the cycle read it, the
         // conditional publish must skip rather than revert it.
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(1).with_shards(2))
-            .boxed_policy(Box::new(FixedPolicy::manual()))
-            .splitter(LoadWeightedSplitter::new())
-            .build();
+        let lc = spec_control(
+            LoadControlConfig::for_capacity(1),
+            "policy=fixed; splitter=load-weighted; shards=2",
+        );
         assert!(LoadWeightedSplitter::new().rebalances());
         lc.set_sleep_target(4);
         lc.run_cycle(); // manual policy keeps 4; rebalance republishes 4
@@ -948,17 +768,27 @@ mod tests {
 
     #[test]
     fn hand_set_shard_counts_are_normalized_not_panicked_on() {
-        let mut config = LoadControlConfig::for_capacity(4);
-        config.shards = 6; // pub field set directly, bypassing with_shards
-        let lc = LoadControl::new(config);
+        let lc = LoadControl::new(LoadControlConfig::for_capacity(4).with_shards(6));
         assert_eq!(lc.buffer().shard_count(), 8);
         // The retained config agrees with the buffer.
         assert_eq!(lc.config().shards, 8);
-        let mut zero = LoadControlConfig::for_capacity(4);
-        zero.shards = 0;
-        let lc = LoadControl::new(zero);
+        let lc = LoadControl::new(LoadControlConfig::for_capacity(4).with_shards(0));
         assert_eq!(lc.buffer().shard_count(), 1);
         assert_eq!(lc.config().shards, 1);
+        // The spec's count replaces the configuration's, rounded the same way.
+        let lc = spec_control(
+            LoadControlConfig::for_capacity(4).with_shards(2),
+            "shards=3",
+        );
+        assert_eq!((lc.buffer().shard_count(), lc.config().shards), (4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than the 2 slots of max_sleepers")]
+    fn a_hand_set_shard_count_past_max_sleepers_panics_in_new() {
+        let mut config = LoadControlConfig::for_capacity(1).with_shards(3);
+        config.max_sleepers = 2;
+        LoadControl::new(config);
     }
 
     #[test]
@@ -967,7 +797,7 @@ mod tests {
         // slots, but an externally steered target must still cap at 10.
         let mut config = LoadControlConfig::for_capacity(2).with_shards(4);
         config.max_sleepers = 10;
-        let lc = LoadControl::with_policy(config, Box::new(FixedPolicy::manual()));
+        let lc = spec_control(config, "policy=fixed");
         assert_eq!(lc.buffer().capacity(), 12);
         lc.set_sleep_target(100);
         assert_eq!(lc.sleep_target(), 10);
@@ -989,9 +819,8 @@ mod tests {
             }
         }
 
-        let lc = LoadControl::builder(LoadControlConfig::for_capacity(1).with_shards(2))
-            .splitter(BrokenSplitter)
-            .build();
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "shards=2");
+        *lc.shared.splitter.lock().unwrap() = Box::new(BrokenSplitter);
         let _h: Vec<_> = (0..5).map(|_| lc.registry().register()).collect();
         // The cycle must survive and publish the even split instead.
         lc.run_cycle();
@@ -1006,10 +835,7 @@ mod tests {
         // with *some* whole partition — never a mix of two with the cached
         // total out of sync (`sum(T_i) == target()` is the invariant every
         // reader relies on).
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(1).with_shards(4),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "policy=fixed; shards=4");
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for worker in 0..2u64 {
@@ -1049,10 +875,7 @@ mod tests {
 
     #[test]
     fn manual_target_even_splits_across_shards() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(4).with_shards(2),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(4), "policy=fixed; shards=2");
         lc.set_sleep_target(5);
         assert_eq!(lc.sleep_target(), 5);
         assert_eq!(lc.buffer().shard_target(0), 3);

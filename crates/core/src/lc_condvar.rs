@@ -223,15 +223,12 @@ impl Default for LcCondvar {
 mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::thread;
     use std::time::{Duration, Instant};
 
     fn manual_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     #[test]
@@ -322,9 +319,9 @@ mod tests {
 
     #[test]
     fn waiters_park_under_overload() {
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(5)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let flag = Arc::new(LcMutex::<bool>::new_with(false, &lc));
@@ -351,9 +348,9 @@ mod tests {
     fn notify_one_hands_off_to_a_load_parked_waiter_immediately() {
         // A sleep timeout far longer than the test: the waiter can only
         // return promptly if `notify_one` reaches through its parked slot.
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(30)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let flag = Arc::new(LcMutex::<bool>::new_with(false, &lc));

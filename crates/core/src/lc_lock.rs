@@ -220,7 +220,7 @@ impl<T: ?Sized, R: AbortableLock> LcMutex<T, R> {
     {
         LockAsync {
             mutex: self,
-            acquire: AsyncAcquire::new(self.raw.control().config().slot_check_period),
+            acquire: AsyncAcquire::default(),
         }
     }
 
@@ -370,16 +370,13 @@ impl<T: ?Sized + fmt::Debug, R: AbortableLock> fmt::Debug for LcMutexAsyncGuard<
 mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use lc_locks::{McsLock, TicketLock, TtasLock};
     use std::thread;
     use std::time::Duration;
 
     fn manual_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     #[test]

@@ -198,15 +198,12 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for LcRwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::thread;
     use std::time::Duration;
 
     fn manual_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     #[test]
@@ -262,13 +259,11 @@ mod tests {
 
     #[test]
     fn consistency_survives_forced_overload() {
-        let lc = LoadControl::builder(
+        let lc = LoadControl::start(
             LoadControlConfig::for_capacity(1)
                 .with_update_interval(Duration::from_millis(1))
                 .with_sleep_timeout(Duration::from_millis(5)),
-        )
-        .start_daemon()
-        .build();
+        );
         let rw = Arc::new(LcRwLock::new_with(0u64, &lc));
         let mut handles = Vec::new();
         for _ in 0..3 {

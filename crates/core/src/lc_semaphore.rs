@@ -126,7 +126,7 @@ impl LcSemaphore {
     pub fn acquire_async(&self) -> AcquireAsync<'_> {
         AcquireAsync {
             semaphore: self,
-            acquire: AsyncAcquire::new(self.control.config().slot_check_period),
+            acquire: AsyncAcquire::default(),
         }
     }
 
@@ -188,11 +188,11 @@ impl Drop for LcSemaphorePermit<'_> {
 /// Future returned by [`LcSemaphore::acquire_async`].
 ///
 /// Each poll is one iteration of the client-side algorithm: try the permit
-/// CAS; every `slot_check_period` polls consult the slot buffer; with a
-/// claim held, suspend until the controller clears the slot (or the sleep
-/// timeout passes); otherwise yield cooperatively and get re-polled — the
-/// async analogue of a spinning waiter.  Dropping the future releases any
-/// pending sleep-slot claim.
+/// CAS; every [`crate::LoadControlConfig::SLOT_CHECK_PERIOD`] polls consult
+/// the slot buffer; with a claim held, suspend until the controller clears
+/// the slot (or the sleep timeout passes); otherwise yield cooperatively
+/// and get re-polled — the async analogue of a spinning waiter.  Dropping
+/// the future releases any pending sleep-slot claim.
 #[derive(Debug)]
 pub struct AcquireAsync<'a> {
     semaphore: &'a LcSemaphore,
@@ -239,16 +239,13 @@ impl Drop for LcSemaphoreAsyncPermit<'_> {
 mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
     use std::time::Duration;
 
     fn manual_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     #[test]
@@ -300,13 +297,11 @@ mod tests {
 
     #[test]
     fn bound_holds_under_forced_overload() {
-        let lc = LoadControl::builder(
+        let lc = LoadControl::start(
             LoadControlConfig::for_capacity(1)
                 .with_update_interval(Duration::from_millis(1))
                 .with_sleep_timeout(Duration::from_millis(5)),
-        )
-        .start_daemon()
-        .build();
+        );
         let sem = Arc::new(LcSemaphore::new_with(2, &lc));
         let total = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -391,7 +386,7 @@ mod tests {
         let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
         {
             let mut fut = std::pin::pin!(sem.acquire_async());
-            let period = u64::from(lc.config().slot_check_period);
+            let period = LoadControlConfig::SLOT_CHECK_PERIOD;
             let mut parked = false;
             for _ in 0..=(period + 1) {
                 match fut.as_mut().poll(&mut cx) {

@@ -59,38 +59,28 @@
 //! assert_eq!(*counter.lock(), 8_000);
 //! ```
 //!
-//! The control plane is selected by **spec string** through the builder —
-//! decision policy, shard-target splitter, and daemon autostart in one
-//! expression, with parameters in the shared `name(key=value)` grammar of
-//! [`spec`]:
-//!
-//! ```
-//! use lc_core::{LoadControl, LoadControlConfig};
-//!
-//! let control = LoadControl::builder(
-//!         LoadControlConfig::for_capacity(8).with_shards(2))
-//!     .policy_spec("hysteresis(alpha=0.3, deadband=2)").expect("registered policy")
-//!     .splitter_spec("load-weighted(ewma=0.25)").expect("registered splitter")
-//!     .build();
-//! assert_eq!(control.policy_name(), "hysteresis");
-//! assert_eq!(control.splitter_name(), "load-weighted");
-//! assert_eq!(control.buffer().shard_count(), 2);
-//! // The live configuration reports back as a canonical spec string.
-//! assert_eq!(control.spec().splitter.to_string(), "load-weighted(ewma=0.25)");
-//! ```
-//!
-//! Whole control planes are described declaratively by
-//! [`LoadControlSpec`] — parsed from a string, a `key = value` config file,
-//! or the `LC_POLICY` / `LC_SPLITTER` / `LC_SHARDS` / `LC_SAMPLER`
-//! environment variables — and built with [`LoadControl::from_spec`]:
+//! The control plane — decision policy, shard-target splitter, shard
+//! count, load sampler and wake order — is one [`LoadControlSpec`], parsed
+//! from a string, a `key = value` config file, or the `LC_POLICY` /
+//! `LC_SPLITTER` / `LC_SHARDS` / `LC_SAMPLER` / `LC_WAKE_ORDER`
+//! environment variables, with parameters in the shared `name(key=value)`
+//! grammar of [`spec`].  [`LoadControl::from_spec`] is the one constructor
+//! that reads it:
 //!
 //! ```
 //! use lc_core::spec::LoadControlSpec;
 //! use lc_core::{LoadControl, LoadControlConfig};
 //!
-//! let spec: LoadControlSpec = "policy=pid(kp=0.5, ki=0.1); shards=2".parse().unwrap();
+//! let spec: LoadControlSpec =
+//!     "policy=hysteresis(alpha=0.3, deadband=2); splitter=load-weighted(ewma=0.25); shards=2"
+//!         .parse()
+//!         .unwrap();
 //! let control = LoadControl::from_spec(LoadControlConfig::for_capacity(8), &spec).unwrap();
-//! assert_eq!(control.policy_name(), "pid");
+//! assert_eq!(control.spec().policy.name(), "hysteresis");
+//! assert_eq!(control.buffer().shard_count(), 2);
+//! // The live configuration reports back as a canonical spec string.
+//! assert_eq!(control.spec().policy.to_string(), "hysteresis(alpha=0.3, up=2)");
+//! control.start_controller();
 //! ```
 
 #![warn(missing_docs)]
@@ -112,7 +102,7 @@ pub mod time;
 
 pub use async_gate::{AsyncLoadGate, AsyncSpinHook};
 pub use config::{LoadControlConfig, WakeOrder};
-pub use controller::{ControllerStats, LoadControl, LoadControlBuilder};
+pub use controller::{ControllerStats, LoadControl, Substitutes};
 pub use lc_condvar::LcCondvar;
 pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};

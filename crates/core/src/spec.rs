@@ -13,12 +13,15 @@
 //! * a **config file** of `key = value` lines with `#` comments
 //!   ([`LoadControlSpec::from_config_file`]),
 //! * the **environment** (`LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-//!   `LC_SAMPLER`, `LC_WAKE_ORDER`; [`LoadControlSpec::from_env`]), or
-//! * the builder, programmatically.
+//!   `LC_SAMPLER`, `LC_WAKE_ORDER`; [`LoadControlSpec::apply_env`]), or
+//! * single `key`, `value` pairs layered on top of any of these
+//!   ([`LoadControlSpec::set`]).
 //!
 //! Every source is validated against the registries at parse time: unknown
 //! policy/splitter/sampler names, unknown parameter keys and malformed shard
-//! counts are explicit [`SpecError`]s, never silent defaults.  `Display`
+//! counts are explicit [`SpecError`]s, never silent defaults.  The one check
+//! left to [`crate::LoadControl::from_spec`] is the shard count's range,
+//! which depends on the configuration's `max_sleepers`.  `Display`
 //! prints the canonical string form and `parse → Display → parse` is the
 //! identity, so a running [`crate::LoadControl`] can report its exact
 //! configuration ([`crate::LoadControl::spec`]) as a string that reconstructs
@@ -48,7 +51,7 @@ use std::str::FromStr;
 /// Parses a shard-count value from a spec source (`LC_SHARDS`, a config
 /// file's `shards =` line): a positive integer, anything else is an explicit
 /// [`SpecError::Config`].
-pub fn parse_shards_value(source: &str, value: &str) -> Result<usize, SpecError> {
+fn parse_shards_value(source: &str, value: &str) -> Result<usize, SpecError> {
     match value.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         Ok(_) => Err(SpecError::Config {
@@ -62,15 +65,31 @@ pub fn parse_shards_value(source: &str, value: &str) -> Result<usize, SpecError>
     }
 }
 
+/// Parses a wake-order value from a spec source: `fifo` or `window`.
+fn parse_wake_order(source: &str, value: &str) -> Result<WakeOrder, SpecError> {
+    WakeOrder::parse(value.trim()).ok_or_else(|| SpecError::Config {
+        source: source.to_string(),
+        reason: format!("invalid wake order {value:?}: expected fifo or window"),
+    })
+}
+
+/// Parses `value` and checks it against `registry`.
+fn validated<T, C>(registry: &Registry<T, C>, value: &str) -> Result<ParsedSpec, SpecError> {
+    let parsed = ParsedSpec::parse(value)?;
+    registry.validate(&parsed)?;
+    Ok(parsed)
+}
+
 /// A declarative description of a whole [`crate::LoadControl`] control
 /// plane.
 ///
 /// Field specs use the shared `name(key=value)` grammar and are validated
 /// against [`POLICY_SPECS`], [`SPLITTER_SPECS`] and [`SAMPLER_SPECS`] when
-/// the `LoadControlSpec` is parsed or its setters are used.  `shards` and
-/// `sampler` are optional: `None` means "not specified by this source" —
-/// the builder keeps whatever shard count its configuration already has and
-/// uses the default registry-backed sampler.
+/// the `LoadControlSpec` is parsed or changed with [`LoadControlSpec::set`].  `shards`,
+/// `sampler` and `wake_order` are optional: `None` means "not specified by
+/// this source" — [`crate::LoadControl::from_spec`] keeps the
+/// configuration's shard count, the registry-backed sampler and the
+/// paper's `fifo` wake order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadControlSpec {
     /// The control policy (default: `paper`).
@@ -78,13 +97,12 @@ pub struct LoadControlSpec {
     /// The shard-target splitter (default: `even`).
     pub splitter: ParsedSpec,
     /// Slot-buffer shard count, or `None` to keep the configuration's
-    /// (values are rounded to a power of two at build time, exactly like
-    /// [`crate::LoadControlConfig::with_shards`]).
+    /// (rounded up to a power of two at build time).
     pub shards: Option<usize>,
     /// The load sampler, or `None` for the default registry sampler.
     pub sampler: Option<ParsedSpec>,
-    /// The controller wake order (`fifo` or `window`), or `None` to keep the
-    /// configuration's (array-order `fifo`).
+    /// The controller wake order (`fifo` or `window`), or `None` for the
+    /// paper's array-order `fifo`.
     pub wake_order: Option<WakeOrder>,
 }
 
@@ -105,97 +123,37 @@ impl LoadControlSpec {
     pub const ENV_POLICY: &'static str = "LC_POLICY";
     /// Environment variable holding the target-splitter spec.
     pub const ENV_SPLITTER: &'static str = "LC_SPLITTER";
-    /// Environment variable holding the shard count (the same variable
-    /// [`crate::LoadControlConfig::SHARDS_ENV`] reads — one source of
-    /// truth).
-    pub const ENV_SHARDS: &'static str = crate::LoadControlConfig::SHARDS_ENV;
+    /// Environment variable holding the shard count.
+    pub const ENV_SHARDS: &'static str = "LC_SHARDS";
     /// Environment variable holding the load-sampler spec.
     pub const ENV_SAMPLER: &'static str = "LC_SAMPLER";
     /// Environment variable holding the controller wake order (`fifo` or
     /// `window`).
     pub const ENV_WAKE_ORDER: &'static str = "LC_WAKE_ORDER";
 
-    /// The default spec: `paper` policy, `even` splitter, one shard, registry
-    /// sampler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `self` with the policy set from `spec`, validated against
-    /// [`POLICY_SPECS`].
-    pub fn with_policy(mut self, spec: &str) -> Result<Self, SpecError> {
-        let parsed = ParsedSpec::parse(spec)?;
-        POLICY_SPECS.validate(&parsed)?;
-        self.policy = parsed;
-        Ok(self)
-    }
-
-    /// Returns `self` with the splitter set from `spec`, validated against
-    /// [`SPLITTER_SPECS`].
-    pub fn with_splitter(mut self, spec: &str) -> Result<Self, SpecError> {
-        let parsed = ParsedSpec::parse(spec)?;
-        SPLITTER_SPECS.validate(&parsed)?;
-        self.splitter = parsed;
-        Ok(self)
-    }
-
-    /// Returns `self` with the sampler set from `spec`, validated against
-    /// [`SAMPLER_SPECS`].
-    pub fn with_sampler(mut self, spec: &str) -> Result<Self, SpecError> {
-        let parsed = ParsedSpec::parse(spec)?;
-        SAMPLER_SPECS.validate(&parsed)?;
-        self.sampler = Some(parsed);
-        Ok(self)
-    }
-
-    /// Returns `self` with `shards` slot-buffer shards (must be ≥ 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Returns `self` with the controller wake order set.
-    pub fn with_wake_order(mut self, order: WakeOrder) -> Self {
-        self.wake_order = Some(order);
-        self
-    }
-
-    fn parse_wake_order(source: &str, value: &str) -> Result<WakeOrder, SpecError> {
-        WakeOrder::parse(value.trim()).ok_or_else(|| SpecError::Config {
-            source: source.to_string(),
-            reason: format!("invalid wake order {value:?}: expected fifo or window"),
-        })
-    }
-
-    fn set(&mut self, source: &str, key: &str, value: &str) -> Result<(), SpecError> {
-        let staged = std::mem::take(self);
-        *self = match key {
-            "policy" => staged.with_policy(value)?,
-            "splitter" => staged.with_splitter(value)?,
-            "sampler" => staged.with_sampler(value)?,
-            "shards" => staged.with_shards(parse_shards_value(source, value)?),
-            "wake_order" => staged.with_wake_order(Self::parse_wake_order(source, value)?),
+    /// Sets `key` (`policy`, `splitter`, `shards`, `sampler` or
+    /// `wake_order`) from its string `value`, validated against the key's
+    /// registry; errors name `source` (a variable, a file, a flag).  On an
+    /// error the spec is left unchanged, so layered sources never lose an
+    /// earlier layer.
+    pub fn set(&mut self, source: &str, key: &str, value: &str) -> Result<(), SpecError> {
+        match key {
+            "policy" => self.policy = validated(&POLICY_SPECS, value)?,
+            "splitter" => self.splitter = validated(&SPLITTER_SPECS, value)?,
+            "sampler" => self.sampler = Some(validated(&SAMPLER_SPECS, value)?),
+            "shards" => self.shards = Some(parse_shards_value(source, value)?),
+            "wake_order" => self.wake_order = Some(parse_wake_order(source, value)?),
             _ => {
-                *self = staged;
                 return Err(SpecError::Config {
                     source: source.to_string(),
                     reason: format!(
                         "unknown key {key:?}; accepted keys: policy, splitter, shards, \
                          sampler, wake_order"
                     ),
-                });
+                })
             }
-        };
+        }
         Ok(())
-    }
-
-    /// Parses a spec from its string form: `key=value` entries separated by
-    /// `;` or newlines, with `#` starting a comment.  Accepted keys are
-    /// `policy`, `splitter`, `shards`, `sampler` and `wake_order`; every
-    /// value is validated against its registry.  Unset keys keep their
-    /// defaults.
-    pub fn parse(input: &str) -> Result<Self, SpecError> {
-        Self::parse_from(input, "spec")
     }
 
     fn parse_from(input: &str, source: &str) -> Result<Self, SpecError> {
@@ -240,16 +198,11 @@ impl LoadControlSpec {
         Self::parse_from(&contents, &path.display().to_string())
     }
 
-    /// The default spec with the `LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-    /// `LC_SAMPLER` and `LC_WAKE_ORDER` environment variables applied.  A malformed variable is an explicit error, never a silent
-    /// fall-back to the default.
-    pub fn from_env() -> Result<Self, SpecError> {
-        Self::default().apply_env()
-    }
-
-    /// Returns `self` with any set `LC_*` environment variables layered on
-    /// top (unset or empty variables keep the current values).  A malformed
-    /// variable is an explicit error naming the variable.
+    /// Returns `self` with the set `LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
+    /// `LC_SAMPLER` and `LC_WAKE_ORDER` environment variables layered on top
+    /// (unset or empty variables keep the current values).  A malformed
+    /// variable is an explicit error naming the variable, never a silent
+    /// fall-back.
     pub fn apply_env(mut self) -> Result<Self, SpecError> {
         for (var, key) in [
             (Self::ENV_POLICY, "policy"),
@@ -284,23 +237,22 @@ impl fmt::Display for LoadControlSpec {
     }
 }
 
+/// Parses a spec from its string form: `key=value` entries separated by `;`
+/// or newlines, with `#` starting a comment.  Accepted keys are `policy`,
+/// `splitter`, `shards`, `sampler` and `wake_order`; every value is
+/// validated against its registry.  Unset keys keep their defaults.
 impl FromStr for LoadControlSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
+        Self::parse_from(s, "spec")
     }
 }
-
-/// Serializes tests that mutate the process-global `LC_*` environment
-/// variables (they race otherwise: the test harness runs threads in
-/// parallel).
-#[cfg(test)]
-pub(crate) static ENV_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LoadControl, LoadControlConfig};
 
     #[test]
     fn default_spec_is_the_paper_setup() {
@@ -323,22 +275,21 @@ mod tests {
             "policy=latency(target_p99=20); splitter=even; wake_order=window",
             "policy=autotune(inner=pid, objective=p99); splitter=even; shards=2; wake_order=fifo",
         ] {
-            let spec = LoadControlSpec::parse(input).unwrap();
+            let spec = input.parse::<LoadControlSpec>().unwrap();
             let rendered = spec.to_string();
-            assert_eq!(LoadControlSpec::parse(&rendered).unwrap(), spec, "{input}");
+            assert_eq!(rendered.parse::<LoadControlSpec>().unwrap(), spec, "{input}");
         }
     }
 
     #[test]
     fn config_file_form_parses_with_comments() {
-        let spec = LoadControlSpec::parse(
-            "# experiment: smooth convergence\n\
+        let spec: LoadControlSpec = "# experiment: smooth convergence\n\
              policy = pid(kp=0.5, ki=0.1)   # showcase parameterized entry\n\
              \n\
              splitter = load-weighted(ewma=0.25)\n\
-             shards = 4\n",
-        )
-        .unwrap();
+             shards = 4\n"
+            .parse()
+            .unwrap();
         assert_eq!(spec.policy.to_string(), "pid(kp=0.5, ki=0.1)");
         assert_eq!(spec.splitter.to_string(), "load-weighted(ewma=0.25)");
         assert_eq!(spec.shards, Some(4));
@@ -347,30 +298,30 @@ mod tests {
     #[test]
     fn unknown_names_keys_and_values_are_explicit_errors() {
         assert!(matches!(
-            LoadControlSpec::parse("policy=no-such-policy"),
+            "policy=no-such-policy".parse::<LoadControlSpec>(),
             Err(SpecError::UnknownName { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("policy=pid(gain=2)"),
+            "policy=pid(gain=2)".parse::<LoadControlSpec>(),
             Err(SpecError::UnknownKey { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("brightness=11"),
+            "brightness=11".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("shards=zero"),
+            "shards=zero".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("shards=0"),
+            "shards=0".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("policy=paper; policy=fixed"),
+            "policy=paper; policy=fixed".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
-        match LoadControlSpec::parse("topology=mesh") {
+        match "topology=mesh".parse::<LoadControlSpec>() {
             Err(SpecError::Config { reason, .. }) => assert!(
                 reason.ends_with("policy, splitter, shards, sampler, wake_order"),
                 "an unknown key must list the accepted ones: {reason}"
@@ -378,31 +329,59 @@ mod tests {
             other => panic!("expected an unknown-key error, got {other:?}"),
         }
         assert!(matches!(
-            LoadControlSpec::parse("policy"),
+            "policy".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
         assert!(matches!(
-            LoadControlSpec::parse("wake_order=lifo"),
+            "wake_order=lifo".parse::<LoadControlSpec>(),
             Err(SpecError::Config { .. })
         ));
+        // A shard count that parses but rounds past usize, or leaves a shard
+        // of the default 1024 sleepers without a slot, is rejected when the
+        // control is built.
+        for shards in ["18446744073709551615", "1048576"] {
+            let spec = format!("shards={shards}")
+                .parse::<LoadControlSpec>()
+                .unwrap();
+            match LoadControl::from_spec(LoadControlConfig::for_capacity(2), &spec) {
+                Err(SpecError::Config { source, .. }) => assert_eq!(source, "shards"),
+                other => panic!("shards={shards} must be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_set_leaves_the_spec_unchanged() {
+        let mut spec = "shards=4; wake_order=window"
+            .parse::<LoadControlSpec>()
+            .unwrap();
+        let before = spec.clone();
+        assert!(spec.set("test", "policy", "pid(bogus=1)").is_err());
+        assert_eq!(
+            spec, before,
+            "a rejected value discarded the earlier layers"
+        );
+        spec.set("test", "policy", "fixed(target=3)").unwrap();
+        assert_eq!(spec.policy.to_string(), "fixed(target=3)");
+        assert_eq!(spec.shards, Some(4));
     }
 
     #[test]
     fn wake_order_parses_and_round_trips() {
-        let spec = LoadControlSpec::parse("wake_order=window").unwrap();
+        let spec = "wake_order=window".parse::<LoadControlSpec>().unwrap();
         assert_eq!(spec.wake_order, Some(WakeOrder::Window));
         assert_eq!(
             spec.to_string(),
             "policy=paper; splitter=even; wake_order=window"
         );
-        let spec = LoadControlSpec::parse("wake_order=fifo").unwrap();
+        let spec = "wake_order=fifo".parse::<LoadControlSpec>().unwrap();
         assert_eq!(spec.wake_order, Some(WakeOrder::Fifo));
     }
 
     #[test]
     fn env_layering_overrides_and_errors_loudly() {
-        let _env = ENV_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Process-wide env mutation: restore afterwards.
+        // Process-wide env mutation (no other test in this crate reads the
+        // variables): restore afterwards.
         let saved: Vec<(&str, Option<String>)> = [
             LoadControlSpec::ENV_POLICY,
             LoadControlSpec::ENV_SPLITTER,
@@ -419,7 +398,7 @@ mod tests {
         std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "window");
         std::env::remove_var(LoadControlSpec::ENV_SPLITTER);
         std::env::remove_var(LoadControlSpec::ENV_SAMPLER);
-        let spec = LoadControlSpec::from_env().unwrap();
+        let spec = LoadControlSpec::default().apply_env().unwrap();
         assert_eq!(spec.policy.to_string(), "pid(kp=0.8, ki=0.2)");
         assert_eq!(spec.shards, Some(4));
         assert_eq!(spec.splitter, ParsedSpec::bare("even"));
@@ -427,22 +406,32 @@ mod tests {
 
         // Malformed wake order names the variable.
         std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "lifo");
-        match LoadControlSpec::from_env() {
+        match LoadControlSpec::default().apply_env() {
             Err(SpecError::Config { source, .. }) => assert_eq!(source, "LC_WAKE_ORDER"),
             other => panic!("malformed LC_WAKE_ORDER must error, got {other:?}"),
         }
         std::env::remove_var(LoadControlSpec::ENV_WAKE_ORDER);
 
         // Malformed values surface the variable name, not a silent default.
-        std::env::set_var(LoadControlSpec::ENV_SHARDS, "not-a-number");
-        match LoadControlSpec::from_env() {
-            Err(SpecError::Config { source, .. }) => assert_eq!(source, "LC_SHARDS"),
-            other => panic!("malformed LC_SHARDS must error, got {other:?}"),
+        for bad in ["not-a-number", "0", "-2", "4.5"] {
+            std::env::set_var(LoadControlSpec::ENV_SHARDS, bad);
+            match LoadControlSpec::default().apply_env() {
+                Err(SpecError::Config { source, .. }) => assert_eq!(source, "LC_SHARDS"),
+                other => panic!("LC_SHARDS={bad} must error, got {other:?}"),
+            }
         }
+        // A well-formed count past the bound parses, and the constructor
+        // rejects it.
+        std::env::set_var(LoadControlSpec::ENV_SHARDS, "1048576");
+        let spec = LoadControlSpec::default().apply_env().unwrap();
+        assert!(LoadControl::from_spec(LoadControlConfig::for_capacity(2), &spec).is_err());
+        // Unset or blank keeps the spec's value.
+        std::env::set_var(LoadControlSpec::ENV_SHARDS, "  ");
+        assert_eq!(LoadControlSpec::default().apply_env().unwrap().shards, None);
         std::env::set_var(LoadControlSpec::ENV_SHARDS, "2");
         std::env::set_var(LoadControlSpec::ENV_POLICY, "pid(bogus=1)");
         assert!(matches!(
-            LoadControlSpec::from_env(),
+            LoadControlSpec::default().apply_env(),
             Err(SpecError::UnknownKey { .. })
         ));
 

@@ -95,15 +95,12 @@ impl SpinHook {
 mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::time::Duration;
 
     #[test]
     fn pause_spins_when_not_overloaded() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(4),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(4), "policy=fixed");
         let mut hook = SpinHook::new(&lc);
         for _ in 0..500 {
             assert!(!hook.pause());
@@ -115,14 +112,14 @@ mod tests {
 
     #[test]
     fn pause_sleeps_under_overload_and_wakes_on_target_drop() {
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(20)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let mut hook = SpinHook::new(&lc);
         let mut slept = false;
-        for _ in 0..(lc.config().slot_check_period * 2) {
+        for _ in 0..(LoadControlConfig::SLOT_CHECK_PERIOD * 2) {
             slept |= hook.pause();
             if slept {
                 break;

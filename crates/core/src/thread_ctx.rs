@@ -29,6 +29,7 @@
 //! load-control-specific — no gate, no reference count, no list borrow — until
 //! its backend has polled for a whole slot-check period.
 
+use crate::config::LoadControlConfig;
 use crate::controller::LoadControl;
 use crate::slots::{ClaimOutcome, SleeperId};
 use crate::time::{SlotWait, WaitPoll};
@@ -48,11 +49,6 @@ pub(crate) struct ThreadCtx {
     parker: Arc<Parker>,
     sleeper: SleeperId,
     handle: ThreadHandle,
-    /// The two configuration values the waiter side reads, copied once per
-    /// (thread, control): the configuration is immutable after build, and
-    /// [`LoadGate::check`] reads the period on every polling iteration.
-    slot_check_period: u64,
-    sleep_timeout: Duration,
     /// Number of load-controlled locks this thread currently holds; used to
     /// refuse sleeping while holding a lock (the nested-critical-section
     /// hazard of paper §6.1.2).
@@ -82,14 +78,11 @@ impl ThreadCtx {
         let parker = Arc::new(Parker::new());
         let sleeper = control.buffer().register_sleeper(Arc::clone(&parker));
         let handle = control.registry().register();
-        let config = control.config();
         Self {
             control,
             parker,
             sleeper,
             handle,
-            slot_check_period: u64::from(config.slot_check_period),
-            sleep_timeout: config.sleep_timeout,
             hold_count: Cell::new(0),
             slot_claims: Cell::new(0),
             sleeps: Cell::new(0),
@@ -116,11 +109,6 @@ impl ThreadCtx {
         // every publisher at once — the delegation analogue of the same
         // hazard.
         self.hold_count.get() == 0 && !delegation::is_combining()
-    }
-
-    /// Whether `iteration` is one on which the slot buffer is consulted.
-    fn is_due(&self, iteration: u64) -> bool {
-        iteration.is_multiple_of(self.slot_check_period)
     }
 
     /// A sleep-slot claim was taken on behalf of this thread.
@@ -167,7 +155,8 @@ impl ThreadCtx {
         let time = Arc::clone(self.control.time());
         let park_ops = Arc::clone(self.control.park_ops());
         let previous = self.handle.set_state(ThreadState::ParkedByLoadControl);
-        let wait = SlotWait::begin(slot_idx, self.sleeper, time.now(), self.sleep_timeout);
+        let timeout = self.control.config().sleep_timeout;
+        let wait = SlotWait::begin(slot_idx, self.sleeper, time.now(), timeout);
         loop {
             if !keep_parked() {
                 break;
@@ -470,8 +459,9 @@ impl LoadGate {
     }
 
     /// The per-iteration check of the client-side algorithm (Figure 7,
-    /// right): every `slot_check_period` iterations, consult the slot buffer
-    /// and claim a slot if the controller wants threads asleep.
+    /// right): every [`LoadControlConfig::SLOT_CHECK_PERIOD`] iterations,
+    /// consult the slot buffer and claim a slot if the controller wants
+    /// threads asleep.
     ///
     /// Returns `true` when a claim is held — the caller should abandon its
     /// wait and [`LoadGate::park`].
@@ -480,7 +470,7 @@ impl LoadGate {
             // Defensive: an earlier claim was never resolved by the caller.
             return true;
         }
-        self.ctx.is_due(iteration) && self.try_claim()
+        LoadControlConfig::is_slot_check_due(iteration) && self.try_claim()
     }
 
     /// Attempts to claim a sleep slot right now (the unconditioned form of
@@ -569,7 +559,7 @@ impl LoadGate {
         if self.has_claim() || self.stepping_aside {
             return SpinDecision::Abort;
         }
-        if !self.ctx.is_due(spins) {
+        if !LoadControlConfig::is_slot_check_due(spins) {
             return SpinDecision::Continue;
         }
         // `Spinning` is published at the first due slot check, not at the
@@ -723,7 +713,7 @@ pub(crate) struct AcquirePolicy<'a> {
 impl SpinPolicy for AcquirePolicy<'_> {
     #[inline]
     fn on_spin(&mut self, spins: u64) -> SpinDecision {
-        if self.gate.is_none() && !self.ctx.is_due(spins) {
+        if self.gate.is_none() && !LoadControlConfig::is_slot_check_due(spins) {
             return SpinDecision::Continue;
         }
         self.gate
@@ -751,15 +741,11 @@ impl SpinPolicy for AcquirePolicy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LoadControlConfig;
-    use crate::policy::FixedPolicy;
+    use crate::controller::spec_control;
     use std::time::Instant;
 
     fn test_control(capacity: usize) -> Arc<LoadControl> {
-        LoadControl::with_policy(
-            LoadControlConfig::for_capacity(capacity),
-            Box::new(FixedPolicy::manual()),
-        )
+        spec_control(LoadControlConfig::for_capacity(capacity), "policy=fixed")
     }
 
     #[test]
@@ -815,7 +801,7 @@ mod tests {
     #[test]
     fn acquire_builds_its_gate_at_the_first_due_slot_check() {
         let lc = test_control(2);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         // Granted without polling, or before the first due check: no gate.
         acquire(&lc, |policy| {
             policy.on_acquired(0);
@@ -891,8 +877,8 @@ mod tests {
         let lc = test_control(1);
         lc.set_sleep_target(1);
         let mut p = LoadControlPolicy::new(&lc);
-        // First check period hits at slot_check_period iterations.
-        let period = u64::from(lc.config().slot_check_period);
+        // The first due check falls at SLOT_CHECK_PERIOD iterations.
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let mut decision = SpinDecision::Continue;
         for i in 1..=period {
             decision = p.on_spin(i);
@@ -917,13 +903,13 @@ mod tests {
 
     #[test]
     fn policy_sleep_times_out_on_its_own() {
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(10)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let mut p = LoadControlPolicy::new(&lc);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         for i in 1..=period {
             let _ = p.on_spin(i);
         }
@@ -938,7 +924,7 @@ mod tests {
         let lc = test_control(1);
         lc.set_sleep_target(1);
         let mut p = LoadControlPolicy::new(&lc);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         for i in 1..=period {
             let _ = p.on_spin(i);
         }
@@ -955,7 +941,7 @@ mod tests {
         lc.set_sleep_target(4);
         let ctx = current_ctx(&lc);
         ctx.note_acquired();
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let mut p = LoadControlPolicy::new(&lc);
         // Long enough for four step-asides, which the hold refuses too.
         for i in 1..=4 * STEP_ASIDE_AFTER_CHECKS * period {
@@ -973,7 +959,7 @@ mod tests {
     #[test]
     fn only_a_waiter_past_capacity_with_no_slot_steps_aside() {
         let lc = test_control(1);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let steps_aside_at = STEP_ASIDE_AFTER_CHECKS * period;
         // T = 0: within capacity a wait of any length stays in the queue.
         let mut p = LoadControlPolicy::new(&lc);
@@ -1013,7 +999,7 @@ mod tests {
         let lc = test_control(1);
         lc.set_sleep_target(1);
         let mut gate = LoadGate::new(&lc);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         // Off-period iterations never touch the buffer.
         assert!(!gate.check(period + 1));
         assert!(gate.check(period));
@@ -1065,10 +1051,7 @@ mod tests {
 
     #[test]
     fn gate_claims_on_the_home_shard_of_a_sharded_buffer() {
-        let lc = LoadControl::with_policy(
-            LoadControlConfig::for_capacity(1).with_shards(4),
-            Box::new(FixedPolicy::manual()),
-        );
+        let lc = spec_control(LoadControlConfig::for_capacity(1), "policy=fixed; shards=4");
         lc.set_sleep_target(8);
         let mut gate = LoadGate::new(&lc);
         assert!(gate.try_claim());
@@ -1090,9 +1073,9 @@ mod tests {
         // *previous* episode.  The next claim must drain it: the following
         // park then runs its full course in a single `park_timeout` call
         // instead of bouncing straight through on the stale permit.
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(60)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let mut gate = LoadGate::new(&lc);
@@ -1131,9 +1114,9 @@ mod tests {
         // that lands after `try_claim` (the notify_one handoff path) must
         // still cut the park short.
         use std::sync::atomic::{AtomicBool, Ordering};
-        let lc = LoadControl::with_policy(
+        let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(5)),
-            Box::new(FixedPolicy::manual()),
+            "policy=fixed",
         );
         lc.set_sleep_target(1);
         let mut gate = LoadGate::new(&lc);
@@ -1185,7 +1168,7 @@ mod tests {
         let sleeper = current_ctx(&lc).sleeper;
         let lock = <FlatCombiningLock as RawLock>::new();
         let lc2 = Arc::clone(&lc);
-        let period = u64::from(lc.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let mut observed = (false, false, true, true);
         lock.run_locked(|| {
             observed.0 = delegation::is_combining();

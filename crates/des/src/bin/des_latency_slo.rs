@@ -130,15 +130,18 @@ fn main() {
     for policy in &policies {
         for order in orders {
             let mut config = DesConfig::new(args.workers, args.capacity);
-            config.policy = policy.clone();
-            config.shards = args.shards;
-            config.wake_order = order;
+            config.spec.shards = Some(args.shards);
+            config.spec.wake_order = Some(order);
             config.horizon = args.horizon;
             config.seed = args.seed;
             config.sleep_timeout = args.sleep_timeout;
             config.workload = WorkloadSpec::contended();
             let wall = Instant::now();
-            let report = match run(config) {
+            let report = match config
+                .spec
+                .set("des_latency_slo", "policy", policy)
+                .and_then(|()| run(config))
+            {
                 Ok(report) => report,
                 Err(error) => {
                     eprintln!("des_latency_slo: policy `{policy}` failed: {error}");

@@ -122,15 +122,18 @@ fn main() {
     let mut bodies = Vec::new();
     for (policy, discipline, shards) in &rows {
         let mut config = DesConfig::new(args.workers, args.capacity);
-        config.policy = policy.clone();
+        config.spec.shards = Some(*shards);
         config.discipline = *discipline;
-        config.shards = *shards;
         config.horizon = args.horizon;
         config.seed = args.seed;
         config.sleep_timeout = Duration::from_millis(200);
         config.workload = WorkloadSpec::contended();
         let wall = Instant::now();
-        let report = match run(config) {
+        let report = match config
+            .spec
+            .set("--policies", "policy", policy)
+            .and_then(|()| run(config))
+        {
             Ok(report) => report,
             Err(error) => {
                 eprintln!("des_policy_sweep: policy `{policy}` failed: {error}");

@@ -47,8 +47,8 @@ use crate::metrics::{convergence_cycle, CycleRow, RunReport};
 use crate::workload::{Arrivals, Dist, WorkloadSpec};
 use lc_accounting::{LoadSample, LoadSampler, ThreadRegistry};
 use lc_core::{
-    ClaimOutcome, LoadControl, LoadControlConfig, SleeperId, SlotWait, SpecError, TimeSource,
-    VirtualClock, WaitOutcome, WaitPoll, WakeOrder,
+    ClaimOutcome, LoadControl, LoadControlConfig, LoadControlSpec, SleeperId, SlotWait, SpecError,
+    Substitutes, TimeSource, VirtualClock, WaitOutcome, WaitPoll,
 };
 use lc_locks::Parker;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -94,16 +94,9 @@ pub struct DesConfig {
     pub workers: usize,
     /// Simulated hardware contexts.
     pub capacity: usize,
-    /// Slot-buffer shards.
-    pub shards: usize,
-    /// Control-policy spec string (e.g. `"paper"` or
-    /// `"hysteresis(alpha=0.3)"`).
-    pub policy: String,
-    /// Target-splitter spec string (e.g. `"even"`).
-    pub splitter: String,
-    /// Controller wake order within a shard: array-order `fifo` (default)
-    /// or oldest-claim-first `window`.
-    pub wake_order: WakeOrder,
+    /// The control plane: policy, splitter, shard count and wake order
+    /// (its sampler is replaced by the simulated machine's).
+    pub spec: LoadControlSpec,
     /// Controller cycle period (virtual).
     pub tick: Duration,
     /// Sleep timeout for parked workers (virtual).
@@ -132,16 +125,13 @@ pub struct DesConfig {
 
 impl DesConfig {
     /// A run over `workers` simulated threads on `capacity` contexts with
-    /// the paper's policy, even splitting and the default contended
-    /// workload.
+    /// the default spec (the paper's policy, even splitting, one shard) and
+    /// the default contended workload.
     pub fn new(workers: usize, capacity: usize) -> Self {
         Self {
             workers,
             capacity,
-            shards: 1,
-            policy: "paper".to_string(),
-            splitter: "even".to_string(),
-            wake_order: WakeOrder::Fifo,
+            spec: LoadControlSpec::default(),
             tick: Duration::from_millis(1),
             sleep_timeout: Duration::from_millis(250),
             horizon: Duration::from_millis(500),
@@ -294,29 +284,29 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds the engine: constructs the real control plane from the spec
-    /// strings, registers every worker as a sleeper in the real buffer, and
-    /// seeds the initial event population.
+    /// Builds the engine: constructs the real control plane from the spec,
+    /// registers every worker as a sleeper in the real buffer, and seeds the
+    /// initial event population.
     pub fn new(config: DesConfig) -> Result<Self, SpecError> {
         let clock = Arc::new(VirtualClock::new());
         let runnable = Arc::new(AtomicUsize::new(0));
         let mut lc_config = LoadControlConfig::for_capacity(config.capacity)
-            .with_shards(config.shards)
             .with_update_interval(config.tick)
-            .with_sleep_timeout(config.sleep_timeout)
-            .with_wake_order(config.wake_order);
+            .with_sleep_timeout(config.sleep_timeout);
         lc_config.max_sleepers = config.workers;
-        let registry = Arc::new(ThreadRegistry::new());
         let sampler = Box::new(DesSampler {
             clock: Arc::clone(&clock),
             runnable: Arc::clone(&runnable),
         });
-        let control = LoadControl::builder(lc_config)
-            .policy_spec(&config.policy)?
-            .splitter_spec(&config.splitter)?
-            .time_source(Arc::clone(&clock) as Arc<dyn TimeSource>)
-            .sampler(registry, sampler)
-            .build();
+        let control = LoadControl::with_substitutes(
+            lc_config,
+            &config.spec,
+            Substitutes {
+                time: Arc::clone(&clock) as Arc<dyn TimeSource>,
+                sampler: Some((Arc::new(ThreadRegistry::new()), sampler)),
+                ..Substitutes::default()
+            },
+        )?;
 
         let wake_queue = Arc::new(Mutex::new(Vec::new()));
         let mut workers = Vec::with_capacity(config.workers);
@@ -736,10 +726,14 @@ fn ns(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lc_core::WakeOrder;
 
     fn small(policy: &str, seed: u64) -> DesConfig {
         let mut config = DesConfig::new(400, 4);
-        config.policy = policy.to_string();
+        config
+            .spec
+            .set("test", "policy", policy)
+            .expect("registered policy");
         config.seed = seed;
         config.horizon = Duration::from_millis(100);
         config.sleep_timeout = Duration::from_millis(40);
@@ -823,8 +817,11 @@ mod tests {
     #[test]
     fn sharded_and_weighted_planes_run() {
         let mut config = small("hysteresis(alpha=0.4)", 3);
-        config.shards = 4;
-        config.splitter = "load-weighted".to_string();
+        config.spec.shards = Some(4);
+        config
+            .spec
+            .set("test", "splitter", "load-weighted")
+            .unwrap();
         let report = run(config).expect("valid spec");
         assert!(report.spec.contains("load-weighted"));
         assert!(report.completed > 0);
@@ -869,7 +866,7 @@ mod tests {
     fn window_wake_order_runs_and_is_deterministic() {
         let windowed = |seed| {
             let mut config = small("paper", seed);
-            config.wake_order = WakeOrder::Window;
+            config.spec.wake_order = Some(WakeOrder::Window);
             run(config).expect("valid spec")
         };
         let report = windowed(11);

@@ -36,8 +36,8 @@
 
 use lc_accounting::{LoadSample, LoadSampler, ThreadRegistry};
 use lc_core::{
-    ClaimOutcome, LoadControl, LoadControlConfig, SleeperId, SlotWait, TimeSource, VirtualClock,
-    WaitPoll,
+    ClaimOutcome, LoadControl, LoadControlConfig, LoadControlSpec, SleeperId, SlotWait,
+    Substitutes, TimeSource, VirtualClock, WaitPoll,
 };
 use lc_locks::Parker;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -201,23 +201,28 @@ impl Harness {
         let clock = Arc::new(VirtualClock::new());
         let runnable = Arc::new(AtomicUsize::new(case.capacity));
         let mut config = LoadControlConfig::for_capacity(case.capacity)
-            .with_shards(case.shards.max(1))
             .with_sleep_timeout(Duration::from_millis(50));
         config.max_sleepers = case.workers as usize;
-        let control = LoadControl::builder(config)
-            .policy_spec("paper")
-            .expect("paper policy is registered")
-            .splitter_spec("even")
-            .expect("even splitter is registered")
-            .time_source(Arc::clone(&clock) as Arc<dyn TimeSource>)
-            .sampler(
-                Arc::new(ThreadRegistry::new()),
-                Box::new(KnobSampler {
-                    clock: Arc::clone(&clock),
-                    runnable: Arc::clone(&runnable),
-                }),
-            )
-            .build();
+        let spec = LoadControlSpec {
+            shards: Some(case.shards),
+            ..LoadControlSpec::default()
+        };
+        let control = LoadControl::with_substitutes(
+            config,
+            &spec,
+            Substitutes {
+                time: Arc::clone(&clock) as Arc<dyn TimeSource>,
+                sampler: Some((
+                    Arc::new(ThreadRegistry::new()),
+                    Box::new(KnobSampler {
+                        clock: Arc::clone(&clock),
+                        runnable: Arc::clone(&runnable),
+                    }),
+                )),
+                ..Substitutes::default()
+            },
+        )
+        .expect("the paper's control plane over a fuzz case's shards");
         let workers = (0..case.workers)
             .map(|_| {
                 let parker = Arc::new(Parker::new());

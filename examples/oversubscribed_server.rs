@@ -111,7 +111,7 @@ fn parse_cli() -> Result<LoadControlSpec, String> {
         None => LoadControlSpec::default(),
     };
     if let Some(policy) = policy_arg {
-        spec = spec.with_policy(&policy).map_err(|e| {
+        spec.set("argv", "policy", &policy).map_err(|e| {
             format!(
                 "{e}\nregistered policies: {} (parameterized specs like \
                  \"pid(kp=0.5, ki=0.1)\" are accepted)",
@@ -137,16 +137,16 @@ fn main() {
         .unwrap_or(4);
 
     // The load-control facility is built from configuration plus the
-    // declarative spec — validated up front so a typo fails before the
-    // measurement sweep, started only when the sweep needs it.
-    let lc_builder = match LoadControl::builder(
+    // declarative spec — up front, so a typo or an out-of-range shard count
+    // fails before the measurement sweep — and started only when the sweep
+    // needs it.
+    let control = match LoadControl::from_spec(
         LoadControlConfig::for_capacity(host_cores)
             .with_update_interval(Duration::from_millis(3))
             .with_sleep_timeout(Duration::from_millis(50)),
-    )
-    .apply_spec(&spec)
-    {
-        Ok(builder) => builder,
+        &spec,
+    ) {
+        Ok(control) => control,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(1);
@@ -182,7 +182,7 @@ fn main() {
     })
     .collect();
 
-    let control = lc_builder.start_daemon().build();
+    control.start_controller();
     let mutex = LcMutex::<u64>::new_with(0, &control);
     let per_s = serve(threads, duration, Some(&control), |_| {
         *mutex.lock() += 1;

@@ -9,10 +9,9 @@
 //! thread exit.
 
 use load_control_suite::accounting::{ThreadState, TransitionTrace};
-use load_control_suite::core::policy::FixedPolicy;
 use load_control_suite::core::{
     ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
-    LoadControlPolicy, LoadGate, ParkOps, SleeperId, SpinHook,
+    LoadControlPolicy, LoadGate, ParkOps, SleeperId, SpinHook, Substitutes,
 };
 use load_control_suite::locks::delegation::{self, CombinerObserver};
 use load_control_suite::locks::{
@@ -26,10 +25,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn manual_control() -> Arc<LoadControl> {
-    LoadControl::with_policy(
+    LoadControl::from_spec(
         LoadControlConfig::for_capacity(1),
-        Box::new(FixedPolicy::manual()),
+        &"policy=fixed".parse().unwrap(),
     )
+    .unwrap()
 }
 
 /// Whether the calling thread would volunteer to sleep right now (any claim
@@ -88,7 +88,7 @@ fn spinning_is_published_at_the_first_due_slot_check() {
     let registry = Arc::clone(control.registry());
     let trace = Arc::new(TransitionTrace::with_capacity(64));
     registry.attach_trace(Arc::clone(&trace));
-    let period = u64::from(control.config().slot_check_period);
+    let period = LoadControlConfig::SLOT_CHECK_PERIOD;
     let runnable = registry.runnable_threads();
     assert_eq!(runnable, 1);
 
@@ -386,7 +386,7 @@ fn a_wrapper_that_polls_runs_the_whole_client_side_algorithm() {
     let _worker = control.register_worker();
     let trace = Arc::new(TransitionTrace::with_capacity(64));
     control.registry().attach_trace(Arc::clone(&trace));
-    let period = u64::from(control.config().slot_check_period);
+    let period = LoadControlConfig::SLOT_CHECK_PERIOD;
     let lock_once = |backend: Scripted| {
         let lock = LcLock::from_raw(backend, &control);
         lock.lock();
@@ -491,10 +491,15 @@ impl ParkOps for CountingPark {
 /// A manual control whose waiters park through a [`CountingPark`].
 fn counting_control() -> (Arc<LoadControl>, Arc<CountingPark>) {
     let parks = Arc::new(CountingPark::default());
-    let control = LoadControl::builder(LoadControlConfig::for_capacity(1))
-        .policy(FixedPolicy::manual())
-        .park_ops(Arc::clone(&parks) as Arc<dyn ParkOps>)
-        .build();
+    let control = LoadControl::with_substitutes(
+        LoadControlConfig::for_capacity(1),
+        &"policy=fixed".parse().unwrap(),
+        Substitutes {
+            park_ops: Arc::clone(&parks) as Arc<dyn ParkOps>,
+            ..Substitutes::default()
+        },
+    )
+    .unwrap();
     (control, parks)
 }
 
@@ -515,7 +520,7 @@ fn fill_the_only_slot(control: &LoadControl) -> (usize, SleeperId) {
 /// dropped, as for a lock won in the abort window.
 fn step_aside_poll(control: &Arc<LoadControl>) -> u64 {
     let mut policy = LoadControlPolicy::new(control);
-    let limit = 64 * u64::from(control.config().slot_check_period);
+    let limit = 64 * LoadControlConfig::SLOT_CHECK_PERIOD;
     let at = (1..=limit)
         .find(|&spins| policy.on_spin(spins) == SpinDecision::Abort)
         .expect("no step-aside in 64 periods");
@@ -527,7 +532,7 @@ fn step_aside_poll(control: &Arc<LoadControl>) -> u64 {
 fn a_waiter_past_capacity_with_no_slot_steps_aside_again_and_again() {
     let (control, parks) = counting_control();
     let worker = control.register_worker();
-    let period = u64::from(control.config().slot_check_period);
+    let period = LoadControlConfig::SLOT_CHECK_PERIOD;
     let (idx, other) = fill_the_only_slot(&control);
     let steps_aside_at = step_aside_poll(&control);
     assert_eq!(steps_aside_at % period, 0, "not at a due check");

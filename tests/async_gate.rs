@@ -61,7 +61,7 @@ fn async_oversubscription_sleeps_tasks_only_under_a_controller() {
     control.stop_controller();
 
     // Same workload without any controller: nobody may sleep.
-    let control = LoadControl::new(LoadControlConfig::for_capacity(1).with_shards_from_env());
+    let control = support::control(LoadControlConfig::for_capacity(1), "");
     run(&control);
     assert_eq!(
         control.buffer().stats().ever_slept,
@@ -77,10 +77,7 @@ fn async_oversubscription_sleeps_tasks_only_under_a_controller() {
 fn dropping_a_pending_acquire_async_future_releases_its_claim() {
     use std::task::{Context, Poll, Waker};
 
-    let control = LoadControl::builder(LoadControlConfig::for_capacity(1).with_shards_from_env())
-        .policy_spec("fixed")
-        .expect("registered policy")
-        .build();
+    let control = support::control(LoadControlConfig::for_capacity(1), "policy=fixed");
     control.set_sleep_target(2);
     let semaphore = LcSemaphore::new_with(1, &control);
     let held = semaphore.acquire();
@@ -88,7 +85,7 @@ fn dropping_a_pending_acquire_async_future_releases_its_claim() {
     let mut cx = Context::from_waker(Waker::noop());
     {
         let mut future = std::pin::pin!(semaphore.acquire_async());
-        let period = u64::from(control.config().slot_check_period);
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let mut parked = false;
         for _ in 0..=(period + 1) {
             match future.as_mut().poll(&mut cx) {

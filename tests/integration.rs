@@ -8,7 +8,7 @@ mod support;
 use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
 use load_control_suite::core::thread_ctx::{LoadControlPolicy, LoadGate};
 use load_control_suite::core::{
-    LcCondvar, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
+    LcCondvar, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlSpec,
 };
 use load_control_suite::des::engine::{self, DesConfig};
 use load_control_suite::des::metrics::RunReport;
@@ -40,6 +40,24 @@ fn lc_mutex_is_correct_under_heavy_oversubscription() {
     control.stop_controller();
     assert_eq!(*counter.lock(), 12 * per_thread);
     check_books(&control);
+}
+
+#[test]
+fn support_controls_run_over_the_lc_shards_buffer() {
+    // CI's sharded acceptance step sets `LC_SHARDS`; it proves something
+    // only if the count reaches the controls the tests build.
+    let expected = LoadControlSpec::default()
+        .apply_env()
+        .expect("well-formed LC_* variables")
+        .shards
+        .map_or(1, usize::next_power_of_two);
+    assert_eq!(aggressive_control(1).buffer().shard_count(), expected);
+    assert_eq!(
+        support::control(LoadControlConfig::for_capacity(1), "policy=fixed")
+            .buffer()
+            .shard_count(),
+        expected
+    );
 }
 
 /// Oversubscribed counter workload for one load-controlled backend: 10
@@ -89,7 +107,7 @@ fn lock_registry_builds_every_advertised_name() {
 fn controller_reacts_to_registered_worker_load() {
     // The default policy is "paper": T = load − capacity.
     let control = LoadControl::new(LoadControlConfig::for_capacity(2));
-    assert_eq!(control.policy_name(), "paper");
+    assert_eq!(control.spec().policy.name(), "paper");
     // Register six runnable workers straight into the registry.
     let handles: Vec<_> = (0..6).map(|_| control.registry().register()).collect();
     let stats = control.run_cycle();
@@ -147,7 +165,10 @@ fn real_thread_microbench_ranks_spinning_reasonably() {
 /// simulated threads on `capacity` contexts under control policy `policy`.
 fn des_run(policy: &str, workers: usize, capacity: usize, horizon_ms: u64) -> RunReport {
     let mut config = DesConfig::new(workers, capacity);
-    config.policy = policy.to_string();
+    config
+        .spec
+        .set("test", "policy", policy)
+        .unwrap_or_else(|e| panic!("{e}"));
     config.horizon = Duration::from_millis(horizon_ms);
     config.seed = load_control_suite::des::test_seed();
     engine::run(config).unwrap_or_else(|e| panic!("{policy}: {e}"))

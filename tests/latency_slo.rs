@@ -29,9 +29,9 @@ const TARGET_P99_NS: u64 = 50_000_000;
 /// the histogram sees them).
 fn cell(policy: &str, order: WakeOrder) -> RunReport {
     let mut config = DesConfig::new(4000, 16);
-    config.policy = policy.to_string();
-    config.shards = 4;
-    config.wake_order = order;
+    config.spec = format!("policy={policy}; shards=4; wake_order={order}")
+        .parse()
+        .unwrap_or_else(|e| panic!("cell {policy}/{order}: {e}"));
     config.horizon = Duration::from_millis(300);
     config.sleep_timeout = Duration::from_millis(100);
     config.seed = lc_des::test_seed();

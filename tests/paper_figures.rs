@@ -30,7 +30,10 @@ const CONTEXTS: usize = 8;
 /// time, with a 100 ms sleep timeout.
 fn cell(policy: &str, workers: usize, tick: Duration, horizon: Duration) -> RunReport {
     let mut config = DesConfig::new(workers, CONTEXTS);
-    config.policy = policy.to_string();
+    config
+        .spec
+        .set("test", "policy", policy)
+        .unwrap_or_else(|e| panic!("{e}"));
     config.tick = tick;
     config.sleep_timeout = Duration::from_millis(100);
     config.horizon = horizon;

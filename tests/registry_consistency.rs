@@ -44,12 +44,12 @@ fn every_control_policy_name_round_trips_through_its_registry() {
         let built = build_policy_spec(name)
             .unwrap_or_else(|e| panic!("{name} in ALL_POLICY_NAMES but not buildable: {e}"));
         assert_eq!(built.name(), name, "policy registry mislabelled {name}");
-        // The builder-style constructor accepts the same specs.
-        let control = LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .policy_spec(name)
-            .unwrap_or_else(|e| panic!("builder rejected registered policy {name}: {e}"))
-            .build();
-        assert_eq!(control.policy_name(), name);
+        // The one constructor accepts the same specs.
+        let control = support::control(
+            LoadControlConfig::for_capacity(2),
+            &format!("policy={name}"),
+        );
+        assert_eq!(control.spec().policy.name(), name);
     }
     assert!(build_policy_spec("no-such-policy").is_err());
 }
@@ -61,12 +61,12 @@ fn every_splitter_name_round_trips_through_its_registry() {
         let built = build_splitter_spec(name)
             .unwrap_or_else(|e| panic!("{name} in ALL_SPLITTER_NAMES but not buildable: {e}"));
         assert_eq!(built.name(), name, "splitter registry mislabelled {name}");
-        // The builder-style constructor accepts the same specs.
-        let control = LoadControl::builder(LoadControlConfig::for_capacity(2).with_shards(2))
-            .splitter_spec(name)
-            .unwrap_or_else(|e| panic!("builder rejected registered splitter {name}: {e}"))
-            .build();
-        assert_eq!(control.splitter_name(), name);
+        // The one constructor accepts the same specs.
+        let control = support::control(
+            LoadControlConfig::for_capacity(2),
+            &format!("splitter={name}; shards=2"),
+        );
+        assert_eq!(control.spec().splitter.name(), name);
     }
     assert!(build_splitter_spec("no-such-splitter").is_err());
 }
@@ -78,11 +78,11 @@ fn every_sampler_name_round_trips_through_its_registry() {
         let built = build_sampler_spec(&reg, name)
             .unwrap_or_else(|e| panic!("{name} in ALL_SAMPLER_NAMES but not buildable: {e}"));
         assert_eq!(built.name(), name, "sampler registry mislabelled {name}");
-        // The builder-style constructor accepts the same specs.
-        let control = LoadControl::builder(LoadControlConfig::for_capacity(2))
-            .sampler_spec(name)
-            .unwrap_or_else(|e| panic!("builder rejected registered sampler {name}: {e}"))
-            .build();
+        // The one constructor accepts the same specs.
+        let control = support::control(
+            LoadControlConfig::for_capacity(2),
+            &format!("sampler={name}"),
+        );
         assert_eq!(control.spec().sampler.unwrap().name(), name);
     }
     assert!(build_sampler_spec(&reg, "no-such-sampler").is_err());
@@ -193,15 +193,14 @@ fn parameterized_specs_round_trip_across_registries() {
 }
 
 /// The showcase parameterized entry: `pid(kp=.., ki=..)` selected by spec
-/// string, end to end through the builder, with the live `LoadControl::spec`
-/// reporting it back.
+/// string, end to end through `LoadControl::from_spec`, with the live
+/// `LoadControl::spec` reporting it back.
 #[test]
 fn pid_policy_is_selectable_by_spec_string_end_to_end() {
-    let control = LoadControl::builder(LoadControlConfig::for_capacity(1))
-        .policy_spec("pid(kp=0.8, ki=0.2)")
-        .expect("pid spec")
-        .build();
-    assert_eq!(control.policy_name(), "pid");
+    let control = support::control(
+        LoadControlConfig::for_capacity(1),
+        "policy=pid(kp=0.8, ki=0.2)",
+    );
     assert_eq!(control.spec().policy.to_string(), "pid(kp=0.8, ki=0.2)");
     // The PID integrator actually steers the target under sustained load.
     let _handles: Vec<_> = (0..5).map(|_| control.registry().register()).collect();
@@ -217,20 +216,18 @@ fn pid_policy_is_selectable_by_spec_string_end_to_end() {
 /// `LC_POLICY` fails loudly instead of silently running the default.
 #[test]
 fn latency_and_autotune_specs_build_and_reject_malformed_params() {
-    let control = LoadControl::builder(LoadControlConfig::for_capacity(2))
-        .policy_spec("latency(target_p99=20, floor=1)")
-        .expect("latency spec")
-        .build();
-    assert_eq!(control.policy_name(), "latency");
+    let control = support::control(
+        LoadControlConfig::for_capacity(2),
+        "policy=latency(target_p99=20, floor=1)",
+    );
     assert_eq!(
         control.spec().policy.to_string(),
         "latency(target_p99=20, floor=1)"
     );
-    let control = LoadControl::builder(LoadControlConfig::for_capacity(2))
-        .policy_spec("autotune(inner=pid, objective=p99)")
-        .expect("autotune spec")
-        .build();
-    assert_eq!(control.policy_name(), "autotune");
+    let control = support::control(
+        LoadControlConfig::for_capacity(2),
+        "policy=autotune(inner=pid, objective=p99)",
+    );
     assert_eq!(control.spec().policy.to_string(), "autotune(objective=p99)");
     for bad in [
         "latency(target_p99=0)",

@@ -8,21 +8,36 @@
 pub mod pool;
 
 use load_control_suite::core::slots::SlotBufferStats;
-use load_control_suite::core::{LoadControl, LoadControlConfig};
+use load_control_suite::core::{LoadControl, LoadControlConfig, LoadControlSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// A control on `config` built from the spec string `spec`, daemon not
+/// started, with the shard count of `LC_SHARDS` when it is set (CI's sharded
+/// acceptance step re-runs the callers over a sharded slot buffer that way).
+/// Only the shard count comes from the environment, so a developer's
+/// `LC_POLICY` cannot change what a test runs.
+pub fn control(config: LoadControlConfig, spec: &str) -> Arc<LoadControl> {
+    let env = LoadControlSpec::default()
+        .apply_env()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut spec: LoadControlSpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
+    spec.shards = env.shards.or(spec.shards);
+    LoadControl::from_spec(config, &spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// A running controller on a pretend `capacity`-context machine with 1 ms
 /// cycles and a 5 ms sleep timeout, so a handful of threads is sustained
-/// overload.  `LC_SHARDS` (set by CI's sharded acceptance step) re-runs the
-/// callers over a sharded slot buffer.
+/// overload; sharded as `LC_SHARDS` says (see [`control`]).
 pub fn aggressive_control(capacity: usize) -> Arc<LoadControl> {
-    LoadControl::start(
+    let control = control(
         LoadControlConfig::for_capacity(capacity)
             .with_update_interval(Duration::from_millis(1))
-            .with_sleep_timeout(Duration::from_millis(5))
-            .with_shards_from_env(),
-    )
+            .with_sleep_timeout(Duration::from_millis(5)),
+        "",
+    );
+    control.start_controller();
+    control
 }
 
 /// Runs `body(thread)` on `threads` threads, each registered as a worker with
