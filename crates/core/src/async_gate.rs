@@ -28,9 +28,10 @@
 //!   controller update interval.
 //!
 //! Sleeper identities are **pooled**: each gate leases a registered
-//! (`SleeperId`, [`Parker`]) pair from its [`LoadControl`] and returns it on
-//! drop, so the slot buffer's parker table grows to the peak number of
-//! *concurrent* async waiters, not the total number of waits.
+//! (`SleeperId`, [`Parker`]) pair from the slot buffer — the pool thread
+//! contexts lease from too — and returns it on drop, so the parker table
+//! grows to the peak number of *concurrent* waiters, not the total number
+//! of waits.
 //!
 //! Cancel-safety is load-bearing: dropping a gate (and therefore any future
 //! built on it — `acquire_async`, `lock_async`, [`AsyncSpinHook`] pauses)
@@ -51,13 +52,11 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 /// The shared state of the async plane, owned by a [`LoadControl`]: the
-/// sleeper-lease pool and the timeout sweep list.
+/// timeout sweep list.
 ///
 /// One instance exists per `LoadControl`; gates talk to it through
 /// [`LoadControl::async_plane`].
 pub(crate) struct AsyncPlane {
-    /// Registered (id, parker) pairs not currently leased by a gate.
-    pool: Mutex<Vec<(SleeperId, Arc<Parker>)>>,
     /// Parked tasks' deadlines, swept by the controller each cycle.
     deadlines: Mutex<Vec<DeadlineEntry>>,
     next_token: AtomicU64,
@@ -74,7 +73,6 @@ struct DeadlineEntry {
 impl fmt::Debug for AsyncPlane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsyncPlane")
-            .field("pooled_leases", &self.pool.lock().unwrap().len())
             .field("parked_tasks", &self.deadlines.lock().unwrap().len())
             .finish()
     }
@@ -83,20 +81,9 @@ impl fmt::Debug for AsyncPlane {
 impl AsyncPlane {
     pub(crate) fn new() -> Self {
         Self {
-            pool: Mutex::new(Vec::new()),
             deadlines: Mutex::new(Vec::new()),
             next_token: AtomicU64::new(0),
         }
-    }
-
-    /// Takes a pooled sleeper lease, if one is available.
-    fn try_lease(&self) -> Option<(SleeperId, Arc<Parker>)> {
-        self.pool.lock().unwrap().pop()
-    }
-
-    /// Returns a lease to the pool for the next gate.
-    fn give_back(&self, sleeper: SleeperId, parker: Arc<Parker>) {
-        self.pool.lock().unwrap().push((sleeper, parker));
     }
 
     /// Enrolls a parked task in the timeout sweep; returns a token for
@@ -209,21 +196,10 @@ impl AsyncLoadGate {
         }
     }
 
-    /// The gate's sleeper identity, leasing one from the pool (or
-    /// registering a fresh parker) on first use.
+    /// The gate's sleeper identity, leased from the slot buffer on first use.
     fn lease(&mut self) -> SleeperId {
-        if self.lease.is_none() {
-            let lease = match self.control.async_plane().try_lease() {
-                Some(lease) => lease,
-                None => {
-                    let parker = Arc::new(Parker::new());
-                    let sleeper = self.control.buffer().register_sleeper(Arc::clone(&parker));
-                    (sleeper, parker)
-                }
-            };
-            self.lease = Some(lease);
-        }
-        self.lease.as_ref().unwrap().0
+        let buffer = self.control.buffer();
+        self.lease.get_or_insert_with(|| buffer.lease_sleeper()).0
     }
 
     /// Whether the gate currently holds a sleep-slot claim (the caller must
@@ -383,8 +359,8 @@ impl Drop for AsyncLoadGate {
         // A claim must never leak, no matter where the owning future was
         // dropped: an unresolved claim would permanently inflate `S − W`.
         self.finish_episode();
-        if let Some((sleeper, parker)) = self.lease.take() {
-            self.control.async_plane().give_back(sleeper, parker);
+        if let Some((sleeper, _)) = self.lease.take() {
+            self.control.buffer().return_sleeper(sleeper);
         }
     }
 }
@@ -470,8 +446,8 @@ impl Future for ParkFuture<'_> {
     }
 }
 
-/// Load-control participation for arbitrary **async** polling loops — the
-/// [`crate::SpinHook`] of the future world.
+/// Load-control participation for arbitrary **async** polling loops — what
+/// [`crate::LoadGate::pause`] is to a thread's spin loop.
 ///
 /// Call [`AsyncSpinHook::pause`] (and await it) once per iteration of a
 /// poll-style waiting loop.  Under normal load a pause is one cooperative

@@ -28,7 +28,9 @@
 //! every `Lc*` primitive), and async tasks suspend through
 //! [`AsyncLoadGate`] — a park point that is a `Future`, powering
 //! [`LcSemaphore::acquire_async`], [`LcMutex::lock_async`] and
-//! [`AsyncSpinHook`].  See `ARCHITECTURE.md` at the repository root for the
+//! [`AsyncSpinHook`].  [`LoadGate`] is also the [`lc_locks::SpinPolicy`] a
+//! raw lock's `lock_with` takes, and [`LoadGate::pause`] parks a user spin
+//! loop.  See `ARCHITECTURE.md` at the repository root for the
 //! full layer map and extension recipes.
 //!
 //! ## Quick start
@@ -96,7 +98,6 @@ pub mod lc_semaphore;
 pub mod policy;
 pub mod slots;
 pub mod spec;
-pub mod spin_hook;
 pub mod thread_ctx;
 pub mod time;
 
@@ -114,8 +115,7 @@ pub use policy::{
 };
 pub use slots::{ClaimOutcome, ShardSnapshot, SleepSlotBuffer, SleeperId, SlotBufferStats};
 pub use spec::{LoadControlSpec, ParsedSpec, SpecError};
-pub use spin_hook::SpinHook;
-pub use thread_ctx::{LoadControlPolicy, LoadGate, WorkerRegistration};
+pub use thread_ctx::{LoadGate, WorkerRegistration};
 pub use time::{
     ParkOps, RealClock, SlotHost, SlotWait, ThreadPark, TimeSource, VirtualClock, WaitOutcome,
     WaitPoll,

@@ -515,6 +515,8 @@ pub struct SleepSlotBuffer {
     publish: Mutex<()>,
     /// Registered sleepers' parkers, indexed by `SleeperId`.
     parkers: Mutex<Vec<Arc<Parker>>>,
+    /// Registered ids no waiter holds (see [`SleepSlotBuffer::lease_sleeper`]).
+    free_sleepers: Mutex<Vec<SleeperId>>,
     /// Sleepers the wake scan must skip (active combiners; see
     /// [`SleepSlotBuffer::set_exempt`]).
     exempt: ExemptSet,
@@ -584,6 +586,7 @@ impl SleepSlotBuffer {
             total_target: CachePadded::new(AtomicU64::new(0)),
             publish: Mutex::new(()),
             parkers: Mutex::new(Vec::new()),
+            free_sleepers: Mutex::new(Vec::new()),
             exempt: ExemptSet::new(),
             wake_order: WakeOrder::Fifo,
             wait: WaitHistogram::new(),
@@ -634,11 +637,36 @@ impl SleepSlotBuffer {
         self.shard_capacity
     }
 
-    /// Registers a thread (by its parker) as a potential sleeper.
+    /// Registers a waiter (by its parker) as a potential sleeper, for good.
+    /// Thread contexts and async gates, which come and go, lease pooled ids
+    /// instead.
     pub fn register_sleeper(&self, parker: Arc<Parker>) -> SleeperId {
         let mut table = self.parkers.lock().unwrap();
         table.push(parker);
         SleeperId(table.len() as u64 - 1)
+    }
+
+    /// Leases a sleeper id and its parker: one given back by
+    /// [`SleepSlotBuffer::return_sleeper`] if there is one, else a fresh
+    /// registration.  Threads and tasks lease, so the parker table grows to
+    /// their peak concurrency rather than to their total number.
+    pub(crate) fn lease_sleeper(&self) -> (SleeperId, Arc<Parker>) {
+        let pooled = self.free_sleepers.lock().unwrap().pop();
+        match pooled {
+            Some(id) => (id, Arc::clone(&self.parkers.lock().unwrap()[id.0 as usize])),
+            None => {
+                let parker = Arc::new(Parker::new());
+                (self.register_sleeper(Arc::clone(&parker)), parker)
+            }
+        }
+    }
+
+    /// Gives back a leased id, which must hold no claim; any wake-scan
+    /// exemption goes with it.  Its parker may still carry a late permit,
+    /// which is why a waiter drains its permit before every claim.
+    pub(crate) fn return_sleeper(&self, sleeper: SleeperId) {
+        self.clear_exempt(sleeper);
+        self.free_sleepers.lock().unwrap().push(sleeper);
     }
 
     /// The home shard of `sleeper`: `id & (shard_count − 1)`, stable for the

@@ -6,28 +6,24 @@
 //! slot buffer, and its registration in the thread registry.  The context is
 //! created lazily the first time the thread touches a load-controlled lock
 //! (the "drop-in library" deployment of the paper) or eagerly through
-//! [`crate::LoadControl::register_worker`].
+//! [`crate::LoadControl::register_worker`].  Its sleeper identity is leased
+//! from the slot buffer's pool and given back when the context dies, so
+//! short-lived threads do not grow the buffer's parker table.
 //!
-//! The client-side algorithm itself is packaged twice, at two altitudes:
+//! The client-side algorithm itself is one type, [`LoadGate`], which every
+//! thread waits through.  As the [`SpinPolicy`] of an
+//! [`lc_locks::AbortableLock`]'s waiting loop it checks the buffer every few
+//! iterations, claims a slot when the controller wants threads to sleep,
+//! aborts the lock attempt, parks until the slot is cleared or a timeout
+//! expires, and then retries the lock.  A waiter past capacity (`T > 0`)
+//! that has found no slot for sixteen checks *steps aside* instead: it
+//! aborts, parks for 50 µs outside the slot buffer, and retries.
 //!
-//! * [`LoadGate`] is the reusable waiter-side gate: *any* waiting loop — a
-//!   lock's polling loop, a semaphore's CAS loop, a condition-variable wait,
-//!   a custom barrier — calls [`LoadGate::check`] once per iteration and,
-//!   when it returns `true`, abandons whatever wait state it holds and calls
-//!   [`LoadGate::park`].  The gate owns the claim/park/leave protocol against
-//!   the slot buffer.
-//! * [`LoadControlPolicy`] adapts the gate to the [`SpinPolicy`] interface of
-//!   [`lc_locks::AbortableLock`]: it checks the buffer every few iterations,
-//!   claims a slot when the controller wants threads to sleep, aborts the
-//!   lock attempt, parks until the slot is cleared or a timeout expires, and
-//!   then retries the lock.  A waiter past capacity (`T > 0`) that has found
-//!   no slot for sixteen checks *steps aside* instead: it aborts, parks for
-//!   50 µs outside the slot buffer, and retries.
-//!
-//! The `Lc*` wrappers themselves go through `acquire` / `release`, whose
-//! policy is the same algorithm built lazily: an acquisition pays for nothing
-//! load-control-specific — no gate, no reference count, no list borrow — until
-//! its backend has polled for a whole slot-check period.
+//! The `Lc*` wrappers go through `acquire` / `release`, which hand the
+//! backend a gate over the context they already borrow: an acquisition pays
+//! for nothing load-control-specific — no reference count, no list probe,
+//! nothing to drop — until its backend has polled for a whole slot-check
+//! period.
 
 use crate::config::LoadControlConfig;
 use crate::controller::LoadControl;
@@ -75,8 +71,7 @@ impl fmt::Debug for ThreadCtx {
 
 impl ThreadCtx {
     fn new(control: Arc<LoadControl>) -> Self {
-        let parker = Arc::new(Parker::new());
-        let sleeper = control.buffer().register_sleeper(Arc::clone(&parker));
+        let (sleeper, parker) = control.buffer().lease_sleeper();
         let handle = control.registry().register();
         Self {
             control,
@@ -182,6 +177,14 @@ impl ThreadCtx {
     /// the slot buffer).
     pub(crate) fn parker(&self) -> &Arc<Parker> {
         &self.parker
+    }
+}
+
+impl Drop for ThreadCtx {
+    fn drop(&mut self) {
+        // Every gate over this context is gone, and each resolved its claim.
+        debug_assert!(!self.holds_slot_claim(), "a context died holding a claim");
+        self.control.buffer().return_sleeper(self.sleeper);
     }
 }
 
@@ -305,18 +308,14 @@ pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
 }
 
 /// One load-controlled acquisition: `wait` runs the backend's abortable
-/// waiting loop under the policy it is handed.  Shared by every sync `Lc*`
-/// primitive.  An acquisition whose backend never polls does nothing here
-/// but mark the thread `Running` (a load and a compare when it already is)
-/// and count the hold.
+/// waiting loop through a gate over the thread's context.  Shared by every
+/// sync `Lc*` primitive.  An acquisition whose backend never polls does
+/// nothing here but mark the thread `Running` (a load and a compare when it
+/// already is) and count the hold.
 #[inline]
-pub(crate) fn acquire(control: &Arc<LoadControl>, wait: impl FnOnce(&mut AcquirePolicy<'_>)) {
+pub(crate) fn acquire(control: &Arc<LoadControl>, wait: impl FnOnce(&mut LoadGate<'_>)) {
     with_ctx(control, |ctx| {
-        wait(&mut AcquirePolicy {
-            control,
-            ctx,
-            gate: None,
-        });
+        wait(&mut LoadGate::over(Ctx::Borrowed(ctx)));
         ctx.note_acquired();
     });
 }
@@ -386,40 +385,59 @@ impl Drop for WorkerRegistration {
     }
 }
 
-/// The reusable waiter-side gate of the load-control mechanism.
+/// The waiter-side gate of the load-control mechanism: the one type every
+/// thread waits through, per waiting episode or across many (it is
+/// per-thread state, deliberately `!Send`).  Three faces run one
+/// claim/park/cancel protocol against the slot buffer:
 ///
-/// A `LoadGate` is created per waiting episode (it is per-thread state and is
-/// deliberately `!Send`).  The waiting loop calls [`LoadGate::check`] once
-/// per polling iteration; when it returns `true` the gate has claimed a sleep
-/// slot and the caller should abandon its wait state (leave the lock queue,
-/// withdraw a writer announcement, …) and call [`LoadGate::park`], which
-/// blocks until the controller clears the slot, load drops, or the sleep
-/// timeout expires.  A caller that obtains the awaited resource with a claim
-/// still pending calls [`LoadGate::cancel`] instead (paper §3.1.2's
-/// lock-won-while-committing window).
+/// * **[`SpinPolicy`]**, handed to [`lc_locks::AbortableLock::lock_with`]
+///   (every `Lc*` acquisition does).  It answers `Abort` to sleep in a
+///   claimed slot or to step aside, does either in `on_aborted`, and gives
+///   back a claim the lock beat in `on_acquired`.  It counts no hold: a
+///   `lock_with` caller's critical section is invisible to the nested-hold
+///   sleep refusal.
+/// * **[`LoadGate::pause`]**, once per iteration of a user spin loop.
+/// * **[`LoadGate::check`]**, once per iteration of a loop with wait state
+///   of its own: on `true` the caller abandons that state (leaves the lock
+///   queue, withdraws a writer announcement, …) and calls
+///   [`LoadGate::park`], which blocks until the controller clears the slot,
+///   load drops, or the sleep timeout expires.  A caller that obtains the
+///   awaited resource with a claim still pending calls [`LoadGate::cancel`]
+///   instead (paper §3.1.2's lock-won-while-committing window).
 ///
-/// Everything load-controlled — [`crate::LcLock`], [`crate::LcRwLock`],
-/// [`crate::LcSemaphore`], [`crate::LcCondvar`], [`crate::SpinHook`] — waits
-/// through this one gate, which is what makes load management uniform across
-/// heterogeneous primitives.
-pub struct LoadGate {
-    ctx: Rc<ThreadCtx>,
+/// A gate from [`LoadGate::new`] owns a handle to the thread's context
+/// (`LoadGate<'static>`); the `Lc*` wrappers lend theirs for `'a`.
+#[derive(Debug)]
+pub struct LoadGate<'a> {
+    ctx: Ctx<'a>,
     claimed: Option<usize>,
     sleeps: u64,
     /// Due slot checks of this acquisition since its first poll or its last
-    /// step-aside (counted by the [`SpinPolicy`] face only).
+    /// step-aside (counted by `on_spin`, which `pause` runs too).
     checks: u64,
     /// An abort was answered to step aside rather than to sleep.
     stepping_aside: bool,
+    /// Iterations of [`LoadGate::pause`] so far.
+    pauses: u64,
 }
 
-impl fmt::Debug for LoadGate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LoadGate")
-            .field("claimed", &self.claimed)
-            .field("sleeps", &self.sleeps)
-            .field("stepping_aside", &self.stepping_aside)
-            .finish()
+/// The context a gate waits through: a handle of its own, or the one an
+/// acquisition borrowed from [`with_ctx`].
+#[derive(Debug)]
+enum Ctx<'a> {
+    Owned(Rc<ThreadCtx>),
+    Borrowed(&'a ThreadCtx),
+}
+
+impl std::ops::Deref for Ctx<'_> {
+    type Target = ThreadCtx;
+
+    #[inline]
+    fn deref(&self) -> &ThreadCtx {
+        match self {
+            Ctx::Owned(ctx) => ctx,
+            Ctx::Borrowed(ctx) => ctx,
+        }
     }
 }
 
@@ -435,15 +453,23 @@ const STEP_ASIDE_AFTER_CHECKS: u64 = 16;
 /// lose.
 const STEP_ASIDE_PARK: Duration = Duration::from_micros(50);
 
-impl LoadGate {
+impl LoadGate<'static> {
     /// Creates a gate for the calling thread on `control`.
     pub fn new(control: &Arc<LoadControl>) -> Self {
+        Self::over(Ctx::Owned(current_ctx(control)))
+    }
+}
+
+impl<'a> LoadGate<'a> {
+    #[inline]
+    fn over(ctx: Ctx<'a>) -> Self {
         Self {
-            ctx: current_ctx(control),
+            ctx,
             claimed: None,
             sleeps: 0,
             checks: 0,
             stepping_aside: false,
+            pauses: 0,
         }
     }
 
@@ -453,7 +479,8 @@ impl LoadGate {
         self.claimed.is_some()
     }
 
-    /// Number of times this gate has parked its thread in a sleep slot.
+    /// Number of times this gate has parked its thread in a sleep slot
+    /// (a step-aside is not a sleep).
     pub fn sleeps(&self) -> u64 {
         self.sleeps
     }
@@ -547,6 +574,7 @@ impl LoadGate {
     /// Releases a pending claim without sleeping (the caller obtained the
     /// awaited resource between claiming and parking); a no-op without a
     /// claim.
+    #[inline]
     pub fn cancel(&mut self) {
         if let Some(idx) = self.claimed.take() {
             self.ctx.note_slot_released();
@@ -554,14 +582,47 @@ impl LoadGate {
         }
     }
 
-    /// [`SpinPolicy::on_spin`] over this gate.
-    fn spin(&mut self, spins: u64) -> SpinDecision {
-        if self.has_claim() || self.stepping_aside {
-            return SpinDecision::Abort;
+    /// One iteration of a user spin loop: usually a `spin_loop` hint; when
+    /// the controller wants threads asleep, a claim, a park and the return
+    /// once the thread is woken.  A wait past capacity that has found no slot
+    /// for a long time steps aside for one short park, which is not a sleep.
+    /// Once the awaited condition holds, [`SpinPolicy::on_acquired`] gives
+    /// back a claim taken in the meantime and marks the thread running.
+    ///
+    /// Returns `true` if the thread slept in a slot.
+    ///
+    /// ```
+    /// use lc_core::locks::SpinPolicy;
+    /// use lc_core::{LoadControl, LoadControlConfig, LoadGate};
+    /// use std::sync::atomic::{AtomicBool, Ordering};
+    ///
+    /// let control = LoadControl::new(LoadControlConfig::for_capacity(4));
+    /// let flag = AtomicBool::new(true); // pretend another thread will clear it
+    /// let mut gate = LoadGate::new(&control);
+    /// let mut iterations = 0u32;
+    /// while flag.load(Ordering::Acquire) {
+    ///     assert!(!gate.pause(), "nothing is overloaded");
+    ///     iterations += 1;
+    ///     if iterations > 10 {
+    ///         flag.store(false, Ordering::Release); // keep the example finite
+    ///     }
+    /// }
+    /// gate.on_acquired(0);
+    /// assert_eq!(gate.sleeps(), 0);
+    /// ```
+    pub fn pause(&mut self) -> bool {
+        self.pauses += 1;
+        match self.on_spin(self.pauses) {
+            SpinDecision::Continue => {
+                std::hint::spin_loop();
+                false
+            }
+            SpinDecision::Abort => self.leave_wait(),
         }
-        if !LoadControlConfig::is_slot_check_due(spins) {
-            return SpinDecision::Continue;
-        }
+    }
+
+    /// The due-check half of [`SpinPolicy::on_spin`].
+    fn due_check(&mut self) -> SpinDecision {
         // `Spinning` is published at the first due slot check, not at the
         // first poll: a hand-off shorter than one check period then costs no
         // registry transition at all (each is a clock read plus shared
@@ -592,9 +653,11 @@ impl LoadGate {
         SpinDecision::Continue
     }
 
-    /// [`SpinPolicy::on_aborted`] over this gate: sleeps in the claimed slot
-    /// or steps aside.  Returns `true` if the thread slept in a slot.
-    fn aborted(&mut self) -> bool {
+    /// [`SpinPolicy::on_aborted`]: sleeps in the claimed slot or steps aside.
+    /// Returns `true` if the thread slept in a slot.  Aborted without either
+    /// (the lock skipped us while we looked preempted), it returns at once
+    /// and the caller simply retries.
+    fn leave_wait(&mut self) -> bool {
         if std::mem::take(&mut self.stepping_aside) {
             self.step_aside();
             return false;
@@ -620,8 +683,29 @@ impl LoadGate {
             .park(&self.ctx.parker, STEP_ASIDE_PARK);
     }
 
-    /// [`SpinPolicy::on_acquired`] over this gate.
-    fn acquired(&mut self) {
+    pub(crate) fn ctx(&self) -> &ThreadCtx {
+        &self.ctx
+    }
+}
+
+impl SpinPolicy for LoadGate<'_> {
+    #[inline]
+    fn on_spin(&mut self, spins: u64) -> SpinDecision {
+        if self.claimed.is_some() || self.stepping_aside {
+            return SpinDecision::Abort;
+        }
+        if !LoadControlConfig::is_slot_check_due(spins) {
+            return SpinDecision::Continue;
+        }
+        self.due_check()
+    }
+
+    fn on_aborted(&mut self) {
+        self.leave_wait();
+    }
+
+    #[inline]
+    fn on_acquired(&mut self, _spins: u64) {
         // We may have won the lock in the window between claiming a slot (or
         // deciding to step aside) and parking: clear the claim and proceed
         // (paper §3.1.2).
@@ -630,111 +714,14 @@ impl LoadGate {
         self.checks = 0;
         self.ctx.handle.set_state(ThreadState::Running);
     }
-
-    pub(crate) fn ctx(&self) -> &Rc<ThreadCtx> {
-        &self.ctx
-    }
 }
 
-impl Drop for LoadGate {
+impl Drop for LoadGate<'_> {
+    #[inline]
     fn drop(&mut self) {
         // A claim must never leak: an unresolved claim would permanently
         // inflate `S − W` and shrink the controller's working target.
         self.cancel();
-    }
-}
-
-/// The client-side load-control algorithm, as a [`SpinPolicy`].
-///
-/// A thin adapter over [`LoadGate`] for any abort-capable waiting loop
-/// outside the `Lc*` primitives ([`lc_locks::AbortableLock::lock_with`] on a
-/// raw lock, [`crate::SpinHook`]).  It does not count a hold: the caller's
-/// critical section is invisible to the nested-hold sleep refusal.
-pub struct LoadControlPolicy {
-    gate: LoadGate,
-    /// Number of times this acquisition has slept (for tests/diagnostics).
-    pub sleeps_this_acquire: u32,
-}
-
-impl fmt::Debug for LoadControlPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LoadControlPolicy")
-            .field("gate", &self.gate)
-            .field("sleeps_this_acquire", &self.sleeps_this_acquire)
-            .finish()
-    }
-}
-
-impl LoadControlPolicy {
-    /// Creates the policy for the calling thread on `control`.
-    pub fn new(control: &Arc<LoadControl>) -> Self {
-        Self {
-            gate: LoadGate::new(control),
-            sleeps_this_acquire: 0,
-        }
-    }
-
-    /// [`SpinPolicy::on_aborted`], returning `true` if the thread slept in a
-    /// slot (a step-aside is not a sleep).
-    pub(crate) fn aborted(&mut self) -> bool {
-        let slept = self.gate.aborted();
-        if slept {
-            self.sleeps_this_acquire += 1;
-        }
-        slept
-    }
-}
-
-impl SpinPolicy for LoadControlPolicy {
-    fn on_spin(&mut self, spins: u64) -> SpinDecision {
-        self.gate.spin(spins)
-    }
-
-    fn on_aborted(&mut self) {
-        // If we were aborted without a claim or a step-aside (the lock
-        // skipped us while we looked preempted) we simply retry immediately.
-        self.aborted();
-    }
-
-    fn on_acquired(&mut self, _spins: u64) {
-        self.gate.acquired();
-    }
-}
-
-/// The [`SpinPolicy`] [`acquire`] hands a backend: [`LoadControlPolicy`]
-/// with the gate built at the first due slot check instead of up front, so
-/// an acquisition that is granted sooner owns nothing that needs dropping.
-pub(crate) struct AcquirePolicy<'a> {
-    control: &'a Arc<LoadControl>,
-    ctx: &'a ThreadCtx,
-    gate: Option<LoadGate>,
-}
-
-impl SpinPolicy for AcquirePolicy<'_> {
-    #[inline]
-    fn on_spin(&mut self, spins: u64) -> SpinDecision {
-        if self.gate.is_none() && !LoadControlConfig::is_slot_check_due(spins) {
-            return SpinDecision::Continue;
-        }
-        self.gate
-            .get_or_insert_with(|| LoadGate::new(self.control))
-            .spin(spins)
-    }
-
-    fn on_aborted(&mut self) {
-        if let Some(gate) = &mut self.gate {
-            gate.aborted();
-        }
-    }
-
-    #[inline]
-    fn on_acquired(&mut self, _spins: u64) {
-        match &mut self.gate {
-            Some(gate) => gate.acquired(),
-            None => {
-                self.ctx.handle.set_state(ThreadState::Running);
-            }
-        }
     }
 }
 
@@ -799,54 +786,91 @@ mod tests {
     }
 
     #[test]
-    fn acquire_builds_its_gate_at_the_first_due_slot_check() {
+    fn an_acquisition_does_no_load_control_work_before_its_first_due_slot_check() {
         let lc = test_control(2);
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        // Granted without polling, or before the first due check: no gate.
-        acquire(&lc, |policy| {
-            policy.on_acquired(0);
-            assert!(policy.gate.is_none());
-        });
-        acquire(&lc, |policy| {
-            for spins in 1..period {
-                assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
-            }
-            policy.on_acquired(period - 1);
-            assert!(policy.gate.is_none());
-        });
-        acquire(&lc, |policy| {
-            assert_eq!(policy.on_spin(period), SpinDecision::Continue);
-            assert!(policy.gate.is_some());
-            policy.on_acquired(period);
-        });
+        let ctx = current_ctx(&lc);
+        let refs = Rc::strong_count(&ctx);
+        // Granted without polling, before the first due check or at it: the
+        // gate borrows the context `with_ctx` found, so it never clones a
+        // handle or probes the context list, and leaves nothing to drop.
+        for polls in [0, period - 1, period] {
+            acquire(&lc, |gate| {
+                assert!(matches!(gate.ctx, Ctx::Borrowed(_)));
+                for spins in 1..=polls {
+                    assert_eq!(gate.on_spin(spins), SpinDecision::Continue);
+                }
+                gate.on_acquired(polls);
+                assert_eq!(Rc::strong_count(&ctx), refs);
+                assert!(!gate.has_claim());
+            });
+        }
         // Each acquisition counted one hold on the one context.
-        with_ctx(&lc, |ctx| assert_eq!(ctx.hold_count.get(), 3));
+        assert_eq!(ctx.hold_count.get(), 3);
         assert!(try_acquire(&lc, || true) && !try_acquire(&lc, || false));
         for remaining in (0..4).rev() {
             release(&lc, || {});
-            with_ctx(&lc, |ctx| assert_eq!(ctx.hold_count.get(), remaining));
+            assert_eq!(ctx.hold_count.get(), remaining);
         }
     }
 
     #[test]
-    fn short_lived_thread_releases_its_registration() {
+    fn short_lived_threads_leave_the_sleeper_table_at_peak_concurrency() {
+        const BATCH: usize = 4;
         let lc = test_control(2);
+        let m = Arc::new(crate::LcMutex::<u32>::new_with(0, &lc));
         let refs_before = Arc::strong_count(&lc);
+        for _ in 0..16 {
+            let all_in = Arc::new(std::sync::Barrier::new(BATCH));
+            let threads: Vec<_> = (0..BATCH)
+                .map(|_| {
+                    let (m, all_in) = (Arc::clone(&m), Arc::clone(&all_in));
+                    std::thread::spawn(move || {
+                        *m.lock() += 1;
+                        all_in.wait();
+                    })
+                })
+                .collect();
+            for thread in threads {
+                thread.join().unwrap();
+            }
+        }
+        // Each context died with its thread: its registry record is closed,
+        // it no longer keeps the control alive, and its id is back in the
+        // pool, which a task leases from.
+        assert_eq!(lc.registry().len(), 0);
+        assert_eq!(Arc::strong_count(&lc), refs_before);
+        lc.set_sleep_target(1);
+        let mut task_gate = crate::AsyncLoadGate::new(&lc);
+        assert!(task_gate.try_claim());
+        drop(task_gate);
+        // 64 threads, at most four at a time: the table holds four parkers.
+        let next = lc.buffer().register_sleeper(Arc::new(Parker::new()));
+        assert_eq!(next.index(), BATCH as u64);
+        assert_eq!(*m.lock(), 64);
+        assert_eq!(lc.sleepers(), 0);
+    }
+
+    #[test]
+    fn a_context_gives_its_id_back_without_a_combiner_exemption() {
+        use lc_locks::{FlatCombiningLock, RawLock};
+        let lc = test_control(1);
         let lc2 = Arc::clone(&lc);
+        // Joined, not scoped: a scope can end before the thread's contexts
+        // are destroyed.
         std::thread::spawn(move || {
-            let m = crate::LcMutex::<u32>::new_with(0, &lc2);
-            *m.lock() += 1;
-            assert_eq!(lc2.registry().len(), 1);
-            assert_eq!(lc2.registry().runnable_threads(), 1);
+            drop(crate::LcMutex::<u32>::new_with(0, &lc2).lock());
+            let other = test_control(1);
+            <FlatCombiningLock as RawLock>::new().run_locked(|| {
+                assert_eq!(lc2.combiner_exempt_ids().len(), 1);
+                // A first lock on another control installs that control's
+                // observer, which hears the end of combining.
+                drop(crate::LcMutex::<u32>::new_with(0, &other).lock());
+            });
         })
         .join()
         .unwrap();
-        // The context died with the thread: its registry record is closed, it
-        // left no claim behind, and it no longer keeps the control alive.
-        assert_eq!(lc.registry().len(), 0);
-        assert_eq!(lc.registry().runnable_threads(), 0);
-        assert_eq!(lc.sleepers(), 0);
-        assert_eq!(Arc::strong_count(&lc), refs_before);
+        assert_eq!(lc.combiner_exempt_ids(), Vec::<u64>::new());
     }
 
     #[test]
@@ -862,77 +886,87 @@ mod tests {
         assert_eq!(lc.registry().runnable_threads(), 0);
     }
 
-    #[test]
-    fn policy_does_not_claim_without_target() {
-        let lc = test_control(2);
-        let mut p = LoadControlPolicy::new(&lc);
-        for i in 1..=1_000 {
-            assert_eq!(p.on_spin(i), SpinDecision::Continue);
-        }
-        assert_eq!(lc.sleepers(), 0);
+    /// Clears the sleep target of `lc` once the calling thread's parker has
+    /// begun one more park: the waker waits on protocol state, not a clock.
+    fn clear_once_parked(lc: &Arc<LoadControl>) -> std::thread::JoinHandle<()> {
+        let parker = Arc::clone(current_ctx(lc).parker());
+        let parks = parker.park_count();
+        let lc = Arc::clone(lc);
+        std::thread::spawn(move || {
+            while parker.park_count() == parks {
+                std::thread::yield_now();
+            }
+            lc.set_sleep_target(0);
+        })
     }
 
     #[test]
-    fn policy_claims_and_sleeps_until_controller_clears() {
-        let lc = test_control(1);
-        lc.set_sleep_target(1);
-        let mut p = LoadControlPolicy::new(&lc);
-        // The first due check falls at SLOT_CHECK_PERIOD iterations.
+    fn every_face_of_the_gate_sleeps_until_the_controller_clears_its_slot() {
+        // A timeout far past any scheduling delay: only the clear ends a park.
+        let lc = spec_control(
+            LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(60)),
+            "policy=fixed",
+        );
+        let parker = Arc::clone(current_ctx(&lc).parker());
+        let timeouts = parker.timeout_count();
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        let mut decision = SpinDecision::Continue;
-        for i in 1..=period {
-            decision = p.on_spin(i);
-        }
-        assert_eq!(decision, SpinDecision::Abort);
-        assert_eq!(lc.sleepers(), 1);
 
-        // Clear the claim from another thread shortly after we park.
-        let lc2 = Arc::clone(&lc);
-        let waker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            lc2.set_sleep_target(0);
-        });
-        let start = Instant::now();
-        p.on_aborted();
+        // As a spin policy: abort at the first due check, sleep in the abort.
+        lc.set_sleep_target(1);
+        let mut gate = LoadGate::new(&lc);
+        for i in 1..period {
+            assert_eq!(gate.on_spin(i), SpinDecision::Continue);
+        }
+        assert_eq!(gate.on_spin(period), SpinDecision::Abort);
+        assert_eq!(lc.sleepers(), 1);
+        let waker = clear_once_parked(&lc);
+        gate.on_aborted();
         waker.join().unwrap();
-        assert!(lc.sleepers() == 0);
-        assert_eq!(p.sleeps_this_acquire, 1);
-        // Woken well before the 100 ms timeout.
-        assert!(start.elapsed() < Duration::from_millis(90));
+        gate.on_acquired(period);
+        assert_eq!((gate.sleeps(), lc.sleepers()), (1, 0));
+
+        // Through check and park; off-period iterations never touch the
+        // buffer.
+        lc.set_sleep_target(1);
+        let mut gate = LoadGate::new(&lc);
+        assert!(!gate.check(period + 1));
+        assert!(gate.check(period) && gate.has_claim());
+        let waker = clear_once_parked(&lc);
+        assert!(gate.park());
+        waker.join().unwrap();
+        assert!(!gate.has_claim());
+        assert_eq!((gate.sleeps(), lc.sleepers()), (1, 0));
+
+        // Through the pauses of a user spin loop.
+        lc.set_sleep_target(1);
+        let mut gate = LoadGate::new(&lc);
+        let waker = clear_once_parked(&lc);
+        assert!((0..2 * period).any(|_| gate.pause()), "never slept");
+        waker.join().unwrap();
+        gate.on_acquired(0);
+        assert_eq!((gate.sleeps(), lc.sleepers()), (1, 0));
+
+        assert_eq!(parker.timeout_count(), timeouts, "a park timed out");
+        let stats = lc.buffer().stats();
+        assert_eq!((stats.ever_slept, stats.woken_and_left), (3, 3));
     }
 
     #[test]
-    fn policy_sleep_times_out_on_its_own() {
+    fn gate_sleep_times_out_on_its_own() {
         let lc = spec_control(
             LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_millis(10)),
             "policy=fixed",
         );
         lc.set_sleep_target(1);
-        let mut p = LoadControlPolicy::new(&lc);
+        let mut gate = LoadGate::new(&lc);
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         for i in 1..=period {
-            let _ = p.on_spin(i);
+            let _ = gate.on_spin(i);
         }
         let start = Instant::now();
-        p.on_aborted();
+        gate.on_aborted();
         assert!(start.elapsed() >= Duration::from_millis(9));
         assert_eq!(lc.sleepers(), 0);
-    }
-
-    #[test]
-    fn acquiring_with_a_pending_claim_releases_it() {
-        let lc = test_control(1);
-        lc.set_sleep_target(1);
-        let mut p = LoadControlPolicy::new(&lc);
-        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        for i in 1..=period {
-            let _ = p.on_spin(i);
-        }
-        assert_eq!(lc.sleepers(), 1);
-        p.on_acquired(period);
-        assert_eq!(lc.sleepers(), 0);
-        let stats = lc.buffer().stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
     }
 
     #[test]
@@ -942,16 +976,16 @@ mod tests {
         let ctx = current_ctx(&lc);
         ctx.note_acquired();
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        let mut p = LoadControlPolicy::new(&lc);
+        let mut gate = LoadGate::new(&lc);
         // Long enough for four step-asides, which the hold refuses too.
         for i in 1..=4 * STEP_ASIDE_AFTER_CHECKS * period {
-            assert_eq!(p.on_spin(i), SpinDecision::Continue);
+            assert_eq!(gate.on_spin(i), SpinDecision::Continue);
         }
         ctx.note_released();
-        let mut p2 = LoadControlPolicy::new(&lc);
+        let mut gate = LoadGate::new(&lc);
         let mut aborted = false;
         for i in 1..=period {
-            aborted |= p2.on_spin(i) == SpinDecision::Abort;
+            aborted |= gate.on_spin(i) == SpinDecision::Abort;
         }
         assert!(aborted);
     }
@@ -961,12 +995,15 @@ mod tests {
         let lc = test_control(1);
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
         let steps_aside_at = STEP_ASIDE_AFTER_CHECKS * period;
-        // T = 0: within capacity a wait of any length stays in the queue.
-        let mut p = LoadControlPolicy::new(&lc);
+        // T = 0: within capacity a wait of any length stays in the queue,
+        // and claims nothing.
+        let mut gate = LoadGate::new(&lc);
         for i in 1..=4 * steps_aside_at {
-            assert_eq!(p.on_spin(i), SpinDecision::Continue);
+            assert_eq!(gate.on_spin(i), SpinDecision::Continue);
+            assert!(!gate.pause());
         }
-        p.on_acquired(4 * steps_aside_at);
+        gate.on_acquired(4 * steps_aside_at);
+        assert_eq!((gate.sleeps(), lc.sleepers()), (0, 0));
 
         // T = 1 with the one slot taken by another sleeper.
         lc.set_sleep_target(1);
@@ -974,51 +1011,24 @@ mod tests {
         let ClaimOutcome::Claimed(idx) = lc.buffer().try_claim(other) else {
             panic!("the other sleeper found no slot");
         };
-        let mut p = LoadControlPolicy::new(&lc);
+        let mut gate = LoadGate::new(&lc);
         for i in 1..steps_aside_at {
-            assert_eq!(p.on_spin(i), SpinDecision::Continue);
+            assert_eq!(gate.on_spin(i), SpinDecision::Continue);
         }
-        assert_eq!(p.on_spin(steps_aside_at), SpinDecision::Abort);
+        assert_eq!(gate.on_spin(steps_aside_at), SpinDecision::Abort);
         // One timed-out park of the step-aside's length on this thread's
         // own parker, and no sleep.
         let parker = Arc::clone(current_ctx(&lc).parker());
         let (parks, timeouts) = (parker.park_count(), parker.timeout_count());
         let start = Instant::now();
-        p.on_aborted();
+        gate.on_aborted();
         assert!(start.elapsed() >= STEP_ASIDE_PARK);
         assert_eq!(parker.park_count() - parks, 1);
         assert_eq!(parker.timeout_count() - timeouts, 1);
-        assert_eq!(p.sleeps_this_acquire, 0);
-        p.on_acquired(steps_aside_at);
+        assert_eq!(gate.sleeps(), 0);
+        gate.on_acquired(steps_aside_at);
         lc.buffer().leave(idx, other);
         assert_eq!(lc.sleepers(), 0);
-    }
-
-    #[test]
-    fn gate_claims_parks_and_balances_the_buffer() {
-        let lc = test_control(1);
-        lc.set_sleep_target(1);
-        let mut gate = LoadGate::new(&lc);
-        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        // Off-period iterations never touch the buffer.
-        assert!(!gate.check(period + 1));
-        assert!(gate.check(period));
-        assert!(gate.has_claim());
-        assert_eq!(lc.sleepers(), 1);
-
-        // Clear the claim from another thread shortly after we park.
-        let lc2 = Arc::clone(&lc);
-        let waker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            lc2.set_sleep_target(0);
-        });
-        assert!(gate.park());
-        waker.join().unwrap();
-        assert_eq!(gate.sleeps(), 1);
-        assert!(!gate.has_claim());
-        assert_eq!(lc.sleepers(), 0);
-        let stats = lc.buffer().stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
     }
 
     #[test]
@@ -1030,9 +1040,16 @@ mod tests {
         assert_eq!(lc.sleepers(), 1);
         gate.cancel();
         assert_eq!(lc.sleepers(), 0);
-        assert_eq!(gate.sleeps(), 0);
         // park without a claim is a no-op.
         assert!(!gate.park());
+        // A lock won with a claim pending gives it back the same way.
+        let period = LoadControlConfig::SLOT_CHECK_PERIOD;
+        assert_eq!(gate.on_spin(period), SpinDecision::Abort);
+        assert_eq!(lc.sleepers(), 1);
+        gate.on_acquired(period);
+        assert_eq!((gate.sleeps(), lc.sleepers()), (0, 0));
+        let stats = lc.buffer().stats();
+        assert_eq!((stats.ever_slept, stats.woken_and_left), (2, 2));
     }
 
     #[test]
@@ -1115,7 +1132,7 @@ mod tests {
         // still cut the park short.
         use std::sync::atomic::{AtomicBool, Ordering};
         let lc = spec_control(
-            LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(5)),
+            LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(60)),
             "policy=fixed",
         );
         lc.set_sleep_target(1);
@@ -1123,20 +1140,27 @@ mod tests {
         assert!(gate.try_claim());
         let keep = Arc::new(AtomicBool::new(true));
         let parker = Arc::clone(current_ctx(&lc).parker());
-        let keep2 = Arc::clone(&keep);
+        let (parks, timeouts) = (parker.park_count(), parker.timeout_count());
+        let (keep2, parker2) = (Arc::clone(&keep), Arc::clone(&parker));
         let notifier = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
+            while parker2.park_count() == parks {
+                std::thread::yield_now();
+            }
             keep2.store(false, Ordering::SeqCst);
-            parker.unpark();
+            parker2.unpark();
         });
-        let start = Instant::now();
         assert!(gate.park_while(|| keep.load(Ordering::SeqCst)));
         notifier.join().unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
+        assert_eq!(
+            parker.timeout_count(),
+            timeouts,
             "a wake aimed at the live episode was lost"
         );
+        // Nobody cleared the slot (`T` stayed 1): the directed wake ended the
+        // park, and the claim went back with it.
         assert_eq!(lc.sleepers(), 0);
+        let stats = lc.buffer().stats();
+        assert_eq!((stats.ever_slept, stats.woken_and_left), (1, 1));
     }
 
     #[test]
@@ -1175,9 +1199,8 @@ mod tests {
             observed.1 = lc2.buffer().is_exempt(sleeper);
             let mut gate = LoadGate::new(&lc2);
             observed.2 = gate.try_claim();
-            let mut p = LoadControlPolicy::new(&lc2);
             observed.3 = (1..=2 * STEP_ASIDE_AFTER_CHECKS * period)
-                .any(|i| p.on_spin(i) == SpinDecision::Abort);
+                .any(|i| gate.on_spin(i) == SpinDecision::Abort);
         });
         assert!(observed.0, "direct run_locked must combine");
         assert!(observed.1, "combiner was not exempt from the wake scan");

@@ -14,8 +14,8 @@
 //! implements the crate-wide [`RawLock`]/[`RawTryLock`]/[`AbortableLock`]
 //! contract, so it slots into [`crate::registry::DynMutex`], the benchmark
 //! drivers, and — crucially — load control: **abort = atomically withdrawing
-//! an unexecuted published request**, so `LoadGate`/`LoadControlPolicy` in
-//! `lc-core` work unchanged on top.
+//! an unexecuted published request**, so `lc-core`'s `LoadGate` works
+//! unchanged on top.
 //!
 //! ## Combiner election and load control
 //!

@@ -10,8 +10,8 @@
 
 use load_control_suite::accounting::{ThreadState, TransitionTrace};
 use load_control_suite::core::{
-    ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig,
-    LoadControlPolicy, LoadGate, ParkOps, SleeperId, SpinHook, Substitutes,
+    ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadGate,
+    ParkOps, SleeperId, Substitutes,
 };
 use load_control_suite::locks::delegation::{self, CombinerObserver};
 use load_control_suite::locks::{
@@ -98,7 +98,7 @@ fn spinning_is_published_at_the_first_due_slot_check() {
     assert!(trace.is_empty(), "{:?}", trace.snapshot());
 
     // A hand-off shorter than one check period: no transition either.
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     for spins in 1..period {
         assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
         assert_eq!(registry.runnable_threads(), runnable);
@@ -107,7 +107,7 @@ fn spinning_is_published_at_the_first_due_slot_check() {
     assert!(trace.is_empty(), "{:?}", trace.snapshot());
 
     // A longer wait: Spinning at the first due check, once, then Running.
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     for spins in 1..=3 * period {
         assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
         assert_eq!(registry.runnable_threads(), runnable);
@@ -125,7 +125,7 @@ fn spinning_is_published_at_the_first_due_slot_check() {
 
     // Detached, the registry records nothing further.
     registry.detach_trace();
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     for spins in 1..=period {
         let _ = policy.on_spin(spins);
     }
@@ -519,7 +519,7 @@ fn fill_the_only_slot(control: &LoadControl) -> (usize, SleeperId) {
 /// it (`thread_ctx`'s unit tests pin the number); the step-aside itself is
 /// dropped, as for a lock won in the abort window.
 fn step_aside_poll(control: &Arc<LoadControl>) -> u64 {
-    let mut policy = LoadControlPolicy::new(control);
+    let mut policy = LoadGate::new(control);
     let limit = 64 * LoadControlConfig::SLOT_CHECK_PERIOD;
     let at = (1..=limit)
         .find(|&spins| policy.on_spin(spins) == SpinDecision::Abort)
@@ -544,7 +544,7 @@ fn a_waiter_past_capacity_with_no_slot_steps_aside_again_and_again() {
     control.registry().attach_trace(Arc::clone(&trace));
 
     // The waiter aborts, the abort path parks once, and the count restarts.
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     let mut spins = 0;
     for round in 1..=2 {
         for _ in 1..steps_aside_at {
@@ -574,7 +574,7 @@ fn a_waiter_past_capacity_with_no_slot_steps_aside_again_and_again() {
 
     // A step-aside is not a sleep: no claim, no count, and the thread stayed
     // `Spinning`, so the load signal never moved.
-    assert_eq!(policy.sleeps_this_acquire, 0);
+    assert_eq!(policy.sleeps(), 0);
     assert_eq!(worker.sleep_count(), 0);
     assert_eq!(control.sleepers(), 1, "only the other sleeper's claim");
     assert_eq!(control.buffer().stats().ever_slept, 1);
@@ -586,13 +586,14 @@ fn a_waiter_past_capacity_with_no_slot_steps_aside_again_and_again() {
         ]
     );
 
-    // `SpinHook` runs the same gate and does not count it as a sleep either.
-    let mut hook = SpinHook::new(&control);
+    // A user spin loop's `pause` steps aside alike, and does not count it as
+    // a sleep either.
+    let mut gate = LoadGate::new(&control);
     for _ in 0..steps_aside_at {
-        assert!(!hook.pause(), "a step-aside reported as a sleep");
+        assert!(!gate.pause(), "a step-aside reported as a sleep");
     }
-    hook.finish();
-    assert_eq!((hook.sleeps(), parks.seen().len()), (0, 3));
+    gate.on_acquired(0);
+    assert_eq!((gate.sleeps(), parks.seen().len()), (0, 3));
     assert_eq!(worker.sleep_count(), 0);
     control.buffer().leave(idx, other);
 }
@@ -635,7 +636,7 @@ fn a_due_check_with_space_claims_rather_than_steps_aside() {
     let (control, parks) = counting_control();
     let (idx, other) = fill_the_only_slot(&control);
     let steps_aside_at = step_aside_poll(&control);
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     for spins in 1..steps_aside_at {
         assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
     }
@@ -646,7 +647,7 @@ fn a_due_check_with_space_claims_rather_than_steps_aside() {
     // The slot is cleared before the thread parks, so it leaves at once.
     control.set_sleep_target(0);
     policy.on_aborted();
-    assert_eq!(policy.sleeps_this_acquire, 1);
+    assert_eq!(policy.sleeps(), 1);
     assert!(parks.seen().is_empty(), "{:?}", parks.seen());
 
     // The claim restarted the count: with the slot taken again, the next
@@ -658,7 +659,7 @@ fn a_due_check_with_space_claims_rather_than_steps_aside() {
     assert_eq!(policy.on_spin(2 * steps_aside_at), SpinDecision::Abort);
     policy.on_aborted();
     policy.on_acquired(2 * steps_aside_at);
-    assert_eq!((policy.sleeps_this_acquire, parks.seen().len()), (1, 1));
+    assert_eq!((policy.sleeps(), parks.seen().len()), (1, 1));
     control.buffer().leave(idx, other);
     let stats = control.buffer().stats();
     assert_eq!((stats.ever_slept, stats.woken_and_left), (3, 3));
@@ -678,7 +679,7 @@ fn a_stale_permit_is_drained_before_a_step_aside() {
 
     let (idx, other) = fill_the_only_slot(&control);
     let steps_aside_at = step_aside_poll(&control);
-    let mut policy = LoadControlPolicy::new(&control);
+    let mut policy = LoadGate::new(&control);
     for spins in 1..steps_aside_at {
         assert_eq!(policy.on_spin(spins), SpinDecision::Continue);
     }
@@ -710,7 +711,7 @@ fn every_abortable_backend_steps_aside_without_losing_an_update() {
             for _ in 0..2 {
                 scope.spawn(|| {
                     for _ in 0..PER_WORKER {
-                        *mutex.lock_with(&mut LoadControlPolicy::new(&control)) += 1;
+                        *mutex.lock_with(&mut LoadGate::new(&control)) += 1;
                     }
                 });
             }

@@ -6,9 +6,9 @@
 mod support;
 
 use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
-use load_control_suite::core::thread_ctx::{LoadControlPolicy, LoadGate};
 use load_control_suite::core::{
     LcCondvar, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlSpec,
+    LoadGate,
 };
 use load_control_suite::des::engine::{self, DesConfig};
 use load_control_suite::des::metrics::RunReport;
@@ -409,7 +409,7 @@ fn flat_combining_combiner_is_never_load_parked() {
     let threads = 8;
     let per_thread = 1_500;
     run_threads(threads, Some(&control), |_| {
-        let mut policy = LoadControlPolicy::new(&control);
+        let mut policy = LoadGate::new(&control);
         for _ in 0..per_thread {
             counter.run_locked_with(&mut policy, |n| {
                 *n += 1;
@@ -465,7 +465,7 @@ fn delegation_withdrawals_never_execute_aborted_requests() {
     let threads = 6;
     let per_thread = 2_000;
     run_threads(threads, Some(&control), |thread| {
-        let mut lc_policy = LoadControlPolicy::new(&control);
+        let mut lc_policy = LoadGate::new(&control);
         for _ in 0..per_thread {
             // The burn keeps requests pending long enough that the
             // impatient publishers actually reach their withdrawal window,
@@ -523,7 +523,7 @@ fn flat_combining_runs_every_short_job_exactly_once() {
         let control = controller.then(|| aggressive_control(1));
         let counter = DelegationMutex::new(0u64);
         run_threads(THREADS, control.as_ref(), |_| {
-            let mut policy = control.as_ref().map(LoadControlPolicy::new);
+            let mut policy = control.as_ref().map(LoadGate::new);
             for _ in 0..PER_THREAD {
                 match policy.as_mut() {
                     Some(policy) => counter.run_locked_with(policy, |n| *n += 1),

@@ -16,7 +16,7 @@ use load_control_suite::core::policy::{
     self, build_policy_spec, build_splitter_spec, POLICY_SPECS, SPLITTER_SPECS,
 };
 use load_control_suite::core::spec::{LoadControlSpec, ParsedSpec, SpecError};
-use load_control_suite::core::{LoadControl, LoadControlConfig, LoadControlPolicy};
+use load_control_suite::core::{LoadControl, LoadControlConfig, LoadGate};
 use load_control_suite::locks::registry::{self, DynMutex, LOCK_SPECS};
 use load_control_suite::locks::{ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
 use std::sync::Arc;
@@ -268,7 +268,7 @@ fn load_control_spec_round_trips_through_a_live_instance() {
 }
 
 /// Every advertised abortable family, bare or parameterized, runs under
-/// `LoadControlPolicy` through the dynamically dispatched
+/// a `LoadGate` through the dynamically dispatched
 /// `DynMutex::lock_with` — the waiter-side algorithm `LcMutex` monomorphizes,
 /// reached entirely through spec strings — without losing an update.
 #[test]
@@ -286,7 +286,7 @@ fn every_abortable_spec_reaches_the_lc_dispatch() {
         );
         let mutex = DynMutex::new(lock, 0u64);
         support::run_threads(2, Some(&control), |_| {
-            let mut policy = LoadControlPolicy::new(&control);
+            let mut policy = LoadGate::new(&control);
             for _ in 0..1_000 {
                 *mutex.lock_with(&mut policy) += 1;
             }
