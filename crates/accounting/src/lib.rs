@@ -1,4 +1,4 @@
-//! # lc-accounting — in-process microstate accounting
+//! # lc-accounting — the runnable-thread count
 //!
 //! The load controller in the paper (*Decoupling Contention Management from
 //! Scheduling*, ASPLOS 2010, §3.2.1) needs exactly one sensor: **how many
@@ -9,11 +9,9 @@
 //!
 //! This crate provides the user-space substitute: a [`ThreadRegistry`] that
 //! worker threads publish their state transitions to (running, spinning on a
-//! lock, parked by load control, blocked on I/O, …) with monotonic
-//! nanosecond timestamps.  From it the controller derives instantaneous and
-//! windowed load, and the evaluation harness derives the per-state CPU-time
-//! breakdowns the paper plots (Figure 3) and the instantaneous-load traces
-//! (Figures 5, 6 and 8).
+//! lock, parked by load control, blocked on I/O, …).  It keeps one shared
+//! count, the runnable threads, and that count is all a sample returns.  It
+//! keeps no time: a transition reads no clock.
 //!
 //! Three load sources are provided:
 //!
@@ -31,7 +29,8 @@
 //!
 //! The crate also contains a fixed-capacity [`TransitionTrace`] ring buffer —
 //! the stand-in for the DTrace scripts the authors use to record every
-//! context switch during an experiment.
+//! context switch during an experiment.  It keeps the transitions' order,
+//! not their times.
 //!
 //! ## Quick example
 //!
@@ -50,7 +49,7 @@
 //! blocked.set_state(ThreadState::BlockedOnIo); // blocked does not
 //!
 //! let sampler = RegistryLoadSampler::new(Arc::clone(&registry));
-//! assert_eq!(sampler.sample().runnable, 2);
+//! assert_eq!(sampler.sample(), 2);
 //! drop((worker, spinner, blocked));
 //! ```
 
@@ -63,35 +62,8 @@ pub mod sampler;
 pub mod trace;
 
 pub use procfs::{HardenedProcfsSampler, ProcfsLoadSampler};
-pub use registry::{ThreadHandle, ThreadRegistry, ThreadState, ThreadUsage, UsageBreakdown};
+pub use registry::{ThreadHandle, ThreadRegistry, ThreadState};
 pub use sampler::{
-    build_sampler_spec, LoadSample, LoadSampler, RegistryLoadSampler, ALL_SAMPLER_NAMES,
-    SAMPLER_SPECS,
+    build_sampler_spec, LoadSampler, RegistryLoadSampler, ALL_SAMPLER_NAMES, SAMPLER_SPECS,
 };
 pub use trace::{Transition, TransitionTrace};
-
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Monotonic nanoseconds since the first call in this process.
-///
-/// All timestamps in this crate use this clock so that traces from different
-/// threads can be merged.
-#[inline]
-pub fn now_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    Instant::now().duration_since(epoch).as_nanos() as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clock_is_monotonic() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
-    }
-}

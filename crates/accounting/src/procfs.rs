@@ -17,8 +17,7 @@
 //! failure, and rate-limit re-probes of the failing procfs so a broken
 //! mount is not re-walked on every controller cycle.
 
-use crate::now_ns;
-use crate::sampler::{LoadSample, LoadSampler};
+use crate::sampler::LoadSampler;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -114,12 +113,8 @@ pub fn parse_task_state(stat_line: &str) -> Option<char> {
 }
 
 impl LoadSampler for ProcfsLoadSampler {
-    fn sample(&self) -> LoadSample {
-        let runnable = self.try_count_runnable().unwrap_or(0);
-        LoadSample {
-            at_ns: now_ns(),
-            runnable,
-        }
+    fn sample(&self) -> usize {
+        self.try_count_runnable().unwrap_or(0)
     }
 
     fn name(&self) -> &'static str {
@@ -225,24 +220,21 @@ impl HardenedProcfsSampler {
             .unwrap_or(false)
     }
 
-    fn fallback_sample(&self) -> LoadSample {
+    fn fallback_sample(&self) -> usize {
         self.fallback_samples.fetch_add(1, Ordering::Relaxed);
         self.fallback.sample()
     }
 }
 
 impl LoadSampler for HardenedProcfsSampler {
-    fn sample(&self) -> LoadSample {
+    fn sample(&self) -> usize {
         if self.in_cooldown() {
             return self.fallback_sample();
         }
         match self.procfs.try_count_runnable() {
             Ok(runnable) => {
                 *self.last_failure.lock().unwrap() = None;
-                LoadSample {
-                    at_ns: now_ns(),
-                    runnable,
-                }
+                runnable
             }
             Err(_) => {
                 self.procfs_errors.fetch_add(1, Ordering::Relaxed);
@@ -309,7 +301,7 @@ mod tests {
         assert!(!s.is_available());
         assert!(s.try_count_runnable().is_err());
         // LoadSampler::sample degrades to zero rather than panicking.
-        assert_eq!(s.sample().runnable, 0);
+        assert_eq!(s.sample(), 0);
     }
 
     #[test]
@@ -386,7 +378,7 @@ mod tests {
             .expect_err("garbled procfs must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // The raw sampler still degrades to zero instead of panicking…
-        assert_eq!(s.sample().runnable, 0);
+        assert_eq!(s.sample(), 0);
     }
 
     #[test]
@@ -409,7 +401,7 @@ mod tests {
             ProcfsLoadSampler::with_root(&root),
             Box::new(FixedLoadSampler { runnable: 5 }),
         );
-        assert_eq!(h.sample().runnable, 5);
+        assert_eq!(h.sample(), 5);
         assert_eq!(h.procfs_errors(), 1);
     }
 
@@ -426,7 +418,7 @@ mod tests {
             ProcfsLoadSampler::with_root(&root),
             Box::new(FixedLoadSampler { runnable: 99 }),
         );
-        assert_eq!(s.sample().runnable, 2);
+        assert_eq!(s.sample(), 2);
         assert_eq!(s.procfs_errors(), 0);
         assert_eq!(s.fallback_samples(), 0);
         assert!(!s.in_cooldown());
@@ -445,7 +437,7 @@ mod tests {
             Box::new(RegistryLoadSampler::new(Arc::clone(&registry))),
         );
         // Garbled procfs → the registry answers (2 runnable threads).
-        assert_eq!(s.sample().runnable, 2);
+        assert_eq!(s.sample(), 2);
         assert_eq!(s.procfs_errors(), 1);
         assert_eq!(s.fallback_samples(), 1);
         assert!(s.in_cooldown());
@@ -460,11 +452,11 @@ mod tests {
             Duration::from_secs(3600),
         );
         // First sample probes procfs, fails, starts the cooldown.
-        assert_eq!(s.sample().runnable, 7);
+        assert_eq!(s.sample(), 7);
         assert_eq!(s.procfs_errors(), 1);
         // Many more samples: all served by the fallback, procfs untouched.
         for _ in 0..100 {
-            assert_eq!(s.sample().runnable, 7);
+            assert_eq!(s.sample(), 7);
         }
         assert_eq!(s.procfs_errors(), 1, "cooldown must prevent re-probing");
         assert_eq!(s.fallback_samples(), 101);
@@ -478,7 +470,7 @@ mod tests {
             Box::new(FixedLoadSampler { runnable: 7 }),
             Duration::from_millis(1),
         );
-        assert_eq!(s.sample().runnable, 7);
+        assert_eq!(s.sample(), 7);
         assert_eq!(s.procfs_errors(), 1);
         // Repair the fixture and wait out the cooldown: procfs answers again.
         fs::write(
@@ -487,7 +479,7 @@ mod tests {
         )
         .expect("fixture rewrite");
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(s.sample().runnable, 1);
+        assert_eq!(s.sample(), 1);
         assert!(!s.in_cooldown());
         assert_eq!(s.procfs_errors(), 1);
     }
@@ -498,7 +490,7 @@ mod tests {
             ProcfsLoadSampler::with_root("/definitely/not/a/dir"),
             Box::new(FixedLoadSampler { runnable: 3 }),
         );
-        assert_eq!(s.sample().runnable, 3);
+        assert_eq!(s.sample(), 3);
         assert_eq!(s.procfs_errors(), 1);
     }
 }

@@ -1,13 +1,11 @@
-//! The thread-state registry: who is running, spinning, parked or blocked,
-//! and for how long.
+//! The thread-state registry: who is running, spinning, parked or blocked.
 //!
 //! Worker threads register once and then publish every state transition with
-//! a single relaxed store plus a time-accumulation update — cheap enough to
-//! call around lock acquisitions.  The load controller reads the registry to
-//! compute instantaneous load; the harness reads it to produce the per-state
-//! CPU-time breakdowns of the paper's Figure 3.
+//! a relaxed load and store of their own record, plus one shared counter
+//! update when runnability flips — cheap enough to call around lock
+//! acquisitions.  The load controller reads the runnable count; nothing
+//! reads a clock.
 
-use crate::now_ns;
 use crate::trace::{Transition, TransitionTrace};
 use crossbeam_utils::CachePadded;
 use std::fmt;
@@ -81,98 +79,11 @@ impl fmt::Display for ThreadState {
 struct Record {
     id: u64,
     state: AtomicU8,
-    since_ns: AtomicU64,
-    accumulated: [AtomicU64; STATE_COUNT],
-    alive: AtomicBool,
 }
 
 impl Record {
-    fn new(id: u64, initial: ThreadState) -> Self {
-        Self {
-            id,
-            state: AtomicU8::new(initial as u8),
-            since_ns: AtomicU64::new(now_ns()),
-            accumulated: Default::default(),
-            alive: AtomicBool::new(true),
-        }
-    }
-
     fn current_state(&self) -> ThreadState {
         ThreadState::from_u8(self.state.load(Ordering::Relaxed))
-    }
-
-    /// Accumulated nanoseconds per state, including the open interval.
-    fn usage(&self) -> ThreadUsage {
-        let mut per_state = [0u64; STATE_COUNT];
-        for (i, a) in self.accumulated.iter().enumerate() {
-            per_state[i] = a.load(Ordering::Relaxed);
-        }
-        let state = self.current_state();
-        let since = self.since_ns.load(Ordering::Relaxed);
-        let open = now_ns().saturating_sub(since);
-        per_state[state as usize] = per_state[state as usize].saturating_add(open);
-        ThreadUsage {
-            thread_id: self.id,
-            state,
-            nanos_by_state: per_state,
-            alive: self.alive.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-thread usage snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadUsage {
-    /// Registry-assigned thread id.
-    pub thread_id: u64,
-    /// Current state.
-    pub state: ThreadState,
-    /// Nanoseconds accumulated in each state (indexed by `ThreadState as usize`).
-    pub nanos_by_state: [u64; STATE_COUNT],
-    /// Whether the thread is still registered.
-    pub alive: bool,
-}
-
-impl ThreadUsage {
-    /// Nanoseconds spent in `state`.
-    pub fn nanos_in(&self, state: ThreadState) -> u64 {
-        self.nanos_by_state[state as usize]
-    }
-
-    /// Total accounted nanoseconds across all states.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos_by_state.iter().sum()
-    }
-}
-
-/// Process-wide usage breakdown (sum over threads).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UsageBreakdown {
-    /// Nanoseconds per state summed over every registered thread.
-    pub nanos_by_state: [u64; STATE_COUNT],
-    /// Number of threads included.
-    pub threads: usize,
-}
-
-impl UsageBreakdown {
-    /// Nanoseconds spent in `state` across all threads.
-    pub fn nanos_in(&self, state: ThreadState) -> u64 {
-        self.nanos_by_state[state as usize]
-    }
-
-    /// Total accounted nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos_by_state.iter().sum()
-    }
-
-    /// Fraction of accounted time spent in `state`, in `[0, 1]`.
-    pub fn fraction_in(&self, state: ThreadState) -> f64 {
-        let total = self.total_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            self.nanos_in(state) as f64 / total as f64
-        }
     }
 }
 
@@ -222,17 +133,12 @@ impl ThreadRegistry {
 
     /// Registers the calling thread, initially [`ThreadState::Running`].
     pub fn register(self: &Arc<Self>) -> ThreadHandle {
-        self.register_with_state(ThreadState::Running)
-    }
-
-    /// Registers the calling thread with an explicit initial state.
-    pub fn register_with_state(self: &Arc<Self>, initial: ThreadState) -> ThreadHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let record = Arc::new(CachePadded::new(Record::new(id, initial)));
+        let record = Arc::new(CachePadded::new(Record {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            state: AtomicU8::new(ThreadState::Running as u8),
+        }));
         self.records.lock().unwrap().push(Arc::clone(&record));
-        if initial.is_runnable() {
-            self.runnable.fetch_add(1, Ordering::Relaxed);
-        }
+        self.runnable.fetch_add(1, Ordering::Relaxed);
         ThreadHandle {
             registry: Arc::clone(self),
             record,
@@ -261,7 +167,6 @@ impl ThreadRegistry {
         }
         if let Some(trace) = self.trace.lock().unwrap().as_ref() {
             trace.push(Transition {
-                at_ns: now_ns(),
                 thread_id,
                 from,
                 to,
@@ -275,54 +180,24 @@ impl ThreadRegistry {
         self.runnable.load(Ordering::Relaxed) as usize
     }
 
-    /// Number of live registered threads.
+    /// Number of registered threads.
     pub fn len(&self) -> usize {
-        self.records
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|r| r.alive.load(Ordering::Relaxed))
-            .count()
+        self.records.lock().unwrap().len()
     }
 
-    /// Whether no live threads are registered.
+    /// Whether no threads are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Number of live threads currently in `state`.
+    /// Number of registered threads currently in `state`.
     pub fn count_in_state(&self, state: ThreadState) -> usize {
         self.records
             .lock()
             .unwrap()
             .iter()
-            .filter(|r| r.alive.load(Ordering::Relaxed) && r.current_state() == state)
+            .filter(|r| r.current_state() == state)
             .count()
-    }
-
-    /// Per-thread usage snapshots (live and dead threads alike).
-    pub fn thread_usages(&self) -> Vec<ThreadUsage> {
-        self.records
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|r| r.usage())
-            .collect()
-    }
-
-    /// Process-wide usage breakdown.
-    pub fn usage_breakdown(&self) -> UsageBreakdown {
-        let usages = self.thread_usages();
-        let mut out = UsageBreakdown {
-            threads: usages.len(),
-            ..Default::default()
-        };
-        for u in usages {
-            for i in 0..STATE_COUNT {
-                out.nanos_by_state[i] = out.nanos_by_state[i].saturating_add(u.nanos_by_state[i]);
-            }
-        }
-        out
     }
 }
 
@@ -339,11 +214,6 @@ impl ThreadHandle {
         self.record.id
     }
 
-    /// The registry this handle belongs to.
-    pub fn registry(&self) -> &Arc<ThreadRegistry> {
-        &self.registry
-    }
-
     /// The thread's current state.
     pub fn state(&self) -> ThreadState {
         self.record.current_state()
@@ -352,16 +222,13 @@ impl ThreadHandle {
     /// Publishes a state transition.
     ///
     /// Returns the previous state.  Transitioning to the current state is a
-    /// cheap no-op.
+    /// cheap no-op; otherwise the only shared write is the runnable count,
+    /// and only when runnability flips.
     pub fn set_state(&self, new: ThreadState) -> ThreadState {
         let old = self.record.current_state();
         if old == new {
             return old;
         }
-        let now = now_ns();
-        let since = self.record.since_ns.swap(now, Ordering::Relaxed);
-        let elapsed = now.saturating_sub(since);
-        self.record.accumulated[old as usize].fetch_add(elapsed, Ordering::Relaxed);
         self.record.state.store(new as u8, Ordering::Relaxed);
         match (old.is_runnable(), new.is_runnable()) {
             (true, false) => {
@@ -375,42 +242,16 @@ impl ThreadHandle {
         self.registry.record_transition(self.record.id, old, new);
         old
     }
-
-    /// Enters `state` for the duration of the returned guard, then restores
-    /// the previous state.
-    pub fn scoped(&self, state: ThreadState) -> StateGuard<'_> {
-        let previous = self.set_state(state);
-        StateGuard {
-            handle: self,
-            previous,
-        }
-    }
-
-    /// This thread's usage snapshot.
-    pub fn usage(&self) -> ThreadUsage {
-        self.record.usage()
-    }
 }
 
 impl Drop for ThreadHandle {
     fn drop(&mut self) {
-        // Close the open interval and stop counting this thread as runnable.
+        // Stop counting this thread as runnable, then leave the table.
         self.set_state(ThreadState::Idle);
-        self.record.alive.store(false, Ordering::Relaxed);
-    }
-}
-
-/// Guard returned by [`ThreadHandle::scoped`]; restores the previous state on
-/// drop.
-#[derive(Debug)]
-pub struct StateGuard<'a> {
-    handle: &'a ThreadHandle,
-    previous: ThreadState,
-}
-
-impl Drop for StateGuard<'_> {
-    fn drop(&mut self) {
-        self.handle.set_state(self.previous);
+        let mut records = self.registry.records.lock().unwrap();
+        if let Some(at) = records.iter().position(|r| Arc::ptr_eq(r, &self.record)) {
+            records.swap_remove(at);
+        }
     }
 }
 
@@ -418,14 +259,18 @@ impl Drop for StateGuard<'_> {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Duration;
+
+    fn table_len(reg: &ThreadRegistry) -> usize {
+        reg.records.lock().unwrap().len()
+    }
 
     #[test]
     fn register_and_count_runnable() {
         let reg = Arc::new(ThreadRegistry::new());
         assert!(reg.is_empty());
         let h1 = reg.register();
-        let h2 = reg.register_with_state(ThreadState::Idle);
+        let h2 = reg.register();
+        h2.set_state(ThreadState::Idle);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.runnable_threads(), 1);
         h2.set_state(ThreadState::Spinning);
@@ -444,37 +289,6 @@ mod tests {
         assert_eq!(h.set_state(ThreadState::Spinning), ThreadState::Running);
         assert_eq!(h.set_state(ThreadState::Spinning), ThreadState::Spinning);
         assert_eq!(h.state(), ThreadState::Spinning);
-    }
-
-    #[test]
-    fn scoped_state_restores() {
-        let reg = Arc::new(ThreadRegistry::new());
-        let h = reg.register();
-        {
-            let _g = h.scoped(ThreadState::BlockedOnLock);
-            assert_eq!(h.state(), ThreadState::BlockedOnLock);
-            assert_eq!(reg.runnable_threads(), 0);
-        }
-        assert_eq!(h.state(), ThreadState::Running);
-        assert_eq!(reg.runnable_threads(), 1);
-    }
-
-    #[test]
-    fn usage_accumulates_time() {
-        let reg = Arc::new(ThreadRegistry::new());
-        let h = reg.register();
-        thread::sleep(Duration::from_millis(5));
-        h.set_state(ThreadState::Spinning);
-        thread::sleep(Duration::from_millis(5));
-        let u = h.usage();
-        assert!(u.nanos_in(ThreadState::Running) >= 4_000_000);
-        assert!(u.nanos_in(ThreadState::Spinning) >= 4_000_000);
-        assert!(u.total_nanos() >= 8_000_000);
-
-        let breakdown = reg.usage_breakdown();
-        assert_eq!(breakdown.threads, 1);
-        assert!(breakdown.fraction_in(ThreadState::Running) > 0.0);
-        assert!(breakdown.fraction_in(ThreadState::Idle) < 1e-3);
     }
 
     #[test]
@@ -519,9 +333,85 @@ mod tests {
         for t in handles {
             t.join().unwrap();
         }
-        // All worker handles dropped: nothing runnable remains.
+        // All worker handles dropped: nothing runnable remains, and no
+        // record is left behind.
         assert_eq!(reg.runnable_threads(), 0);
         assert_eq!(reg.len(), 0);
-        assert_eq!(reg.thread_usages().len(), 8);
+        assert_eq!(table_len(&reg), 0);
+    }
+
+    #[test]
+    fn exited_threads_leave_the_record_table() {
+        const EXITED: usize = 64;
+        let reg = Arc::new(ThreadRegistry::new());
+        let live = reg.register();
+        for _ in 0..EXITED {
+            let reg = Arc::clone(&reg);
+            thread::spawn(move || {
+                let h = reg.register();
+                h.set_state(ThreadState::Spinning);
+            })
+            .join()
+            .unwrap();
+        }
+        // Only the live handle's record remains: the table does not grow
+        // with the number of threads that ever registered.
+        assert_eq!(table_len(&reg), 1);
+        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.runnable_threads(), 1);
+        drop(live);
+        assert_eq!(table_len(&reg), 0);
+    }
+
+    #[test]
+    fn churning_threads_keep_the_runnable_count_equal_to_the_live_records() {
+        const CHURNERS: usize = 4;
+        const ROUNDS: usize = 200;
+        let reg = Arc::new(ThreadRegistry::new());
+        // Long-lived handles in every state, held across the churn.
+        let live: Vec<_> = ThreadState::ALL
+            .iter()
+            .map(|&state| {
+                let h = reg.register();
+                h.set_state(state);
+                h
+            })
+            .collect();
+        let churners: Vec<_> = (0..CHURNERS)
+            .map(|i| {
+                let reg = Arc::clone(&reg);
+                thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let a = reg.register();
+                        let b = reg.register();
+                        for step in 0..(round % 7) {
+                            a.set_state(ThreadState::ALL[(i + step) % STATE_COUNT]);
+                            b.set_state(ThreadState::ALL[(round + step) % STATE_COUNT]);
+                        }
+                        // Drop in both orders, so removal covers the
+                        // middle and the end of the table.
+                        if round % 2 == 0 {
+                            drop((a, b));
+                        } else {
+                            drop((b, a));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in churners {
+            t.join().unwrap();
+        }
+        assert_eq!(reg.len(), live.len());
+        assert_eq!(table_len(&reg), live.len());
+        let runnable = live.iter().filter(|h| h.state().is_runnable()).count();
+        assert_eq!(reg.runnable_threads(), runnable);
+        let by_state: usize = ThreadState::ALL
+            .iter()
+            .map(|&s| reg.count_in_state(s))
+            .sum();
+        assert_eq!(by_state, live.len());
+        drop(live);
+        assert_eq!((reg.len(), reg.runnable_threads()), (0, 0));
     }
 }

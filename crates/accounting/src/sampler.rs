@@ -1,10 +1,13 @@
 //! Load samplers: how the controller measures "demanded CPUs".
 //!
+//! A sample is the runnable-thread count and nothing else.  No sampler
+//! stamps a time; only the hardened sampler reads a clock, for its failure
+//! cooldown.
+//!
 //! Samplers are selected through the shared `name(key=value)` spec grammar
 //! of [`lc_spec`] via [`SAMPLER_SPECS`] — the same parameterized construction
 //! path used for control policies, target splitters and lock families.
 
-use crate::now_ns;
 use crate::procfs::{HardenedProcfsSampler, ProcfsLoadSampler};
 use crate::registry::ThreadRegistry;
 use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
@@ -12,40 +15,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One load measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadSample {
-    /// When the sample was taken ([`crate::now_ns`]).
-    pub at_ns: u64,
-    /// Number of runnable threads (running + spinning) observed.
-    pub runnable: usize,
-}
-
-impl LoadSample {
-    /// Load expressed as a fraction of `capacity` hardware contexts
-    /// (1.0 = exactly loaded, 2.0 = 200 % load).
-    pub fn load_factor(&self, capacity: usize) -> f64 {
-        if capacity == 0 {
-            return 0.0;
-        }
-        self.runnable as f64 / capacity as f64
-    }
-
-    /// Number of runnable threads in excess of `capacity` (the paper's
-    /// *overload* sensor; zero when under-loaded).
-    pub fn overload(&self, capacity: usize) -> usize {
-        self.runnable.saturating_sub(capacity)
-    }
-}
-
 /// A source of load measurements.
 ///
 /// The controller is generic over this trait so experiments can swap the
 /// in-process registry, the `/proc` sampler, or a scripted sequence (used by
 /// the bump test of Figure 8).
 pub trait LoadSampler: Send + Sync {
-    /// Takes a load measurement now.
-    fn sample(&self) -> LoadSample;
+    /// The number of runnable threads (running + spinning) observed now.
+    fn sample(&self) -> usize;
 
     /// A short name for reports.
     fn name(&self) -> &'static str {
@@ -87,11 +64,8 @@ impl fmt::Debug for RegistryLoadSampler {
 }
 
 impl LoadSampler for RegistryLoadSampler {
-    fn sample(&self) -> LoadSample {
-        LoadSample {
-            at_ns: now_ns(),
-            runnable: self.registry.runnable_threads(),
-        }
+    fn sample(&self) -> usize {
+        self.registry.runnable_threads()
     }
 
     fn name(&self) -> &'static str {
@@ -107,11 +81,8 @@ pub struct FixedLoadSampler {
 }
 
 impl LoadSampler for FixedLoadSampler {
-    fn sample(&self) -> LoadSample {
-        LoadSample {
-            at_ns: now_ns(),
-            runnable: self.runnable,
-        }
+    fn sample(&self) -> usize {
+        self.runnable
     }
 
     fn name(&self) -> &'static str {
@@ -144,7 +115,7 @@ fn build_procfs(spec: &ParsedSpec) -> ProcfsLoadSampler {
 ///
 /// let registry = Arc::new(ThreadRegistry::new());
 /// let sampler = SAMPLER_SPECS.build_in(&registry, "fixed(runnable=7)").unwrap();
-/// assert_eq!(sampler.sample().runnable, 7);
+/// assert_eq!(sampler.sample(), 7);
 /// assert_eq!(sampler.spec().to_string(), "fixed(runnable=7)");
 /// assert!(SAMPLER_SPECS.build_in(&registry, "fixed(bogus=1)").is_err());
 /// ```
@@ -210,37 +181,25 @@ mod tests {
     use crate::registry::ThreadState;
 
     #[test]
-    fn load_sample_math() {
-        let s = LoadSample {
-            at_ns: 0,
-            runnable: 96,
-        };
-        assert!((s.load_factor(64) - 1.5).abs() < 1e-9);
-        assert_eq!(s.overload(64), 32);
-        assert_eq!(s.overload(128), 0);
-        assert_eq!(s.load_factor(0), 0.0);
-    }
-
-    #[test]
     fn registry_sampler_tracks_registry() {
         let reg = Arc::new(ThreadRegistry::new());
         let sampler = RegistryLoadSampler::new(Arc::clone(&reg));
-        assert_eq!(sampler.sample().runnable, 0);
+        assert_eq!(sampler.sample(), 0);
         let h1 = reg.register();
         let h2 = reg.register();
-        assert_eq!(sampler.sample().runnable, 2);
+        assert_eq!(sampler.sample(), 2);
         h1.set_state(ThreadState::ParkedByLoadControl);
-        assert_eq!(sampler.sample().runnable, 1);
+        assert_eq!(sampler.sample(), 1);
         drop(h2);
-        assert_eq!(sampler.sample().runnable, 0);
+        assert_eq!(sampler.sample(), 0);
         assert_eq!(sampler.name(), "registry");
     }
 
     #[test]
     fn fixed_sampler_is_constant() {
         let s = FixedLoadSampler { runnable: 7 };
-        assert_eq!(s.sample().runnable, 7);
-        assert_eq!(s.sample().runnable, 7);
+        assert_eq!(s.sample(), 7);
+        assert_eq!(s.sample(), 7);
         assert_eq!(s.name(), "fixed");
         assert_eq!(s.spec().to_string(), "fixed(runnable=7)");
     }
@@ -268,11 +227,11 @@ mod tests {
         let reg = Arc::new(ThreadRegistry::new());
         let _h = reg.register();
         let fixed = build_sampler_spec(&reg, "fixed(runnable=9)").unwrap();
-        assert_eq!(fixed.sample().runnable, 9);
+        assert_eq!(fixed.sample(), 9);
         assert_eq!(fixed.spec().to_string(), "fixed(runnable=9)");
         // The registry sampler actually samples the context registry.
         let registry = build_sampler_spec(&reg, "registry").unwrap();
-        assert_eq!(registry.sample().runnable, 1);
+        assert_eq!(registry.sample(), 1);
         // The hardened sampler reports its non-default cooldown back.
         let hardened = build_sampler_spec(&reg, "procfs-hardened(cooldown_ms=250)").unwrap();
         assert_eq!(

@@ -1,10 +1,10 @@
 //! A fixed-capacity ring buffer of thread-state transitions.
 //!
 //! This is the suite's substitute for the DTrace scripts the paper uses to
-//! record every context switch during a measurement window (Figures 5 and 6):
-//! attach a [`TransitionTrace`] to a [`crate::ThreadRegistry`], run the
-//! workload, then ask the trace for the instantaneous-runnable-thread
-//! timeline.
+//! record every context switch during a measurement window: attach a
+//! [`TransitionTrace`] to a [`crate::ThreadRegistry`], run the workload, then
+//! read the transitions back in the order they were recorded.  Entries carry
+//! no timestamp; the ring keeps their order.
 
 use crate::registry::ThreadState;
 use std::sync::Mutex;
@@ -12,8 +12,6 @@ use std::sync::Mutex;
 /// One recorded state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
-    /// Timestamp from [`crate::now_ns`].
-    pub at_ns: u64,
     /// Registry-assigned thread id.
     pub thread_id: u64,
     /// State before the transition.
@@ -22,22 +20,10 @@ pub struct Transition {
     pub to: ThreadState,
 }
 
-impl Transition {
-    /// Change in the number of runnable threads caused by this transition
-    /// (`+1`, `0` or `-1`).
-    pub fn runnable_delta(&self) -> i64 {
-        match (self.from.is_runnable(), self.to.is_runnable()) {
-            (false, true) => 1,
-            (true, false) => -1,
-            _ => 0,
-        }
-    }
-}
-
 /// A bounded, thread-safe transition log.
 ///
 /// When full, the oldest entries are overwritten (the trace keeps the tail of
-/// the experiment, which is what the figures plot).
+/// the experiment).
 #[derive(Debug)]
 pub struct TransitionTrace {
     inner: Mutex<Ring>,
@@ -98,7 +84,7 @@ impl TransitionTrace {
         self.inner.lock().unwrap().dropped
     }
 
-    /// Returns the stored transitions in chronological order.
+    /// Returns the stored transitions, oldest first.
     pub fn snapshot(&self) -> Vec<Transition> {
         let ring = self.inner.lock().unwrap();
         let capacity = ring.buf.len();
@@ -122,33 +108,14 @@ impl TransitionTrace {
         ring.len = 0;
         ring.dropped = 0;
     }
-
-    /// Reconstructs the instantaneous-runnable-thread timeline.
-    ///
-    /// `initial_runnable` is the number of runnable threads at the start of
-    /// the trace.  The result is a step function `(timestamp_ns, runnable)`
-    /// with one point per transition that changed the count.
-    pub fn runnable_timeline(&self, initial_runnable: i64) -> Vec<(u64, i64)> {
-        let mut runnable = initial_runnable;
-        let mut out = Vec::new();
-        for t in self.snapshot() {
-            let delta = t.runnable_delta();
-            if delta != 0 {
-                runnable += delta;
-                out.push((t.at_ns, runnable));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn t(at_ns: u64, id: u64, from: ThreadState, to: ThreadState) -> Transition {
+    fn t(id: u64, from: ThreadState, to: ThreadState) -> Transition {
         Transition {
-            at_ns,
             thread_id: id,
             from,
             to,
@@ -160,12 +127,12 @@ mod tests {
         let trace = TransitionTrace::with_capacity(8);
         assert!(trace.is_empty());
         for i in 0..5 {
-            trace.push(t(i, i, ThreadState::Running, ThreadState::Spinning));
+            trace.push(t(i, ThreadState::Running, ThreadState::Spinning));
         }
         let snap = trace.snapshot();
         assert_eq!(snap.len(), 5);
-        assert_eq!(snap[0].at_ns, 0);
-        assert_eq!(snap[4].at_ns, 4);
+        assert_eq!(snap[0].thread_id, 0);
+        assert_eq!(snap[4].thread_id, 4);
         assert_eq!(trace.dropped(), 0);
     }
 
@@ -173,53 +140,21 @@ mod tests {
     fn ring_evicts_oldest_when_full() {
         let trace = TransitionTrace::with_capacity(4);
         for i in 0..10 {
-            trace.push(t(i, 0, ThreadState::Running, ThreadState::Idle));
+            trace.push(t(i, ThreadState::Running, ThreadState::Idle));
         }
         let snap = trace.snapshot();
         assert_eq!(snap.len(), 4);
-        assert_eq!(snap[0].at_ns, 6);
-        assert_eq!(snap[3].at_ns, 9);
+        assert_eq!(snap[0].thread_id, 6);
+        assert_eq!(snap[3].thread_id, 9);
         assert_eq!(trace.dropped(), 6);
-    }
-
-    #[test]
-    fn runnable_delta_sign() {
-        assert_eq!(
-            t(0, 0, ThreadState::Running, ThreadState::BlockedOnIo).runnable_delta(),
-            -1
-        );
-        assert_eq!(
-            t(
-                0,
-                0,
-                ThreadState::ParkedByLoadControl,
-                ThreadState::Spinning
-            )
-            .runnable_delta(),
-            1
-        );
-        assert_eq!(
-            t(0, 0, ThreadState::Running, ThreadState::Spinning).runnable_delta(),
-            0
-        );
-    }
-
-    #[test]
-    fn runnable_timeline_steps() {
-        let trace = TransitionTrace::with_capacity(16);
-        trace.push(t(10, 1, ThreadState::Running, ThreadState::BlockedOnIo));
-        trace.push(t(20, 2, ThreadState::Running, ThreadState::Spinning));
-        trace.push(t(30, 1, ThreadState::BlockedOnIo, ThreadState::Running));
-        let tl = trace.runnable_timeline(4);
-        assert_eq!(tl, vec![(10, 3), (30, 4)]);
     }
 
     #[test]
     fn clear_resets_everything() {
         let trace = TransitionTrace::with_capacity(2);
-        trace.push(t(1, 0, ThreadState::Running, ThreadState::Idle));
-        trace.push(t(2, 0, ThreadState::Idle, ThreadState::Running));
-        trace.push(t(3, 0, ThreadState::Running, ThreadState::Idle));
+        trace.push(t(0, ThreadState::Running, ThreadState::Idle));
+        trace.push(t(0, ThreadState::Idle, ThreadState::Running));
+        trace.push(t(0, ThreadState::Running, ThreadState::Idle));
         assert_eq!(trace.dropped(), 1);
         trace.clear();
         assert!(trace.is_empty());

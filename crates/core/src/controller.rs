@@ -369,14 +369,12 @@ impl LoadControl {
     /// This is what the daemon does every `update_interval`; tests and the
     /// simulator-driven experiments call it directly.
     pub fn run_cycle(&self) -> ControllerStats {
-        let sample = self.shared.sampler.sample();
-        self.shared
-            .last_runnable
-            .store(sample.runnable, Ordering::Relaxed);
+        let runnable = self.shared.sampler.sample();
+        self.shared.last_runnable.store(runnable, Ordering::Relaxed);
         // Demand = runnable threads plus the ones currently asleep in the
         // slot buffer; using total demand keeps the target stable instead
         // of mass-waking sleepers whenever runnable load dips briefly.
-        let load = sample.runnable + self.shared.buffer.sleepers() as usize;
+        let load = runnable + self.shared.buffer.sleepers() as usize;
         // The wait observation handed to the policy is this cycle's *delta*
         // window: episodes recorded since the previous decision.
         let wait = {

@@ -9,8 +9,9 @@
 //! the `lc-des` simulator, with no simulation-only forks:
 //!
 //! * [`TimeSource`] supplies a monotonic "now" as a [`Duration`] since the
-//!   source's epoch.  [`RealClock`] reads [`Instant`]; [`VirtualClock`] is a
-//!   counter advanced by a simulator.
+//!   source's epoch.  [`RealClock`] reads the process clock,
+//!   [`lc_locks::now_ns`]; [`VirtualClock`] is a counter advanced by a
+//!   simulator.
 //! * [`ParkOps`] performs the bounded block on a [`Parker`].  [`ThreadPark`]
 //!   really blocks the calling thread; a simulator never calls it (its
 //!   waiters are event-driven), but tests can substitute a non-blocking park
@@ -22,45 +23,36 @@
 //!   *same* state machine against the *same* [`SleepSlotBuffer`].
 
 use crate::slots::{SleepSlotBuffer, SleeperId};
-use lc_locks::{ParkResult, Parker};
+use lc_locks::{now_ns, ParkResult, Parker};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A monotonic clock: the seam through which the control plane reads time.
 ///
 /// Implementations report a [`Duration`] since their own fixed epoch (a
-/// process cannot fabricate [`Instant`]s, which is exactly why the seam
-/// exists).  Values must be monotonically non-decreasing.
+/// process cannot fabricate [`std::time::Instant`]s, which is exactly why the
+/// seam exists).  Values must be monotonically non-decreasing.
 pub trait TimeSource: Send + Sync + fmt::Debug {
     /// The current time, as a duration since this source's epoch.
     fn now(&self) -> Duration;
 }
 
-/// The production clock: [`Instant::now`] relative to construction time.
-#[derive(Debug)]
-pub struct RealClock {
-    epoch: Instant,
-}
+/// The production clock: the process clock, [`lc_locks::now_ns`].  Every
+/// `RealClock` shares its epoch, the first read in the process.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RealClock;
 
 impl RealClock {
-    /// A clock whose epoch is the moment of construction.
+    /// The process clock.
     pub fn new() -> Self {
-        Self {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
 impl TimeSource for RealClock {
     fn now(&self) -> Duration {
-        self.epoch.elapsed()
+        Duration::from_nanos(now_ns())
     }
 }
 

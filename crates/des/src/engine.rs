@@ -45,7 +45,7 @@
 use crate::discipline::WaiterDiscipline;
 use crate::metrics::{convergence_cycle, CycleRow, RunReport};
 use crate::workload::{Arrivals, Dist, WorkloadSpec};
-use lc_accounting::{LoadSample, LoadSampler, ThreadRegistry};
+use lc_accounting::{LoadSampler, ThreadRegistry};
 use lc_core::{
     ClaimOutcome, LoadControl, LoadControlConfig, LoadControlSpec, SleeperId, SlotWait, SpecError,
     Substitutes, TimeSource, VirtualClock, WaitOutcome, WaitPoll,
@@ -149,20 +149,16 @@ impl DesConfig {
 /// list a fixed number of passes instead.
 pub const COMBINE_BATCH: usize = 8;
 
-/// The load sampler of the simulated machine: reports the engine's runnable
-/// counter on the virtual clock's timebase.
+/// The load sampler of the simulated machine: reports a runnable counter
+/// its harness keeps (the engine's workers, or the fuzzer's scripted knob).
 #[derive(Debug)]
-struct DesSampler {
-    clock: Arc<VirtualClock>,
-    runnable: Arc<AtomicUsize>,
+pub(crate) struct DesSampler {
+    pub(crate) runnable: Arc<AtomicUsize>,
 }
 
 impl LoadSampler for DesSampler {
-    fn sample(&self) -> LoadSample {
-        LoadSample {
-            at_ns: u64::try_from(self.clock.now().as_nanos()).unwrap_or(u64::MAX),
-            runnable: self.runnable.load(Ordering::Relaxed),
-        }
+    fn sample(&self) -> usize {
+        self.runnable.load(Ordering::Relaxed)
     }
 
     fn name(&self) -> &'static str {
@@ -295,7 +291,6 @@ impl Engine {
             .with_sleep_timeout(config.sleep_timeout);
         lc_config.max_sleepers = config.workers;
         let sampler = Box::new(DesSampler {
-            clock: Arc::clone(&clock),
             runnable: Arc::clone(&runnable),
         });
         let control = LoadControl::with_substitutes(

@@ -34,7 +34,8 @@
 //! advance 1500000
 //! ```
 
-use lc_accounting::{LoadSample, LoadSampler, ThreadRegistry};
+use crate::engine::DesSampler;
+use lc_accounting::ThreadRegistry;
 use lc_core::{
     ClaimOutcome, LoadControl, LoadControlConfig, LoadControlSpec, SleeperId, SlotWait,
     Substitutes, TimeSource, VirtualClock, WaitPoll,
@@ -162,25 +163,6 @@ pub struct FuzzSummary {
     pub actions: u64,
 }
 
-#[derive(Debug)]
-struct KnobSampler {
-    clock: Arc<VirtualClock>,
-    runnable: Arc<AtomicUsize>,
-}
-
-impl LoadSampler for KnobSampler {
-    fn sample(&self) -> LoadSample {
-        LoadSample {
-            at_ns: u64::try_from(self.clock.now().as_nanos()).unwrap_or(u64::MAX),
-            runnable: self.runnable.load(Ordering::Relaxed),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "des"
-    }
-}
-
 struct FuzzWorker {
     sleeper: SleeperId,
     parker: Arc<Parker>,
@@ -214,8 +196,7 @@ impl Harness {
                 time: Arc::clone(&clock) as Arc<dyn TimeSource>,
                 sampler: Some((
                     Arc::new(ThreadRegistry::new()),
-                    Box::new(KnobSampler {
-                        clock: Arc::clone(&clock),
+                    Box::new(DesSampler {
                         runnable: Arc::clone(&runnable),
                     }),
                 )),

@@ -123,7 +123,7 @@ pub use spin_wait::{Backoff, SpinWait};
 pub use stats::{LockStats, LockStatsSnapshot, WaitHistogram, WaitObservation, WaitSnapshot};
 pub use tas::TasLock;
 pub use ticket::TicketLock;
-pub use time_published::{TimePublishedLock, TpConfig};
+pub use time_published::{now_ns, TimePublishedLock, TpConfig};
 pub use ttas::TtasLock;
 
 /// Names of every lock implementation in this crate, in a stable order.

@@ -71,9 +71,10 @@ fn unpack(word: u64) -> (u64, u64) {
     (word >> 3, word & STATE_MASK)
 }
 
-/// Monotonic nanoseconds since the first call in this process.
+/// Monotonic nanoseconds since the first call in this process: the one
+/// process clock.  The heartbeats here and `lc_core::RealClock` read it.
 #[inline]
-pub(crate) fn now_ns() -> u64 {
+pub fn now_ns() -> u64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);

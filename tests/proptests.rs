@@ -502,9 +502,9 @@ fn transition_trace_keeps_the_most_recent_entries() {
         let count = rng.random_range(0usize..100);
         let trace = TransitionTrace::with_capacity(capacity);
         for i in 0..count {
+            // The thread id doubles as the entry's sequence number.
             trace.push(Transition {
-                at_ns: i as u64,
-                thread_id: 0,
+                thread_id: i as u64,
                 from: ThreadState::Running,
                 to: ThreadState::Spinning,
             });
@@ -514,7 +514,7 @@ fn transition_trace_keeps_the_most_recent_entries() {
         // Entries are the most recent ones, in chronological order.
         for (j, t) in snap.iter().enumerate() {
             let expected = count - snap.len() + j;
-            assert_eq!(t.at_ns, expected as u64, "seed {seed}");
+            assert_eq!(t.thread_id, expected as u64, "seed {seed}");
         }
         assert_eq!(
             trace.dropped(),
