@@ -350,14 +350,6 @@ impl LoadControl {
         self.shared.buffer.sleepers()
     }
 
-    /// Raw registration indices of sleepers currently exempt from the
-    /// controller's wake scan — the active delegation-lock combiners (see
-    /// `lc_locks::delegation`).  Empty unless a combiner is running right
-    /// now, so tests assert over a window of samples.
-    pub fn combiner_exempt_ids(&self) -> Vec<u64> {
-        self.shared.buffer.exempt_ids()
-    }
-
     /// Whether the controller currently considers the process overloaded.
     pub fn is_overloaded(&self) -> bool {
         self.shared.buffer.target() > 0

@@ -131,26 +131,22 @@ pub struct SlotBufferStats {
     pub controller_wakes: u64,
     /// Claim attempts that lost a head CAS (contention on the claim path).
     pub claim_races: u64,
-    /// Sleepers currently exempt from the wake scan (active combiners).
-    /// This is a buffer-global property; per-shard snapshots
-    /// ([`SleepSlotBuffer::shard_stats`]) report it as 0 so summing shard
-    /// stats never double-counts it.
-    pub exempt: u64,
     /// Wait-time summary of every completed sleep episode (count, p50/p99
     /// bucket upper bounds and max, in nanoseconds) from the buffer's
-    /// [`lc_locks::stats::WaitHistogram`].  Buffer-global like `exempt`:
-    /// per-shard snapshots report the default (all-zero) observation.
+    /// [`lc_locks::stats::WaitHistogram`].  Buffer-global: per-shard
+    /// snapshots ([`SleepSlotBuffer::shard_stats`]) report the default
+    /// (all-zero) observation, so summing shard stats never double-counts it.
     pub wait: WaitObservation,
 }
 
 impl fmt::Display for SlotBufferStats {
     /// Renders the paper's letters directly: `S=.. W=.. T=..` plus the
     /// derived diagnostics (`sleeping = S − W`, controller wakes, races,
-    /// wake-scan exemptions).
+    /// wait times).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "S={} W={} T={} sleeping={} controller_wakes={} claim_races={} exempt={} \
+            "S={} W={} T={} sleeping={} controller_wakes={} claim_races={} \
              wait_count={} wait_p50_ns={} wait_p99_ns={} wait_max_ns={}",
             self.ever_slept,
             self.woken_and_left,
@@ -158,7 +154,6 @@ impl fmt::Display for SlotBufferStats {
             self.ever_slept.saturating_sub(self.woken_and_left),
             self.controller_wakes,
             self.claim_races,
-            self.exempt,
             self.wait.count,
             self.wait.p50_ns,
             self.wait.p99_ns,
@@ -193,83 +188,6 @@ pub fn even_split(total: u64, shards: usize, shard_capacity: u64) -> Vec<u64> {
     (0..n)
         .map(|i| if i < rem { base + 1 } else { base })
         .collect()
-}
-
-/// Maximum number of sleepers that can be wake-scan exempt at once.
-///
-/// Exemptions mark *active combiners* (delegation locks, see
-/// `lc_locks::delegation`): at most one combiner per delegation lock can be
-/// active at a time, so 16 concurrent exemptions is far above any realistic
-/// lock population per control instance.
-pub const MAX_EXEMPT: usize = 16;
-
-/// A small lock-free set of slot values (`SleeperId + 1`) the controller's
-/// wake scan must skip.
-///
-/// The wake scan clears occupied slots to wake sleepers; a slot owned by a
-/// thread that is currently *combining* (executing other threads' critical
-/// sections in a delegation lock) should not absorb one of those wakes — the
-/// combiner is running, so clearing its slot wastes the wake on a thread
-/// that cannot respond and leaves an actual sleeper parked.
-struct ExemptSet {
-    entries: [AtomicU64; MAX_EXEMPT],
-    skips: AtomicU64,
-}
-
-impl ExemptSet {
-    fn new() -> Self {
-        Self {
-            entries: std::array::from_fn(|_| AtomicU64::new(0)),
-            skips: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `value`; `true` on success or if already present, `false` when
-    /// all entries are taken.
-    fn insert(&self, value: u64) -> bool {
-        if self.contains(value) {
-            return true;
-        }
-        for entry in &self.entries {
-            if entry
-                .compare_exchange(0, value, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn remove(&self, value: u64) {
-        for entry in &self.entries {
-            let _ = entry.compare_exchange(value, 0, Ordering::AcqRel, Ordering::Relaxed);
-        }
-    }
-
-    fn contains(&self, value: u64) -> bool {
-        value != 0
-            && self
-                .entries
-                .iter()
-                .any(|e| e.load(Ordering::Acquire) == value)
-    }
-
-    fn clear_all(&self) {
-        for entry in &self.entries {
-            entry.store(0, Ordering::Release);
-        }
-    }
-
-    fn ids(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .filter_map(|e| {
-                let v = e.load(Ordering::Acquire);
-                (v != 0).then(|| v - 1)
-            })
-            .collect()
-    }
 }
 
 /// One shard: a private `S`/`W`/`T` triple plus its slice of the slot ring.
@@ -406,9 +324,8 @@ impl Shard {
         }
     }
 
-    /// Clears up to `count` occupied slots in this shard, skipping any slot
-    /// whose owner is in `exempt` (the active-combiner exemption), and
-    /// appends the owners' parker indices to `wakes` — the caller unparks
+    /// Clears up to `count` occupied slots in this shard and appends the
+    /// owners' parker indices to `wakes` — the caller unparks
     /// the whole batch once, instead of a per-slot round trip through the
     /// parker table.  Returns how many slots were cleared.
     ///
@@ -417,13 +334,7 @@ impl Shard {
     /// [`WakeOrder::Window`] visits occupied slots oldest claim first (by
     /// claim stamp), so no sleeper's age can grow unboundedly across
     /// repeated partial scans.
-    fn collect_wakes(
-        &self,
-        count: usize,
-        order: WakeOrder,
-        exempt: &ExemptSet,
-        wakes: &mut Vec<u64>,
-    ) -> usize {
+    fn collect_wakes(&self, count: usize, order: WakeOrder, wakes: &mut Vec<u64>) -> usize {
         if count == 0 {
             return 0;
         }
@@ -434,7 +345,7 @@ impl Shard {
                     if cleared >= count {
                         break;
                     }
-                    cleared += self.try_clear(slot, exempt, wakes);
+                    cleared += self.try_clear(slot, wakes);
                 }
                 cleared
             }
@@ -457,23 +368,19 @@ impl Shard {
                     if cleared >= count {
                         break;
                     }
-                    cleared += self.try_clear(&self.slots[idx], exempt, wakes);
+                    cleared += self.try_clear(&self.slots[idx], wakes);
                 }
                 cleared
             }
         }
     }
 
-    /// One wake-scan visit of `slot`: skip if empty or exempt, else CAS it
-    /// clear and record the owner.  Returns 1 if the slot was cleared.
+    /// One wake-scan visit of `slot`: skip if empty, else CAS it clear and
+    /// record the owner.  Returns 1 if the slot was cleared.
     #[inline]
-    fn try_clear(&self, slot: &AtomicU64, exempt: &ExemptSet, wakes: &mut Vec<u64>) -> usize {
+    fn try_clear(&self, slot: &AtomicU64, wakes: &mut Vec<u64>) -> usize {
         let v = slot.load(Ordering::Acquire);
         if v == 0 {
-            return 0;
-        }
-        if exempt.contains(v) {
-            exempt.skips.fetch_add(1, Ordering::Relaxed);
             return 0;
         }
         if slot
@@ -517,9 +424,6 @@ pub struct SleepSlotBuffer {
     parkers: Mutex<Vec<Arc<Parker>>>,
     /// Registered ids no waiter holds (see [`SleepSlotBuffer::lease_sleeper`]).
     free_sleepers: Mutex<Vec<SleeperId>>,
-    /// Sleepers the wake scan must skip (active combiners; see
-    /// [`SleepSlotBuffer::set_exempt`]).
-    exempt: ExemptSet,
     /// Order of the controller's batched wake scan within each shard
     /// (see [`WakeOrder`]; set at construction via
     /// [`SleepSlotBuffer::with_wake_order`]).
@@ -543,8 +447,12 @@ impl fmt::Debug for SleepSlotBuffer {
             .field("W", &stats.woken_and_left)
             .field("T", &stats.target)
             .field("claim_races", &stats.claim_races)
-            .field("claim_races_per_shard", &self.claim_races_per_shard())
-            .field("exempt", &stats.exempt)
+            .field(
+                "claim_races_per_shard",
+                &(0..self.shard_count())
+                    .map(|i| self.shard_stats(i).claim_races)
+                    .collect::<Vec<_>>(),
+            )
             .field("capacity", &self.capacity())
             .field("shards", &self.shard_count())
             .finish()
@@ -587,7 +495,6 @@ impl SleepSlotBuffer {
             publish: Mutex::new(()),
             parkers: Mutex::new(Vec::new()),
             free_sleepers: Mutex::new(Vec::new()),
-            exempt: ExemptSet::new(),
             wake_order: WakeOrder::Fifo,
             wait: WaitHistogram::new(),
         }
@@ -661,11 +568,10 @@ impl SleepSlotBuffer {
         }
     }
 
-    /// Gives back a leased id, which must hold no claim; any wake-scan
-    /// exemption goes with it.  Its parker may still carry a late permit,
-    /// which is why a waiter drains its permit before every claim.
+    /// Gives back a leased id, which must hold no claim.  Its parker may
+    /// still carry a late permit, which is why a waiter drains its permit
+    /// before every claim.
     pub(crate) fn return_sleeper(&self, sleeper: SleeperId) {
-        self.clear_exempt(sleeper);
         self.free_sleepers.lock().unwrap().push(sleeper);
     }
 
@@ -901,12 +807,7 @@ impl SleepSlotBuffer {
             let target = shard.target.load(Ordering::Relaxed);
             let sleepers = shard.sleepers();
             if sleepers > target {
-                shard.collect_wakes(
-                    (sleepers - target) as usize,
-                    self.wake_order,
-                    &self.exempt,
-                    &mut wakes,
-                );
+                shard.collect_wakes((sleepers - target) as usize, self.wake_order, &mut wakes);
             }
         }
         self.unpark_batch(&wakes);
@@ -940,16 +841,13 @@ impl SleepSlotBuffer {
             if remaining == 0 {
                 break;
             }
-            remaining -= shard.collect_wakes(remaining, self.wake_order, &self.exempt, &mut wakes);
+            remaining -= shard.collect_wakes(remaining, self.wake_order, &mut wakes);
         }
         self.unpark_batch(&wakes);
         wakes.len()
     }
 
     /// Wakes every sleeper and resets all targets to zero (shutdown path).
-    ///
-    /// Exemptions are cleared first: shutdown must release *everyone*,
-    /// including a combiner whose slot the ordinary wake scan would skip.
     pub fn wake_all(&self) -> usize {
         {
             let _publish = self.publish.lock().unwrap();
@@ -958,46 +856,10 @@ impl SleepSlotBuffer {
             }
             self.total_target.store(0, Ordering::Release);
         }
-        self.exempt.clear_all();
         // As in `publish_locked`: a claim this scan misses sees the zero
         // target and backs out.
         fence(Ordering::SeqCst);
         self.wake(self.capacity())
-    }
-
-    /// Marks `sleeper` exempt from the controller's wake scan — the
-    /// active-combiner exemption of the delegation lock plane: while a
-    /// thread executes other threads' critical sections, clearing its sleep
-    /// slot would waste a wake on a thread that is already running.
-    ///
-    /// Returns `false` when the exempt table is full ([`MAX_EXEMPT`]
-    /// concurrent exemptions) — the caller simply proceeds without the
-    /// exemption, which is safe (a skipped exemption only means the combiner
-    /// can absorb a wake it does not need).
-    pub fn set_exempt(&self, sleeper: SleeperId) -> bool {
-        self.exempt.insert(sleeper.slot_value())
-    }
-
-    /// Removes `sleeper`'s wake-scan exemption, if present.
-    pub fn clear_exempt(&self, sleeper: SleeperId) {
-        self.exempt.remove(sleeper.slot_value());
-    }
-
-    /// Whether `sleeper` is currently exempt from the wake scan.
-    pub fn is_exempt(&self, sleeper: SleeperId) -> bool {
-        self.exempt.contains(sleeper.slot_value())
-    }
-
-    /// Raw registration indices ([`SleeperId::index`]) of every currently
-    /// exempt sleeper, for introspection and tests.
-    pub fn exempt_ids(&self) -> Vec<u64> {
-        self.exempt.ids()
-    }
-
-    /// Number of wake-scan encounters with an exempt slot (each one skipped
-    /// and redirected to the next occupied slot).
-    pub fn exempt_skips(&self) -> u64 {
-        self.exempt.skips.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the buffer's counters, aggregated over all shards.
@@ -1009,7 +871,6 @@ impl SleepSlotBuffer {
     pub fn stats(&self) -> SlotBufferStats {
         let mut stats = SlotBufferStats {
             target: self.target(),
-            exempt: self.exempt.ids().len() as u64,
             wait: self.wait.snapshot().observation(),
             ..SlotBufferStats::default()
         };
@@ -1039,24 +900,10 @@ impl SleepSlotBuffer {
             target: shard.target.load(Ordering::Relaxed),
             controller_wakes: shard.controller_wakes.load(Ordering::Relaxed),
             claim_races: shard.claim_races.load(Ordering::Relaxed),
-            // Exemption and wait stats are buffer-global; defaults here keep
-            // shard sums honest.
-            exempt: 0,
+            // Wait stats are buffer-global; the default here keeps shard sums
+            // honest.
             wait: WaitObservation::default(),
         }
-    }
-
-    /// Lost head-CAS counts per shard, in shard order.
-    ///
-    /// The per-shard breakdown of [`SlotBufferStats::claim_races`]: a single
-    /// hot shard (skewed home-shard assignment, or too few shards for the
-    /// waiter population) shows up here while the aggregate still looks
-    /// flat.
-    pub fn claim_races_per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.claim_races.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Per-shard snapshots for the controller's target splitter.
@@ -1592,85 +1439,12 @@ mod tests {
             "per-shard races missing from {debugged:?}"
         );
         buf.leave(idx, id);
-        assert_eq!(buf.claim_races_per_shard(), vec![0, 0]);
-    }
-
-    #[test]
-    fn exempt_sleepers_survive_the_wake_scan() {
-        let buf = SleepSlotBuffer::new(8);
-        buf.set_target(2);
-        let parkers: Vec<Arc<Parker>> = (0..2).map(|_| Arc::new(Parker::new())).collect();
-        let ids: Vec<SleeperId> = parkers
-            .iter()
-            .map(|p| buf.register_sleeper(Arc::clone(p)))
-            .collect();
-        let claims: Vec<usize> = ids
-            .iter()
-            .map(|id| match buf.try_claim(*id) {
-                ClaimOutcome::Claimed(idx) => idx,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert!(buf.set_exempt(ids[0]));
-        assert!(buf.is_exempt(ids[0]));
-        assert!(!buf.is_exempt(ids[1]));
-        assert_eq!(buf.exempt_ids(), vec![ids[0].index()]);
-        // Shrink the target to zero: the scan wants both slots cleared but
-        // must skip the exempt one and wake only the other sleeper.
-        let woken = buf.set_target(0);
-        assert_eq!(woken, 1);
-        assert!(
-            buf.still_claimed(claims[0], ids[0]),
-            "exempt slot was cleared by the wake scan"
-        );
-        assert!(!buf.still_claimed(claims[1], ids[1]));
-        assert!(buf.exempt_skips() >= 1);
-        // Clearing the exemption lets the scan reach the slot again.
-        buf.clear_exempt(ids[0]);
-        assert!(!buf.is_exempt(ids[0]));
-        assert_eq!(buf.wake(1), 1);
-        for (idx, id) in claims.iter().zip(&ids) {
-            buf.leave(*idx, *id);
-        }
-        let stats = buf.stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
-    }
-
-    #[test]
-    fn wake_all_overrides_exemptions() {
-        let buf = SleepSlotBuffer::new(8);
-        buf.set_target(1);
-        let id = sleeper(&buf);
-        let ClaimOutcome::Claimed(idx) = buf.try_claim(id) else {
-            panic!("expected a claim");
-        };
-        assert!(buf.set_exempt(id));
-        // Shutdown must release everyone, exemptions included.
-        assert_eq!(buf.wake_all(), 1);
-        assert!(!buf.is_exempt(id));
-        assert!(!buf.still_claimed(idx, id));
-        buf.leave(idx, id);
-        let stats = buf.stats();
-        assert_eq!(stats.ever_slept, stats.woken_and_left);
-    }
-
-    #[test]
-    fn exempt_table_fills_gracefully_and_is_idempotent() {
-        let buf = SleepSlotBuffer::new(8);
-        let ids: Vec<_> = (0..=MAX_EXEMPT).map(|_| sleeper(&buf)).collect();
-        for id in &ids[..MAX_EXEMPT] {
-            assert!(buf.set_exempt(*id));
-            assert!(buf.set_exempt(*id), "re-exempting must be idempotent");
-        }
-        assert_eq!(buf.exempt_ids().len(), MAX_EXEMPT);
-        assert!(
-            !buf.set_exempt(ids[MAX_EXEMPT]),
-            "a full exempt table must refuse, not panic"
-        );
-        buf.clear_exempt(ids[0]);
-        assert!(
-            buf.set_exempt(ids[MAX_EXEMPT]),
-            "freed entry must be reusable"
+        assert_eq!(
+            (
+                buf.shard_stats(0).claim_races,
+                buf.shard_stats(1).claim_races
+            ),
+            (0, 0)
         );
     }
 
@@ -1706,21 +1480,6 @@ mod tests {
         }
         let stats = buf.stats();
         assert_eq!(stats.ever_slept, stats.woken_and_left);
-    }
-
-    #[test]
-    fn exempt_count_surfaces_in_stats_and_display() {
-        let buf = SleepSlotBuffer::new(8);
-        let id = sleeper(&buf);
-        assert_eq!(buf.stats().exempt, 0);
-        assert!(buf.set_exempt(id));
-        let stats = buf.stats();
-        assert_eq!(stats.exempt, 1);
-        assert!(stats.to_string().contains("exempt=1"), "{stats}");
-        let debugged = format!("{buf:?}");
-        assert!(debugged.contains("exempt: 1"), "{debugged}");
-        buf.clear_exempt(id);
-        assert_eq!(buf.stats().exempt, 0);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! that has found no slot for sixteen checks *steps aside* instead: it
 //! aborts, parks for 50 µs outside the slot buffer, and retries.
 //!
+//! A gate counts its claim in `lc_locks::delegation` from the claim until the
+//! park or cancel that resolves it, so a thread holding a claim on any control
+//! refuses the flat-combining combiner role.  A combiner takes no claim
+//! (`may_leave`), so the controller never finds one asleep.
+//!
 //! The `Lc*` wrappers go through `acquire` / `release`, which hand the
 //! backend a gate over the context they already borrow: an acquisition pays
 //! for nothing load-control-specific — no reference count, no list probe,
@@ -30,7 +35,7 @@ use crate::controller::LoadControl;
 use crate::slots::{ClaimOutcome, SleeperId};
 use crate::time::{SlotWait, WaitPoll};
 use lc_accounting::{ThreadHandle, ThreadState};
-use lc_locks::delegation::{self, CombinerObserver};
+use lc_locks::delegation;
 use lc_locks::{Parker, SpinDecision, SpinPolicy};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -49,11 +54,6 @@ pub(crate) struct ThreadCtx {
     /// refuse sleeping while holding a lock (the nested-critical-section
     /// hazard of paper §6.1.2).
     hold_count: Cell<u32>,
-    /// Number of unresolved sleep-slot claims this thread holds (0 or 1 in
-    /// practice — a gate resolves its claim before the next one).  Combiner
-    /// election consults this: a thread that has committed to sleeping must
-    /// not elect itself combiner.
-    slot_claims: Cell<u32>,
     /// Number of times this thread has been put to sleep by load control.
     sleeps: Cell<u64>,
 }
@@ -63,7 +63,6 @@ impl fmt::Debug for ThreadCtx {
         f.debug_struct("ThreadCtx")
             .field("sleeper", &self.sleeper)
             .field("hold_count", &self.hold_count.get())
-            .field("slot_claims", &self.slot_claims.get())
             .field("sleeps", &self.sleeps.get())
             .finish()
     }
@@ -79,7 +78,6 @@ impl ThreadCtx {
             sleeper,
             handle,
             hold_count: Cell::new(0),
-            slot_claims: Cell::new(0),
             sleeps: Cell::new(0),
         }
     }
@@ -104,23 +102,6 @@ impl ThreadCtx {
         // every publisher at once — the delegation analogue of the same
         // hazard.
         self.hold_count.get() == 0 && !delegation::is_combining()
-    }
-
-    /// A sleep-slot claim was taken on behalf of this thread.
-    fn note_slot_claimed(&self) {
-        self.slot_claims.set(self.slot_claims.get() + 1);
-    }
-
-    /// A sleep-slot claim was resolved (parked, cancelled, or dropped).
-    fn note_slot_released(&self) {
-        let c = self.slot_claims.get();
-        debug_assert!(c > 0, "released a sleep-slot claim that was not held");
-        self.slot_claims.set(c.saturating_sub(1));
-    }
-
-    /// Whether this thread currently holds an unresolved sleep-slot claim.
-    fn holds_slot_claim(&self) -> bool {
-        self.slot_claims.get() > 0
     }
 
     /// Total times this thread slept at load control's request.
@@ -182,8 +163,6 @@ impl ThreadCtx {
 
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
-        // Every gate over this context is gone, and each resolved its claim.
-        debug_assert!(!self.holds_slot_claim(), "a context died holding a claim");
         self.control.buffer().return_sleeper(self.sleeper);
     }
 }
@@ -209,34 +188,6 @@ thread_local! {
     /// context): what makes the lookup on an acquisition one load and one
     /// compare.  Written only by [`current_ctx`] and `CtxList::drop`.
     static LAST: Cell<(usize, *const ThreadCtx)> = const { Cell::new((0, ptr::null())) };
-}
-
-/// The per-thread combiner hook wiring `lc_locks::delegation` to load
-/// control: election consults the sleep books, and combining toggles the
-/// wake-scan exemption for this thread's slot.
-struct CtxCombinerObserver {
-    ctx: Rc<ThreadCtx>,
-}
-
-impl CombinerObserver for CtxCombinerObserver {
-    fn combining_changed(&self, active: bool) {
-        let buffer = self.ctx.control.buffer();
-        if active {
-            // A full exempt table refuses the exemption; combining proceeds
-            // regardless (the combiner can then absorb a useless wake, which
-            // is wasteful but safe).
-            let _ = buffer.set_exempt(self.ctx.sleeper);
-        } else {
-            buffer.clear_exempt(self.ctx.sleeper);
-        }
-    }
-
-    fn may_self_elect(&self) -> bool {
-        // A thread that has committed to sleeping (holds an unresolved
-        // sleep-slot claim) must not become the combiner: it is exactly the
-        // thread the controller wants off the CPU.
-        !self.ctx.holds_slot_claim()
-    }
 }
 
 /// Runs `f` on the calling thread's context for `control`, creating the
@@ -269,13 +220,6 @@ pub(crate) fn with_ctx<T>(control: &Arc<LoadControl>, f: impl FnOnce(&ThreadCtx)
 /// that outlives one call: a gate, a worker registration).  Also the miss
 /// path of [`with_ctx`]: finds or creates the list entry, moves it to the
 /// front and remembers it in `LAST`.
-///
-/// Context creation also installs the thread's [`CombinerObserver`], linking
-/// flat combining's election and wake-scan exemption to this control
-/// instance's sleep books.  A thread using several [`LoadControl`] instances
-/// keeps the observer of the one whose context it created last — per-thread
-/// delegation state is a single hook, matching the paper's deployment of one
-/// control plane per process.
 pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
     let key = Arc::as_ptr(control) as usize;
     CTXS.try_with(|list| {
@@ -283,13 +227,7 @@ pub(crate) fn current_ctx(control: &Arc<LoadControl>) -> Rc<ThreadCtx> {
         match ctxs.iter().position(|(k, _)| *k == key) {
             Some(0) => {}
             Some(i) => ctxs.swap(0, i),
-            None => {
-                let ctx = Rc::new(ThreadCtx::new(Arc::clone(control)));
-                delegation::install_combiner_observer(Box::new(CtxCombinerObserver {
-                    ctx: Rc::clone(&ctx),
-                }));
-                ctxs.insert(0, (key, ctx));
-            }
+            None => ctxs.insert(0, (key, Rc::new(ThreadCtx::new(Arc::clone(control))))),
         }
         let ctx = Rc::clone(&ctxs[0].1);
         LAST.set((key, Rc::as_ptr(&ctx)));
@@ -529,7 +467,7 @@ impl<'a> LoadGate<'a> {
         match buffer.try_claim(self.ctx.sleeper) {
             ClaimOutcome::Claimed(idx) => {
                 self.claimed = Some(idx);
-                self.ctx.note_slot_claimed();
+                delegation::note_sleep_claim();
                 true
             }
             ClaimOutcome::NoSpace | ClaimOutcome::Raced => false,
@@ -560,9 +498,8 @@ impl<'a> LoadGate<'a> {
             Some(idx) => {
                 // The claim is resolved the moment we commit to sleeping:
                 // once parked this thread cannot be electing itself combiner
-                // anyway, and the counter must balance exactly once per
-                // claim.
-                self.ctx.note_slot_released();
+                // anyway, and the count must balance exactly once per claim.
+                delegation::note_sleep_claim_resolved();
                 self.sleeps += 1;
                 self.ctx.sleep_in_slot_while(idx, &keep_parked);
                 true
@@ -577,7 +514,7 @@ impl<'a> LoadGate<'a> {
     #[inline]
     pub fn cancel(&mut self) {
         if let Some(idx) = self.claimed.take() {
-            self.ctx.note_slot_released();
+            delegation::note_sleep_claim_resolved();
             self.ctx.control.buffer().leave(idx, self.ctx.sleeper);
         }
     }
@@ -849,28 +786,6 @@ mod tests {
         assert_eq!(next.index(), BATCH as u64);
         assert_eq!(*m.lock(), 64);
         assert_eq!(lc.sleepers(), 0);
-    }
-
-    #[test]
-    fn a_context_gives_its_id_back_without_a_combiner_exemption() {
-        use lc_locks::{FlatCombiningLock, RawLock};
-        let lc = test_control(1);
-        let lc2 = Arc::clone(&lc);
-        // Joined, not scoped: a scope can end before the thread's contexts
-        // are destroyed.
-        std::thread::spawn(move || {
-            drop(crate::LcMutex::<u32>::new_with(0, &lc2).lock());
-            let other = test_control(1);
-            <FlatCombiningLock as RawLock>::new().run_locked(|| {
-                assert_eq!(lc2.combiner_exempt_ids().len(), 1);
-                // A first lock on another control installs that control's
-                // observer, which hears the end of combining.
-                drop(crate::LcMutex::<u32>::new_with(0, &other).lock());
-            });
-        })
-        .join()
-        .unwrap();
-        assert_eq!(lc.combiner_exempt_ids(), Vec::<u64>::new());
     }
 
     #[test]
@@ -1185,31 +1100,41 @@ mod tests {
     }
 
     #[test]
-    fn combining_refuses_claims_and_exempts_the_sleeper() {
+    fn a_claim_on_any_control_vetoes_combiner_election() {
+        let a = test_control(1);
+        let b = test_control(1);
+        a.set_sleep_target(1);
+        let mut gate = LoadGate::new(&a);
+        assert!(gate.try_claim());
+        // The first lock on `b` creates this thread's latest context.
+        drop(crate::LcMutex::<u32>::new_with(0, &b).lock());
+        assert!(
+            !delegation::thread_may_self_elect(),
+            "a claim on another control must still refuse the combiner role"
+        );
+        gate.cancel();
+        assert!(delegation::thread_may_self_elect());
+    }
+
+    #[test]
+    fn combining_refuses_claims_and_never_steps_aside() {
         use lc_locks::{FlatCombiningLock, RawLock};
         let lc = test_control(1);
         lc.set_sleep_target(1);
-        let sleeper = current_ctx(&lc).sleeper;
         let lock = <FlatCombiningLock as RawLock>::new();
         let lc2 = Arc::clone(&lc);
         let period = LoadControlConfig::SLOT_CHECK_PERIOD;
-        let mut observed = (false, false, true, true);
+        let mut observed = (false, true, true);
         lock.run_locked(|| {
             observed.0 = delegation::is_combining();
-            observed.1 = lc2.buffer().is_exempt(sleeper);
             let mut gate = LoadGate::new(&lc2);
-            observed.2 = gate.try_claim();
-            observed.3 = (1..=2 * STEP_ASIDE_AFTER_CHECKS * period)
+            observed.1 = gate.try_claim();
+            observed.2 = (1..=2 * STEP_ASIDE_AFTER_CHECKS * period)
                 .any(|i| gate.on_spin(i) == SpinDecision::Abort);
         });
         assert!(observed.0, "direct run_locked must combine");
-        assert!(observed.1, "combiner was not exempt from the wake scan");
-        assert!(!observed.2, "combiner claimed a sleep slot");
-        assert!(!observed.3, "combiner stepped aside");
-        assert!(
-            !lc.buffer().is_exempt(sleeper),
-            "exemption must be cleared when combining ends"
-        );
-        assert_eq!(lc.combiner_exempt_ids(), Vec::<u64>::new());
+        assert!(!observed.1, "combiner claimed a sleep slot");
+        assert!(!observed.2, "combiner stepped aside");
+        assert_eq!(lc.sleepers(), 0);
     }
 }

@@ -22,11 +22,12 @@
 //! The combiner is exactly the thread the load controller must never put to
 //! sleep: parking it stalls every published request behind it (the
 //! scheduler-subversion effect, see ROADMAP).  The thread that wins the lock
-//! flag combines, unless the per-thread [`CombinerObserver`] installed by the
-//! load-control runtime refuses: a thread that holds an unresolved sleep-slot
-//! claim does not take the combiner role.  The observer is also told when
-//! combining starts and stops, so the controller's wake scan can exempt the
-//! active combiner.
+//! flag combines, unless it holds an unresolved sleep-slot claim: the
+//! load-control runtime counts this thread's claims here
+//! ([`note_sleep_claim`]), and a thread whose count is not zero does not take
+//! the combiner role.  The other half of the rule lives in the runtime: a
+//! thread that [`is_combining`] takes no claim.  So a combiner never sleeps
+//! in a slot, and the controller's wake scan needs no exception for it.
 //!
 //! ## Constraints
 //!
@@ -36,7 +37,7 @@
 //! strand every publisher behind it.
 
 use crate::raw::{AbortableLock, NeverAbort, RawLock, RawTryLock, SpinDecision, SpinPolicy};
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, UnsafeCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -117,102 +118,57 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread combiner observer (the load-control hook)
+// Per-thread combiner state (the load-control hook)
 // ---------------------------------------------------------------------------
 
-/// Per-thread hook connecting combiner election to the load-control runtime.
-///
-/// `lc-core` installs one observer per registered worker thread:
-/// [`CombinerObserver::may_self_elect`] consults the sleep books (a thread
-/// holding a sleep-slot claim refuses the combiner role), and
-/// [`CombinerObserver::combining_changed`] marks the thread exempt from the
-/// controller's wake scan while it combines.
-///
-/// Callbacks run inside the delegation hot path and must not call
-/// [`install_combiner_observer`] / [`clear_combiner_observer`] re-entrantly.
-pub trait CombinerObserver {
-    /// Called when this thread starts (`active = true`) or stops
-    /// (`active = false`) acting as a combiner.  Transitions are counted per
-    /// thread, so nested combining sections fire only the outermost pair.
-    fn combining_changed(&self, active: bool) {
-        let _ = active;
-    }
-
-    /// Whether this thread may currently elect itself combiner (asked by a
-    /// thread that has won the lock flag, before it scans for other threads'
-    /// requests).  Default: always.
-    fn may_self_elect(&self) -> bool {
-        true
-    }
-}
-
 thread_local! {
-    static OBSERVER: RefCell<Option<Box<dyn CombinerObserver>>> = const { RefCell::new(None) };
+    /// This thread's unresolved sleep-slot claims, on any load control.
+    static SLEEP_CLAIMS: Cell<u32> = const { Cell::new(0) };
     static COMBINING_DEPTH: Cell<u32> = const { Cell::new(0) };
     static SLOT_HINT: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Installs `observer` as the current thread's combiner observer, replacing
-/// any previous one.
-pub fn install_combiner_observer(observer: Box<dyn CombinerObserver>) {
-    OBSERVER.with(|cell| *cell.borrow_mut() = Some(observer));
+/// Records a sleep-slot claim taken by the current thread (`lc-core`'s
+/// `LoadGate` calls this; until [`note_sleep_claim_resolved`] the thread
+/// refuses the combiner role).
+pub fn note_sleep_claim() {
+    SLEEP_CLAIMS.set(SLEEP_CLAIMS.get() + 1);
 }
 
-/// Removes the current thread's combiner observer, if any.
-pub fn clear_combiner_observer() {
-    OBSERVER.with(|cell| *cell.borrow_mut() = None);
+/// Records that one of the current thread's sleep-slot claims was resolved
+/// (parked, cancelled or dropped).
+pub fn note_sleep_claim_resolved() {
+    let claims = SLEEP_CLAIMS.get();
+    debug_assert!(claims > 0, "resolved a sleep-slot claim that was not held");
+    SLEEP_CLAIMS.set(claims.saturating_sub(1));
 }
 
 /// Whether the current thread is acting as a combiner right now.
 pub fn is_combining() -> bool {
-    COMBINING_DEPTH.with(|depth| depth.get() > 0)
+    COMBINING_DEPTH.get() > 0
 }
 
-/// Whether the current thread's observer permits self-election (`true` when
-/// no observer is installed).
+/// Whether the current thread may elect itself combiner: only while it holds
+/// no sleep-slot claim.  A thread that has committed to sleeping is exactly
+/// the one the controller wants off the CPU.
 pub fn thread_may_self_elect() -> bool {
-    OBSERVER.with(|cell| {
-        cell.borrow()
-            .as_ref()
-            .is_none_or(|observer| observer.may_self_elect())
-    })
-}
-
-fn notify_combining(active: bool) {
-    OBSERVER.with(|cell| {
-        if let Some(observer) = cell.borrow().as_ref() {
-            observer.combining_changed(active);
-        }
-    });
+    SLEEP_CLAIMS.get() == 0
 }
 
 /// RAII marker for "this thread is the combiner": maintains the per-thread
-/// depth and fires [`CombinerObserver::combining_changed`] on the outermost
-/// enter/exit.
+/// depth that [`is_combining`] reads.
 struct CombineGuard;
 
 impl CombineGuard {
     fn enter() -> Self {
-        COMBINING_DEPTH.with(|depth| {
-            let d = depth.get();
-            depth.set(d + 1);
-            if d == 0 {
-                notify_combining(true);
-            }
-        });
+        COMBINING_DEPTH.set(COMBINING_DEPTH.get() + 1);
         CombineGuard
     }
 }
 
 impl Drop for CombineGuard {
     fn drop(&mut self) {
-        COMBINING_DEPTH.with(|depth| {
-            let d = depth.get();
-            depth.set(d - 1);
-            if d == 1 {
-                notify_combining(false);
-            }
-        });
+        COMBINING_DEPTH.set(COMBINING_DEPTH.get() - 1);
     }
 }
 
@@ -957,43 +913,19 @@ mod tests {
         assert_eq!(len, 2_000);
     }
 
-    struct VetoObserver {
-        vetoed: Arc<AtomicBool>,
-        active: Arc<AtomicBool>,
-    }
-
-    impl CombinerObserver for VetoObserver {
-        fn combining_changed(&self, active: bool) {
-            self.active.store(active, Ordering::SeqCst);
-        }
-
-        fn may_self_elect(&self) -> bool {
-            !self.vetoed.load(Ordering::SeqCst)
-        }
-    }
-
     #[test]
-    fn election_consults_the_observer() {
-        let vetoed = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicBool::new(false));
-        install_combiner_observer(Box::new(VetoObserver {
-            vetoed: Arc::clone(&vetoed),
-            active: Arc::clone(&active),
-        }));
+    fn election_consults_the_claim_count() {
         let lock = <FlatCombiningLock as RawLock>::new();
-        // A permitted direct run combines, and fires the observer both ways.
+        // With no claim a direct run combines, and the depth unwinds.
         assert!(thread_may_self_elect());
         assert!(lock.run_locked(is_combining));
-        assert!(
-            !active.load(Ordering::SeqCst),
-            "combining never deactivated"
-        );
-        // A vetoed one runs its own job without taking the combiner role.
-        vetoed.store(true, Ordering::SeqCst);
+        assert!(!is_combining(), "combining never ended");
+        // Under a claim it runs its own job without taking the combiner role.
+        note_sleep_claim();
         assert!(!thread_may_self_elect());
         assert!(!lock.run_locked(is_combining));
         assert!(!is_combining());
-        clear_combiner_observer();
+        note_sleep_claim_resolved();
         assert!(thread_may_self_elect());
     }
 

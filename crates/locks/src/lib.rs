@@ -105,9 +105,7 @@ pub mod ttas;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveLock};
 pub use blocking::BlockingLock;
-pub use delegation::{
-    CombinerObserver, DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock,
-};
+pub use delegation::{DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock};
 pub use mcs::McsLock;
 pub use mutex::{aliases, Mutex, MutexGuard};
 pub use parker::{ParkResult, Parker};

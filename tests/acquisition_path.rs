@@ -13,7 +13,6 @@ use load_control_suite::core::{
     ClaimOutcome, LcLock, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadGate,
     ParkOps, SleeperId, Substitutes,
 };
-use load_control_suite::locks::delegation::{self, CombinerObserver};
 use load_control_suite::locks::{
     AbortableLock, DynMutex, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision,
     SpinPolicy, ABORTABLE_LOCK_NAMES,
@@ -239,16 +238,6 @@ fn a_thread_leaves_nothing_behind_even_when_it_locks_while_exiting() {
     assert_eq!(*mutex.lock(), 5);
 }
 
-/// Refuses the combiner role, so this thread's delegated jobs are always run
-/// by somebody else.
-struct NeverCombines;
-
-impl CombinerObserver for NeverCombines {
-    fn may_self_elect(&self) -> bool {
-        false
-    }
-}
-
 #[test]
 fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
     let control = manual_control();
@@ -265,14 +254,19 @@ fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
     outer.lock();
 
     let publisher = {
-        let (outer, inner, inner_elsewhere, nested_ok) = (
+        let (outer, inner, other_control, inner_elsewhere, nested_ok) = (
             Arc::clone(&outer),
             Arc::clone(&inner),
+            Arc::clone(&other_control),
             Arc::clone(&inner_elsewhere),
             Arc::clone(&nested_ok),
         );
         std::thread::spawn(move || {
-            delegation::install_combiner_observer(Box::new(NeverCombines));
+            // A sleep claim held across the publication refuses the combiner
+            // role, so this thread's job is run by somebody else.
+            other_control.set_sleep_target(1);
+            let mut claim = LoadGate::new(&other_control);
+            assert!(claim.try_claim());
             outer.inner().run_locked(move || {
                 // Runs on the combiner, inside its `LcLock::lock`.  A panic
                 // here would strand this publisher, so report it instead.
@@ -285,6 +279,7 @@ fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
                 }));
                 nested_ok.store(nested.is_ok(), Ordering::SeqCst);
             });
+            claim.cancel();
         })
     };
     while outer.inner().pending_requests() < 1 {
@@ -298,7 +293,7 @@ fn a_delegated_closure_may_lock_while_its_combiner_is_mid_acquisition() {
         );
         std::thread::spawn(move || {
             // Touched first, so that `control`'s context is the one this
-            // thread used last — and the one its combiner hook reports to.
+            // thread used last.
             drop(inner_elsewhere.read());
             outer.lock();
             // The hold counted by that acquisition is this thread's only one:
