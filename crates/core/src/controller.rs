@@ -75,8 +75,8 @@ struct Shared {
 /// [`LoadControl::start`] also starts the daemon), and its choices are fixed
 /// from then on.  Locks created with
 /// [`crate::LcLock::new_with`] — and the rest of the sync surface
-/// ([`crate::LcRwLock`], [`crate::LcSemaphore`], [`crate::LcCondvar`]) —
-/// share it; worker threads register through
+/// ([`crate::LcRwLock`], [`crate::LcSemaphore`], and [`crate::LoadGate`] for
+/// spin loops of the caller's own) — share it; worker threads register through
 /// [`LoadControl::register_worker`] so the controller can see them.
 pub struct LoadControl {
     shared: Arc<Shared>,

@@ -263,14 +263,6 @@ pub struct LcMutexGuard<'a, T: ?Sized, R: AbortableLock = TimePublishedLock> {
     mutex: &'a LcMutex<T, R>,
 }
 
-impl<'a, T: ?Sized, R: AbortableLock> LcMutexGuard<'a, T, R> {
-    /// The mutex this guard locks (used by [`crate::LcCondvar`] to re-acquire
-    /// after a wait).
-    pub(crate) fn mutex(&self) -> &'a LcMutex<T, R> {
-        self.mutex
-    }
-}
-
 impl<T: ?Sized, R: AbortableLock> Deref for LcMutexGuard<'_, T, R> {
     type Target = T;
     fn deref(&self) -> &T {

@@ -30,7 +30,8 @@
 //! [`LcSemaphore::acquire_async`], [`LcMutex::lock_async`] and
 //! [`AsyncSpinHook`].  [`LoadGate`] is also the [`lc_locks::SpinPolicy`] a
 //! raw lock's `lock_with` takes, and [`LoadGate::pause`] parks a user spin
-//! loop.  See `ARCHITECTURE.md` at the repository root for the
+//! loop: a wait for a predicate (a flag, a count, a queue turning non-empty)
+//! is a `pause` loop.  See `ARCHITECTURE.md` at the repository root for the
 //! full layer map and extension recipes.
 //!
 //! ## Quick start
@@ -91,7 +92,6 @@
 pub mod async_gate;
 pub mod config;
 pub mod controller;
-pub mod lc_condvar;
 pub mod lc_lock;
 pub mod lc_rwlock;
 pub mod lc_semaphore;
@@ -104,7 +104,6 @@ pub mod time;
 pub use async_gate::{AsyncLoadGate, AsyncSpinHook};
 pub use config::{LoadControlConfig, WakeOrder};
 pub use controller::{ControllerStats, LoadControl, Substitutes};
-pub use lc_condvar::LcCondvar;
 pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};
 pub use lc_semaphore::{AcquireAsync, LcSemaphore, LcSemaphoreAsyncPermit, LcSemaphorePermit};

@@ -109,23 +109,15 @@ impl ThreadCtx {
         self.sleeps.get()
     }
 
-    /// Publishes a registry state transition for this thread.
-    pub(crate) fn set_registry_state(&self, state: ThreadState) -> ThreadState {
-        self.handle.set_state(state)
-    }
-
-    /// The paper's sleep procedure — block while the slot is still ours, up
-    /// to the configured timeout, then release the claim — with an extra
-    /// caller-side condition: the thread also wakes (and releases its claim)
-    /// as soon as `keep_parked` turns false after an unpark.  This is what
-    /// lets a precise [`crate::LcCondvar::notify_one`] hand off to a
-    /// load-parked waiter immediately instead of at slot clear or timeout.
+    /// The paper's sleep procedure: block while the slot is still ours, up
+    /// to the configured timeout, then release the claim.  A park ends on
+    /// one of those two exits only.
     ///
     /// The wait protocol itself is [`SlotWait`] — the same state machine the
     /// `lc-des` simulator polls at event times — driven here against the
     /// control instance's [`TimeSource`](crate::time::TimeSource) and
     /// [`ParkOps`](crate::time::ParkOps).
-    fn sleep_in_slot_while(&self, slot_idx: usize, keep_parked: &dyn Fn() -> bool) {
+    fn sleep_in_slot(&self, slot_idx: usize) {
         self.sleeps.set(self.sleeps.get() + 1);
         let buffer = self.control.buffer();
         let time = Arc::clone(self.control.time());
@@ -134,9 +126,6 @@ impl ThreadCtx {
         let timeout = self.control.config().sleep_timeout;
         let wait = SlotWait::begin(slot_idx, self.sleeper, time.now(), timeout);
         loop {
-            if !keep_parked() {
-                break;
-            }
             match wait.poll(buffer, time.now()) {
                 WaitPoll::Done(_) => break,
                 WaitPoll::Keep(remaining) => {
@@ -156,7 +145,8 @@ impl ThreadCtx {
 
     /// This thread's parker (the controller-facing wake handle registered in
     /// the slot buffer).
-    pub(crate) fn parker(&self) -> &Arc<Parker> {
+    #[cfg(test)]
+    fn parker(&self) -> &Arc<Parker> {
         &self.parker
     }
 }
@@ -479,21 +469,6 @@ impl<'a> LoadGate<'a> {
     ///
     /// Returns `true` if the thread actually slept.
     pub fn park(&mut self) -> bool {
-        self.park_while(|| true)
-    }
-
-    /// [`LoadGate::park`] with an extra caller-side wake condition: after any
-    /// unpark the thread re-evaluates `keep_parked` and, if it turned false,
-    /// releases its claim and returns immediately — even though the slot is
-    /// still claimed and the timeout has not expired.
-    ///
-    /// This is the waiter half of a *directed* wakeup: a notifier that knows
-    /// this specific thread should resume (e.g.
-    /// [`crate::LcCondvar::notify_one`]) flips the condition and unparks the
-    /// thread's parker, and the sleeper leaves its slot at once instead of
-    /// waiting for the controller or its timeout.  Returns `true` if the
-    /// thread actually slept.
-    pub fn park_while(&mut self, keep_parked: impl Fn() -> bool) -> bool {
         match self.claimed.take() {
             Some(idx) => {
                 // The claim is resolved the moment we commit to sleeping:
@@ -501,7 +476,7 @@ impl<'a> LoadGate<'a> {
                 // anyway, and the count must balance exactly once per claim.
                 delegation::note_sleep_claim_resolved();
                 self.sleeps += 1;
-                self.ctx.sleep_in_slot_while(idx, &keep_parked);
+                self.ctx.sleep_in_slot(idx);
                 true
             }
             None => false,
@@ -618,10 +593,6 @@ impl<'a> LoadGate<'a> {
             .control
             .park_ops()
             .park(&self.ctx.parker, STEP_ASIDE_PARK);
-    }
-
-    pub(crate) fn ctx(&self) -> &ThreadCtx {
-        &self.ctx
     }
 }
 
@@ -1038,44 +1009,6 @@ mod tests {
         assert_eq!(lc.sleepers(), 0);
         let stats = lc.buffer().stats();
         assert_eq!(stats.ever_slept, stats.woken_and_left);
-    }
-
-    #[test]
-    fn unpark_after_claim_is_not_eaten_by_the_drain() {
-        // The drain runs *before* the claim is published, so a directed wake
-        // that lands after `try_claim` (the notify_one handoff path) must
-        // still cut the park short.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let lc = spec_control(
-            LoadControlConfig::for_capacity(1).with_sleep_timeout(Duration::from_secs(60)),
-            "policy=fixed",
-        );
-        lc.set_sleep_target(1);
-        let mut gate = LoadGate::new(&lc);
-        assert!(gate.try_claim());
-        let keep = Arc::new(AtomicBool::new(true));
-        let parker = Arc::clone(current_ctx(&lc).parker());
-        let (parks, timeouts) = (parker.park_count(), parker.timeout_count());
-        let (keep2, parker2) = (Arc::clone(&keep), Arc::clone(&parker));
-        let notifier = std::thread::spawn(move || {
-            while parker2.park_count() == parks {
-                std::thread::yield_now();
-            }
-            keep2.store(false, Ordering::SeqCst);
-            parker2.unpark();
-        });
-        assert!(gate.park_while(|| keep.load(Ordering::SeqCst)));
-        notifier.join().unwrap();
-        assert_eq!(
-            parker.timeout_count(),
-            timeouts,
-            "a wake aimed at the live episode was lost"
-        );
-        // Nobody cleared the slot (`T` stayed 1): the directed wake ended the
-        // park, and the claim went back with it.
-        assert_eq!(lc.sleepers(), 0);
-        let stats = lc.buffer().stats();
-        assert_eq!((stats.ever_slept, stats.woken_and_left), (1, 1));
     }
 
     #[test]

@@ -62,9 +62,9 @@
 //! assert_eq!(*counter.lock(), 4000);
 //! ```
 //!
-//! And the same lock constructed **by spec string** — how benches, drivers
-//! and experiment configs select (and tune) families with strings in the
-//! shared `name(key=value)` grammar of [`lc_spec`]:
+//! And the same lock constructed **by name** — how benches, drivers and
+//! experiment configs select families with strings (the name is the whole
+//! spec in the shared grammar of [`lc_spec`]):
 //!
 //! ```
 //! use lc_locks::registry::DynMutex;
@@ -77,9 +77,8 @@
 //! assert!(ALL_LOCK_NAMES.contains(&"ticket"));
 //! assert!(DynMutex::build("no-such-lock", 0u32).is_none());
 //!
-//! // Bare names take defaults; parameters tune the family.
-//! let tuned = DynMutex::build("ttas-backoff(max_spins=256)", 0u32).unwrap();
-//! assert_eq!(tuned.spec().to_string(), "ttas-backoff(max_spins=256)");
+//! // A lock family is a name: it takes no parameters.
+//! assert!(DynMutex::build("ttas-backoff(shift=8)", 0u32).is_none());
 //! ```
 
 #![warn(missing_docs)]
@@ -121,15 +120,14 @@ pub use spin_wait::{Backoff, SpinWait};
 pub use stats::{LockStats, LockStatsSnapshot, WaitHistogram, WaitObservation, WaitSnapshot};
 pub use tas::TasLock;
 pub use ticket::TicketLock;
-pub use time_published::{now_ns, TimePublishedLock, TpConfig};
+pub use time_published::{now_ns, TimePublishedLock};
 pub use ttas::TtasLock;
 
 /// Names of every lock implementation in this crate, in a stable order.
 ///
 /// Benchmarks iterate over this list so that adding a lock automatically adds
 /// it to comparison tables; [`registry::build_spec`] constructs any entry
-/// from its name or parameterized spec (a test asserts the two stay in
-/// sync).
+/// from its name (a test asserts the two stay in sync).
 pub const ALL_LOCK_NAMES: &[&str] = &[
     "tas",
     "ttas-backoff",

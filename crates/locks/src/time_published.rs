@@ -29,7 +29,8 @@
 //!   and cleaning `ABANDONED` ones;
 //! * a waiter may abort (CAS to `(t, ABANDONED)`) at the request of a
 //!   [`SpinPolicy`] — the hook used by load control to pull spinning threads
-//!   out of the system;
+//!   out of the system — unless 64 abandoned tickets await a scan, in which
+//!   case it keeps its place until the scans have emptied them all;
 //! * if the queue drains, the releaser publishes `serving = next_ticket` and a
 //!   later arrival whose ticket equals `serving` grants itself.
 //!
@@ -81,38 +82,24 @@ pub fn now_ns() -> u64 {
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
-/// Tuning knobs for [`TimePublishedLock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TpConfig {
-    /// How stale a waiter's heartbeat may be before the releaser assumes it
-    /// has been preempted and skips it.
-    pub patience: Duration,
-    /// Publish a fresh heartbeat every this many polling iterations.
-    pub publish_every: u32,
-    /// If `false`, the releaser never skips anyone and the lock degenerates
-    /// into a plain FIFO queue lock (useful as the "MCS" ablation point).
-    pub time_publishing: bool,
-}
+/// How stale a waiter's heartbeat may be before the releaser assumes it has
+/// been preempted and skips it.
+const DEFAULT_PATIENCE: Duration = Duration::from_micros(300);
 
-impl Default for TpConfig {
-    fn default() -> Self {
-        Self {
-            patience: Duration::from_micros(300),
-            publish_every: 32,
-            time_publishing: true,
-        }
-    }
-}
+/// A waiter publishes a fresh heartbeat every this many polls.
+const PUBLISH_EVERY: u32 = 32;
 
-impl TpConfig {
-    /// A configuration with time publishing disabled (strict FIFO handoff).
-    pub fn strict_fifo() -> Self {
-        Self {
-            time_publishing: false,
-            ..Self::default()
-        }
-    }
-}
+/// Abandoned tickets that no scan has emptied yet, at which aborts stop.
+/// Without a bound, waiters that abort on every poll take tickets faster than
+/// a release scan empties them: the scan never reaches a live waiter, and
+/// past [`SLOTS`] tickets the ring wraps onto slots that nobody empties.
+const MAX_ABANDONED: u64 = 64;
+
+/// Set in the abandoned count when it reaches [`MAX_ABANDONED`]; cleared
+/// when the count drains to zero.  Refusing aborts until the scans have
+/// emptied every abandoned ticket lets them catch up with the waiters, which
+/// keep their places meanwhile.
+const ABORTS_CLOSED: u64 = 1 << 63;
 
 #[derive(Debug)]
 struct Slot {
@@ -164,9 +151,11 @@ pub struct TimePublishedLock {
     serving: CachePadded<AtomicU64>,
     owner_ticket: CachePadded<AtomicU64>,
     slots: Box<[CachePadded<Slot>]>,
-    config: TpConfig,
-    /// `config.patience` in nanoseconds, converted once: the releaser compares
-    /// against it inside the hand-off.
+    /// Abandoned tickets not yet emptied, plus [`ABORTS_CLOSED`] while aborts
+    /// are refused.  Only an abort and the emptying of an abandoned ticket
+    /// write it, so a hand-off that passes none leaves it alone.
+    abandoned: CachePadded<AtomicU64>,
+    /// Heartbeat age, in nanoseconds, past which the releaser skips a waiter.
     patience_ns: u64,
     /// Aborts and skips only; acquisitions are derived (see
     /// [`TimePublishedLock::stats`]), so no holder writes this line.
@@ -178,7 +167,7 @@ impl fmt::Debug for TimePublishedLock {
         f.debug_struct("TimePublishedLock")
             .field("next_ticket", &self.next_ticket.load(Ordering::Relaxed))
             .field("serving", &self.serving.load(Ordering::Relaxed))
-            .field("config", &self.config)
+            .field("patience_ns", &self.patience_ns)
             .finish()
     }
 }
@@ -190,8 +179,9 @@ impl Default for TimePublishedLock {
 }
 
 impl TimePublishedLock {
-    /// Creates a lock with a custom configuration.
-    pub fn with_config(config: TpConfig) -> Self {
+    /// Creates a lock that skips a waiter whose heartbeat is older than
+    /// `patience`.  `Duration::MAX` never skips: strict FIFO hand-off.
+    pub fn with_patience(patience: Duration) -> Self {
         let slots = (0..SLOTS)
             .map(|_| CachePadded::new(Slot::new()))
             .collect::<Vec<_>>()
@@ -201,15 +191,10 @@ impl TimePublishedLock {
             serving: CachePadded::new(AtomicU64::new(0)),
             owner_ticket: CachePadded::new(AtomicU64::new(u64::MAX)),
             slots,
-            config,
-            patience_ns: u64::try_from(config.patience.as_nanos()).unwrap_or(u64::MAX),
+            abandoned: CachePadded::new(AtomicU64::new(0)),
+            patience_ns: u64::try_from(patience.as_nanos()).unwrap_or(u64::MAX),
             stats: LockStats::new(),
         }
-    }
-
-    /// The configuration this lock was built with.
-    pub fn config(&self) -> TpConfig {
-        self.config
     }
 
     /// Snapshot of this lock's statistics counters.
@@ -232,6 +217,50 @@ impl TimePublishedLock {
     #[inline]
     fn slot(&self, ticket: u64) -> &Slot {
         &self.slots[(ticket as usize) % SLOTS]
+    }
+
+    /// Counts one more abandoned ticket, or refuses the abort (`false`) while
+    /// aborts are closed.
+    fn reserve_abandon(&self) -> bool {
+        self.abandoned
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n & ABORTS_CLOSED == 0).then(|| {
+                    if n + 1 >= MAX_ABANDONED {
+                        (n + 1) | ABORTS_CLOSED
+                    } else {
+                        n + 1
+                    }
+                })
+            })
+            .is_ok()
+    }
+
+    /// Counts one abandoned ticket gone: its word turned `EMPTY`, or its
+    /// abort CAS failed.  The last one reopens aborts.
+    fn abandon_resolved(&self) {
+        let _ = self
+            .abandoned
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(if n - 1 == ABORTS_CLOSED { 0 } else { n - 1 })
+            });
+    }
+
+    /// Empties the abandoned word `w` of `slot`; `true` if this call did.
+    fn empty_abandoned(&self, slot: &Slot, w: u64) -> bool {
+        let (ticket, _) = unpack(w);
+        let emptied = slot
+            .word
+            .compare_exchange(
+                w,
+                pack(ticket, STATE_EMPTY),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok();
+        if emptied {
+            self.abandon_resolved();
+        }
+        emptied
     }
 
     #[inline]
@@ -348,7 +377,7 @@ impl TimePublishedLock {
 
             *total_spins += 1;
             local_spins = local_spins.wrapping_add(1);
-            if local_spins.is_multiple_of(self.config.publish_every) {
+            if local_spins.is_multiple_of(PUBLISH_EVERY) {
                 slot.published.store(now_ns(), Ordering::Relaxed);
             }
 
@@ -357,6 +386,11 @@ impl TimePublishedLock {
                     hint::spin_loop();
                 }
                 SpinDecision::Abort => {
+                    if !self.reserve_abandon() {
+                        // Too many abandoned tickets: keep our place.
+                        hint::spin_loop();
+                        continue;
+                    }
                     match slot.word.compare_exchange(
                         pack(ticket, STATE_WAITING),
                         pack(ticket, STATE_ABANDONED),
@@ -368,21 +402,14 @@ impl TimePublishedLock {
                             // responsible for passing it on: whoever turns our
                             // ABANDONED word back to EMPTY continues the scan.
                             if self.serving.load(Ordering::SeqCst) == ticket
-                                && slot
-                                    .word
-                                    .compare_exchange(
-                                        pack(ticket, STATE_ABANDONED),
-                                        pack(ticket, STATE_EMPTY),
-                                        Ordering::SeqCst,
-                                        Ordering::SeqCst,
-                                    )
-                                    .is_ok()
+                                && self.empty_abandoned(slot, pack(ticket, STATE_ABANDONED))
                             {
                                 self.release_scan(ticket);
                             }
                             return Attempt::Aborted;
                         }
                         Err(w2) => {
+                            self.abandon_resolved();
                             if w2 == pack(ticket, STATE_GRANTED) {
                                 // Too late to abort: we already own the lock.
                                 slot.vacate(ticket);
@@ -430,17 +457,7 @@ impl TimePublishedLock {
                 // forward ourselves.  Exactly one party wins the CAS below.
                 let slot = self.slot(s);
                 let w = slot.word.load(Ordering::SeqCst);
-                if w == pack(s, STATE_ABANDONED)
-                    && slot
-                        .word
-                        .compare_exchange(
-                            w,
-                            pack(s, STATE_EMPTY),
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                {
+                if w == pack(s, STATE_ABANDONED) && self.empty_abandoned(slot, w) {
                     s += 1;
                     continue;
                 }
@@ -456,7 +473,9 @@ impl TimePublishedLock {
                 // yet (or a stale occupant from a previous generation remains,
                 // which only happens with > SLOTS concurrent waiters).  Help a
                 // little and retry.
-                if state == STATE_ABANDONED || state == STATE_SKIPPED {
+                if state == STATE_ABANDONED {
+                    self.empty_abandoned(slot, w);
+                } else if state == STATE_SKIPPED {
                     let _ = slot.word.compare_exchange(
                         w,
                         pack(wt, STATE_EMPTY),
@@ -470,7 +489,7 @@ impl TimePublishedLock {
 
             match state {
                 STATE_WAITING => {
-                    if self.config.time_publishing && self.is_stale(slot) {
+                    if self.is_stale(slot) {
                         // Waiter looks preempted: pass over it.
                         if slot
                             .word
@@ -511,12 +530,7 @@ impl TimePublishedLock {
                     // Lost a race with an abort; re-examine the same ticket.
                 }
                 STATE_ABANDONED => {
-                    let _ = slot.word.compare_exchange(
-                        w,
-                        pack(s, STATE_EMPTY),
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
+                    self.empty_abandoned(slot, w);
                     s += 1;
                 }
                 STATE_SKIPPED => {
@@ -574,7 +588,7 @@ unsafe impl AbortableLock for TimePublishedLock {
 
 unsafe impl RawLock for TimePublishedLock {
     fn new() -> Self {
-        Self::with_config(TpConfig::default())
+        Self::with_patience(DEFAULT_PATIENCE)
     }
 
     #[inline]
@@ -701,10 +715,7 @@ mod tests {
         if now <= patience_ns {
             thread::sleep(Duration::from_nanos(patience_ns + 1 - now));
         }
-        let lock = Arc::new(TimePublishedLock::with_config(TpConfig {
-            patience,
-            ..TpConfig::default()
-        }));
+        let lock = Arc::new(TimePublishedLock::with_patience(patience));
         // Two threads hand the lock back and forth; fewer tickets than ring
         // slots, so every queued ticket claims a never-used slot.
         const ITERS: u64 = 1_500;
@@ -735,7 +746,7 @@ mod tests {
     fn is_locked_holds_through_a_chain_of_grants_and_clears_on_drain() {
         // Grants leave `serving` behind the holder; only the drain moves it.
         // Strict FIFO, so a descheduled waiter is not skipped out of order.
-        let lock = Arc::new(TimePublishedLock::with_config(TpConfig::strict_fifo()));
+        let lock = Arc::new(TimePublishedLock::with_patience(Duration::MAX));
         lock.lock();
         let (acquired_tx, acquired_rx) = mpsc::channel();
         let mut releases = Vec::new();
@@ -780,21 +791,74 @@ mod tests {
         // With zero patience every waiter looks preempted, so the releaser
         // constantly skips and waiters constantly re-enqueue.  Exclusion and
         // progress must still hold.
-        let cfg = TpConfig {
-            patience: Duration::from_nanos(0),
-            publish_every: 1024,
-            time_publishing: true,
-        };
-        let lock = Arc::new(TimePublishedLock::with_config(cfg));
+        let lock = Arc::new(TimePublishedLock::with_patience(Duration::ZERO));
         assert_eq!(hammer(Arc::clone(&lock), 6, 2_000), 12_000);
         assert_eq!(lock.stats().acquisitions, 12_000);
     }
 
     #[test]
-    fn strict_fifo_mode_never_skips() {
-        let lock = Arc::new(TimePublishedLock::with_config(TpConfig::strict_fifo()));
+    fn infinite_patience_never_skips() {
+        let lock = Arc::new(TimePublishedLock::with_patience(Duration::MAX));
         assert_eq!(hammer(Arc::clone(&lock), 6, 2_000), 12_000);
         assert_eq!(lock.stats().skipped_waiters, 0);
+    }
+
+    /// [`AbortAfter`] that counts its polls in a shared counter.
+    struct CountedAbort {
+        inner: AbortAfter,
+        polls: Arc<StdU64>,
+    }
+
+    impl SpinPolicy for CountedAbort {
+        fn on_spin(&mut self, spins: u64) -> SpinDecision {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            self.inner.on_spin(spins)
+        }
+
+        fn on_aborted(&mut self) {
+            self.inner.on_aborted();
+        }
+    }
+
+    #[test]
+    fn abandoned_tickets_never_wrap_the_ring() {
+        // Past its limit `AbortAfter` abandons a ticket on every poll.  Behind
+        // a held lock two such waiters would take more than `SLOTS` tickets,
+        // wrap the ring and spin on slots that no scan empties in time.
+        let lock = Arc::new(TimePublishedLock::new());
+        lock.lock();
+        let polls = Arc::new(StdU64::new(0));
+        let (acquired_tx, acquired_rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (lock, polls) = (Arc::clone(&lock), Arc::clone(&polls));
+            let acquired = acquired_tx.clone();
+            thread::spawn(move || {
+                let mut policy = CountedAbort {
+                    inner: AbortAfter::new(0),
+                    polls,
+                };
+                lock.lock_with(&mut policy);
+                unsafe { lock.unlock() };
+                acquired.send(()).unwrap();
+            });
+        }
+        // Release once the ring has wrapped, or once the waiters have polled
+        // long enough to have wrapped it.
+        while lock.next_ticket.load(Ordering::SeqCst) <= SLOTS as u64 + 2
+            && polls.load(Ordering::Relaxed) < 2 * SLOTS as u64
+        {
+            thread::yield_now();
+        }
+        let tickets = lock.next_ticket.load(Ordering::SeqCst);
+        let releaser = Arc::clone(&lock);
+        // On a helper thread: a release that never ends must not hang the test.
+        thread::spawn(move || unsafe { releaser.unlock() });
+        for _ in 0..2 {
+            acquired_rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("a waiter never acquired ({tickets} tickets issued)"));
+        }
+        assert!(!lock.is_locked());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[derive(Debug)]
 pub struct TtasLock {
     locked: AtomicBool,
-    max_backoff_shift: u32,
 }
 
 impl Default for TtasLock {
@@ -33,19 +32,11 @@ impl Default for TtasLock {
     }
 }
 
-impl TtasLock {
-    /// Creates a lock whose longest backoff pause is `2^max_shift` spin hints.
-    pub fn with_max_backoff_shift(max_shift: u32) -> Self {
-        Self {
-            locked: AtomicBool::new(false),
-            max_backoff_shift: max_shift,
-        }
-    }
-}
-
 unsafe impl RawLock for TtasLock {
     fn new() -> Self {
-        Self::with_max_backoff_shift(Backoff::DEFAULT_MAX_SHIFT)
+        Self {
+            locked: AtomicBool::new(false),
+        }
     }
 
     #[inline]
@@ -54,7 +45,7 @@ unsafe impl RawLock for TtasLock {
         if !self.locked.swap(true, Ordering::Acquire) {
             return;
         }
-        let mut backoff = Backoff::with_max_shift(self.max_backoff_shift);
+        let mut backoff = Backoff::new();
         loop {
             // Test phase: read-only polling keeps the line shared.
             while self.locked.load(Ordering::Relaxed) {
@@ -99,7 +90,7 @@ unsafe impl AbortableLock for TtasLock {
             return;
         }
         let mut spins = 0u64;
-        let mut backoff = Backoff::with_max_shift(self.max_backoff_shift);
+        let mut backoff = Backoff::new();
         loop {
             // Test phase: read-only polling keeps the line shared.
             while self.locked.load(Ordering::Relaxed) {
@@ -144,14 +135,6 @@ mod tests {
         let l = TtasLock::new();
         assert!(l.try_lock());
         assert!(!l.try_lock());
-        unsafe { l.unlock() };
-    }
-
-    #[test]
-    fn custom_backoff_shift() {
-        let l = TtasLock::with_max_backoff_shift(4);
-        assert_eq!(l.max_backoff_shift, 4);
-        l.lock();
         unsafe { l.unlock() };
     }
 

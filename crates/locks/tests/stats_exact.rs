@@ -9,7 +9,7 @@
 
 use lc_locks::{
     AbortableLock, AdaptiveLock, BlockingLock, BoundedAbort, LockStatsSnapshot, RawLock,
-    RawTryLock, SpinDecision, SpinPolicy, TimePublishedLock, TpConfig,
+    RawTryLock, SpinDecision, SpinPolicy, TimePublishedLock,
 };
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -126,12 +126,7 @@ fn tp_queue_counts_every_acquisition_exactly_across_skips() {
     // Zero patience: every queued waiter looks preempted, so releasers skip
     // and skipped waiters re-enqueue on fresh tickets.
     let total = assert_exact::<TimePublishedLock>(
-        || {
-            TimePublishedLock::with_config(TpConfig {
-                patience: Duration::ZERO,
-                ..TpConfig::default()
-            })
-        },
+        || TimePublishedLock::with_patience(Duration::ZERO),
         tp_queue_lock_with_aborts,
         TimePublishedLock::stats,
     );

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Concretely: `paper`, `hysteresis(alpha=0.3, deadband=2)`,
-//! `pid(kp=0.5, ki=0.1)`, `ttas-backoff(max_spins=1024)`,
-//! `load-weighted(ewma=0.25)`, `fixed(runnable=7)`.
+//! `pid(kp=0.5, ki=0.1)`, `load-weighted(ewma=0.25)`, `fixed(runnable=7)`.
+//! A lock family takes no keys, so its spec is its bare name:
+//! `ttas-backoff`.
 //!
 //! [`ParsedSpec`] is the parsed form; its [`std::fmt::Display`] prints the
 //! canonical spelling, and `parse → Display → parse` is the identity — a

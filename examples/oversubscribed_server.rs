@@ -5,7 +5,7 @@
 //! worker pool is sized for peak demand ends up with more runnable threads
 //! than hardware contexts, and the choice of mutex decides whether throughput
 //! collapses or degrades gracefully.  We run the same request loop under a
-//! ticket spinlock, the time-published queue lock, a tuned TTAS lock, the
+//! ticket spinlock, the time-published queue lock, the TTAS backoff lock, the
 //! blocking mutex, the adaptive mutex, and the load-controlled lock, and
 //! print a small table.
 //!
@@ -161,26 +161,20 @@ fn main() {
     println!();
     println!("{:<34} {:>16} {:>12}", "mutex", "requests/sec", "vs best");
 
-    // Every comparison lock is constructed from its spec string through the
-    // registry, so adding a family there adds it to this table — including
-    // parameterized variants of a family already present.
-    let mut results: Vec<(&str, f64)> = [
-        "ticket",
-        "tp-queue",
-        "ttas-backoff(max_spins=1024)",
-        "blocking",
-        "adaptive",
-    ]
-    .into_iter()
-    .map(|lock_spec| {
-        let mutex = DynMutex::build(lock_spec, 0u64).expect("registered lock spec");
-        let per_s = serve(threads, duration, None, |_| {
-            *mutex.lock() += 1;
-            busy_work(CRITICAL_ITERS);
-        });
-        (lock_spec, per_s)
-    })
-    .collect();
+    // Every comparison lock is constructed from its name through the
+    // registry, so adding a family there adds it to this table.
+    let mut results: Vec<(&str, f64)> =
+        ["ticket", "tp-queue", "ttas-backoff", "blocking", "adaptive"]
+            .into_iter()
+            .map(|lock_spec| {
+                let mutex = DynMutex::build(lock_spec, 0u64).expect("registered lock spec");
+                let per_s = serve(threads, duration, None, |_| {
+                    *mutex.lock() += 1;
+                    busy_work(CRITICAL_ITERS);
+                });
+                (lock_spec, per_s)
+            })
+            .collect();
 
     control.start_controller();
     let mutex = LcMutex::<u64>::new_with(0, &control);

@@ -7,16 +7,15 @@ mod support;
 
 use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
 use load_control_suite::core::{
-    LcCondvar, LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlSpec,
-    LoadGate,
+    LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlSpec, LoadGate,
 };
 use load_control_suite::des::engine::{self, DesConfig};
 use load_control_suite::des::metrics::RunReport;
 use load_control_suite::locks::delegation;
 use load_control_suite::locks::registry;
 use load_control_suite::locks::{
-    AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, TicketLock,
-    TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
+    AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, SpinPolicy,
+    TicketLock, TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -266,23 +265,25 @@ fn lc_semaphore_participates_in_load_control_under_oversubscription() {
 
 #[test]
 fn full_sync_surface_shares_one_load_control() {
-    // One controller, four primitives: mutex, rwlock, semaphore and condvar
-    // all draw their sleep slots from the same buffer, and the S/W books
-    // still balance at the end.
+    // One controller, four waits: mutex, rwlock, semaphore and a predicate
+    // wait through `LoadGate::pause` all draw their sleep slots from the same
+    // buffer, and the S/W books still balance at the end.
     let control = aggressive_control(1);
     let counter = LcMutex::<u64>::new_with(0, &control);
     let table = LcRwLock::new_with(0u64, &control);
     let pool = LcSemaphore::new_with(2, &control);
     let done = LcMutex::<usize>::new_with(0, &control);
-    let cv = LcCondvar::new_with(&control);
 
-    // Six workers, and a seventh thread that waits on the condvar for all of
-    // them to finish.
+    // Six workers, and a seventh thread that waits in a `pause` loop for all
+    // of them to finish.
     let workers = 6;
     run_threads(workers + 1, Some(&control), |thread| {
         if thread == workers {
-            let guard = cv.wait_while(done.lock(), |finished| *finished < workers);
-            assert_eq!(*guard, workers);
+            let mut gate = LoadGate::new(&control);
+            while *done.lock() < workers {
+                gate.pause();
+            }
+            gate.on_acquired(0);
             return;
         }
         for _ in 0..500 {
@@ -291,7 +292,6 @@ fn full_sync_surface_shares_one_load_control() {
             *table.write() += 1;
         }
         *done.lock() += 1;
-        cv.notify_all();
     });
     control.stop_controller();
     assert_eq!(*counter.lock(), 3_000);

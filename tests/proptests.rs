@@ -617,20 +617,12 @@ mod spec_round_trip {
         for_each_seed(128, |seed, rng| {
             let alpha = (rng.random_range(1u32..=100) as f64) / 100.0;
             let up = rng.random_range(0u32..8);
-            let spins = rng.random_range(1u64..100_000);
             let policy_spec = format!("hysteresis(alpha={alpha}, up={up})");
             let policy = lc_core::policy::build_policy_spec(&policy_spec)
                 .unwrap_or_else(|e| panic!("seed {seed}: {policy_spec:?}: {e}"));
             let rebuilt = lc_core::policy::build_policy_spec(&policy.spec().to_string())
                 .unwrap_or_else(|e| panic!("seed {seed}: reported policy spec: {e}"));
             assert_eq!(rebuilt.spec(), policy.spec(), "seed {seed}");
-
-            let lock_spec = format!("ttas-backoff(max_spins={spins})");
-            let lock = lc_locks::registry::build_spec(&lock_spec)
-                .unwrap_or_else(|e| panic!("seed {seed}: {lock_spec:?}: {e}"));
-            let rebuilt = lc_locks::registry::build_spec(&lock.spec().to_string())
-                .unwrap_or_else(|e| panic!("seed {seed}: reported lock spec: {e}"));
-            assert_eq!(rebuilt.spec(), lock.spec(), "seed {seed}");
         });
     }
 }

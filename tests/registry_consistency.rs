@@ -132,7 +132,8 @@ fn every_registered_name_parses_with_and_without_parens_and_rejects_unknown_keys
 
 /// For every registered entry: `parse → Display → parse` is the identity on
 /// the spec, and the spec a built plugin *reports* reconstructs an
-/// identically configured plugin.
+/// identically configured plugin.  A lock reports its name, which is its
+/// whole spec.
 #[test]
 fn every_registered_entry_spec_round_trips() {
     let reg = Arc::new(ThreadRegistry::new());
@@ -140,9 +141,7 @@ fn every_registered_entry_spec_round_trips() {
         let parsed = ParsedSpec::parse(name).unwrap();
         assert_eq!(ParsedSpec::parse(&parsed.to_string()).unwrap(), parsed);
         let built = registry::build_spec(name).unwrap();
-        let rebuilt = registry::build_spec(&built.spec().to_string())
-            .unwrap_or_else(|e| panic!("{name}: reported spec does not rebuild: {e}"));
-        assert_eq!(rebuilt.spec(), built.spec(), "{name}");
+        assert_eq!(ParsedSpec::bare(built.name()), parsed, "{name}");
     }
     for &name in policy::ALL_POLICY_NAMES {
         let built = build_policy_spec(name).unwrap();
@@ -164,17 +163,25 @@ fn every_registered_entry_spec_round_trips() {
     }
 }
 
-/// Parameterized variants round-trip too, across all four registries.
+/// Parameterized variants round-trip too, across the policy, splitter and
+/// sampler registries.  A lock family takes no keys: each one it used to take
+/// is rejected as unknown.
 #[test]
 fn parameterized_specs_round_trip_across_registries() {
     let reg = Arc::new(ThreadRegistry::new());
-    for spec in [
-        "ttas-backoff(max_spins=256)",
-        "tp-queue(patience_us=500, publish_every=16)",
-        "adaptive(spin_budget=64)",
+    for (family, key) in [
+        ("ttas-backoff", "max_spins"),
+        ("tp-queue", "patience_us"),
+        ("tp-queue", "publish_every"),
+        ("tp-queue", "time_publishing"),
+        ("adaptive", "spin_budget"),
+        ("adaptive", "park_timeout_ms"),
     ] {
-        let built = registry::build_spec(spec).unwrap();
-        assert_eq!(built.spec().to_string(), spec, "lock spelling drifted");
+        let spec = format!("{family}({key}=1)");
+        match registry::build_spec(&spec) {
+            Err(SpecError::UnknownKey { key: rejected, .. }) => assert_eq!(rejected, key),
+            other => panic!("{spec}: expected an unknown-key error, got {other:?}"),
+        }
     }
     for spec in [
         "hysteresis(alpha=0.3, up=2, down=3)",
@@ -267,18 +274,14 @@ fn load_control_spec_round_trips_through_a_live_instance() {
     assert_eq!(rebuilt.spec(), reported);
 }
 
-/// Every advertised abortable family, bare or parameterized, runs under
-/// a `LoadGate` through the dynamically dispatched
-/// `DynMutex::lock_with` — the waiter-side algorithm `LcMutex` monomorphizes,
-/// reached entirely through spec strings — without losing an update.
+/// Every advertised abortable family runs under a `LoadGate` through the
+/// dynamically dispatched `DynMutex::lock_with` — the waiter-side algorithm
+/// `LcMutex` monomorphizes, reached entirely through spec strings — without
+/// losing an update.
 #[test]
 fn every_abortable_spec_reaches_the_lc_dispatch() {
     let control = LoadControl::new(LoadControlConfig::for_capacity(8));
-    for spec in ABORTABLE_LOCK_NAMES
-        .iter()
-        .copied()
-        .chain(["ttas-backoff(max_spins=128)"])
-    {
+    for &spec in ABORTABLE_LOCK_NAMES {
         let lock = registry::build_spec(spec).expect("registered");
         assert!(
             lock.is_abortable(),
