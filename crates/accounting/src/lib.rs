@@ -63,7 +63,5 @@ pub mod trace;
 
 pub use procfs::{HardenedProcfsSampler, ProcfsLoadSampler};
 pub use registry::{ThreadHandle, ThreadRegistry, ThreadState};
-pub use sampler::{
-    build_sampler_spec, LoadSampler, RegistryLoadSampler, ALL_SAMPLER_NAMES, SAMPLER_SPECS,
-};
+pub use sampler::{LoadSampler, RegistryLoadSampler};
 pub use trace::{Transition, TransitionTrace};

@@ -120,20 +120,6 @@ impl LoadSampler for ProcfsLoadSampler {
     fn name(&self) -> &'static str {
         "procfs"
     }
-
-    fn spec(&self) -> lc_spec::ParsedSpec {
-        let mut spec = lc_spec::ParsedSpec::bare("procfs");
-        if let Some(root) = &self.proc_root {
-            // A root whose rendering the grammar cannot represent (commas,
-            // parens, '=', surrounding whitespace) is omitted rather than
-            // producing a spec string that would not reparse.
-            let rendered = root.display().to_string();
-            if lc_spec::is_valid_value(&rendered) {
-                spec = spec.with_param("root", rendered);
-            }
-        }
-        spec
-    }
 }
 
 /// A [`ProcfsLoadSampler`] with a fallback and a failure cooldown: the
@@ -246,20 +232,6 @@ impl LoadSampler for HardenedProcfsSampler {
 
     fn name(&self) -> &'static str {
         "procfs-hardened"
-    }
-
-    fn spec(&self) -> lc_spec::ParsedSpec {
-        let mut spec = lc_spec::ParsedSpec::bare("procfs-hardened");
-        if let Some(root) = &self.procfs.proc_root {
-            let rendered = root.display().to_string();
-            if lc_spec::is_valid_value(&rendered) {
-                spec = spec.with_param("root", rendered);
-            }
-        }
-        if self.cooldown != Self::DEFAULT_COOLDOWN {
-            spec = spec.with_param("cooldown_ms", self.cooldown.as_millis());
-        }
-        spec
     }
 }
 

@@ -161,7 +161,7 @@ impl LoadControlConfig {
     /// paper's rule is written down — then applies this configuration's
     /// `max_sleepers` clamp, exactly as the controller does each cycle.
     pub fn target_for_load(&self, runnable: usize) -> usize {
-        use crate::policy::{ControlPolicy, PaperPolicy, PolicyInputs};
+        use crate::policy::{PaperPolicy, PolicyInputs};
         let target = PaperPolicy.target(&PolicyInputs {
             load: runnable,
             capacity: self.capacity,

@@ -2,22 +2,22 @@
 //! sleep slot buffer (paper §3.1.1, Figure 7 left).
 //!
 //! The controller is pure *data plane*: every update interval it samples
-//! load, asks its [`ControlPolicy`] for the next sleep target, and publishes
-//! the answer in the slot buffer.  The decision rule itself lives behind the
-//! [`ControlPolicy`] trait (see [`crate::policy`]); a [`LoadControlSpec`]
-//! picks it — the paper's `T = load − capacity` rule
+//! load, asks its [`Policy`] for the next sleep target, and publishes the
+//! answer in the slot buffer.  The decision rule itself is a [`Policy`]
+//! variant (see [`crate::policy`]); a [`LoadControlSpec`] picks it — the
+//! paper's `T = load − capacity` rule
 //! ([`PaperPolicy`](crate::policy::PaperPolicy)) by default — together with
 //! the target splitter, shard count, load sampler and wake order, and
 //! [`LoadControl::from_spec`] is the one constructor that reads it.
 
 use crate::async_gate::AsyncPlane;
 use crate::config::{LoadControlConfig, WakeOrder};
-use crate::policy::{ControlPolicy, PolicyInputs, TargetSplitter, POLICY_SPECS, SPLITTER_SPECS};
+use crate::policy::{Policy, PolicyInputs, TargetSplitter};
 use crate::slots::{even_split, SleepSlotBuffer};
-use crate::spec::{LoadControlSpec, SpecError};
+use crate::spec::{LoadControlSpec, SamplerSpec, SpecError};
 use crate::thread_ctx::{current_ctx, WorkerRegistration};
 use crate::time::{ParkOps, RealClock, ThreadPark, TimeSource};
-use lc_accounting::{LoadSampler, RegistryLoadSampler, ThreadRegistry, SAMPLER_SPECS};
+use lc_accounting::{LoadSampler, ThreadRegistry};
 use lc_locks::stats::WaitSnapshot;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,7 +45,10 @@ struct Shared {
     buffer: SleepSlotBuffer,
     registry: Arc<ThreadRegistry>,
     sampler: Box<dyn LoadSampler>,
-    policy: Mutex<Box<dyn ControlPolicy>>,
+    /// The spec this instance was built from, as [`LoadControl::spec`]
+    /// reports it.
+    spec: LoadControlSpec,
+    policy: Mutex<Policy>,
     splitter: Mutex<Box<dyn TargetSplitter>>,
     /// Wait-histogram snapshot as of the previous cycle: each cycle hands the
     /// policy the *delta* window (waits recorded since the last decision), so
@@ -104,7 +107,8 @@ pub struct Substitutes {
     /// on virtual time through this.
     pub time: Arc<dyn TimeSource>,
     /// A load sampler and the thread registry it reads, in place of the
-    /// spec's sampler (default: `None`, the spec's).
+    /// spec's sampler (default: `None`, the spec's).  The control reports
+    /// it by its [`LoadSampler::name`] ([`SamplerSpec::Substitute`]).
     pub sampler: Option<(Arc<ThreadRegistry>, Box<dyn LoadSampler>)>,
     /// How waiter threads block in their slots (default: [`ThreadPark`],
     /// which really blocks).
@@ -195,8 +199,8 @@ impl LoadControl {
     /// let control =
     ///     LoadControl::from_spec(LoadControlConfig::for_capacity(4), &spec).unwrap();
     /// assert_eq!(control.buffer().shard_count(), 2);
-    /// // The live configuration reports back as a spec string that
-    /// // reconstructs it.
+    /// // The control reports the spec it was built from, as a spec string
+    /// // that reconstructs it.
     /// let reported = control.spec();
     /// assert_eq!(reported.policy.to_string(), "pid(kp=0.8, ki=0.2)");
     /// assert_eq!(
@@ -219,27 +223,36 @@ impl LoadControl {
         substitutes: Substitutes,
     ) -> Result<Arc<Self>, SpecError> {
         config.shards = shard_count(spec.shards.unwrap_or(config.shards), config.max_sleepers)?;
-        let policy = POLICY_SPECS.build_spec(&spec.policy)?;
-        let splitter = SPLITTER_SPECS.build_spec(&spec.splitter)?;
-        let (registry, sampler) = match substitutes.sampler {
-            Some(substitute) => substitute,
+        let (registry, sampler, sampler_spec) = match substitutes.sampler {
+            Some((registry, sampler)) => {
+                let reported = SamplerSpec::Substitute(sampler.name());
+                (registry, sampler, reported)
+            }
             None => {
                 let registry = Arc::new(ThreadRegistry::new());
-                let sampler: Box<dyn LoadSampler> = match &spec.sampler {
-                    Some(sampler) => SAMPLER_SPECS.build_spec_in(&registry, sampler)?,
-                    None => Box::new(RegistryLoadSampler::new(Arc::clone(&registry))),
-                };
-                (registry, sampler)
+                let sampler_spec = spec.sampler.clone().unwrap_or_default();
+                let sampler = sampler_spec.build(&registry)?;
+                (registry, sampler, sampler_spec)
             }
+        };
+        let wake_order = spec.wake_order.unwrap_or_default();
+        let spec = LoadControlSpec {
+            shards: Some(config.shards),
+            sampler: Some(sampler_spec),
+            // Leave the default out, so spec strings (and the artifacts that
+            // embed them) stay byte-stable.
+            wake_order: (wake_order != WakeOrder::Fifo).then_some(wake_order),
+            ..spec.clone()
         };
         let shared = Arc::new(Shared {
             buffer: SleepSlotBuffer::with_shards(config.max_sleepers, config.shards)
-                .with_wake_order(spec.wake_order.unwrap_or_default()),
+                .with_wake_order(wake_order),
             config,
             registry,
             sampler,
-            policy: Mutex::new(policy),
-            splitter: Mutex::new(splitter),
+            policy: Mutex::new(spec.policy.build()),
+            splitter: Mutex::new(spec.splitter.build()),
+            spec,
             last_wait: Mutex::new(WaitSnapshot::default()),
             async_plane: AsyncPlane::new(),
             time: substitutes.time,
@@ -310,24 +323,17 @@ impl LoadControl {
         WorkerRegistration::new(current_ctx(self))
     }
 
-    /// The canonical spec of the **live** configuration: policy and splitter
-    /// with their current parameters, shard count, sampler and (when not the
-    /// default) wake order.  A name is `spec().policy.name()`.
+    /// The spec this instance was built from, in canonical form: the
+    /// policy, the splitter, the shard count in effect, the sampler (a
+    /// substituted one by its name) and, when not the default, the wake
+    /// order.  A name is `spec().policy.name()`.
     ///
-    /// The rendered string (`spec().to_string()`) parses back to an
-    /// equivalent [`LoadControlSpec`], so logs and bench labels can record
-    /// the exact control plane a measurement ran under.
+    /// The rendered string (`spec().to_string()`) parses back to an equal
+    /// [`LoadControlSpec`] unless a sampler was substituted, so logs and
+    /// bench labels can record the exact control plane a measurement ran
+    /// under.
     pub fn spec(&self) -> LoadControlSpec {
-        LoadControlSpec {
-            policy: self.shared.policy.lock().unwrap().spec(),
-            splitter: self.shared.splitter.lock().unwrap().spec(),
-            shards: Some(self.shared.buffer.shard_count()),
-            sampler: Some(self.shared.sampler.spec()),
-            // Elide the default so existing spec strings (and artifacts that
-            // embed them) are byte-stable.
-            wake_order: (self.shared.buffer.wake_order() != WakeOrder::Fifo)
-                .then(|| self.shared.buffer.wake_order()),
-        }
+        self.shared.spec.clone()
     }
 
     /// Manually sets the sleep target.
@@ -612,7 +618,7 @@ mod tests {
         );
         let stats = lc.run_cycle();
         assert_eq!((stats.last_runnable, stats.last_target), (6, 4));
-        // Names and keys the registries do not know are errors.
+        // Names and keys the sets do not have are errors.
         for bad in [
             "policy=no-such-policy",
             "splitter=no-such-splitter",
@@ -620,11 +626,12 @@ mod tests {
         ] {
             assert!(bad.parse::<LoadControlSpec>().is_err(), "{bad}");
         }
-        let unchecked = LoadControlSpec {
-            policy: "no-such-policy".parse().unwrap(),
+        // A substituted sampler is reported by name and builds nothing.
+        let unbuildable = LoadControlSpec {
+            sampler: Some(SamplerSpec::Substitute("des")),
             ..LoadControlSpec::default()
         };
-        assert!(LoadControl::from_spec(LoadControlConfig::for_capacity(2), &unchecked).is_err());
+        assert!(LoadControl::from_spec(LoadControlConfig::for_capacity(2), &unbuildable).is_err());
     }
 
     #[test]
@@ -683,9 +690,6 @@ mod tests {
         #[derive(Debug)]
         struct CountingSplitter(Arc<Counter>);
         impl TargetSplitter for CountingSplitter {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
             fn rebalances(&self) -> bool {
                 true
             }
@@ -733,7 +737,7 @@ mod tests {
 
     #[test]
     fn rebalance_never_clobbers_a_concurrent_manual_target() {
-        use crate::policy::{LoadWeightedSplitter, TargetSplitter};
+        use crate::policy::SplitterSpec;
 
         // The rebalance path republishes an *unchanged* total; if an
         // external set_sleep_target landed since the cycle read it, the
@@ -742,7 +746,11 @@ mod tests {
             LoadControlConfig::for_capacity(1),
             "policy=fixed; splitter=load-weighted; shards=2",
         );
-        assert!(LoadWeightedSplitter::new().rebalances());
+        assert!("load-weighted"
+            .parse::<SplitterSpec>()
+            .unwrap()
+            .build()
+            .rebalances());
         lc.set_sleep_target(4);
         lc.run_cycle(); // manual policy keeps 4; rebalance republishes 4
         assert_eq!(lc.sleep_target(), 4);
@@ -801,9 +809,6 @@ mod tests {
         #[derive(Debug)]
         struct BrokenSplitter;
         impl TargetSplitter for BrokenSplitter {
-            fn name(&self) -> &'static str {
-                "broken"
-            }
             fn split(&mut self, _total: u64, _shards: &[ShardSnapshot], _cap: u64) -> Vec<u64> {
                 Vec::new() // wrong length: would panic set_shard_targets
             }

@@ -64,11 +64,10 @@
 //!
 //! The control plane — decision policy, shard-target splitter, shard
 //! count, load sampler and wake order — is one [`LoadControlSpec`], parsed
-//! from a string, a `key = value` config file, or the `LC_POLICY` /
-//! `LC_SPLITTER` / `LC_SHARDS` / `LC_SAMPLER` / `LC_WAKE_ORDER`
-//! environment variables, with parameters in the shared `name(key=value)`
-//! grammar of [`spec`].  [`LoadControl::from_spec`] is the one constructor
-//! that reads it:
+//! from one source, a string (a `key = value` file reads the same way), with
+//! each choice a closed enum spelled in the `name(key=value)` grammar of
+//! [`spec`].  [`LoadControl::from_spec`] is the one constructor that reads
+//! it:
 //!
 //! ```
 //! use lc_core::spec::LoadControlSpec;
@@ -81,7 +80,7 @@
 //! let control = LoadControl::from_spec(LoadControlConfig::for_capacity(8), &spec).unwrap();
 //! assert_eq!(control.spec().policy.name(), "hysteresis");
 //! assert_eq!(control.buffer().shard_count(), 2);
-//! // The live configuration reports back as a canonical spec string.
+//! // The control reports the spec it was built from, in canonical form.
 //! assert_eq!(control.spec().policy.to_string(), "hysteresis(alpha=0.3, up=2)");
 //! control.start_controller();
 //! ```
@@ -108,12 +107,12 @@ pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};
 pub use lc_semaphore::{AcquireAsync, LcSemaphore, LcSemaphoreAsyncPermit, LcSemaphorePermit};
 pub use policy::{
-    AutotuneInner, AutotuneObjective, AutotunePolicy, ControlPolicy, EvenSplitter, FixedPolicy,
-    HysteresisPolicy, LatencyPolicy, LoadWeightedSplitter, PaperPolicy, PidPolicy, PolicyInputs,
-    TargetSplitter, POLICY_SPECS, SPLITTER_SPECS,
+    AutotuneInner, AutotuneObjective, AutotunePolicy, EvenSplitter, FixedPolicy, HysteresisPolicy,
+    LatencyPolicy, LoadWeightedSplitter, PaperPolicy, PidPolicy, Policy, PolicyInputs, PolicySpec,
+    SplitterSpec, TargetSplitter,
 };
 pub use slots::{ClaimOutcome, ShardSnapshot, SleepSlotBuffer, SleeperId, SlotBufferStats};
-pub use spec::{LoadControlSpec, ParsedSpec, SpecError};
+pub use spec::{LoadControlSpec, ParsedSpec, SamplerSpec, SpecError};
 pub use thread_ctx::{LoadGate, WorkerRegistration};
 pub use time::{
     ParkOps, RealClock, SlotHost, SlotWait, ThreadPark, TimeSource, VirtualClock, WaitOutcome,

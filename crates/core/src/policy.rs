@@ -1,16 +1,16 @@
-//! Pluggable control-plane policies: *how* the controller turns a load
-//! measurement into a sleep target.
+//! Control-plane policies: *how* the controller turns a load measurement
+//! into a sleep target.
 //!
 //! Paper §3.1.1 describes one decision rule — every update interval the
 //! controller measures the number of runnable threads and publishes
 //! `T = load − 100 %` (excess over capacity) as the sleep target.  That rule
 //! is a *policy*, and nothing else in the mechanism depends on it: the slot
 //! buffer, the waiter-side gate and the primitives only consume the published
-//! target.  This module makes the policy a first-class trait so deployments
-//! can swap the decision rule without touching the data plane — the same
-//! decoupling the mechanism itself applies to contention management.
+//! target.  The set of policies is closed: [`Policy`] is an enum with one
+//! variant per rule, dispatched by `match`, and [`PolicySpec`] names a
+//! variant with its parameters.
 //!
-//! Six implementations ship with the suite, each mapping back to §3.1.1:
+//! Six policies ship with the suite, each mapping back to §3.1.1:
 //!
 //! * [`PaperPolicy`] — the exact rule of the paper, `T = load − capacity`
 //!   (with the configured headroom subtracted as well).  The default; under
@@ -38,13 +38,10 @@
 //!   coordinate descent against a configurable objective (throughput
 //!   deviation, wake churn, or p99 wait).
 //!
-//! Policies are selected by spec string through [`POLICY_SPECS`] /
-//! [`build_policy_spec`] / [`ALL_POLICY_NAMES`], sharing the
-//! `name(key=value)` grammar of [`lc_spec`] with lock families and load
-//! samplers — experiment configurations pick the control policy and the
-//! contention manager with the same string-keyed machinery, parameters
-//! included: `hysteresis(alpha=0.3, deadband=2)`, `fixed(target=8)`,
-//! `pid(kp=0.5, ki=0.1)`.
+//! A policy is chosen by spec string in the `name(key=value)` grammar of
+//! [`crate::spec`], parameters included: `hysteresis(alpha=0.3,
+//! deadband=2)`, `fixed(target=8)`, `pid(kp=0.5, ki=0.1)`.  Adding a policy
+//! is adding a variant to [`PolicySpec`] and [`Policy`] and their match arms.
 //!
 //! ## Target partitioning
 //!
@@ -54,15 +51,14 @@
 //! [`TargetSplitter`] trait — [`EvenSplitter`] (the default; uniform shares)
 //! and [`LoadWeightedSplitter`] (shares proportional to each shard's recent
 //! claim and claim-race activity, `load-weighted(ewma=0.25)`) ship with the
-//! suite, selected by spec string through [`SPLITTER_SPECS`] /
-//! [`build_splitter_spec`] / [`ALL_SPLITTER_NAMES`] exactly like the control
-//! policies above.
+//! suite, named by [`SplitterSpec`] exactly like the control policies above.
 
 use crate::controller::ControllerStats;
 use crate::slots::{even_split, ShardSnapshot};
+use crate::spec::{non_default, write_spec, ParsedSpec, SpecError};
 use lc_locks::stats::WaitObservation;
-use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Everything a policy may consult when computing the next sleep target.
@@ -82,7 +78,7 @@ pub struct PolicyInputs {
     pub current_target: u64,
     /// The controller's cycle period
     /// ([`crate::LoadControlConfig::update_interval`]): how much wall (or
-    /// virtual) time passes between consecutive [`ControlPolicy::target`]
+    /// virtual) time passes between consecutive [`Policy::target`]
     /// calls.  Lets latency-aware policies convert time SLOs into per-cycle
     /// rates.
     pub interval: Duration,
@@ -107,24 +103,38 @@ impl PolicyInputs {
 /// A control-plane policy: turns one cycle's measurements into the next
 /// sleep target.
 ///
-/// Implementations may keep state across cycles (smoothing, integrators,
-/// scripted schedules); the controller invokes [`ControlPolicy::target`]
-/// exactly once per cycle, under its own synchronization, and clamps the
-/// returned value to [`crate::LoadControlConfig::max_sleepers`] before
-/// publishing it.
-pub trait ControlPolicy: Send + fmt::Debug {
-    /// The policy's stable registry name.
-    fn name(&self) -> &'static str;
+/// A policy may keep state across cycles (smoothing, integrators, scripted
+/// schedules); the controller calls [`Policy::target`] exactly once per
+/// cycle, under its own synchronization, and clamps the returned value to
+/// [`crate::LoadControlConfig::max_sleepers`] before publishing it.  Built
+/// from a [`PolicySpec`].
+#[derive(Debug)]
+pub enum Policy {
+    /// The paper's rule.
+    Paper(PaperPolicy),
+    /// The paper's rule on a smoothed load, with deadbands.
+    Hysteresis(HysteresisPolicy),
+    /// A pinned or externally steered target.
+    Fixed(FixedPolicy),
+    /// A PID integrator on the target error.
+    Pid(PidPolicy),
+    /// The paper's rule with a p99-wait SLO governor.
+    Latency(LatencyPolicy),
+    /// Online coordinate descent over an inner policy's parameters.
+    Autotune(AutotunePolicy),
+}
 
+impl Policy {
     /// Computes the sleep target for this cycle.
-    fn target(&mut self, inputs: &PolicyInputs) -> u64;
-
-    /// The canonical spec of this policy's configuration: the name plus every
-    /// parameter that differs from the registry defaults, in the shared
-    /// `name(key=value)` grammar.  Feeding the rendered spec back to
-    /// [`POLICY_SPECS`] reconstructs an identically configured policy.
-    fn spec(&self) -> ParsedSpec {
-        ParsedSpec::bare(self.name())
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+        match self {
+            Policy::Paper(policy) => policy.target(inputs),
+            Policy::Hysteresis(policy) => policy.target(inputs),
+            Policy::Fixed(policy) => policy.target(inputs),
+            Policy::Pid(policy) => policy.target(inputs),
+            Policy::Latency(policy) => policy.target(inputs),
+            Policy::Autotune(policy) => policy.target(inputs),
+        }
     }
 }
 
@@ -133,12 +143,9 @@ pub trait ControlPolicy: Send + fmt::Debug {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PaperPolicy;
 
-impl ControlPolicy for PaperPolicy {
-    fn name(&self) -> &'static str {
-        "paper"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl PaperPolicy {
+    /// `T = load − (capacity + headroom)`, floored at zero.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         inputs.load.saturating_sub(inputs.threshold()) as u64
     }
 }
@@ -176,15 +183,6 @@ impl HysteresisPolicy {
     /// Default fall deadband (two threads: releasing sleepers is the cheaper
     /// direction to be slow in, since a parked thread times out on its own).
     pub const DEFAULT_DOWN_DEADBAND: f64 = 2.0;
-
-    /// A policy with the default smoothing and deadbands.
-    pub fn new() -> Self {
-        Self::with_params(
-            Self::DEFAULT_ALPHA,
-            Self::DEFAULT_UP_DEADBAND,
-            Self::DEFAULT_DOWN_DEADBAND,
-        )
-    }
 
     /// A policy with explicit parameters.
     ///
@@ -225,18 +223,10 @@ impl HysteresisPolicy {
     }
 }
 
-impl Default for HysteresisPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ControlPolicy for HysteresisPolicy {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl HysteresisPolicy {
+    /// Folds this cycle's load into the average and moves the target only
+    /// outside the deadband.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         let sample = inputs.load as f64;
         let ewma = match self.ewma {
             Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
@@ -259,20 +249,6 @@ impl ControlPolicy for HysteresisPolicy {
         } else {
             inputs.current_target
         }
-    }
-
-    fn spec(&self) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare("hysteresis");
-        if self.alpha != Self::DEFAULT_ALPHA {
-            spec = spec.with_param("alpha", self.alpha);
-        }
-        if self.up_deadband != Self::DEFAULT_UP_DEADBAND {
-            spec = spec.with_param("up", self.up_deadband);
-        }
-        if self.down_deadband != Self::DEFAULT_DOWN_DEADBAND {
-            spec = spec.with_param("down", self.down_deadband);
-        }
-        spec
     }
 }
 
@@ -303,20 +279,10 @@ impl FixedPolicy {
     }
 }
 
-impl ControlPolicy for FixedPolicy {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl FixedPolicy {
+    /// The pinned target, or the one currently published.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         self.pinned.unwrap_or(inputs.current_target)
-    }
-
-    fn spec(&self) -> ParsedSpec {
-        match self.pinned {
-            Some(target) => ParsedSpec::bare("fixed").with_param("target", target),
-            None => ParsedSpec::bare("fixed"),
-        }
     }
 }
 
@@ -361,11 +327,6 @@ impl PidPolicy {
     /// Anti-windup bound on the accumulated error.
     pub const INTEGRAL_CAP: f64 = 1e9;
 
-    /// A policy with the default gains.
-    pub fn new() -> Self {
-        Self::with_gains(Self::DEFAULT_KP, Self::DEFAULT_KI, Self::DEFAULT_KD)
-    }
-
     /// A policy with explicit gains.
     ///
     /// # Panics
@@ -405,18 +366,9 @@ impl PidPolicy {
     }
 }
 
-impl Default for PidPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ControlPolicy for PidPolicy {
-    fn name(&self) -> &'static str {
-        "pid"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl PidPolicy {
+    /// Moves the target by `kp·e + ki·∫e + kd·Δe` on this cycle's error.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         let excess = inputs.load as f64 - inputs.threshold() as f64;
         let error = excess - inputs.current_target as f64;
         let delta = error - self.last_error.unwrap_or(error);
@@ -424,20 +376,6 @@ impl ControlPolicy for PidPolicy {
         self.integral = (self.integral + error).clamp(0.0, Self::INTEGRAL_CAP);
         let output = self.kp * error + self.ki * self.integral + self.kd * delta;
         output.round().max(0.0) as u64
-    }
-
-    fn spec(&self) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare("pid");
-        if self.kp != Self::DEFAULT_KP {
-            spec = spec.with_param("kp", self.kp);
-        }
-        if self.ki != Self::DEFAULT_KI {
-            spec = spec.with_param("ki", self.ki);
-        }
-        if self.kd != Self::DEFAULT_KD {
-            spec = spec.with_param("kd", self.kd);
-        }
-        spec
     }
 }
 
@@ -506,11 +444,6 @@ impl LatencyPolicy {
     /// EWMA weight of the newest p99 sample.
     const EWMA_ALPHA: f64 = 0.5;
 
-    /// A policy with the default SLO and no floor.
-    pub fn new() -> Self {
-        Self::with_params(Self::DEFAULT_TARGET_P99_MS, Self::DEFAULT_FLOOR)
-    }
-
     /// A policy with an explicit p99 SLO (milliseconds) and shed floor.
     ///
     /// # Panics
@@ -544,18 +477,9 @@ impl LatencyPolicy {
     }
 }
 
-impl Default for LatencyPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ControlPolicy for LatencyPolicy {
-    fn name(&self) -> &'static str {
-        "latency"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl LatencyPolicy {
+    /// The excess, sawtoothed below by the current cut.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         if inputs.wait.count > 0 {
             let sample = inputs.wait.p99_ns as f64;
             self.ewma_p99 = Some(match self.ewma_p99 {
@@ -600,17 +524,6 @@ impl ControlPolicy for LatencyPolicy {
         } else {
             excess - self.cut
         }
-    }
-
-    fn spec(&self) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare("latency");
-        if self.target_p99_ms != Self::DEFAULT_TARGET_P99_MS {
-            spec = spec.with_param("target_p99", self.target_p99_ms);
-        }
-        if self.floor != Self::DEFAULT_FLOOR {
-            spec = spec.with_param("floor", self.floor);
-        }
-        spec
     }
 }
 
@@ -703,7 +616,7 @@ struct ParamRange {
 ///    stream and whose magnitude decays as evaluations accumulate, clamped
 ///    to the coordinate's range.
 ///
-/// The search starts at the inner policy's registry defaults, so the tuned
+/// The search starts at the inner policy's default parameters, so the tuned
 /// policy is never worse than the hand-configured default one under the
 /// measured objective.  A window with no objective samples (e.g. `p99` with
 /// no completed sleep episodes) discards the candidate without judging it.
@@ -712,10 +625,8 @@ struct ParamRange {
 /// replays the same parameter trajectory.
 #[derive(Debug)]
 pub struct AutotunePolicy {
-    inner_kind: AutotuneInner,
     objective: AutotuneObjective,
     window: u64,
-    seed: u64,
     /// xorshift64* state (never zero).
     rng: u64,
     space: &'static [ParamRange],
@@ -775,16 +686,6 @@ impl AutotunePolicy {
         },
     ];
 
-    /// A tuner with the defaults: `pid` inner, `throughput` objective.
-    pub fn new() -> Self {
-        Self::with_params(
-            AutotuneInner::Pid,
-            AutotuneObjective::Throughput,
-            Self::DEFAULT_WINDOW,
-            Self::DEFAULT_SEED,
-        )
-    }
-
     /// A tuner with explicit inner kind, objective, window and seed.
     ///
     /// # Panics
@@ -807,10 +708,8 @@ impl AutotunePolicy {
             rng = 0x9E37_79B9_7F4A_7C15;
         }
         Self {
-            inner_kind: inner,
             objective,
             window,
-            seed,
             rng,
             space,
             inner: InnerPolicy::build(inner, &init),
@@ -952,37 +851,12 @@ impl InnerPolicy {
     }
 }
 
-impl Default for AutotunePolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ControlPolicy for AutotunePolicy {
-    fn name(&self) -> &'static str {
-        "autotune"
-    }
-
-    fn target(&mut self, inputs: &PolicyInputs) -> u64 {
+impl AutotunePolicy {
+    /// Scores this cycle against the objective, then lets the inner policy
+    /// decide.
+    pub fn target(&mut self, inputs: &PolicyInputs) -> u64 {
         self.observe(inputs);
         self.inner.target(inputs)
-    }
-
-    fn spec(&self) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare("autotune");
-        if self.inner_kind != AutotuneInner::Pid {
-            spec = spec.with_param("inner", self.inner_kind.as_str());
-        }
-        if self.objective != AutotuneObjective::Throughput {
-            spec = spec.with_param("objective", self.objective.as_str());
-        }
-        if self.window != Self::DEFAULT_WINDOW {
-            spec = spec.with_param("window", self.window);
-        }
-        if self.seed != Self::DEFAULT_SEED {
-            spec = spec.with_param("seed", self.seed);
-        }
-        spec
     }
 }
 
@@ -990,7 +864,7 @@ impl ControlPolicy for AutotunePolicy {
 /// shards of a sharded [`crate::SleepSlotBuffer`].
 ///
 /// The controller invokes [`TargetSplitter::split`] under its own
-/// synchronization, after the [`ControlPolicy`] chose the global target:
+/// synchronization, after the [`Policy`] chose the global target:
 /// always when the target *changed*, and — for splitters that report
 /// [`TargetSplitter::rebalances`] — on every cycle with a non-zero target,
 /// so activity-driven partitions keep tracking where the claim traffic
@@ -998,9 +872,6 @@ impl ControlPolicy for AutotunePolicy {
 /// counters, EWMAs).  The returned vector must have one entry per shard;
 /// the buffer clamps each entry to the shard capacity when publishing.
 pub trait TargetSplitter: Send + fmt::Debug {
-    /// The splitter's stable registry name.
-    fn name(&self) -> &'static str;
-
     /// Whether [`TargetSplitter::split`] should run every cycle even when
     /// the global target is unchanged.  Static partitions (the even split)
     /// return `false` and are only recomputed on target changes — which
@@ -1017,12 +888,6 @@ pub trait TargetSplitter: Send + fmt::Debug {
     /// most `shard_capacity` sleepers.  The result must sum to
     /// `min(total, shards.len() * shard_capacity)`.
     fn split(&mut self, total: u64, shards: &[ShardSnapshot], shard_capacity: u64) -> Vec<u64>;
-
-    /// The canonical spec of this splitter's configuration (see
-    /// [`ControlPolicy::spec`]); defaults to the bare name.
-    fn spec(&self) -> ParsedSpec {
-        ParsedSpec::bare(self.name())
-    }
 }
 
 /// Uniform partitioning: every shard receives `T / N`, with the remainder
@@ -1033,10 +898,6 @@ pub trait TargetSplitter: Send + fmt::Debug {
 pub struct EvenSplitter;
 
 impl TargetSplitter for EvenSplitter {
-    fn name(&self) -> &'static str {
-        "even"
-    }
-
     fn split(&mut self, total: u64, shards: &[ShardSnapshot], shard_capacity: u64) -> Vec<u64> {
         even_split(total, shards.len(), shard_capacity)
     }
@@ -1066,11 +927,6 @@ pub struct LoadWeightedSplitter {
 impl LoadWeightedSplitter {
     /// Default EWMA weight: half the activity estimate renews each cycle.
     pub const DEFAULT_ALPHA: f64 = 0.5;
-
-    /// A splitter with the default smoothing.
-    pub fn new() -> Self {
-        Self::with_alpha(Self::DEFAULT_ALPHA)
-    }
 
     /// A splitter with an explicit EWMA weight.
     ///
@@ -1125,17 +981,7 @@ fn apportion(total: u64, weights: &[f64], caps: &[u64]) -> Vec<u64> {
     out
 }
 
-impl Default for LoadWeightedSplitter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TargetSplitter for LoadWeightedSplitter {
-    fn name(&self) -> &'static str {
-        "load-weighted"
-    }
-
     /// Re-splits every cycle: the whole point is to track shifting claim
     /// traffic under a *steady* target, and per-cycle invocation is what
     /// gives the EWMA its per-cycle delta semantics.
@@ -1168,22 +1014,144 @@ impl TargetSplitter for LoadWeightedSplitter {
         let weights: Vec<f64> = self.activity.iter().map(|a| a + 1.0).collect();
         apportion(total, &weights, &vec![shard_capacity; n])
     }
-
-    fn spec(&self) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare("load-weighted");
-        if self.alpha != Self::DEFAULT_ALPHA {
-            spec = spec.with_param("ewma", self.alpha);
-        }
-        spec
-    }
 }
 
-/// Names of every control policy, in the stable order of [`POLICY_SPECS`]
-/// (a test asserts the two stay in sync).
+/// Names of every control policy, in the order of [`PolicySpec::ALL`] (a
+/// test checks the two agree).
 pub const ALL_POLICY_NAMES: &[&str] =
     &["paper", "hysteresis", "fixed", "pid", "latency", "autotune"];
 
-fn build_hysteresis(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecError> {
+/// A control policy by name and parameters: the closed set of decision
+/// rules, spelled in the `name(key=value)` grammar of [`crate::spec`].
+///
+/// `FromStr` refuses unknown names, unknown keys (listing the accepted
+/// ones) and out-of-range values; `hysteresis(deadband=D)` is shorthand for
+/// `up=D, down=D`.  `Display` prints the canonical text, with default
+/// parameters left out, and [`PolicySpec::build`] makes the policy.
+///
+/// ```
+/// use lc_core::policy::PolicySpec;
+///
+/// let spec: PolicySpec = "pid(kp=0.8, ki=0.2)".parse().unwrap();
+/// assert_eq!(spec, PolicySpec::Pid { kp: 0.8, ki: 0.2, kd: 0.0 });
+/// assert_eq!(spec.to_string(), "pid(kp=0.8, ki=0.2)");
+/// assert!("pid(gain=1)".parse::<PolicySpec>().is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum PolicySpec {
+    /// `paper`: [`PaperPolicy`].
+    #[default]
+    Paper,
+    /// `hysteresis(alpha, up, down)`: [`HysteresisPolicy`].
+    Hysteresis {
+        /// EWMA weight of the newest sample, in `(0, 1]`.
+        alpha: f64,
+        /// Rise deadband.
+        up: f64,
+        /// Fall deadband.
+        down: f64,
+    },
+    /// `fixed` ([`FixedPolicy::manual`]) or `fixed(target=N)`
+    /// ([`FixedPolicy::pinned`]).
+    Fixed {
+        /// The pinned target, or `None` to keep the published one.
+        target: Option<u64>,
+    },
+    /// `pid(kp, ki, kd)`: [`PidPolicy`].
+    Pid {
+        /// Proportional gain.
+        kp: f64,
+        /// Integral gain.
+        ki: f64,
+        /// Derivative gain.
+        kd: f64,
+    },
+    /// `latency(target_p99, floor)`: [`LatencyPolicy`].
+    Latency {
+        /// The p99 wait SLO, in milliseconds.
+        target_p99: f64,
+        /// Minimum sleep target kept while shedding.
+        floor: u64,
+    },
+    /// `autotune(inner, objective, window, seed)`: [`AutotunePolicy`].
+    Autotune {
+        /// The tuned policy family.
+        inner: AutotuneInner,
+        /// What the tuner minimizes.
+        objective: AutotuneObjective,
+        /// Evaluation window, in controller cycles.
+        window: u64,
+        /// Seed of the coordinate-descent sign stream.
+        seed: u64,
+    },
+}
+
+impl PolicySpec {
+    /// Every policy, each with its default parameters.
+    pub const ALL: [PolicySpec; 6] = [
+        PolicySpec::Paper,
+        PolicySpec::Hysteresis {
+            alpha: HysteresisPolicy::DEFAULT_ALPHA,
+            up: HysteresisPolicy::DEFAULT_UP_DEADBAND,
+            down: HysteresisPolicy::DEFAULT_DOWN_DEADBAND,
+        },
+        PolicySpec::Fixed { target: None },
+        PolicySpec::Pid {
+            kp: PidPolicy::DEFAULT_KP,
+            ki: PidPolicy::DEFAULT_KI,
+            kd: PidPolicy::DEFAULT_KD,
+        },
+        PolicySpec::Latency {
+            target_p99: LatencyPolicy::DEFAULT_TARGET_P99_MS,
+            floor: LatencyPolicy::DEFAULT_FLOOR,
+        },
+        PolicySpec::Autotune {
+            inner: AutotuneInner::Pid,
+            objective: AutotuneObjective::Throughput,
+            window: AutotunePolicy::DEFAULT_WINDOW,
+            seed: AutotunePolicy::DEFAULT_SEED,
+        },
+    ];
+
+    /// The policy's name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PolicySpec::Paper => "paper",
+            PolicySpec::Hysteresis { .. } => "hysteresis",
+            PolicySpec::Fixed { .. } => "fixed",
+            PolicySpec::Pid { .. } => "pid",
+            PolicySpec::Latency { .. } => "latency",
+            PolicySpec::Autotune { .. } => "autotune",
+        }
+    }
+
+    /// Builds the policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value `FromStr` refuses (see each policy's constructor).
+    pub fn build(&self) -> Policy {
+        match *self {
+            PolicySpec::Paper => Policy::Paper(PaperPolicy),
+            PolicySpec::Hysteresis { alpha, up, down } => {
+                Policy::Hysteresis(HysteresisPolicy::with_params(alpha, up, down))
+            }
+            PolicySpec::Fixed { target } => Policy::Fixed(FixedPolicy { pinned: target }),
+            PolicySpec::Pid { kp, ki, kd } => Policy::Pid(PidPolicy::with_gains(kp, ki, kd)),
+            PolicySpec::Latency { target_p99, floor } => {
+                Policy::Latency(LatencyPolicy::with_params(target_p99, floor))
+            }
+            PolicySpec::Autotune {
+                inner,
+                objective,
+                window,
+                seed,
+            } => Policy::Autotune(AutotunePolicy::with_params(inner, objective, window, seed)),
+        }
+    }
+}
+
+fn parse_hysteresis(spec: &ParsedSpec) -> Result<PolicySpec, SpecError> {
     let alpha = spec.param_or("alpha", HysteresisPolicy::DEFAULT_ALPHA)?;
     // `deadband` is shorthand for setting both directions; `up` / `down`
     // override it individually.
@@ -1205,19 +1173,35 @@ fn build_hysteresis(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecErr
     if down < 0.0 {
         return Err(spec.invalid_value("down", "must be non-negative"));
     }
-    Ok(Box::new(HysteresisPolicy::with_params(alpha, up, down)))
+    Ok(PolicySpec::Hysteresis { alpha, up, down })
 }
 
-fn build_latency(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecError> {
+fn parse_pid(spec: &ParsedSpec) -> Result<PolicySpec, SpecError> {
+    let kp = spec.param_or("kp", PidPolicy::DEFAULT_KP)?;
+    let ki = spec.param_or("ki", PidPolicy::DEFAULT_KI)?;
+    let kd = spec.param_or("kd", PidPolicy::DEFAULT_KD)?;
+    if !(kp.is_finite() && kp >= 0.0) {
+        return Err(spec.invalid_value("kp", "must be non-negative"));
+    }
+    if !(ki.is_finite() && ki > 0.0) {
+        return Err(spec.invalid_value("ki", "must be positive"));
+    }
+    if !(kd.is_finite() && kd >= 0.0) {
+        return Err(spec.invalid_value("kd", "must be non-negative"));
+    }
+    Ok(PolicySpec::Pid { kp, ki, kd })
+}
+
+fn parse_latency(spec: &ParsedSpec) -> Result<PolicySpec, SpecError> {
     let target_p99 = spec.param_or("target_p99", LatencyPolicy::DEFAULT_TARGET_P99_MS)?;
     let floor = spec.param_or("floor", LatencyPolicy::DEFAULT_FLOOR)?;
     if !(target_p99.is_finite() && target_p99 > 0.0) {
         return Err(spec.invalid_value("target_p99", "must be positive (milliseconds)"));
     }
-    Ok(Box::new(LatencyPolicy::with_params(target_p99, floor)))
+    Ok(PolicySpec::Latency { target_p99, floor })
 }
 
-fn build_autotune(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecError> {
+fn parse_autotune(spec: &ParsedSpec) -> Result<PolicySpec, SpecError> {
     let inner = match spec.param::<String>("inner")? {
         Some(value) => AutotuneInner::parse(&value)
             .ok_or_else(|| spec.invalid_value("inner", "must be pid or hysteresis"))?,
@@ -1234,127 +1218,198 @@ fn build_autotune(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecError
         return Err(spec.invalid_value("window", "must be at least 1"));
     }
     let seed = spec.param_or("seed", AutotunePolicy::DEFAULT_SEED)?;
-    Ok(Box::new(AutotunePolicy::with_params(
-        inner, objective, window, seed,
-    )))
+    Ok(PolicySpec::Autotune {
+        inner,
+        objective,
+        window,
+        seed,
+    })
 }
 
-fn build_pid(spec: &ParsedSpec) -> Result<Box<dyn ControlPolicy>, SpecError> {
-    let kp = spec.param_or("kp", PidPolicy::DEFAULT_KP)?;
-    let ki = spec.param_or("ki", PidPolicy::DEFAULT_KI)?;
-    let kd = spec.param_or("kd", PidPolicy::DEFAULT_KD)?;
-    if !(kp.is_finite() && kp >= 0.0) {
-        return Err(spec.invalid_value("kp", "must be non-negative"));
+impl FromStr for PolicySpec {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        const KIND: &str = "policy";
+        let spec = ParsedSpec::parse(s)?;
+        match spec.name() {
+            "paper" => {
+                spec.expect_keys(KIND, &[])?;
+                Ok(PolicySpec::Paper)
+            }
+            "hysteresis" => {
+                spec.expect_keys(KIND, &["alpha", "up", "down", "deadband"])?;
+                parse_hysteresis(&spec)
+            }
+            "fixed" => {
+                spec.expect_keys(KIND, &["target"])?;
+                Ok(PolicySpec::Fixed {
+                    target: spec.param("target")?,
+                })
+            }
+            "pid" => {
+                spec.expect_keys(KIND, &["kp", "ki", "kd"])?;
+                parse_pid(&spec)
+            }
+            "latency" => {
+                spec.expect_keys(KIND, &["target_p99", "floor"])?;
+                parse_latency(&spec)
+            }
+            "autotune" => {
+                spec.expect_keys(KIND, &["inner", "objective", "window", "seed"])?;
+                parse_autotune(&spec)
+            }
+            name => Err(SpecError::unknown_name(KIND, name, ALL_POLICY_NAMES)),
+        }
     }
-    if !(ki.is_finite() && ki > 0.0) {
-        return Err(spec.invalid_value("ki", "must be positive"));
-    }
-    if !(kd.is_finite() && kd >= 0.0) {
-        return Err(spec.invalid_value("kd", "must be non-negative"));
-    }
-    Ok(Box::new(PidPolicy::with_gains(kp, ki, kd)))
 }
 
-/// Every control policy in the suite, constructed through the shared
-/// `name(key=value)` spec grammar.
-///
-/// ```
-/// use lc_core::policy::POLICY_SPECS;
-///
-/// let policy = POLICY_SPECS.build("pid(kp=0.8, ki=0.2)").unwrap();
-/// assert_eq!(policy.name(), "pid");
-/// assert_eq!(policy.spec().to_string(), "pid(kp=0.8, ki=0.2)");
-/// assert!(POLICY_SPECS.build("pid(gain=1)").is_err());
-/// ```
-pub static POLICY_SPECS: Registry<Box<dyn ControlPolicy>> = Registry::new(
-    "policy",
-    &[
-        SpecEntry {
-            name: "paper",
-            keys: &[],
-            summary: "the paper's rule: T = load - capacity",
-            build: |_, _| Ok(Box::new(PaperPolicy)),
-        },
-        SpecEntry {
-            name: "hysteresis",
-            keys: &["alpha", "up", "down", "deadband"],
-            summary: "the paper's rule on an EWMA-smoothed load with deadbands",
-            build: |_, spec| build_hysteresis(spec),
-        },
-        SpecEntry {
-            name: "fixed",
-            keys: &["target"],
-            summary: "pinned target (target=N) or externally steered (bare)",
-            build: |_, spec| {
-                Ok(Box::new(match spec.param::<u64>("target")? {
-                    Some(target) => FixedPolicy::pinned(target),
-                    None => FixedPolicy::manual(),
-                }))
-            },
-        },
-        SpecEntry {
-            name: "pid",
-            keys: &["kp", "ki", "kd"],
-            summary: "PID integrator on the target error (smooth convergence)",
-            build: |_, spec| build_pid(spec),
-        },
-        SpecEntry {
-            name: "latency",
-            keys: &["target_p99", "floor"],
-            summary: "paper's rule with a p99-wait SLO governor (target_p99=ms)",
-            build: |_, spec| build_latency(spec),
-        },
-        SpecEntry {
-            name: "autotune",
-            keys: &["inner", "objective", "window", "seed"],
-            summary: "seeded coordinate descent over an inner policy's params",
-            build: |_, spec| build_autotune(spec),
-        },
-    ],
-);
+impl fmt::Display for PolicySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name();
+        match *self {
+            PolicySpec::Paper => write_spec(f, name, []),
+            PolicySpec::Hysteresis { alpha, up, down } => write_spec(
+                f,
+                name,
+                [
+                    non_default("alpha", alpha, HysteresisPolicy::DEFAULT_ALPHA),
+                    non_default("up", up, HysteresisPolicy::DEFAULT_UP_DEADBAND),
+                    non_default("down", down, HysteresisPolicy::DEFAULT_DOWN_DEADBAND),
+                ],
+            ),
+            PolicySpec::Fixed { target } => {
+                write_spec(f, name, [target.map(|t| ("target", t.to_string()))])
+            }
+            PolicySpec::Pid { kp, ki, kd } => write_spec(
+                f,
+                name,
+                [
+                    non_default("kp", kp, PidPolicy::DEFAULT_KP),
+                    non_default("ki", ki, PidPolicy::DEFAULT_KI),
+                    non_default("kd", kd, PidPolicy::DEFAULT_KD),
+                ],
+            ),
+            PolicySpec::Latency { target_p99, floor } => write_spec(
+                f,
+                name,
+                [
+                    non_default(
+                        "target_p99",
+                        target_p99,
+                        LatencyPolicy::DEFAULT_TARGET_P99_MS,
+                    ),
+                    non_default("floor", floor, LatencyPolicy::DEFAULT_FLOOR),
+                ],
+            ),
+            PolicySpec::Autotune {
+                inner,
+                objective,
+                window,
+                seed,
+            } => write_spec(
+                f,
+                name,
+                [
+                    non_default("inner", inner.as_str(), "pid"),
+                    non_default("objective", objective.as_str(), "throughput"),
+                    non_default("window", window, AutotunePolicy::DEFAULT_WINDOW),
+                    non_default("seed", seed, AutotunePolicy::DEFAULT_SEED),
+                ],
+            ),
+        }
+    }
+}
 
-/// Constructs the control policy described by `spec` (a bare name or a
+/// Builds the control policy described by `spec` (a bare name or a
 /// parameterized `name(key=value, ...)` spec).  Unknown names, unknown keys
 /// and malformed values are explicit errors.
-pub fn build_policy_spec(spec: &str) -> Result<Box<dyn ControlPolicy>, SpecError> {
-    POLICY_SPECS.build(spec)
+pub fn build_policy_spec(spec: &str) -> Result<Policy, SpecError> {
+    Ok(spec.parse::<PolicySpec>()?.build())
 }
 
-/// Names of every target splitter, in the stable order of [`SPLITTER_SPECS`]
-/// (a test asserts the two stay in sync).
+/// Names of every target splitter, in the order of [`SplitterSpec::ALL`] (a
+/// test checks the two agree).
 pub const ALL_SPLITTER_NAMES: &[&str] = &["even", "load-weighted"];
 
-/// Every target splitter in the suite, constructed through the shared
-/// `name(key=value)` spec grammar (e.g. `load-weighted(ewma=0.25)`).
-pub static SPLITTER_SPECS: Registry<Box<dyn TargetSplitter>> = Registry::new(
-    "splitter",
-    &[
-        SpecEntry {
-            name: "even",
-            keys: &[],
-            summary: "uniform shares (the default; identity with one shard)",
-            build: |_, _| Ok(Box::new(EvenSplitter)),
+/// A target splitter by name and parameters: `even` or
+/// `load-weighted(ewma=W)`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum SplitterSpec {
+    /// `even`: [`EvenSplitter`].
+    #[default]
+    Even,
+    /// `load-weighted(ewma)`: [`LoadWeightedSplitter`].
+    LoadWeighted {
+        /// EWMA weight of the newest activity sample, in `(0, 1]`.
+        ewma: f64,
+    },
+}
+
+impl SplitterSpec {
+    /// Every splitter, each with its default parameters.
+    pub const ALL: [SplitterSpec; 2] = [
+        SplitterSpec::Even,
+        SplitterSpec::LoadWeighted {
+            ewma: LoadWeightedSplitter::DEFAULT_ALPHA,
         },
-        SpecEntry {
-            name: "load-weighted",
-            keys: &["ewma"],
-            summary: "shares follow per-shard claim traffic (EWMA-smoothed)",
-            build: |_, spec| {
+    ];
+
+    /// The splitter's name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SplitterSpec::Even => "even",
+            SplitterSpec::LoadWeighted { .. } => "load-weighted",
+        }
+    }
+
+    /// Builds the splitter.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `ewma` outside `(0, 1]`, which `FromStr` refuses.
+    pub fn build(&self) -> Box<dyn TargetSplitter> {
+        match *self {
+            SplitterSpec::Even => Box::new(EvenSplitter),
+            SplitterSpec::LoadWeighted { ewma } => Box::new(LoadWeightedSplitter::with_alpha(ewma)),
+        }
+    }
+}
+
+impl FromStr for SplitterSpec {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        const KIND: &str = "splitter";
+        let spec = ParsedSpec::parse(s)?;
+        match spec.name() {
+            "even" => {
+                spec.expect_keys(KIND, &[])?;
+                Ok(SplitterSpec::Even)
+            }
+            "load-weighted" => {
+                spec.expect_keys(KIND, &["ewma"])?;
                 let ewma = spec.param_or("ewma", LoadWeightedSplitter::DEFAULT_ALPHA)?;
                 if !(ewma > 0.0 && ewma <= 1.0) {
                     return Err(spec.invalid_value("ewma", "must be in (0, 1]"));
                 }
-                Ok(Box::new(LoadWeightedSplitter::with_alpha(ewma)))
-            },
-        },
-    ],
-);
+                Ok(SplitterSpec::LoadWeighted { ewma })
+            }
+            name => Err(SpecError::unknown_name(KIND, name, ALL_SPLITTER_NAMES)),
+        }
+    }
+}
 
-/// Constructs the target splitter described by `spec` (a bare name or a
-/// parameterized `name(key=value, ...)` spec).  Unknown names, unknown keys
-/// and malformed values are explicit errors.
-pub fn build_splitter_spec(spec: &str) -> Result<Box<dyn TargetSplitter>, SpecError> {
-    SPLITTER_SPECS.build(spec)
+impl fmt::Display for SplitterSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ewma = match *self {
+            SplitterSpec::Even => None,
+            SplitterSpec::LoadWeighted { ewma } => {
+                non_default("ewma", ewma, LoadWeightedSplitter::DEFAULT_ALPHA)
+            }
+        };
+        write_spec(f, self.name(), [ewma])
+    }
 }
 
 #[cfg(test)]
@@ -1422,7 +1477,11 @@ mod tests {
     fn hysteresis_small_target_decays_fully_once_overload_ends() {
         // Regression: a target of 1 sits below the default fall deadband of
         // 2, so without the 0.5 floor it could never decay to 0.
-        let mut p = HysteresisPolicy::new();
+        let mut p = HysteresisPolicy::with_params(
+            HysteresisPolicy::DEFAULT_ALPHA,
+            HysteresisPolicy::DEFAULT_UP_DEADBAND,
+            HysteresisPolicy::DEFAULT_DOWN_DEADBAND,
+        );
         // Sustained load of capacity + 1 drives the target to 1.
         let mut target = 0;
         for _ in 0..8 {
@@ -1457,7 +1516,7 @@ mod tests {
 
     #[test]
     fn pid_policy_converges_to_the_excess_and_decays() {
-        let mut p = PidPolicy::new();
+        let mut p = PidPolicy::with_gains(PidPolicy::DEFAULT_KP, PidPolicy::DEFAULT_KI, 0.0);
         // Sustained demand of 8 over capacity 4: the integrator must walk the
         // target to the excess (4) and hold it there.
         let mut target = 0;
@@ -1478,7 +1537,7 @@ mod tests {
 
     #[test]
     fn pid_policy_moves_gradually_not_in_one_jump() {
-        let mut p = PidPolicy::new();
+        let mut p = PidPolicy::with_gains(PidPolicy::DEFAULT_KP, PidPolicy::DEFAULT_KI, 0.0);
         // First cycle of a big overload: the paper rule would jump to 60;
         // the PID output must be a fraction of it.
         let first = p.target(&inputs(64, 4, 0));
@@ -1646,124 +1705,16 @@ mod tests {
     }
 
     #[test]
-    fn pid_spec_reports_non_default_gains() {
-        assert_eq!(PidPolicy::new().spec().to_string(), "pid");
-        let tuned = PidPolicy::with_gains(0.8, 0.2, 0.0);
-        assert_eq!(tuned.spec().to_string(), "pid(kp=0.8, ki=0.2)");
-    }
-
-    #[test]
-    fn registry_backs_all_policy_names_exactly() {
-        assert_eq!(POLICY_SPECS.names(), ALL_POLICY_NAMES);
-        for &name in ALL_POLICY_NAMES {
-            let policy = build_policy_spec(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(policy.name(), name);
-            assert_eq!(policy.spec(), ParsedSpec::bare(name));
-        }
-        assert!(build_policy_spec("no-such-policy").is_err());
-    }
-
-    #[test]
-    fn parameterized_policy_specs_configure_policies() {
-        let p = build_policy_spec("hysteresis(alpha=0.3, deadband=2)").unwrap();
-        // down=2 is the default, so the canonical report elides it.
-        assert_eq!(p.spec().to_string(), "hysteresis(alpha=0.3, up=2)");
-        let p = build_policy_spec("hysteresis(alpha=0.25, up=1.5, down=3)").unwrap();
-        assert_eq!(
-            p.spec().to_string(),
-            "hysteresis(alpha=0.25, up=1.5, down=3)"
-        );
-        let mut f = build_policy_spec("fixed(target=8)").unwrap();
-        assert_eq!(f.target(&inputs(0, 1, 3)), 8, "pinned target ignored");
-        assert_eq!(f.spec().to_string(), "fixed(target=8)");
-        let p = build_policy_spec("pid(kp=0.8, ki=0.2)").unwrap();
-        assert_eq!(p.spec().to_string(), "pid(kp=0.8, ki=0.2)");
-        // Defaulted parameters are elided from the canonical report.
-        let p = build_policy_spec("latency(target_p99=50, floor=0)").unwrap();
-        assert_eq!(p.spec().to_string(), "latency");
-        let p = build_policy_spec("autotune(inner=pid, window=16)").unwrap();
-        assert_eq!(p.spec().to_string(), "autotune");
-        let p = build_policy_spec("autotune(objective=wake_churn)").unwrap();
-        assert_eq!(p.spec().to_string(), "autotune(objective=wake_churn)");
-    }
-
-    #[test]
-    fn policy_specs_reject_unknown_keys_and_bad_values() {
-        assert!(matches!(
-            build_policy_spec("paper(alpha=0.5)"),
-            Err(SpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("hysteresis(smoothing=0.5)"),
-            Err(SpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("hysteresis(alpha=2)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("hysteresis(alpha=lots)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("pid(ki=0)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("fixed(target=-1)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("latency(p99=50)"),
-            Err(SpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("latency(target_p99=0)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("autotune(inner=bogus)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("autotune(objective=latency)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("autotune(window=0)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            build_policy_spec("autotune(gain=2)"),
-            Err(SpecError::UnknownKey { .. })
-        ));
-    }
-
-    #[test]
-    fn policy_spec_round_trips_rebuild_the_same_policy() {
-        for spec in [
-            "paper",
-            "hysteresis(alpha=0.3, up=2, down=3)",
-            "fixed(target=8)",
-            "pid(kp=0.8, ki=0.2)",
-            "latency(target_p99=5, floor=2)",
-            "autotune(inner=hysteresis, objective=p99, window=8, seed=7)",
-        ] {
-            let built = build_policy_spec(spec).unwrap();
-            assert_eq!(built.spec().to_string(), spec, "canonical spelling drifted");
-            let rebuilt = build_policy_spec(&built.spec().to_string()).unwrap();
-            assert_eq!(rebuilt.spec(), built.spec());
-        }
-    }
-
-    #[test]
     fn default_built_policies_behave_like_their_types() {
-        // "paper" from the registry must reproduce the hard-coded rule.
+        // "paper" from its spec must reproduce the hard-coded rule.
         let mut p = build_policy_spec("paper").unwrap();
         assert_eq!(p.target(&inputs(96, 64, 0)), 32);
-        // "fixed" from the registry is the manual variant.
+        // "fixed" from its spec is the manual variant, and pins a target
+        // when given one.
         let mut f = build_policy_spec("fixed").unwrap();
         assert_eq!(f.target(&inputs(96, 64, 5)), 5);
+        let mut f = build_policy_spec("fixed(target=8)").unwrap();
+        assert_eq!(f.target(&inputs(0, 1, 3)), 8, "pinned target ignored");
     }
 
     // -- target splitters --------------------------------------------------
@@ -1787,16 +1738,14 @@ mod tests {
         assert_eq!(s.split(7, &shards, 4), vec![2, 2, 2, 1]);
         assert_eq!(s.split(0, &shards, 4), vec![0, 0, 0, 0]);
         assert_eq!(s.split(100, &shards, 4), vec![4, 4, 4, 4]);
-        assert_eq!(s.name(), "even");
     }
 
     #[test]
     fn load_weighted_splitter_first_cycle_is_even() {
-        let mut s = LoadWeightedSplitter::new();
+        let mut s = LoadWeightedSplitter::with_alpha(LoadWeightedSplitter::DEFAULT_ALPHA);
         let shards = snapshots(&[(50, 5), (0, 0), (0, 0), (0, 0)]);
         // No deltas exist yet, so the first cycle cannot weight anything.
         assert_eq!(s.split(8, &shards, 8), vec![2, 2, 2, 2]);
-        assert_eq!(s.name(), "load-weighted");
     }
 
     #[test]
@@ -1829,7 +1778,7 @@ mod tests {
 
     #[test]
     fn load_weighted_splitter_sum_is_exact_over_many_cases() {
-        let mut s = LoadWeightedSplitter::new();
+        let mut s = LoadWeightedSplitter::with_alpha(LoadWeightedSplitter::DEFAULT_ALPHA);
         for round in 0u64..50 {
             let shards = snapshots(&[
                 (round * 13, round % 7),
@@ -1848,32 +1797,5 @@ mod tests {
                 assert!(split.iter().all(|&t| t <= 8));
             }
         }
-    }
-
-    #[test]
-    fn splitter_registry_backs_all_names_exactly() {
-        assert_eq!(SPLITTER_SPECS.names(), ALL_SPLITTER_NAMES);
-        for &name in ALL_SPLITTER_NAMES {
-            let splitter = build_splitter_spec(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(splitter.name(), name);
-            assert_eq!(splitter.spec(), ParsedSpec::bare(name));
-        }
-        assert!(build_splitter_spec("no-such-splitter").is_err());
-    }
-
-    #[test]
-    fn parameterized_splitter_specs_configure_splitters() {
-        let s = build_splitter_spec("load-weighted(ewma=0.25)").unwrap();
-        assert_eq!(s.spec().to_string(), "load-weighted(ewma=0.25)");
-        let rebuilt = build_splitter_spec(&s.spec().to_string()).unwrap();
-        assert_eq!(rebuilt.spec(), s.spec());
-        assert!(matches!(
-            build_splitter_spec("even(ewma=0.25)"),
-            Err(SpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            build_splitter_spec("load-weighted(ewma=0)"),
-            Err(SpecError::InvalidValue { .. })
-        ));
     }
 }

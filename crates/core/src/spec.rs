@@ -1,224 +1,562 @@
-//! The declarative configuration surface of a [`crate::LoadControl`]:
-//! one spec grammar across every pluggable plane.
+//! The declarative configuration surface of a [`crate::LoadControl`]: one
+//! spec grammar, and one [`LoadControlSpec`] parsed from one source, a
+//! string.
 //!
-//! This module re-exports the shared [`lc_spec`] grammar ([`ParsedSpec`],
-//! [`Registry`], [`SpecError`]) and defines [`LoadControlSpec`] — the
-//! declarative description of a whole control plane: decision policy, target
-//! splitter, slot-buffer shard count and load sampler, each in the
-//! `name(key=value)` grammar.
+//! Every set the control plane chooses from is a closed enum — the control
+//! policy ([`PolicySpec`]), the shard-target splitter ([`SplitterSpec`]) and
+//! the load sampler ([`SamplerSpec`]) — and each is spelled in one
+//! `name(key=value, ...)` grammar ([`ParsedSpec`]):
 //!
-//! A `LoadControlSpec` can come from:
+//! ```text
+//! paper                              # bare name: default parameters
+//! hysteresis(alpha=0.3, deadband=2)  # parameterized
+//! load-weighted(ewma=0.25)
+//! fixed(runnable=7)
+//! ```
 //!
-//! * a **string** (`"policy=pid(kp=0.5, ki=0.1); splitter=even; shards=4"`),
-//! * a **config file** of `key = value` lines with `#` comments
-//!   ([`LoadControlSpec::from_config_file`]),
-//! * the **environment** (`LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-//!   `LC_SAMPLER`, `LC_WAKE_ORDER`; [`LoadControlSpec::apply_env`]), or
-//! * single `key`, `value` pairs layered on top of any of these
-//!   ([`LoadControlSpec::set`]).
-//!
-//! Every source is validated against the registries at parse time: unknown
-//! policy/splitter/sampler names, unknown parameter keys and malformed shard
-//! counts are explicit [`SpecError`]s, never silent defaults.  The one check
-//! left to [`crate::LoadControl::from_spec`] is the shard count's range,
-//! which depends on the configuration's `max_sleepers`.  `Display`
-//! prints the canonical string form and `parse → Display → parse` is the
-//! identity, so a running [`crate::LoadControl`] can report its exact
-//! configuration ([`crate::LoadControl::spec`]) as a string that reconstructs
-//! it ([`crate::LoadControl::from_spec`]).
+//! A `LoadControlSpec` is `key=value` entries for `policy`, `splitter`,
+//! `shards`, `sampler` and `wake_order`, separated by `;` or newlines, with
+//! `#` starting a comment — so a file of `key = value` lines is read by
+//! reading it into a string and parsing that.  Parsing checks every name,
+//! key and value: unknown names, unknown keys (the error lists the accepted
+//! ones), malformed values and malformed shard counts are explicit
+//! [`SpecError`]s, never silent defaults.  The one check left to
+//! [`crate::LoadControl::from_spec`] is the shard count's range, which
+//! depends on the configuration's `max_sleepers`.  `Display` prints the
+//! canonical text, with default parameters left out, and it parses back to
+//! an equal spec; [`crate::LoadControl::spec`] reports the spec a control
+//! was built from in the same form.
 //!
 //! ```
 //! use lc_core::spec::LoadControlSpec;
 //!
 //! let spec: LoadControlSpec =
 //!     "policy=hysteresis(alpha=0.3, deadband=2); shards=4".parse().unwrap();
-//! assert_eq!(spec.policy.to_string(), "hysteresis(alpha=0.3, deadband=2)");
+//! assert_eq!(spec.policy.to_string(), "hysteresis(alpha=0.3, up=2)");
 //! assert_eq!(spec.shards, Some(4));
 //! assert_eq!(spec.to_string().parse::<LoadControlSpec>().unwrap(), spec);
 //! assert!("policy=no-such-policy".parse::<LoadControlSpec>().is_err());
 //! assert!("shards=zero".parse::<LoadControlSpec>().is_err());
 //! ```
 
-pub use lc_spec::{ParsedSpec, Registry, SpecEntry, SpecError};
-
 use crate::config::WakeOrder;
-use crate::policy::{POLICY_SPECS, SPLITTER_SPECS};
-use lc_accounting::SAMPLER_SPECS;
+pub use crate::policy::{PolicySpec, SplitterSpec};
+use lc_accounting::sampler::FixedLoadSampler;
+use lc_accounting::{
+    HardenedProcfsSampler, LoadSampler, ProcfsLoadSampler, RegistryLoadSampler, ThreadRegistry,
+};
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Parses a shard-count value from a spec source (`LC_SHARDS`, a config
-/// file's `shards =` line): a positive integer, anything else is an explicit
-/// [`SpecError::Config`].
-fn parse_shards_value(source: &str, value: &str) -> Result<usize, SpecError> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        Ok(_) => Err(SpecError::Config {
-            source: source.to_string(),
-            reason: "shard count must be at least 1".to_string(),
-        }),
-        Err(_) => Err(SpecError::Config {
-            source: source.to_string(),
-            reason: format!("invalid shard count {value:?}: expected a positive integer"),
-        }),
+/// Errors produced while parsing a spec string or building from one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The input did not match the `name(key=value, ...)` grammar.
+    Parse {
+        /// The offending input.
+        input: String,
+        /// What was wrong with it.
+        reason: String,
+    },
+    /// The spec named a member its set does not have.
+    UnknownName {
+        /// The set's label (`"policy"`, `"splitter"`, `"sampler"`).
+        kind: &'static str,
+        /// The unknown name.
+        name: String,
+        /// Every name the set does have.
+        known: Vec<&'static str>,
+    },
+    /// The spec used a parameter key the named member does not accept.
+    UnknownKey {
+        /// The set's label.
+        kind: &'static str,
+        /// The member the key was offered to.
+        name: String,
+        /// The rejected key.
+        key: String,
+        /// Keys the member does accept (empty = takes no parameters).
+        allowed: Vec<&'static str>,
+    },
+    /// A parameter value failed to parse or was out of range.
+    InvalidValue {
+        /// The member being specified.
+        name: String,
+        /// The parameter key.
+        key: String,
+        /// The offending value.
+        value: String,
+        /// Why it was rejected.
+        reason: String,
+    },
+    /// A [`LoadControlSpec`] entry was malformed, or its shard count is out
+    /// of range for the configuration.
+    Config {
+        /// Where the bad entry came from (`spec`, or the key `shards`).
+        source: String,
+        /// What was wrong.
+        reason: String,
+    },
+}
+
+impl SpecError {
+    /// An [`SpecError::UnknownName`] for `name` in the set `kind`.
+    pub(crate) fn unknown_name(kind: &'static str, name: &str, known: &[&'static str]) -> Self {
+        SpecError::UnknownName {
+            kind,
+            name: name.to_string(),
+            known: known.to_vec(),
+        }
     }
 }
 
-/// Parses a wake-order value from a spec source: `fifo` or `window`.
-fn parse_wake_order(source: &str, value: &str) -> Result<WakeOrder, SpecError> {
-    WakeOrder::parse(value.trim()).ok_or_else(|| SpecError::Config {
-        source: source.to_string(),
-        reason: format!("invalid wake order {value:?}: expected fifo or window"),
-    })
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::Parse { input, reason } => {
+                write!(f, "malformed spec {input:?}: {reason}")
+            }
+            SpecError::UnknownName { kind, name, known } => {
+                write!(
+                    f,
+                    "unknown {kind} {name:?}; registered {kind}s: {}",
+                    known.join(", ")
+                )
+            }
+            SpecError::UnknownKey {
+                kind,
+                name,
+                key,
+                allowed,
+            } => {
+                if allowed.is_empty() {
+                    write!(f, "{kind} {name:?} takes no parameters (got {key:?})")
+                } else {
+                    write!(
+                        f,
+                        "{kind} {name:?} does not accept key {key:?}; accepted keys: {}",
+                        allowed.join(", ")
+                    )
+                }
+            }
+            SpecError::InvalidValue {
+                name,
+                key,
+                value,
+                reason,
+            } => {
+                write!(f, "{name}: invalid value {value:?} for {key}: {reason}")
+            }
+            SpecError::Config { source, reason } => {
+                write!(f, "{source}: {reason}")
+            }
+        }
+    }
 }
 
-/// Parses `value` and checks it against `registry`.
-fn validated<T, C>(registry: &Registry<T, C>, value: &str) -> Result<ParsedSpec, SpecError> {
-    let parsed = ParsedSpec::parse(value)?;
-    registry.validate(&parsed)?;
-    Ok(parsed)
+impl std::error::Error for SpecError {}
+
+fn is_name_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.'
+}
+
+fn parse_err(input: &str, reason: impl Into<String>) -> SpecError {
+    SpecError::Parse {
+        input: input.to_string(),
+        reason: reason.into(),
+    }
+}
+
+/// A parsed `name(key=value, ...)` spec: the grammar every set shares.
+///
+/// Parameter order is preserved, so `Display` reproduces the spelling the
+/// spec was written with (modulo whitespace) and `parse → Display → parse`
+/// is the identity:
+///
+/// ```
+/// use lc_core::spec::ParsedSpec;
+///
+/// let spec: ParsedSpec = "hysteresis( alpha = 0.3, deadband=2 )".parse().unwrap();
+/// assert_eq!(spec.to_string(), "hysteresis(alpha=0.3, deadband=2)");
+/// assert_eq!(spec.to_string().parse::<ParsedSpec>().unwrap(), spec);
+/// assert_eq!("paper()".parse::<ParsedSpec>().unwrap().to_string(), "paper");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParsedSpec {
+    name: String,
+    params: Vec<(String, String)>,
+}
+
+impl ParsedSpec {
+    /// Parses a spec from the `name(key=value, ...)` grammar.
+    ///
+    /// Accepted names and keys are `[A-Za-z0-9._-]+`; values are any
+    /// non-empty text without `,`, `(`, `)`, `=` or newlines.  Whitespace
+    /// around every token is ignored.  `name()` is equivalent to `name`.
+    pub fn parse(input: &str) -> Result<Self, SpecError> {
+        let trimmed = input.trim();
+        if trimmed.is_empty() {
+            return Err(parse_err(input, "empty spec"));
+        }
+        let (name, rest) = match trimmed.find('(') {
+            None => (trimmed, None),
+            Some(open) => {
+                let (name, parens) = trimmed.split_at(open);
+                let Some(body) = parens.strip_prefix('(').and_then(|p| p.strip_suffix(')')) else {
+                    return Err(parse_err(input, "expected spec to end with ')'"));
+                };
+                (name.trim_end(), Some(body))
+            }
+        };
+        if name.is_empty() {
+            return Err(parse_err(input, "missing name before '('"));
+        }
+        if let Some(bad) = name.chars().find(|&c| !is_name_char(c)) {
+            return Err(parse_err(
+                input,
+                format!("invalid character {bad:?} in name {name:?}"),
+            ));
+        }
+        let mut params = Vec::new();
+        if let Some(body) = rest {
+            if !body.trim().is_empty() {
+                for pair in body.split(',') {
+                    let pair = pair.trim();
+                    let Some((key, value)) = pair.split_once('=') else {
+                        return Err(parse_err(
+                            input,
+                            format!("expected key=value, got {pair:?}"),
+                        ));
+                    };
+                    let (key, value) = (key.trim(), value.trim());
+                    if key.is_empty() || key.chars().any(|c| !is_name_char(c)) {
+                        return Err(parse_err(input, format!("invalid key {key:?}")));
+                    }
+                    if value.is_empty() {
+                        return Err(parse_err(input, format!("empty value for key {key:?}")));
+                    }
+                    if value.contains(['(', ')', '=']) {
+                        return Err(parse_err(input, format!("invalid value {value:?}")));
+                    }
+                    if params.iter().any(|(k, _)| k == key) {
+                        return Err(parse_err(input, format!("duplicate key {key:?}")));
+                    }
+                    params.push((key.to_string(), value.to_string()));
+                }
+            }
+        }
+        Ok(Self {
+            name: name.to_string(),
+            params,
+        })
+    }
+
+    /// The name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The `key=value` parameters, in spelling order.
+    pub fn params(&self) -> &[(String, String)] {
+        &self.params
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        self.params
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Refuses any key outside `keys`, the keys that the member of the set
+    /// `kind` named by this spec accepts.
+    pub(crate) fn expect_keys(
+        &self,
+        kind: &'static str,
+        keys: &[&'static str],
+    ) -> Result<(), SpecError> {
+        match self
+            .params
+            .iter()
+            .find(|(k, _)| !keys.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) => Err(SpecError::UnknownKey {
+                kind,
+                name: self.name.clone(),
+                key: key.clone(),
+                allowed: keys.to_vec(),
+            }),
+        }
+    }
+
+    /// Parses the value of `key` as a `T`, or `None` when absent.
+    pub fn param<T: FromStr>(&self, key: &str) -> Result<Option<T>, SpecError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(raw) => raw
+                .parse::<T>()
+                .map(Some)
+                .map_err(|_| SpecError::InvalidValue {
+                    name: self.name.clone(),
+                    key: key.to_string(),
+                    value: raw.to_string(),
+                    reason: format!("expected a {}", std::any::type_name::<T>()),
+                }),
+        }
+    }
+
+    /// Parses the value of `key` as a `T`, falling back to `default` when the
+    /// key is absent.
+    pub(crate) fn param_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, SpecError> {
+        Ok(self.param(key)?.unwrap_or(default))
+    }
+
+    /// An [`SpecError::InvalidValue`] for `key` on this spec, for range
+    /// constraints the type system cannot express.
+    pub(crate) fn invalid_value(&self, key: &str, reason: impl Into<String>) -> SpecError {
+        SpecError::InvalidValue {
+            name: self.name.clone(),
+            key: key.to_string(),
+            value: self.get(key).unwrap_or("<missing>").to_string(),
+            reason: reason.into(),
+        }
+    }
+}
+
+/// Writes `name` and those of its `key=value` parameters that are present,
+/// in the grammar's spelling: the bare name when none is.
+pub(crate) fn write_spec<'a>(
+    f: &mut fmt::Formatter<'_>,
+    name: &str,
+    params: impl IntoIterator<Item = Option<(&'a str, String)>>,
+) -> fmt::Result {
+    f.write_str(name)?;
+    let mut open = false;
+    for (key, value) in params.into_iter().flatten() {
+        f.write_str(if open { ", " } else { "(" })?;
+        open = true;
+        write!(f, "{key}={value}")?;
+    }
+    if open {
+        f.write_str(")")?;
+    }
+    Ok(())
+}
+
+/// `(key, value)` when `value` differs from `default`: canonical text
+/// leaves default parameters out.
+pub(crate) fn non_default<T: PartialEq + fmt::Display>(
+    key: &'static str,
+    value: T,
+    default: T,
+) -> Option<(&'static str, String)> {
+    (value != default).then(|| (key, value.to_string()))
+}
+
+impl fmt::Display for ParsedSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let params = self
+            .params
+            .iter()
+            .map(|(k, v)| Some((k.as_str(), v.clone())));
+        write_spec(f, &self.name, params)
+    }
+}
+
+impl FromStr for ParsedSpec {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Self::parse(s)
+    }
+}
+
+/// Names of every load sampler, in the order of [`SamplerSpec::ALL`] (a
+/// test checks the two agree).
+pub const ALL_SAMPLER_NAMES: &[&str] = &["registry", "fixed", "procfs", "procfs-hardened"];
+
+/// The procfs-hardened sampler's default failure cooldown, in milliseconds.
+const DEFAULT_COOLDOWN_MS: u64 = HardenedProcfsSampler::DEFAULT_COOLDOWN.as_millis() as u64;
+
+/// A load sampler by name and parameters: how the controller measures
+/// demand.
+///
+/// ```
+/// use lc_core::spec::SamplerSpec;
+/// use lc_accounting::ThreadRegistry;
+/// use std::sync::Arc;
+///
+/// let spec: SamplerSpec = "fixed(runnable=7)".parse().unwrap();
+/// assert_eq!(spec, SamplerSpec::Fixed { runnable: 7 });
+/// let sampler = spec.build(&Arc::new(ThreadRegistry::new())).unwrap();
+/// assert_eq!(sampler.sample(), 7);
+/// assert!("fixed(bogus=1)".parse::<SamplerSpec>().is_err());
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum SamplerSpec {
+    /// `registry`: the in-process thread registry (precise, cheap; the
+    /// default).
+    #[default]
+    Registry,
+    /// `fixed(runnable=N)`: a constant runnable count (tests, the bump
+    /// harness).
+    Fixed {
+        /// The count every sample reports.
+        runnable: usize,
+    },
+    /// `procfs(root=PATH)`: task states under `/proc/self/task`, or under
+    /// `root`; sees unregistered threads too.
+    Procfs {
+        /// The task directory, when not `/proc/self/task`.
+        root: Option<String>,
+    },
+    /// `procfs-hardened(root=PATH, cooldown_ms=N)`: procfs with the registry
+    /// as fallback and a cooldown after a failed walk.
+    ProcfsHardened {
+        /// The task directory, when not `/proc/self/task`.
+        root: Option<String>,
+        /// Milliseconds between procfs re-probes after a failure.
+        cooldown_ms: u64,
+    },
+    /// A sampler put in place through [`crate::Substitutes`], reported by
+    /// its [`LoadSampler::name`].  No text parses to it and nothing builds
+    /// it.
+    Substitute(&'static str),
+}
+
+impl SamplerSpec {
+    /// Every sampler a spec can name, each with its default parameters.
+    pub const ALL: [SamplerSpec; 4] = [
+        SamplerSpec::Registry,
+        SamplerSpec::Fixed { runnable: 0 },
+        SamplerSpec::Procfs { root: None },
+        SamplerSpec::ProcfsHardened {
+            root: None,
+            cooldown_ms: DEFAULT_COOLDOWN_MS,
+        },
+    ];
+
+    /// The sampler's name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SamplerSpec::Registry => "registry",
+            SamplerSpec::Fixed { .. } => "fixed",
+            SamplerSpec::Procfs { .. } => "procfs",
+            SamplerSpec::ProcfsHardened { .. } => "procfs-hardened",
+            SamplerSpec::Substitute(name) => name,
+        }
+    }
+
+    /// Builds the sampler over `registry`, the thread registry the control
+    /// counts.  A [`SamplerSpec::Substitute`] is an unknown name here.
+    pub fn build(&self, registry: &Arc<ThreadRegistry>) -> Result<Box<dyn LoadSampler>, SpecError> {
+        let procfs = |root: &Option<String>| match root {
+            Some(root) => ProcfsLoadSampler::with_root(root),
+            None => ProcfsLoadSampler::new(),
+        };
+        Ok(match self {
+            SamplerSpec::Registry => Box::new(RegistryLoadSampler::new(Arc::clone(registry))),
+            SamplerSpec::Fixed { runnable } => Box::new(FixedLoadSampler {
+                runnable: *runnable,
+            }),
+            SamplerSpec::Procfs { root } => Box::new(procfs(root)),
+            SamplerSpec::ProcfsHardened { root, cooldown_ms } => {
+                Box::new(HardenedProcfsSampler::with_cooldown(
+                    procfs(root),
+                    Box::new(RegistryLoadSampler::new(Arc::clone(registry))),
+                    Duration::from_millis(*cooldown_ms),
+                ))
+            }
+            SamplerSpec::Substitute(name) => {
+                return Err(SpecError::unknown_name("sampler", name, ALL_SAMPLER_NAMES))
+            }
+        })
+    }
+}
+
+impl FromStr for SamplerSpec {
+    type Err = SpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        const KIND: &str = "sampler";
+        let spec = ParsedSpec::parse(s)?;
+        let root = || spec.get("root").map(str::to_string);
+        match spec.name() {
+            "registry" => {
+                spec.expect_keys(KIND, &[])?;
+                Ok(SamplerSpec::Registry)
+            }
+            "fixed" => {
+                spec.expect_keys(KIND, &["runnable"])?;
+                Ok(SamplerSpec::Fixed {
+                    runnable: spec.param_or("runnable", 0)?,
+                })
+            }
+            "procfs" => {
+                spec.expect_keys(KIND, &["root"])?;
+                Ok(SamplerSpec::Procfs { root: root() })
+            }
+            "procfs-hardened" => {
+                spec.expect_keys(KIND, &["root", "cooldown_ms"])?;
+                Ok(SamplerSpec::ProcfsHardened {
+                    root: root(),
+                    cooldown_ms: spec.param_or("cooldown_ms", DEFAULT_COOLDOWN_MS)?,
+                })
+            }
+            name => Err(SpecError::unknown_name(KIND, name, ALL_SAMPLER_NAMES)),
+        }
+    }
+}
+
+impl fmt::Display for SamplerSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let root = |root: &Option<String>| root.clone().map(|root| ("root", root));
+        match self {
+            SamplerSpec::Registry | SamplerSpec::Substitute(_) => write_spec(f, self.name(), []),
+            // A fixed sampler always names its constant.
+            SamplerSpec::Fixed { runnable } => {
+                write_spec(f, self.name(), [Some(("runnable", runnable.to_string()))])
+            }
+            SamplerSpec::Procfs { root: r } => write_spec(f, self.name(), [root(r)]),
+            SamplerSpec::ProcfsHardened {
+                root: r,
+                cooldown_ms,
+            } => write_spec(
+                f,
+                self.name(),
+                [
+                    root(r),
+                    non_default("cooldown_ms", *cooldown_ms, DEFAULT_COOLDOWN_MS),
+                ],
+            ),
+        }
+    }
 }
 
 /// A declarative description of a whole [`crate::LoadControl`] control
-/// plane.
+/// plane: the policy, the splitter, the shard count, the sampler and the
+/// wake order.
 ///
-/// Field specs use the shared `name(key=value)` grammar and are validated
-/// against [`POLICY_SPECS`], [`SPLITTER_SPECS`] and [`SAMPLER_SPECS`] when
-/// the `LoadControlSpec` is parsed or changed with [`LoadControlSpec::set`].  `shards`,
-/// `sampler` and `wake_order` are optional: `None` means "not specified by
-/// this source" — [`crate::LoadControl::from_spec`] keeps the
-/// configuration's shard count, the registry-backed sampler and the
-/// paper's `fifo` wake order.
-#[derive(Debug, Clone, PartialEq)]
+/// `shards`, `sampler` and `wake_order` are optional: `None` means "not
+/// specified" — [`crate::LoadControl::from_spec`] keeps the configuration's
+/// shard count, the registry sampler and the paper's `fifo` wake order.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadControlSpec {
     /// The control policy (default: `paper`).
-    pub policy: ParsedSpec,
+    pub policy: PolicySpec,
     /// The shard-target splitter (default: `even`).
-    pub splitter: ParsedSpec,
+    pub splitter: SplitterSpec,
     /// Slot-buffer shard count, or `None` to keep the configuration's
     /// (rounded up to a power of two at build time).
     pub shards: Option<usize>,
     /// The load sampler, or `None` for the default registry sampler.
-    pub sampler: Option<ParsedSpec>,
+    pub sampler: Option<SamplerSpec>,
     /// The controller wake order (`fifo` or `window`), or `None` for the
     /// paper's array-order `fifo`.
     pub wake_order: Option<WakeOrder>,
-}
-
-impl Default for LoadControlSpec {
-    fn default() -> Self {
-        Self {
-            policy: ParsedSpec::bare("paper"),
-            splitter: ParsedSpec::bare("even"),
-            shards: None,
-            sampler: None,
-            wake_order: None,
-        }
-    }
-}
-
-impl LoadControlSpec {
-    /// Environment variable holding the control-policy spec.
-    pub const ENV_POLICY: &'static str = "LC_POLICY";
-    /// Environment variable holding the target-splitter spec.
-    pub const ENV_SPLITTER: &'static str = "LC_SPLITTER";
-    /// Environment variable holding the shard count.
-    pub const ENV_SHARDS: &'static str = "LC_SHARDS";
-    /// Environment variable holding the load-sampler spec.
-    pub const ENV_SAMPLER: &'static str = "LC_SAMPLER";
-    /// Environment variable holding the controller wake order (`fifo` or
-    /// `window`).
-    pub const ENV_WAKE_ORDER: &'static str = "LC_WAKE_ORDER";
-
-    /// Sets `key` (`policy`, `splitter`, `shards`, `sampler` or
-    /// `wake_order`) from its string `value`, validated against the key's
-    /// registry; errors name `source` (a variable, a file, a flag).  On an
-    /// error the spec is left unchanged, so layered sources never lose an
-    /// earlier layer.
-    pub fn set(&mut self, source: &str, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "policy" => self.policy = validated(&POLICY_SPECS, value)?,
-            "splitter" => self.splitter = validated(&SPLITTER_SPECS, value)?,
-            "sampler" => self.sampler = Some(validated(&SAMPLER_SPECS, value)?),
-            "shards" => self.shards = Some(parse_shards_value(source, value)?),
-            "wake_order" => self.wake_order = Some(parse_wake_order(source, value)?),
-            _ => {
-                return Err(SpecError::Config {
-                    source: source.to_string(),
-                    reason: format!(
-                        "unknown key {key:?}; accepted keys: policy, splitter, shards, \
-                         sampler, wake_order"
-                    ),
-                })
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_from(input: &str, source: &str) -> Result<Self, SpecError> {
-        let mut spec = Self::default();
-        let mut seen: Vec<String> = Vec::new();
-        for line in input.lines() {
-            let line = line.split('#').next().unwrap_or("");
-            for entry in line.split(';') {
-                let entry = entry.trim();
-                if entry.is_empty() {
-                    continue;
-                }
-                let Some((key, value)) = entry.split_once('=') else {
-                    return Err(SpecError::Config {
-                        source: source.to_string(),
-                        reason: format!("expected key=value, got {entry:?}"),
-                    });
-                };
-                let (key, value) = (key.trim(), value.trim());
-                if seen.iter().any(|k| k == key) {
-                    return Err(SpecError::Config {
-                        source: source.to_string(),
-                        reason: format!("duplicate key {key:?}"),
-                    });
-                }
-                seen.push(key.to_string());
-                spec.set(source, key, value)?;
-            }
-        }
-        Ok(spec)
-    }
-
-    /// Parses a spec from a `key = value` config file (one entry per line,
-    /// `#` comments).  I/O failures and malformed content are both
-    /// [`SpecError`]s naming the file.
-    pub fn from_config_file(path: impl AsRef<Path>) -> Result<Self, SpecError> {
-        let path = path.as_ref();
-        let contents = std::fs::read_to_string(path).map_err(|e| SpecError::Config {
-            source: path.display().to_string(),
-            reason: format!("unreadable config file: {e}"),
-        })?;
-        Self::parse_from(&contents, &path.display().to_string())
-    }
-
-    /// Returns `self` with the set `LC_POLICY`, `LC_SPLITTER`, `LC_SHARDS`,
-    /// `LC_SAMPLER` and `LC_WAKE_ORDER` environment variables layered on top
-    /// (unset or empty variables keep the current values).  A malformed
-    /// variable is an explicit error naming the variable, never a silent
-    /// fall-back.
-    pub fn apply_env(mut self) -> Result<Self, SpecError> {
-        for (var, key) in [
-            (Self::ENV_POLICY, "policy"),
-            (Self::ENV_SPLITTER, "splitter"),
-            (Self::ENV_SHARDS, "shards"),
-            (Self::ENV_SAMPLER, "sampler"),
-            (Self::ENV_WAKE_ORDER, "wake_order"),
-        ] {
-            if let Ok(value) = std::env::var(var) {
-                if !value.trim().is_empty() {
-                    self.set(var, key, value.trim())?;
-                }
-            }
-        }
-        Ok(self)
-    }
 }
 
 impl fmt::Display for LoadControlSpec {
@@ -239,26 +577,77 @@ impl fmt::Display for LoadControlSpec {
 
 /// Parses a spec from its string form: `key=value` entries separated by `;`
 /// or newlines, with `#` starting a comment.  Accepted keys are `policy`,
-/// `splitter`, `shards`, `sampler` and `wake_order`; every value is
-/// validated against its registry.  Unset keys keep their defaults.
+/// `splitter`, `shards`, `sampler` and `wake_order`, each at most once; every
+/// value is checked as it is parsed.  Unset keys keep their defaults.
 impl FromStr for LoadControlSpec {
     type Err = SpecError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse_from(s, "spec")
+        let refused = |reason: String| SpecError::Config {
+            source: "spec".to_string(),
+            reason,
+        };
+        let mut spec = Self::default();
+        let mut seen: Vec<&str> = Vec::new();
+        for line in s.lines() {
+            let line = line.split('#').next().unwrap_or("");
+            for entry in line.split(';') {
+                let entry = entry.trim();
+                if entry.is_empty() {
+                    continue;
+                }
+                let Some((key, value)) = entry.split_once('=') else {
+                    return Err(refused(format!("expected key=value, got {entry:?}")));
+                };
+                let (key, value) = (key.trim(), value.trim());
+                if seen.contains(&key) {
+                    return Err(refused(format!("duplicate key {key:?}")));
+                }
+                seen.push(key);
+                match key {
+                    "policy" => spec.policy = value.parse()?,
+                    "splitter" => spec.splitter = value.parse()?,
+                    "sampler" => spec.sampler = Some(value.parse()?),
+                    "shards" => {
+                        spec.shards = Some(match value.parse::<usize>() {
+                            Ok(n) if n >= 1 => n,
+                            Ok(_) => return Err(refused("shard count must be at least 1".into())),
+                            Err(_) => {
+                                return Err(refused(format!(
+                                    "invalid shard count {value:?}: expected a positive integer"
+                                )))
+                            }
+                        })
+                    }
+                    "wake_order" => {
+                        spec.wake_order = Some(WakeOrder::parse(value).ok_or_else(|| {
+                            refused(format!(
+                                "invalid wake order {value:?}: expected fifo or window"
+                            ))
+                        })?)
+                    }
+                    _ => {
+                        return Err(refused(format!(
+                            "unknown key {key:?}; accepted keys: policy, splitter, shards, \
+                             sampler, wake_order"
+                        )))
+                    }
+                }
+            }
+        }
+        Ok(spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LoadControl, LoadControlConfig};
 
     #[test]
     fn default_spec_is_the_paper_setup() {
         let spec = LoadControlSpec::default();
-        assert_eq!(spec.policy, ParsedSpec::bare("paper"));
-        assert_eq!(spec.splitter, ParsedSpec::bare("even"));
+        assert_eq!(spec.policy, PolicySpec::Paper);
+        assert_eq!(spec.splitter, SplitterSpec::Even);
         assert_eq!(spec.shards, None, "shards must default to unspecified");
         assert_eq!(spec.sampler, None);
         assert_eq!(spec.wake_order, None);
@@ -268,197 +657,70 @@ mod tests {
     #[test]
     fn parse_display_round_trip_is_identity() {
         for input in [
-            "policy=paper; splitter=even",
-            "policy=paper; splitter=even; shards=1",
-            "policy=pid(kp=0.5, ki=0.1); splitter=load-weighted(ewma=0.25); shards=4",
-            "policy=hysteresis(alpha=0.3, deadband=2); splitter=even; shards=2; sampler=fixed(runnable=9)",
-            "policy=latency(target_p99=20); splitter=even; wake_order=window",
-            "policy=autotune(inner=pid, objective=p99); splitter=even; shards=2; wake_order=fifo",
+            "policy=pid(kp=0.8, ki=0.2); splitter=load-weighted(ewma=0.25); shards=4",
+            "policy=hysteresis(alpha=0.3, deadband=2); shards=2; sampler=fixed(runnable=9)",
+            "policy=latency(target_p99=20); wake_order=window",
+            "policy=autotune(inner=hysteresis, objective=p99); wake_order=fifo",
+            "sampler=procfs-hardened(root=/tmp/proc, cooldown_ms=250)",
         ] {
             let spec = input.parse::<LoadControlSpec>().unwrap();
             let rendered = spec.to_string();
-            assert_eq!(rendered.parse::<LoadControlSpec>().unwrap(), spec, "{input}");
+            assert_eq!(
+                rendered.parse::<LoadControlSpec>().unwrap(),
+                spec,
+                "{input}"
+            );
         }
     }
 
     #[test]
-    fn config_file_form_parses_with_comments() {
-        let spec: LoadControlSpec = "# experiment: smooth convergence\n\
-             policy = pid(kp=0.5, ki=0.1)   # showcase parameterized entry\n\
-             \n\
-             splitter = load-weighted(ewma=0.25)\n\
-             shards = 4\n"
-            .parse()
-            .unwrap();
-        assert_eq!(spec.policy.to_string(), "pid(kp=0.5, ki=0.1)");
-        assert_eq!(spec.splitter.to_string(), "load-weighted(ewma=0.25)");
-        assert_eq!(spec.shards, Some(4));
+    fn malformed_specs_are_rejected() {
+        for input in [
+            "",
+            "   ",
+            "(x=1)",
+            "name(",
+            "name)x",
+            "name(x=1",
+            "name(x=1) trailing",
+            "name(x)",
+            "name(=1)",
+            "name(x=)",
+            "name(x=1,)",
+            "name(x=1, x=2)",
+            "na me",
+            "name(x=(1))",
+            "name(x=a=b)",
+            "name(k!=v)",
+        ] {
+            assert!(
+                matches!(ParsedSpec::parse(input), Err(SpecError::Parse { .. })),
+                "{input:?} should not parse"
+            );
+        }
     }
 
     #[test]
-    fn unknown_names_keys_and_values_are_explicit_errors() {
+    fn every_sampler_builds_and_samples_the_control_registry() {
+        let registry = Arc::new(ThreadRegistry::new());
+        let _handle = registry.register();
+        for spec in SamplerSpec::ALL {
+            let sampler = spec.build(&registry).unwrap();
+            assert_eq!(sampler.name(), spec.name());
+        }
+        let sample = |text: &str| {
+            let spec: SamplerSpec = text.parse().unwrap();
+            spec.build(&registry).unwrap().sample()
+        };
+        assert_eq!(sample("registry"), 1);
+        assert_eq!(sample("fixed(runnable=9)"), 9);
+        // A missing procfs root degrades: to zero raw, to the registry
+        // hardened.
+        assert_eq!(sample("procfs(root=/definitely/not/a/dir)"), 0);
+        assert_eq!(sample("procfs-hardened(root=/definitely/not/a/dir)"), 1);
         assert!(matches!(
-            "policy=no-such-policy".parse::<LoadControlSpec>(),
+            SamplerSpec::Substitute("des").build(&registry),
             Err(SpecError::UnknownName { .. })
         ));
-        assert!(matches!(
-            "policy=pid(gain=2)".parse::<LoadControlSpec>(),
-            Err(SpecError::UnknownKey { .. })
-        ));
-        assert!(matches!(
-            "brightness=11".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        assert!(matches!(
-            "shards=zero".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        assert!(matches!(
-            "shards=0".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        assert!(matches!(
-            "policy=paper; policy=fixed".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        match "topology=mesh".parse::<LoadControlSpec>() {
-            Err(SpecError::Config { reason, .. }) => assert!(
-                reason.ends_with("policy, splitter, shards, sampler, wake_order"),
-                "an unknown key must list the accepted ones: {reason}"
-            ),
-            other => panic!("expected an unknown-key error, got {other:?}"),
-        }
-        assert!(matches!(
-            "policy".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        assert!(matches!(
-            "wake_order=lifo".parse::<LoadControlSpec>(),
-            Err(SpecError::Config { .. })
-        ));
-        // A shard count that parses but rounds past usize, or leaves a shard
-        // of the default 1024 sleepers without a slot, is rejected when the
-        // control is built.
-        for shards in ["18446744073709551615", "1048576"] {
-            let spec = format!("shards={shards}")
-                .parse::<LoadControlSpec>()
-                .unwrap();
-            match LoadControl::from_spec(LoadControlConfig::for_capacity(2), &spec) {
-                Err(SpecError::Config { source, .. }) => assert_eq!(source, "shards"),
-                other => panic!("shards={shards} must be rejected, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn a_failed_set_leaves_the_spec_unchanged() {
-        let mut spec = "shards=4; wake_order=window"
-            .parse::<LoadControlSpec>()
-            .unwrap();
-        let before = spec.clone();
-        assert!(spec.set("test", "policy", "pid(bogus=1)").is_err());
-        assert_eq!(
-            spec, before,
-            "a rejected value discarded the earlier layers"
-        );
-        spec.set("test", "policy", "fixed(target=3)").unwrap();
-        assert_eq!(spec.policy.to_string(), "fixed(target=3)");
-        assert_eq!(spec.shards, Some(4));
-    }
-
-    #[test]
-    fn wake_order_parses_and_round_trips() {
-        let spec = "wake_order=window".parse::<LoadControlSpec>().unwrap();
-        assert_eq!(spec.wake_order, Some(WakeOrder::Window));
-        assert_eq!(
-            spec.to_string(),
-            "policy=paper; splitter=even; wake_order=window"
-        );
-        let spec = "wake_order=fifo".parse::<LoadControlSpec>().unwrap();
-        assert_eq!(spec.wake_order, Some(WakeOrder::Fifo));
-    }
-
-    #[test]
-    fn env_layering_overrides_and_errors_loudly() {
-        // Process-wide env mutation (no other test in this crate reads the
-        // variables): restore afterwards.
-        let saved: Vec<(&str, Option<String>)> = [
-            LoadControlSpec::ENV_POLICY,
-            LoadControlSpec::ENV_SPLITTER,
-            LoadControlSpec::ENV_SHARDS,
-            LoadControlSpec::ENV_SAMPLER,
-            LoadControlSpec::ENV_WAKE_ORDER,
-        ]
-        .into_iter()
-        .map(|k| (k, std::env::var(k).ok()))
-        .collect();
-
-        std::env::set_var(LoadControlSpec::ENV_POLICY, "pid(kp=0.8, ki=0.2)");
-        std::env::set_var(LoadControlSpec::ENV_SHARDS, "4");
-        std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "window");
-        std::env::remove_var(LoadControlSpec::ENV_SPLITTER);
-        std::env::remove_var(LoadControlSpec::ENV_SAMPLER);
-        let spec = LoadControlSpec::default().apply_env().unwrap();
-        assert_eq!(spec.policy.to_string(), "pid(kp=0.8, ki=0.2)");
-        assert_eq!(spec.shards, Some(4));
-        assert_eq!(spec.splitter, ParsedSpec::bare("even"));
-        assert_eq!(spec.wake_order, Some(WakeOrder::Window));
-
-        // Malformed wake order names the variable.
-        std::env::set_var(LoadControlSpec::ENV_WAKE_ORDER, "lifo");
-        match LoadControlSpec::default().apply_env() {
-            Err(SpecError::Config { source, .. }) => assert_eq!(source, "LC_WAKE_ORDER"),
-            other => panic!("malformed LC_WAKE_ORDER must error, got {other:?}"),
-        }
-        std::env::remove_var(LoadControlSpec::ENV_WAKE_ORDER);
-
-        // Malformed values surface the variable name, not a silent default.
-        for bad in ["not-a-number", "0", "-2", "4.5"] {
-            std::env::set_var(LoadControlSpec::ENV_SHARDS, bad);
-            match LoadControlSpec::default().apply_env() {
-                Err(SpecError::Config { source, .. }) => assert_eq!(source, "LC_SHARDS"),
-                other => panic!("LC_SHARDS={bad} must error, got {other:?}"),
-            }
-        }
-        // A well-formed count past the bound parses, and the constructor
-        // rejects it.
-        std::env::set_var(LoadControlSpec::ENV_SHARDS, "1048576");
-        let spec = LoadControlSpec::default().apply_env().unwrap();
-        assert!(LoadControl::from_spec(LoadControlConfig::for_capacity(2), &spec).is_err());
-        // Unset or blank keeps the spec's value.
-        std::env::set_var(LoadControlSpec::ENV_SHARDS, "  ");
-        assert_eq!(LoadControlSpec::default().apply_env().unwrap().shards, None);
-        std::env::set_var(LoadControlSpec::ENV_SHARDS, "2");
-        std::env::set_var(LoadControlSpec::ENV_POLICY, "pid(bogus=1)");
-        assert!(matches!(
-            LoadControlSpec::default().apply_env(),
-            Err(SpecError::UnknownKey { .. })
-        ));
-
-        for (k, v) in saved {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
-    }
-
-    #[test]
-    fn config_file_reads_from_disk_and_errors_name_the_file() {
-        let dir = std::env::temp_dir().join("lc-spec-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("good.lcspec");
-        std::fs::write(&path, "policy = fixed(target=3)\nshards = 2\n").unwrap();
-        let spec = LoadControlSpec::from_config_file(&path).unwrap();
-        assert_eq!(spec.policy.to_string(), "fixed(target=3)");
-        assert_eq!(spec.shards, Some(2));
-
-        let missing = dir.join("missing.lcspec");
-        match LoadControlSpec::from_config_file(&missing) {
-            Err(SpecError::Config { source, .. }) => {
-                assert!(source.contains("missing.lcspec"), "{source}");
-            }
-            other => panic!("missing file must error, got {other:?}"),
-        }
     }
 }

@@ -137,11 +137,10 @@ fn main() {
             config.sleep_timeout = args.sleep_timeout;
             config.workload = WorkloadSpec::contended();
             let wall = Instant::now();
-            let report = match config
-                .spec
-                .set("des_latency_slo", "policy", policy)
-                .and_then(|()| run(config))
-            {
+            let report = match policy.parse().and_then(|policy| {
+                config.spec.policy = policy;
+                run(config)
+            }) {
                 Ok(report) => report,
                 Err(error) => {
                     eprintln!("des_latency_slo: policy `{policy}` failed: {error}");

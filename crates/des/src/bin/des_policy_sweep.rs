@@ -10,7 +10,7 @@
 //! `LC_TEST_SEED` environment variable): CI runs the sweep twice and diffs
 //! the files to prove it.
 
-use lc_core::POLICY_SPECS;
+use lc_core::policy::ALL_POLICY_NAMES;
 use lc_des::discipline::WaiterDiscipline;
 use lc_des::engine::{run, DesConfig};
 use lc_des::workload::WorkloadSpec;
@@ -35,7 +35,7 @@ fn parse_args() -> Result<Args, String> {
         horizon: Duration::from_millis(300),
         seed: lc_des::test_seed(),
         out: None,
-        policies: POLICY_SPECS.names().iter().map(|s| s.to_string()).collect(),
+        policies: ALL_POLICY_NAMES.iter().map(|s| s.to_string()).collect(),
         trace_rows: 64,
     };
     let mut iter = std::env::args().skip(1);
@@ -129,11 +129,10 @@ fn main() {
         config.sleep_timeout = Duration::from_millis(200);
         config.workload = WorkloadSpec::contended();
         let wall = Instant::now();
-        let report = match config
-            .spec
-            .set("--policies", "policy", policy)
-            .and_then(|()| run(config))
-        {
+        let report = match policy.parse().and_then(|policy| {
+            config.spec.policy = policy;
+            run(config)
+        }) {
             Ok(report) => report,
             Err(error) => {
                 eprintln!("des_policy_sweep: policy `{policy}` failed: {error}");

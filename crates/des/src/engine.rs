@@ -13,7 +13,7 @@
 //!   claim slots through `try_claim`, wait through [`SlotWait`] (the same
 //!   state machine `LoadGate::park` drives), and are woken by the
 //!   controller through their real [`Parker`]s;
-//! * the [`ControlPolicy`](lc_core::ControlPolicy) /
+//! * the [`Policy`](lc_core::Policy) /
 //!   [`TargetSplitter`](lc_core::TargetSplitter) implementations and the
 //!   spec grammar that selects them.
 //!
@@ -725,10 +725,7 @@ mod tests {
 
     fn small(policy: &str, seed: u64) -> DesConfig {
         let mut config = DesConfig::new(400, 4);
-        config
-            .spec
-            .set("test", "policy", policy)
-            .expect("registered policy");
+        config.spec.policy = policy.parse().expect("a policy spec");
         config.seed = seed;
         config.horizon = Duration::from_millis(100);
         config.sleep_timeout = Duration::from_millis(40);
@@ -813,10 +810,7 @@ mod tests {
     fn sharded_and_weighted_planes_run() {
         let mut config = small("hysteresis(alpha=0.4)", 3);
         config.spec.shards = Some(4);
-        config
-            .spec
-            .set("test", "splitter", "load-weighted")
-            .unwrap();
+        config.spec.splitter = "load-weighted".parse().unwrap();
         let report = run(config).expect("valid spec");
         assert!(report.spec.contains("load-weighted"));
         assert!(report.completed > 0);

@@ -9,7 +9,7 @@
 //! * the real [`lc_core::SleepSlotBuffer`] (claims go through `try_claim`,
 //!   departures through the same [`lc_core::SlotWait`] protocol threads use),
 //! * the real [`lc_core::LoadControl`] controller cycle, with the real
-//!   [`ControlPolicy`](lc_core::ControlPolicy) and
+//!   [`Policy`](lc_core::Policy) and
 //!   [`TargetSplitter`](lc_core::TargetSplitter) implementations selected by
 //!   the same `name(key=value)` spec strings as production,
 //! * the real wake path: controller wakes land on each simulated worker's

@@ -36,8 +36,8 @@
 //! load-controlled lock in `lc-core`, the root integration tests, the
 //! wall-clock benchmark in `perf/`).  Every spinning primitive
 //! additionally implements [`AbortableLock`], the policy-parameterized
-//! acquire path that load control plugs into, and the [`registry`]
-//! constructs any family from its stable name at runtime.
+//! acquire path that load control plugs into, and [`LockKind`] constructs
+//! any family from its stable name at runtime.
 //!
 //! ## Quick example
 //!
@@ -63,14 +63,14 @@
 //! ```
 //!
 //! And the same lock constructed **by name** — how benches, drivers and
-//! experiment configs select families with strings (the name is the whole
-//! spec in the shared grammar of [`lc_spec`]):
+//! examples select families with strings (a family's name is its whole
+//! spec):
 //!
 //! ```
 //! use lc_locks::registry::DynMutex;
 //! use lc_locks::ALL_LOCK_NAMES;
 //!
-//! let m = DynMutex::build("ticket", 41u32).expect("registered lock");
+//! let m = DynMutex::build("ticket", 41u32).expect("a lock family");
 //! *m.lock() += 1;
 //! assert_eq!(*m.lock(), 42);
 //! assert_eq!(m.name(), "ticket");
@@ -112,7 +112,7 @@ pub use raw::{
     AbortAfter, AbortableLock, BoundedAbort, NeverAbort, RawLock, RawTryLock, SpinDecision,
     SpinPolicy,
 };
-pub use registry::{DynLock, DynMutex, DynMutexGuard, LOCK_SPECS};
+pub use registry::{DynLock, DynMutex, DynMutexGuard, LockKind, LockSpecError};
 pub use rwlock::RawRwLock;
 pub use semaphore::RawSemaphore;
 pub use spin_then_yield::SpinThenYieldLock;
@@ -126,8 +126,8 @@ pub use ttas::TtasLock;
 /// Names of every lock implementation in this crate, in a stable order.
 ///
 /// Benchmarks iterate over this list so that adding a lock automatically adds
-/// it to comparison tables; [`registry::build_spec`] constructs any entry
-/// from its name (a test asserts the two stay in sync).
+/// it to comparison tables; it is the names of [`LockKind::ALL`], whose
+/// [`LockKind::build`] constructs any entry (a test checks the two agree).
 pub const ALL_LOCK_NAMES: &[&str] = &[
     "tas",
     "ttas-backoff",
@@ -146,7 +146,8 @@ pub const ALL_LOCK_NAMES: &[&str] = &[
 /// backends the load-controlled lock in `lc-core` composes with.
 ///
 /// A subset of [`ALL_LOCK_NAMES`]: the purely blocking families park in the
-/// kernel and cannot abort a wait.
+/// kernel and cannot abort a wait.  A test checks it against the
+/// [`LockKind`]s whose built lock reports [`DynLock::is_abortable`].
 pub const ABORTABLE_LOCK_NAMES: &[&str] = &[
     "tas",
     "ttas-backoff",

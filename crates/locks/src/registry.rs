@@ -1,14 +1,13 @@
-//! A runtime registry of every lock family in the crate.
+//! Every lock family in the crate, chosen at runtime by name.
 //!
-//! Benchmarks, workload drivers and configuration files refer to locks by
-//! their stable string names (`"mcs"`, `"tp-queue"`, …).  A lock family takes
-//! no parameters: it is built one way, and its name is its whole spec, so any
-//! key in a lock spec is a [`SpecError::UnknownKey`] error.  Instead of each
-//! consumer hand-enumerating concrete types in a `match`, the [`LOCK_SPECS`]
-//! registry constructs any lock from its name behind the object-safe
-//! [`DynLock`] adapter — so adding a lock to the suite means adding one
-//! [`SpecEntry`], and every bench table, driver and scenario picks it up
-//! automatically.
+//! Benchmarks, workload drivers and examples refer to locks by their stable
+//! names (`"mcs"`, `"tp-queue"`, …).  The set is closed: [`LockKind`] has
+//! one variant per family, and [`LockKind::build`] constructs any of them
+//! behind the object-safe [`DynLock`] adapter, so a driver that sweeps over
+//! families holds a [`DynMutex`] instead of monomorphizing over every lock
+//! type.  A lock family takes no parameters: its name is its whole spec, so
+//! `name()` is `name` and any key is a [`LockSpecError::TakesNoKeys`].
+//! Adding a lock is adding a variant and its match arms.
 //!
 //! [`DynLock`] mirrors the [`RawLock`] + [`RawTryLock`] + [`AbortableLock`]
 //! surface without generics.  For the spinning primitives, `lock_with`
@@ -20,12 +19,12 @@
 use crate::raw::{AbortableLock, RawLock, RawTryLock, SpinPolicy};
 use crate::{
     AdaptiveLock, BlockingLock, FlatCombiningLock, McsLock, RawRwLock, RawSemaphore,
-    SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock,
+    SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
-use lc_spec::{Registry, SpecEntry, SpecError};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::str::FromStr;
 
 /// Object-safe view of a lock: the [`RawLock`]/[`RawTryLock`] surface plus a
 /// dynamically dispatched [`AbortableLock::lock_with`].
@@ -46,7 +45,7 @@ pub trait DynLock: Send + Sync + fmt::Debug {
     /// Whether the lock currently appears held (racy, diagnostics only).
     fn is_locked(&self) -> bool;
 
-    /// The lock's stable registry name, which is also its whole spec.
+    /// The lock family's stable name, which is also its whole spec.
     fn name(&self) -> &'static str;
 
     /// Whether `lock_with` honors [`crate::SpinDecision::Abort`].
@@ -153,102 +152,157 @@ where
     Box::new(NonAbortable(R::new()))
 }
 
-/// Every lock family in the crate, keyed by the stable names of
-/// [`crate::ALL_LOCK_NAMES`].  No entry takes a key.
+/// A lock family: the closed set behind [`crate::ALL_LOCK_NAMES`].
 ///
 /// ```
-/// use lc_locks::registry::LOCK_SPECS;
-/// use lc_spec::SpecError;
+/// use lc_locks::registry::{LockKind, LockSpecError};
 ///
-/// let lock = LOCK_SPECS.build("ttas-backoff").unwrap();
+/// let lock = "ttas-backoff".parse::<LockKind>().unwrap().build();
 /// assert_eq!(lock.name(), "ttas-backoff");
 /// assert!(matches!(
-///     LOCK_SPECS.build("ttas-backoff(shift=8)"),
-///     Err(SpecError::UnknownKey { .. })
+///     "ttas-backoff(shift=8)".parse::<LockKind>(),
+///     Err(LockSpecError::TakesNoKeys { .. })
 /// ));
 /// ```
-pub static LOCK_SPECS: Registry<Box<dyn DynLock>> = Registry::new(
-    "lock",
-    &[
-        SpecEntry {
-            name: "tas",
-            keys: &[],
-            summary: "test-and-set spinlock",
-            build: |_, _| Ok(abortable::<TasLock>()),
-        },
-        SpecEntry {
-            name: "ttas-backoff",
-            keys: &[],
-            summary: "test-and-test-and-set with exponential backoff",
-            build: |_, _| Ok(abortable::<TtasLock>()),
-        },
-        SpecEntry {
-            name: "ticket",
-            keys: &[],
-            summary: "FIFO ticket spinlock",
-            build: |_, _| Ok(abortable::<TicketLock>()),
-        },
-        SpecEntry {
-            name: "mcs",
-            keys: &[],
-            summary: "classic MCS queue lock",
-            build: |_, _| Ok(abortable::<McsLock>()),
-        },
-        SpecEntry {
-            name: "tp-queue",
-            keys: &[],
-            summary: "time-published queue lock (the paper's contention manager)",
-            build: |_, _| Ok(abortable::<TimePublishedLock>()),
-        },
-        SpecEntry {
-            name: "spin-then-yield",
-            keys: &[],
-            summary: "spins briefly, then yields to the OS scheduler",
-            build: |_, _| Ok(abortable::<SpinThenYieldLock>()),
-        },
-        // The rwlock and semaphore join through their exclusive/binary modes,
-        // in which they satisfy the mutex contract the registry promises.
-        SpecEntry {
-            name: "rw-lock",
-            keys: &[],
-            summary: "writer-preference rwlock in exclusive mode",
-            build: |_, _| Ok(abortable::<RawRwLock>()),
-        },
-        SpecEntry {
-            name: "semaphore",
-            keys: &[],
-            summary: "counting semaphore in binary (mutex) mode",
-            build: |_, _| Ok(abortable::<RawSemaphore>()),
-        },
-        SpecEntry {
-            name: "blocking",
-            keys: &[],
-            summary: "parks every waiter (heavyweight mutex)",
-            build: |_, _| Ok(non_abortable::<BlockingLock>()),
-        },
-        SpecEntry {
-            name: "adaptive",
-            keys: &[],
-            summary: "spins while the holder runs, then parks",
-            build: |_, _| Ok(non_abortable::<AdaptiveLock>()),
-        },
-        SpecEntry {
-            name: "flat-combining",
-            keys: &[],
-            summary: "flat-combining delegation lock (publication array, combiner scan)",
-            build: |_, _| Ok(abortable::<FlatCombiningLock>()),
-        },
-    ],
-);
-
-/// Constructs the lock named by `spec`.  Every name in
-/// [`crate::ALL_LOCK_NAMES`] is covered; unknown names and any key are
-/// explicit errors.
-pub fn build_spec(spec: &str) -> Result<Box<dyn DynLock>, SpecError> {
-    LOCK_SPECS.build(spec)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockKind {
+    /// `tas`: test-and-set spinlock.
+    Tas,
+    /// `ttas-backoff`: test-and-test-and-set with exponential backoff.
+    TtasBackoff,
+    /// `ticket`: FIFO ticket spinlock.
+    Ticket,
+    /// `mcs`: the classic MCS queue lock.
+    Mcs,
+    /// `tp-queue`: the time-published queue lock (the paper's contention
+    /// manager).
+    TpQueue,
+    /// `spin-then-yield`: spins briefly, then yields to the OS scheduler.
+    SpinThenYield,
+    /// `rw-lock`: the writer-preference rwlock in exclusive mode.
+    RwLock,
+    /// `semaphore`: the counting semaphore in binary (mutex) mode.
+    Semaphore,
+    /// `blocking`: parks every waiter (heavyweight mutex).
+    Blocking,
+    /// `adaptive`: spins while the holder runs, then parks.
+    Adaptive,
+    /// `flat-combining`: the flat-combining delegation lock.
+    FlatCombining,
 }
 
-/// A value protected by a lock chosen at runtime from the registry.
+impl LockKind {
+    /// Every family, in declaration order: the order of
+    /// [`crate::ALL_LOCK_NAMES`], which holds their names.
+    pub const ALL: [LockKind; 11] = [
+        LockKind::Tas,
+        LockKind::TtasBackoff,
+        LockKind::Ticket,
+        LockKind::Mcs,
+        LockKind::TpQueue,
+        LockKind::SpinThenYield,
+        LockKind::RwLock,
+        LockKind::Semaphore,
+        LockKind::Blocking,
+        LockKind::Adaptive,
+        LockKind::FlatCombining,
+    ];
+
+    /// The family's stable name, which is also its whole spec.
+    pub fn name(self) -> &'static str {
+        ALL_LOCK_NAMES[self as usize]
+    }
+
+    /// A new, unlocked lock of this family.
+    pub fn build(self) -> Box<dyn DynLock> {
+        match self {
+            LockKind::Tas => abortable::<TasLock>(),
+            LockKind::TtasBackoff => abortable::<TtasLock>(),
+            LockKind::Ticket => abortable::<TicketLock>(),
+            LockKind::Mcs => abortable::<McsLock>(),
+            LockKind::TpQueue => abortable::<TimePublishedLock>(),
+            LockKind::SpinThenYield => abortable::<SpinThenYieldLock>(),
+            // The rwlock and semaphore join through their exclusive/binary
+            // modes, in which they satisfy the mutex contract.
+            LockKind::RwLock => abortable::<RawRwLock>(),
+            LockKind::Semaphore => abortable::<RawSemaphore>(),
+            LockKind::Blocking => non_abortable::<BlockingLock>(),
+            LockKind::Adaptive => non_abortable::<AdaptiveLock>(),
+            LockKind::FlatCombining => abortable::<FlatCombiningLock>(),
+        }
+    }
+}
+
+impl fmt::Display for LockKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Why a lock spec was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LockSpecError {
+    /// The spec names no lock family.
+    UnknownName {
+        /// The unknown name.
+        name: String,
+    },
+    /// The spec gives a key to a family, and no family takes keys.
+    TakesNoKeys {
+        /// The family.
+        name: &'static str,
+        /// The first key given.
+        key: String,
+    },
+}
+
+impl fmt::Display for LockSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LockSpecError::UnknownName { name } => write!(
+                f,
+                "unknown lock {name:?}; registered locks: {}",
+                ALL_LOCK_NAMES.join(", ")
+            ),
+            LockSpecError::TakesNoKeys { name, key } => {
+                write!(f, "lock {name:?} takes no parameters (got {key:?})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LockSpecError {}
+
+/// Parses a bare family name; `name()` means `name`.  A spec with a key in
+/// its parentheses is refused with the key named.
+impl FromStr for LockKind {
+    type Err = LockSpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let spec = s.trim();
+        let (name, body) = match spec.split_once('(') {
+            Some((name, rest)) if rest.ends_with(')') => {
+                (name.trim_end(), rest[..rest.len() - 1].trim())
+            }
+            _ => (spec, ""),
+        };
+        let Some(index) = ALL_LOCK_NAMES.iter().position(|&known| known == name) else {
+            return Err(LockSpecError::UnknownName {
+                name: name.to_string(),
+            });
+        };
+        let kind = LockKind::ALL[index];
+        match body.split([',', '=']).next().map(str::trim) {
+            Some(key) if !key.is_empty() => Err(LockSpecError::TakesNoKeys {
+                name: kind.name(),
+                key: key.to_string(),
+            }),
+            _ => Ok(kind),
+        }
+    }
+}
+
+/// A value protected by a lock chosen at runtime by name.
 ///
 /// The dynamic counterpart of [`crate::Mutex`]: benchmarks and drivers that
 /// sweep over lock families hold a `DynMutex` per configuration instead of
@@ -279,16 +333,16 @@ impl<T> DynMutex<T> {
     }
 
     /// Wraps `value` behind the lock named by `spec`, or `None` when the spec
-    /// does not name a registered lock.  [`DynMutex::try_build`] reports
-    /// *why* a spec was rejected.
+    /// does not name a lock family.  [`DynMutex::try_build`] reports *why* a
+    /// spec was rejected.
     pub fn build(spec: &str, value: T) -> Option<Self> {
         Self::try_build(spec, value).ok()
     }
 
-    /// Wraps `value` behind the lock named by `spec`, with parse and registry
-    /// errors surfaced.
-    pub fn try_build(spec: &str, value: T) -> Result<Self, SpecError> {
-        Ok(Self::new(build_spec(spec)?, value))
+    /// Wraps `value` behind the lock named by `spec`, with the reason for a
+    /// refusal surfaced.
+    pub fn try_build(spec: &str, value: T) -> Result<Self, LockSpecError> {
+        Ok(Self::new(spec.parse::<LockKind>()?.build(), value))
     }
 
     /// Consumes the mutex and returns the protected value.
@@ -319,7 +373,7 @@ impl<T: ?Sized> DynMutex<T> {
         }
     }
 
-    /// The registry name of the underlying lock.
+    /// The name of the underlying lock's family.
     pub fn name(&self) -> &'static str {
         self.raw.name()
     }
@@ -387,21 +441,33 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for DynMutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::raw::AbortAfter;
-    use crate::ALL_LOCK_NAMES;
+    use crate::ABORTABLE_LOCK_NAMES;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
 
+    fn build(spec: &str) -> Box<dyn DynLock> {
+        spec.parse::<LockKind>()
+            .unwrap_or_else(|e| panic!("{spec}: {e}"))
+            .build()
+    }
+
     #[test]
-    fn registry_backs_all_lock_names_exactly() {
-        assert_eq!(LOCK_SPECS.names(), ALL_LOCK_NAMES);
+    fn abortable_lock_names_are_the_kinds_whose_lock_can_abort() {
+        let abortable: Vec<&str> = LockKind::ALL
+            .into_iter()
+            .filter(|kind| kind.build().is_abortable())
+            .map(LockKind::name)
+            .collect();
+        assert_eq!(abortable, ABORTABLE_LOCK_NAMES);
     }
 
     #[test]
     fn build_covers_every_name_and_reports_it_back() {
         for &name in ALL_LOCK_NAMES {
-            let lock = build_spec(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let lock = build(name);
             assert_eq!(lock.name(), name);
+            assert_eq!(build(&format!("{name}( )")).name(), name);
             lock.lock();
             assert!(!lock.try_lock(), "{name}: try_lock must fail while held");
             unsafe { lock.unlock() };
@@ -412,44 +478,25 @@ mod tests {
 
     #[test]
     fn build_rejects_unknown_names() {
-        assert!(build_spec("no-such-lock").is_err());
+        assert!(matches!(
+            "no-such-lock".parse::<LockKind>(),
+            Err(LockSpecError::UnknownName { .. })
+        ));
         assert!(DynMutex::build("no-such-lock", 0u8).is_none());
-    }
-
-    #[test]
-    fn bad_parameters_are_explicit_errors() {
-        for (spec, rejected) in [
-            ("ttas-backoff(max_spins=256)", "max_spins"),
-            ("tp-queue(patience_us=500)", "patience_us"),
-            ("ticket(max_spins=1)", "max_spins"),
-            ("flat-combining(strategy=first)", "strategy"),
-        ] {
-            match build_spec(spec) {
-                Err(SpecError::UnknownKey { key, allowed, .. }) => {
-                    assert_eq!(key, rejected, "{spec}");
-                    assert!(allowed.is_empty(), "{spec}");
-                }
-                other => panic!("{spec}: expected UnknownKey, got {other:?}"),
-            }
-        }
-        for &name in ALL_LOCK_NAMES {
-            assert!(LOCK_SPECS.entry(name).unwrap().keys.is_empty(), "{name}");
-        }
     }
 
     #[test]
     fn spinning_families_are_abortable_blocking_ones_are_not() {
         for &name in ALL_LOCK_NAMES {
-            let lock = build_spec(name).unwrap();
             let expect_abortable = !matches!(name, "blocking" | "adaptive");
-            assert_eq!(lock.is_abortable(), expect_abortable, "{name}");
+            assert_eq!(build(name).is_abortable(), expect_abortable, "{name}");
         }
     }
 
     #[test]
     fn lock_with_falls_back_to_plain_lock_for_blocking_families() {
         for name in ["blocking", "adaptive"] {
-            let lock = build_spec(name).unwrap();
+            let lock = build(name);
             let mut policy = AbortAfter::new(0);
             lock.lock_with(&mut policy);
             assert!(lock.is_locked());

@@ -1,7 +1,7 @@
 //! `lcctl` — inspect and steer a live cross-process control plane.
 //!
-//! The wire format *is* the `lc-spec` grammar: commands travel to the
-//! elected controller as `name(key=value)` text through the segment's
+//! The wire format *is* the spec grammar of `lc_core::spec`: commands travel
+//! to the elected controller as `name(key=value)` text through the segment's
 //! mailbox, and `stat` prints the segment state back in the same shape.
 //!
 //! ```text
@@ -15,7 +15,7 @@
 //! `set`/`drain`/`resume` wait (bounded) for the controller's ack and
 //! exit non-zero if the command is rejected or no controller consumes it.
 
-use lc_core::POLICY_SPECS;
+use lc_core::PolicySpec;
 use lc_shm::{layout, ShmSegment, ShmSlotBuffer};
 use std::path::Path;
 use std::process::ExitCode;
@@ -65,16 +65,9 @@ fn attach(path: &str) -> Result<ShmSlotBuffer, ExitCode> {
 }
 
 fn set_policy(seg: &str, spec: &str) -> ExitCode {
-    // Validate locally against the shared registry before bothering the
-    // controller, so typos fail fast with a real error message.
-    let parsed = match lc_core::ParsedSpec::parse(spec) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("lcctl: invalid policy spec: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = POLICY_SPECS.validate(&parsed) {
+    // Parse locally before bothering the controller, so typos fail fast
+    // with a real error message.
+    if let Err(e) = spec.parse::<PolicySpec>() {
         eprintln!("lcctl: invalid policy spec: {e}");
         return ExitCode::FAILURE;
     }

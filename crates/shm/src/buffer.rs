@@ -476,8 +476,8 @@ impl ShmSlotBuffer {
     // controller the only reader; the `cmd_seq`/`cmd_ack` pair serializes
     // them (a racing second `lcctl` can at worst overwrite an unconsumed
     // command, which is last-writer-wins by design).  Spec text crosses the
-    // boundary as plain `lc-spec` grammar — the wire format *is* the
-    // configuration language.
+    // boundary as plain spec grammar (`lc_core::spec`) — the wire format
+    // *is* the configuration language.
 
     fn read_spec_area(&self, off: usize) -> String {
         let len = (self.seg.u64_at(off).load(Ordering::Acquire) as usize)

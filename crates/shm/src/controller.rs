@@ -11,7 +11,7 @@
 //! The elected controller's [`ShmController::run_cycle`] is the shared-
 //! memory twin of the in-process controller daemon: sample fleet load
 //! (runnable counts published by members + live sleepers), feed the
-//! unmodified [`ControlPolicy`] / [`TargetSplitter`] stack, publish
+//! unmodified [`Policy`] / [`TargetSplitter`] stack, publish
 //! per-shard targets, futex-wake the excess — plus the two duties only a
 //! cross-process plane needs: sweep claims and member entries owned by
 //! dead pids back into the books, and consume `lcctl` commands from the
@@ -19,8 +19,9 @@
 
 use crate::buffer::ShmSlotBuffer;
 use crate::sys;
-use lc_core::policy::{build_policy_spec, build_splitter_spec};
-use lc_core::{ControlPolicy, ControllerStats, ParsedSpec, PolicyInputs, TargetSplitter};
+use lc_core::{
+    ControllerStats, ParsedSpec, Policy, PolicyInputs, PolicySpec, SplitterSpec, TargetSplitter,
+};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,7 +74,9 @@ impl PidLiveness for ProcLiveness {
 #[derive(Debug)]
 pub struct ShmController {
     buffer: ShmSlotBuffer,
-    policy: Box<dyn ControlPolicy>,
+    /// The spec `policy` was built from: what `lcctl stat` reports.
+    policy_spec: PolicySpec,
+    policy: Policy,
     splitter: Box<dyn TargetSplitter>,
     liveness: Box<dyn PidLiveness>,
     capacity: usize,
@@ -92,8 +95,9 @@ impl ShmController {
     pub fn new(buffer: ShmSlotBuffer, capacity: usize) -> Self {
         ShmController {
             buffer,
-            policy: build_policy_spec("paper").expect("paper policy is registered"),
-            splitter: build_splitter_spec("even").expect("even splitter is registered"),
+            policy_spec: PolicySpec::Paper,
+            policy: PolicySpec::Paper.build(),
+            splitter: SplitterSpec::Even.build(),
             liveness: Box::new(ProcLiveness::new()),
             capacity,
             headroom: 0,
@@ -178,8 +182,7 @@ impl ShmController {
         }
         // Publish what we are actually running, so `lcctl stat` answers
         // from the segment even before the first command arrives.
-        self.buffer
-            .set_applied_spec(&self.policy.spec().to_string());
+        self.buffer.set_applied_spec(&self.policy_spec.to_string());
         self.last_hist = self.buffer.wait_buckets();
         true
     }
@@ -332,13 +335,13 @@ impl ShmController {
                 }
                 _ => false,
             },
-            // Anything else is a policy spec in the shared registry.
-            _ => match build_policy_spec(text) {
+            // Anything else is a policy spec.
+            _ => match text.parse::<PolicySpec>() {
                 Ok(policy) => {
-                    self.policy = policy;
+                    self.policy = policy.build();
+                    self.policy_spec = policy;
                     self.manual_target = None;
-                    self.buffer
-                        .set_applied_spec(&self.policy.spec().to_string());
+                    self.buffer.set_applied_spec(&policy.to_string());
                     true
                 }
                 Err(_) => false,

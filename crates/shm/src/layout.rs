@@ -92,7 +92,7 @@ pub const OFF_WAIT_HIST: usize = 256;
 /// Number of histogram buckets.
 pub const WAIT_HIST_BUCKETS: usize = 64;
 
-/// Command spec area: u64 length followed by UTF-8 `lc-spec` text.
+/// Command spec area: u64 length followed by UTF-8 spec text.
 pub const OFF_CMD_SPEC: usize = 1024;
 /// Capacity of each spec area, including the length word.
 pub const SPEC_AREA_BYTES: usize = 256;

@@ -20,13 +20,13 @@
 //!   only the blocking primitive differs (`futex(FUTEX_WAIT_BITSET)` on
 //!   a sleeper cell in the segment instead of a `Parker`).
 //! * [`ShmController`] — pid-lease election with takeover on death, the
-//!   unmodified [`lc_core::ControlPolicy`] / [`lc_core::TargetSplitter`]
+//!   unmodified [`lc_core::Policy`] / [`lc_core::TargetSplitter`]
 //!   stack over fleet-wide sampled load, and crash-robust reclamation:
 //!   every claim carries a pid+generation lease, and the cycle sweeps
 //!   claims owned by dead pids back into the books, so a SIGKILLed
 //!   worker never strands `S − W` above target.
-//! * `lcctl` (binary) — attaches to a segment and speaks the `lc-spec`
-//!   grammar as its wire format: `lcctl stat <seg>`,
+//! * `lcctl` (binary) — attaches to a segment and speaks the spec grammar
+//!   of `lc_core::spec` as its wire format: `lcctl stat <seg>`,
 //!   `lcctl set <seg> policy 'pid(kp=0.9)'`, `lcctl set <seg> target N`,
 //!   `lcctl drain <seg>` / `lcctl resume <seg>`.
 //!

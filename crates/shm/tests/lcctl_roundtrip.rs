@@ -1,5 +1,5 @@
 //! `lcctl` wire-format round trips: a spec posted with `set` must come
-//! back **verbatim** from `stat` (the canonical `lc-spec` rendering is the
+//! back **verbatim** from `stat` (the canonical spec rendering is the
 //! wire format in both directions), and rejected specs must fail loudly.
 #![cfg(target_os = "linux")]
 
@@ -68,7 +68,7 @@ fn set_round_trips_through_stat() {
     let stat = String::from_utf8(lcctl(&["stat", seg_path]).stdout).unwrap();
     assert!(stat.contains("draining=0"), "stat:\n{stat}");
 
-    // An unknown policy is refused client-side (registry validation)…
+    // An unknown policy is refused client-side (it does not parse)…
     let out = lcctl(&["set", seg_path, "policy", "nonsense(x=1)"]);
     assert!(!out.status.success(), "bogus spec accepted");
     // …and a syntactically valid but unknown command is rejected by the

@@ -9,25 +9,22 @@
 //! blocking mutex, the adaptive mutex, and the load-controlled lock, and
 //! print a small table.
 //!
-//! Everything is constructed from **spec strings** in the shared
-//! `name(key=value)` grammar — the comparison locks through
-//! `lc_locks::registry::LOCK_SPECS` and the whole control plane through
-//! `lc_core::spec::LoadControlSpec` — so this example is the end-to-end
-//! demonstration of the parameterized construction path experiment
-//! configurations use:
+//! Everything is constructed by name — the comparison locks through
+//! `lc_locks::registry::DynMutex` and the whole control plane from one
+//! `lc_core::spec::LoadControlSpec` string — so this example is the end to
+//! end demonstration of the construction path experiment configurations
+//! use:
 //!
 //! ```text
-//! cargo run --release --example oversubscribed_server [-- <policy-spec>]
+//! cargo run --release --example oversubscribed_server [-- <spec>]
 //! cargo run --release --example oversubscribed_server -- --spec-file examples/server.lcspec
 //! ```
 //!
-//! where `<policy-spec>` is a bare policy name (`paper`, `hysteresis`,
-//! `fixed`, `pid`) or a parameterized spec such as `"pid(kp=0.5, ki=0.1)"`
-//! or `"hysteresis(alpha=0.3, deadband=2)"`.  A `--spec-file` supplies the
-//! full control plane (policy, splitter, shards, sampler) as
-//! `key = value` lines; the `LC_POLICY` / `LC_SPLITTER` / `LC_SHARDS` /
-//! `LC_SAMPLER` / `LC_WAKE_ORDER` environment variables layer on top of
-//! either source, and a malformed spec anywhere fails loudly before the
+//! where `<spec>` is a whole control-plane spec such as
+//! `"policy=pid(kp=0.5, ki=0.1)"` or
+//! `"policy=latency(target_p99=20); wake_order=window"`, and `--spec-file`
+//! reads the same text from a file of `key = value` lines.  A malformed
+//! spec, or a shard count the control cannot hold, fails loudly before the
 //! measurement sweep.
 
 use lc_core::policy::ALL_POLICY_NAMES;
@@ -82,45 +79,32 @@ fn serve(
     served.into_inner() as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Layering, lowest to highest precedence regardless of argument order:
-/// defaults → `--spec-file` → positional policy spec → `LC_*` env vars.
-/// Nothing is silently discarded; repeated sources are errors.
+/// The control-plane spec: the positional spec string, or the text of the
+/// `--spec-file`, or the default.  At most one source is accepted.
 fn parse_cli() -> Result<LoadControlSpec, String> {
-    let mut policy_arg: Option<String> = None;
-    let mut spec_file: Option<String> = None;
+    let mut text: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
+        let source = match arg.as_str() {
             "--spec-file" => {
                 let path = args
                     .next()
                     .ok_or_else(|| "--spec-file requires a path".to_string())?;
-                if spec_file.replace(path).is_some() {
-                    return Err("--spec-file given more than once".to_string());
-                }
+                std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?
             }
-            policy => {
-                if policy_arg.replace(policy.to_string()).is_some() {
-                    return Err("at most one policy spec argument is accepted".to_string());
-                }
-            }
+            spec => spec.to_string(),
+        };
+        if text.replace(source).is_some() {
+            return Err("at most one spec string or --spec-file is accepted".to_string());
         }
     }
-    let mut spec = match spec_file {
-        Some(path) => LoadControlSpec::from_config_file(&path).map_err(|e| e.to_string())?,
-        None => LoadControlSpec::default(),
-    };
-    if let Some(policy) = policy_arg {
-        spec.set("argv", "policy", &policy).map_err(|e| {
-            format!(
-                "{e}\nregistered policies: {} (parameterized specs like \
-                 \"pid(kp=0.5, ki=0.1)\" are accepted)",
-                ALL_POLICY_NAMES.join(", ")
-            )
-        })?;
-    }
-    // Environment variables override both the defaults and the config file.
-    spec.apply_env().map_err(|e| e.to_string())
+    text.unwrap_or_default().parse().map_err(|e| {
+        format!(
+            "{e}\nregistered policies: {} (a spec reads like \
+             \"policy=pid(kp=0.5, ki=0.1); shards=2\")",
+            ALL_POLICY_NAMES.join(", ")
+        )
+    })
 }
 
 fn main() {
@@ -161,13 +145,12 @@ fn main() {
     println!();
     println!("{:<34} {:>16} {:>12}", "mutex", "requests/sec", "vs best");
 
-    // Every comparison lock is constructed from its name through the
-    // registry, so adding a family there adds it to this table.
+    // Every comparison lock is constructed from its name.
     let mut results: Vec<(&str, f64)> =
         ["ticket", "tp-queue", "ttas-backoff", "blocking", "adaptive"]
             .into_iter()
             .map(|lock_spec| {
-                let mutex = DynMutex::build(lock_spec, 0u64).expect("registered lock spec");
+                let mutex = DynMutex::build(lock_spec, 0u64).expect("a lock family");
                 let per_s = serve(threads, duration, None, |_| {
                     *mutex.lock() += 1;
                     busy_work(CRITICAL_ITERS);
@@ -207,8 +190,8 @@ fn main() {
     });
 
     let lc_stats = control.buffer().stats();
-    // The live configuration reports back as a canonical spec string — the
-    // label experiments should log next to their measurements.
+    // The control reports its spec as a canonical string — the label
+    // experiments should log next to their measurements.
     let live_spec = control.spec();
     control.stop_controller();
 

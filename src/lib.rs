@@ -7,8 +7,8 @@
 //!
 //! * [`locks`] — spinning and blocking lock primitives (TAS, TTAS+backoff,
 //!   ticket, MCS, time-published queue lock, spin-then-yield, blocking,
-//!   adaptive), all constructible from `name(key=value)` spec strings
-//!   through the shared `lc-spec` grammar.
+//!   adaptive), each constructible by name through the closed `LockKind`
+//!   set.
 //! * [`accounting`] — in-process microstate accounting (thread registry,
 //!   load samplers, transition traces).
 //! * [`core`] — the paper's contribution: the sleep slot buffer, the load

@@ -7,12 +7,12 @@ mod support;
 
 use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
 use load_control_suite::core::{
-    LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadControlSpec, LoadGate,
+    LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadGate,
 };
 use load_control_suite::des::engine::{self, DesConfig};
 use load_control_suite::des::metrics::RunReport;
 use load_control_suite::locks::delegation;
-use load_control_suite::locks::registry;
+use load_control_suite::locks::registry::{LockKind, LockSpecError};
 use load_control_suite::locks::{
     AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, SpinPolicy,
     TicketLock, TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
@@ -26,8 +26,7 @@ use support::{aggressive_control, check_books, run_threads, spin};
 fn lc_mutex_is_correct_under_heavy_oversubscription() {
     // 12 worker threads on a pretend 2-context machine with an aggressive
     // controller: the mechanism parks and wakes threads constantly, and the
-    // protected counter must still be exact.  (`LC_SHARDS` re-runs this
-    // whole suite over a sharded slot buffer in CI.)
+    // protected counter must still be exact.
     let control = aggressive_control(2);
     let counter = LcMutex::<u64>::new_with(0, &control);
     let per_thread = 3_000u64;
@@ -39,24 +38,6 @@ fn lc_mutex_is_correct_under_heavy_oversubscription() {
     control.stop_controller();
     assert_eq!(*counter.lock(), 12 * per_thread);
     check_books(&control);
-}
-
-#[test]
-fn support_controls_run_over_the_lc_shards_buffer() {
-    // CI's sharded acceptance step sets `LC_SHARDS`; it proves something
-    // only if the count reaches the controls the tests build.
-    let expected = LoadControlSpec::default()
-        .apply_env()
-        .expect("well-formed LC_* variables")
-        .shards
-        .map_or(1, usize::next_power_of_two);
-    assert_eq!(aggressive_control(1).buffer().shard_count(), expected);
-    assert_eq!(
-        support::control(LoadControlConfig::for_capacity(1), "policy=fixed")
-            .buffer()
-            .shard_count(),
-        expected
-    );
 }
 
 /// Oversubscribed counter workload for one load-controlled backend: 10
@@ -92,14 +73,19 @@ fn lc_mutex_works_over_every_spinning_backend() {
 #[test]
 fn lock_registry_builds_every_advertised_name() {
     for &name in ALL_LOCK_NAMES {
-        let lock = registry::build_spec(name)
-            .unwrap_or_else(|e| panic!("{name} missing from registry: {e}"));
+        let lock = name
+            .parse::<LockKind>()
+            .unwrap_or_else(|e| panic!("{name} is not a lock family: {e}"))
+            .build();
         assert_eq!(lock.name(), name);
         lock.lock();
         assert!(lock.is_locked());
         unsafe { lock.unlock() };
     }
-    assert!(registry::build_spec("bogus").is_err());
+    assert!(matches!(
+        "bogus".parse::<LockKind>(),
+        Err(LockSpecError::UnknownName { .. })
+    ));
 }
 
 #[test]
@@ -164,10 +150,7 @@ fn real_thread_microbench_ranks_spinning_reasonably() {
 /// simulated threads on `capacity` contexts under control policy `policy`.
 fn des_run(policy: &str, workers: usize, capacity: usize, horizon_ms: u64) -> RunReport {
     let mut config = DesConfig::new(workers, capacity);
-    config
-        .spec
-        .set("test", "policy", policy)
-        .unwrap_or_else(|e| panic!("{e}"));
+    config.spec.policy = policy.parse().unwrap_or_else(|e| panic!("{e}"));
     config.horizon = Duration::from_millis(horizon_ms);
     config.seed = load_control_suite::des::test_seed();
     engine::run(config).unwrap_or_else(|e| panic!("{policy}: {e}"))

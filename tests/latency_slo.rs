@@ -13,9 +13,7 @@
 //! All cells run under `LC_TEST_SEED` (default `0xdecaf000`), the suite-wide
 //! reproducibility knob.
 
-use load_control_suite::core::policy::{
-    AutotuneInner, AutotuneObjective, AutotunePolicy, ControlPolicy,
-};
+use load_control_suite::core::policy::{AutotuneInner, AutotuneObjective, AutotunePolicy};
 use load_control_suite::core::WakeOrder;
 use load_control_suite::des::engine::{run, DesConfig};
 use load_control_suite::des::metrics::RunReport;

@@ -1,5 +1,5 @@
 //! The paper's load-control figures as claims on the discrete-event
-//! simulator, which runs the real control plane (`ControlPolicy`,
+//! simulator, which runs the real control plane (`Policy`,
 //! `SleepSlotBuffer`, the controller cycle) on virtual time.
 //!
 //! Each test pins a figure's qualitative claim, not its numbers: the DES is
@@ -30,10 +30,7 @@ const CONTEXTS: usize = 8;
 /// time, with a 100 ms sleep timeout.
 fn cell(policy: &str, workers: usize, tick: Duration, horizon: Duration) -> RunReport {
     let mut config = DesConfig::new(workers, CONTEXTS);
-    config
-        .spec
-        .set("test", "policy", policy)
-        .unwrap_or_else(|e| panic!("{e}"));
+    config.spec.policy = policy.parse().unwrap_or_else(|e| panic!("{e}"));
     config.tick = tick;
     config.sleep_timeout = Duration::from_millis(100);
     config.horizon = horizon;

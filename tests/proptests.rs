@@ -530,6 +530,7 @@ fn transition_trace_keeps_the_most_recent_entries() {
 
 mod spec_round_trip {
     use super::{for_each_seed, StdRng};
+    use lc_core::policy::{HysteresisPolicy, PolicySpec};
     use lc_core::spec::ParsedSpec;
     use rand::Rng;
 
@@ -543,31 +544,30 @@ mod spec_round_trip {
             .collect()
     }
 
-    /// A random syntactically valid spec with 0..=4 distinct-keyed params.
-    fn random_spec(rng: &mut StdRng) -> ParsedSpec {
-        let mut spec = ParsedSpec::bare(random_token(rng, NAME_CHARS, 12));
-        let params = rng.random_range(0usize..=4);
-        let mut used: Vec<String> = Vec::new();
-        for _ in 0..params {
+    /// A random syntactically valid spec: a name and 0..=4 distinct-keyed
+    /// params.
+    fn random_spec(rng: &mut StdRng) -> (String, Vec<(String, String)>) {
+        let name = random_token(rng, NAME_CHARS, 12);
+        let mut params: Vec<(String, String)> = Vec::new();
+        for _ in 0..rng.random_range(0usize..=4) {
             let key = random_token(rng, NAME_CHARS, 8);
-            if used.contains(&key) {
+            if params.iter().any(|(k, _)| *k == key) {
                 continue; // duplicate keys are a parse error by design
             }
-            used.push(key.clone());
-            spec = spec.with_param(key, random_token(rng, VALUE_CHARS, 10));
+            params.push((key, random_token(rng, VALUE_CHARS, 10)));
         }
-        spec
+        (name, params)
     }
 
-    /// Renders `spec` with random (legal) whitespace jitter around every
+    /// Renders a spec with random (legal) whitespace jitter around every
     /// token, exercising the lenient side of the parser.
-    fn render_with_jitter(rng: &mut StdRng, spec: &ParsedSpec) -> String {
+    fn render_with_jitter(rng: &mut StdRng, name: &str, params: &[(String, String)]) -> String {
         let pad = |rng: &mut StdRng| " ".repeat(rng.random_range(0usize..3));
-        if spec.is_bare() && rng.random_range(0u32..2) == 0 {
-            return format!("{}{}{}", pad(rng), spec.name(), pad(rng));
+        if params.is_empty() && rng.random_range(0u32..2) == 0 {
+            return format!("{}{}{}", pad(rng), name, pad(rng));
         }
-        let mut out = format!("{}{}(", pad(rng), spec.name());
-        for (i, (k, v)) in spec.params().iter().enumerate() {
+        let mut out = format!("{}{}(", pad(rng), name);
+        for (i, (k, v)) in params.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -586,13 +586,18 @@ mod spec_round_trip {
         out
     }
 
+    fn parse(seed: u64, text: &str) -> ParsedSpec {
+        ParsedSpec::parse(text)
+            .unwrap_or_else(|e| panic!("seed {seed}: {text:?} does not parse: {e}"))
+    }
+
     #[test]
     fn parse_display_parse_is_identity_for_random_specs() {
         for_each_seed(512, |seed, rng| {
-            let spec = random_spec(rng);
+            let (name, params) = random_spec(rng);
+            let spec = parse(seed, &render_with_jitter(rng, &name, &params));
             let rendered = spec.to_string();
-            let reparsed = ParsedSpec::parse(&rendered)
-                .unwrap_or_else(|e| panic!("seed {seed}: {rendered:?} does not parse: {e}"));
+            let reparsed = parse(seed, &rendered);
             assert_eq!(reparsed, spec, "seed {seed}: parse(display) != identity");
             // And a second lap is a fixed point.
             assert_eq!(reparsed.to_string(), rendered, "seed {seed}");
@@ -602,27 +607,39 @@ mod spec_round_trip {
     #[test]
     fn whitespace_jitter_parses_to_the_same_spec() {
         for_each_seed(512, |seed, rng| {
-            let spec = random_spec(rng);
-            let jittered = render_with_jitter(rng, &spec);
-            let reparsed = ParsedSpec::parse(&jittered)
-                .unwrap_or_else(|e| panic!("seed {seed}: {jittered:?} does not parse: {e}"));
-            assert_eq!(reparsed, spec, "seed {seed}: jittered {jittered:?}");
+            let (name, params) = random_spec(rng);
+            let jittered = render_with_jitter(rng, &name, &params);
+            let spec = parse(seed, &jittered);
+            assert_eq!(spec.name(), name, "seed {seed}: jittered {jittered:?}");
+            assert_eq!(spec.params(), params, "seed {seed}: jittered {jittered:?}");
         });
     }
 
     #[test]
     fn registry_specs_round_trip_with_random_numeric_parameters() {
-        // Specs targeting real registry entries, with randomized (valid)
-        // values: build → report → rebuild must preserve the reported spec.
+        // Policy specs with randomized (valid) values: the parsed value holds
+        // the numbers written, and its canonical text parses back to it.
         for_each_seed(128, |seed, rng| {
             let alpha = (rng.random_range(1u32..=100) as f64) / 100.0;
             let up = rng.random_range(0u32..8);
-            let policy_spec = format!("hysteresis(alpha={alpha}, up={up})");
-            let policy = lc_core::policy::build_policy_spec(&policy_spec)
-                .unwrap_or_else(|e| panic!("seed {seed}: {policy_spec:?}: {e}"));
-            let rebuilt = lc_core::policy::build_policy_spec(&policy.spec().to_string())
-                .unwrap_or_else(|e| panic!("seed {seed}: reported policy spec: {e}"));
-            assert_eq!(rebuilt.spec(), policy.spec(), "seed {seed}");
+            let text = format!("hysteresis(alpha={alpha}, up={up})");
+            let policy: PolicySpec = text
+                .parse()
+                .unwrap_or_else(|e| panic!("seed {seed}: {text:?}: {e}"));
+            assert_eq!(
+                policy,
+                PolicySpec::Hysteresis {
+                    alpha,
+                    up: up as f64,
+                    down: HysteresisPolicy::DEFAULT_DOWN_DEADBAND,
+                },
+                "seed {seed}"
+            );
+            let reparsed: PolicySpec = policy
+                .to_string()
+                .parse()
+                .unwrap_or_else(|e| panic!("seed {seed}: canonical text {policy}: {e}"));
+            assert_eq!(reparsed, policy, "seed {seed}");
         });
     }
 }

@@ -13,22 +13,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A control on `config` built from the spec string `spec`, daemon not
-/// started, with the shard count of `LC_SHARDS` when it is set (CI's sharded
-/// acceptance step re-runs the callers over a sharded slot buffer that way).
-/// Only the shard count comes from the environment, so a developer's
-/// `LC_POLICY` cannot change what a test runs.
+/// started.
 pub fn control(config: LoadControlConfig, spec: &str) -> Arc<LoadControl> {
-    let env = LoadControlSpec::default()
-        .apply_env()
-        .unwrap_or_else(|e| panic!("{e}"));
-    let mut spec: LoadControlSpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
-    spec.shards = env.shards.or(spec.shards);
-    LoadControl::from_spec(config, &spec).unwrap_or_else(|e| panic!("{e}"))
+    let parsed: LoadControlSpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
+    LoadControl::from_spec(config, &parsed).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A running controller on a pretend `capacity`-context machine with 1 ms
 /// cycles and a 5 ms sleep timeout, so a handful of threads is sustained
-/// overload; sharded as `LC_SHARDS` says (see [`control`]).
+/// overload.
 pub fn aggressive_control(capacity: usize) -> Arc<LoadControl> {
     let control = control(
         LoadControlConfig::for_capacity(capacity)
