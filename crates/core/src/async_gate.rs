@@ -17,11 +17,15 @@
 //!   (`has_space_for`, `try_claim`, `leave`), the same home-shard /
 //!   overflow-probe route, the same `S`/`W`/`T` books, shared with every
 //!   sync-plane waiter on the same [`LoadControl`];
-//! * the park point is [`AsyncLoadGate::poll_park`] (or the
-//!   [`AsyncLoadGate::park`] future): the task registers its [`Waker`](std::task::Waker)
-//!   with the parker stored in the slot table and suspends, leaving its
-//!   worker thread free.  The controller wakes it by clearing the slot and
-//!   unparking — the very same code path that wakes a parked thread;
+//! * the wait is the **same protocol**: a parked episode is a
+//!   [`SlotWait`], the state machine a parked thread, a shared-memory waiter
+//!   and the simulator run — stay while the slot is claimed and the deadline
+//!   has not passed, then [`SlotWait::finish`] records the wait and leaves;
+//! * the park point is [`AsyncLoadGate::poll_park`]: the task registers its
+//!   [`Waker`](std::task::Waker) with the parker stored in the slot table
+//!   and suspends, leaving its worker thread free.  The controller wakes it
+//!   by clearing the slot and unparking — the very same code path that
+//!   wakes a parked thread;
 //! * the sleep timeout is enforced by the controller daemon: each cycle it
 //!   unparks async sleepers whose deadline passed (a task cannot wake itself
 //!   like `park_timeout` can), so timeout granularity for tasks is one
@@ -33,20 +37,18 @@
 //! grows to the peak number of *concurrent* waiters, not the total number
 //! of waits.
 //!
-//! Cancel-safety is load-bearing: dropping a gate (and therefore any future
-//! built on it — `acquire_async`, `lock_async`, [`AsyncSpinHook`] pauses)
-//! with a claim pending releases the claim, exactly like the sync gate's
-//! claim-leak-proof `Drop`.  A leaked claim would permanently inflate
-//! `S − W` and shrink the controller's working target.
+//! Cancel-safety is load-bearing: dropping a gate (and therefore the
+//! `acquire_async` future that owns it) with a claim pending releases the
+//! claim, exactly like the sync gate's claim-leak-proof `Drop`.  A leaked
+//! claim would permanently inflate `S − W` and shrink the controller's
+//! working target.
 
 use crate::config::LoadControlConfig;
 use crate::controller::LoadControl;
 use crate::slots::{ClaimOutcome, SleeperId};
+use crate::time::{SlotWait, WaitPoll};
 use lc_locks::Parker;
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Duration;
@@ -59,11 +61,12 @@ use std::time::Duration;
 pub(crate) struct AsyncPlane {
     /// Parked tasks' deadlines, swept by the controller each cycle.
     deadlines: Mutex<Vec<DeadlineEntry>>,
-    next_token: AtomicU64,
 }
 
 struct DeadlineEntry {
-    token: u64,
+    /// The parked gate's leased sleeper id: unique while the lease lives,
+    /// so it keys the entry.
+    sleeper: SleeperId,
     /// Absolute deadline in the owning [`LoadControl`]'s
     /// [`TimeSource`](crate::time::TimeSource) timebase.
     deadline: Duration,
@@ -73,7 +76,7 @@ struct DeadlineEntry {
 impl fmt::Debug for AsyncPlane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsyncPlane")
-            .field("parked_tasks", &self.deadlines.lock().unwrap().len())
+            .field("parked_tasks", &self.parked_tasks())
             .finish()
     }
 }
@@ -82,26 +85,25 @@ impl AsyncPlane {
     pub(crate) fn new() -> Self {
         Self {
             deadlines: Mutex::new(Vec::new()),
-            next_token: AtomicU64::new(0),
         }
     }
 
-    /// Enrolls a parked task in the timeout sweep; returns a token for
-    /// [`AsyncPlane::unregister`].
-    fn register_deadline(&self, deadline: Duration, parker: &Arc<Parker>) -> u64 {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+    /// Enrolls a parked task in the timeout sweep.
+    fn register_deadline(&self, sleeper: SleeperId, deadline: Duration, parker: &Arc<Parker>) {
         self.deadlines.lock().unwrap().push(DeadlineEntry {
-            token,
+            sleeper,
             deadline,
             parker: Arc::clone(parker),
         });
-        token
     }
 
     /// Removes a parked task from the timeout sweep (it woke or was
     /// cancelled).
-    fn unregister(&self, token: u64) {
-        self.deadlines.lock().unwrap().retain(|e| e.token != token);
+    fn unregister(&self, sleeper: SleeperId) {
+        self.deadlines
+            .lock()
+            .unwrap()
+            .retain(|e| e.sleeper != sleeper);
     }
 
     /// Unparks every enrolled task whose deadline has passed.  Entries stay
@@ -131,28 +133,24 @@ impl AsyncPlane {
     }
 }
 
-/// A deadline enrolled in the controller's timeout sweep.
-struct ParkEpisode {
-    /// When the park began (the control instance's time source's timebase);
-    /// the episode's duration is recorded into the buffer's wait histogram
-    /// when the episode ends.
-    started: Duration,
-    /// Absolute deadline in the control instance's time source's timebase.
-    deadline: Duration,
-    token: u64,
-}
-
-/// The reusable waiter-side gate for **async** waiting loops — the
+/// The waiter-side gate for **async** waiting loops — the
 /// [`crate::LoadGate`] of the future world.
 ///
-/// A gate is created per waiting episode (typically inside an
-/// `acquire_async` / `lock_async` future, which owns it).  The polling loop
-/// calls [`AsyncLoadGate::check`] once per poll; when it returns `true` the
-/// gate holds a sleep-slot claim and the caller should suspend through
-/// [`AsyncLoadGate::poll_park`] (returning `Pending` to the executor) until
-/// the controller clears the slot — the task's [`Waker`](std::task::Waker) rides in the slot's
-/// parker, so the controller-side wake code is byte-for-byte the code that
-/// wakes threads.
+/// A gate is created per waiting episode (inside an `acquire_async` future,
+/// which owns it).  The polling loop calls [`AsyncLoadGate::try_claim`]
+/// every [`LoadControlConfig::SLOT_CHECK_PERIOD`] polls; when it returns
+/// `true` the gate holds a sleep-slot claim, and the caller either releases
+/// it with [`AsyncLoadGate::cancel`] (the resource arrived in the
+/// claim-to-park window) or suspends through [`AsyncLoadGate::poll_park`]
+/// (returning `Pending` to the executor) until the controller clears the
+/// slot — the task's [`Waker`](std::task::Waker) rides in the slot's parker,
+/// so the controller-side wake code is byte-for-byte the code that wakes
+/// threads.
+///
+/// There is no holds-locks refusal here, unlike the sync gate, because a
+/// *task's* resource holds are not observable from the worker thread its
+/// poll happens to run on.  The async primitive built on this gate only
+/// waits while holding nothing.
 ///
 /// Unlike the sync gate, an `AsyncLoadGate` is `Send`: the task that owns it
 /// may be polled from any worker thread of its executor.
@@ -160,14 +158,14 @@ struct ParkEpisode {
 /// Dropping the gate releases any pending claim (never strands `S − W`).
 pub struct AsyncLoadGate {
     control: Arc<LoadControl>,
-    config: LoadControlConfig,
     /// The sleeper identity, leased lazily on the first claim attempt that
     /// finds open slots — the common fast path (no overload, or the resource
     /// arrives before the first slot check) never touches the lease pool.
     lease: Option<(SleeperId, Arc<Parker>)>,
+    /// A claim that has not parked yet: its slot index.
     claimed: Option<usize>,
-    park: Option<ParkEpisode>,
-    sleeps: u64,
+    /// A claim that has parked: its wait episode.
+    wait: Option<SlotWait>,
 }
 
 impl fmt::Debug for AsyncLoadGate {
@@ -175,8 +173,7 @@ impl fmt::Debug for AsyncLoadGate {
         f.debug_struct("AsyncLoadGate")
             .field("sleeper", &self.lease.as_ref().map(|(id, _)| *id))
             .field("claimed", &self.claimed)
-            .field("parked", &self.park.is_some())
-            .field("sleeps", &self.sleeps)
+            .field("wait", &self.wait)
             .finish()
     }
 }
@@ -188,57 +185,18 @@ impl AsyncLoadGate {
     pub fn new(control: &Arc<LoadControl>) -> Self {
         Self {
             control: Arc::clone(control),
-            config: control.config(),
             lease: None,
             claimed: None,
-            park: None,
-            sleeps: 0,
+            wait: None,
         }
     }
 
-    /// The gate's sleeper identity, leased from the slot buffer on first use.
-    fn lease(&mut self) -> SleeperId {
-        let buffer = self.control.buffer();
-        self.lease.get_or_insert_with(|| buffer.lease_sleeper()).0
-    }
-
-    /// Whether the gate currently holds a sleep-slot claim (the caller must
-    /// resolve it by driving [`AsyncLoadGate::poll_park`] to completion or
-    /// calling [`AsyncLoadGate::cancel`]).
-    pub fn has_claim(&self) -> bool {
-        self.claimed.is_some()
-    }
-
-    /// Number of park episodes this gate has started.
-    pub fn sleeps(&self) -> u64 {
-        self.sleeps
-    }
-
-    /// The per-poll check of the client-side algorithm: every
-    /// [`LoadControlConfig::SLOT_CHECK_PERIOD`] iterations, consult the slot
-    /// buffer and claim a slot if the controller wants waiters asleep.
-    /// Returns `true` when a claim is held.
-    ///
-    /// Note one deliberate difference from the sync gate: there is no
-    /// holds-locks refusal here, because a *task's* resource holds are not
-    /// observable from the worker thread its poll happens to run on.  The
-    /// async primitives built on this gate only ever wait while holding
-    /// nothing, which is the same invariant enforced dynamically on the sync
-    /// side.
-    pub fn check(&mut self, iteration: u64) -> bool {
-        if self.claimed.is_some() {
-            return true;
-        }
-        if !LoadControlConfig::is_slot_check_due(iteration) {
-            return false;
-        }
-        self.try_claim()
-    }
-
-    /// Attempts to claim a sleep slot right now (the unconditioned form of
-    /// [`AsyncLoadGate::check`]).  Returns `true` if a claim is held.
+    /// Attempts to claim a sleep slot right now.  Returns `true` if a claim
+    /// is held; the caller resolves it by driving
+    /// [`AsyncLoadGate::poll_park`] to completion or calling
+    /// [`AsyncLoadGate::cancel`].
     pub fn try_claim(&mut self) -> bool {
-        if self.claimed.is_some() {
+        if self.claimed.is_some() || self.wait.is_some() {
             return true;
         }
         // Before the first lease, pre-filter on the global target: a gate
@@ -248,8 +206,8 @@ impl AsyncLoadGate {
         if self.lease.is_none() && !self.control.buffer().has_space() {
             return false;
         }
-        let sleeper = self.lease();
         let buffer = self.control.buffer();
+        let sleeper = self.lease.get_or_insert_with(|| buffer.lease_sleeper()).0;
         if !buffer.has_space_for(sleeper) {
             return false;
         }
@@ -268,57 +226,42 @@ impl AsyncLoadGate {
     /// Returns `Ready(false)` immediately when no claim is held, `Pending`
     /// while parked (the task's waker is registered with the slot's parker),
     /// and `Ready(true)` once the episode ends.  Poll this from a `Future`'s
-    /// `poll`; [`AsyncLoadGate::park`] wraps it for `async` blocks.
+    /// `poll`.
     pub fn poll_park(&mut self, cx: &mut Context<'_>) -> Poll<bool> {
-        let Some(idx) = self.claimed else {
+        let Some((sleeper, parker)) = self.lease.as_ref() else {
             return Poll::Ready(false);
         };
-        let (sleeper, parker) = {
-            let (id, parker) = self.lease.as_ref().expect("a claim implies a lease");
-            (*id, Arc::clone(parker))
-        };
-        let buffer = self.control.buffer();
-        if self.park.is_none() {
+        let time = self.control.time();
+        if let Some(idx) = self.claimed.take() {
             // Episode start: drain any stale permit, then enroll in the
             // controller's timeout sweep (tasks cannot `park_timeout`).
-            self.sleeps += 1;
             parker.try_consume_permit();
-            let started = self.control.time().now();
-            let deadline = started + self.config.sleep_timeout;
-            let token = self
-                .control
+            let timeout = self.control.config().sleep_timeout;
+            let wait = SlotWait::begin(idx, *sleeper, time.now(), timeout);
+            self.control
                 .async_plane()
-                .register_deadline(deadline, &parker);
-            self.park = Some(ParkEpisode {
-                started,
-                deadline,
-                token,
-            });
+                .register_deadline(*sleeper, wait.deadline(), parker);
+            self.wait = Some(wait);
         }
-        let deadline = self.park.as_ref().map(|p| p.deadline).unwrap();
-        if !buffer.still_claimed(idx, sleeper) || self.control.time().now() >= deadline {
-            self.finish_episode();
-            return Poll::Ready(true);
+        let Some(wait) = self.wait.as_ref() else {
+            return Poll::Ready(false);
+        };
+        let buffer = self.control.buffer();
+        if let WaitPoll::Keep(_) = wait.poll(buffer, time.now()) {
+            parker.set_waker(cx.waker());
+            // Re-check after the waker is visible: a slot clear (or timeout
+            // unpark) that landed before registration has already fired its
+            // wake into nobody — without this check the task would sleep
+            // forever.  Any unpark *after* registration wakes the waker we
+            // just stored.
+            if let WaitPoll::Keep(_) = wait.poll(buffer, time.now()) {
+                if !parker.try_consume_permit() {
+                    return Poll::Pending;
+                }
+            }
         }
-        parker.set_waker(cx.waker());
-        // Re-check after the waker is visible: a slot clear (or timeout
-        // unpark) that landed before registration has already fired its wake
-        // into nobody — without this check the task would sleep forever.
-        // Any unpark *after* registration wakes the waker we just stored.
-        if !buffer.still_claimed(idx, sleeper)
-            || self.control.time().now() >= deadline
-            || parker.try_consume_permit()
-        {
-            self.finish_episode();
-            return Poll::Ready(true);
-        }
-        Poll::Pending
-    }
-
-    /// Suspends the task in its claimed slot; resolves to whether the task
-    /// actually parked (`false` when no claim was held).
-    pub fn park(&mut self) -> ParkFuture<'_> {
-        ParkFuture { gate: self }
+        self.finish_episode();
+        Poll::Ready(true)
     }
 
     /// Releases a pending claim without sleeping (the caller obtained the
@@ -328,29 +271,26 @@ impl AsyncLoadGate {
         self.finish_episode();
     }
 
-    /// Ends a park episode (or an unparked claim): releases the slot claim
-    /// exactly once, leaves the timeout sweep, and clears waker/permit state
-    /// so the pooled parker is pristine for its next lease.  A gate that
-    /// never claimed (no lease, or leased but raced) has nothing to clean.
+    /// Ends a parked episode through [`SlotWait::finish`] (which records the
+    /// wait and releases the claim) after leaving the timeout sweep, or
+    /// releases a claim that never parked with a bare `leave`; then clears
+    /// waker/permit state so the pooled parker is pristine for its next
+    /// lease.  A gate without a claim has nothing to clean.
     fn finish_episode(&mut self) {
-        let had_claim = self.claimed.is_some() || self.park.is_some();
+        let Some((sleeper, parker)) = self.lease.as_ref() else {
+            return;
+        };
+        let buffer = self.control.buffer();
         if let Some(idx) = self.claimed.take() {
-            let (sleeper, _) = self.lease.as_ref().expect("a claim implies a lease");
-            self.control.buffer().leave(idx, *sleeper);
+            buffer.leave(idx, *sleeper);
+        } else if let Some(wait) = self.wait.take() {
+            self.control.async_plane().unregister(*sleeper);
+            wait.finish(buffer, self.control.time().now());
+        } else {
+            return;
         }
-        if let Some(episode) = self.park.take() {
-            self.control.async_plane().unregister(episode.token);
-            // Parked episodes record their duration on the control plane's
-            // clock — the same histogram the sync plane's `SlotWait` feeds.
-            let elapsed = self.control.time().now().saturating_sub(episode.started);
-            self.control.buffer().record_wait(elapsed);
-        }
-        if had_claim {
-            if let Some((_, parker)) = self.lease.as_ref() {
-                parker.clear_waker();
-                parker.try_consume_permit();
-            }
-        }
+        parker.clear_waker();
+        parker.try_consume_permit();
     }
 }
 
@@ -365,9 +305,9 @@ impl Drop for AsyncLoadGate {
     }
 }
 
-/// The shared poll-based acquisition protocol of the async primitives
-/// ([`crate::LcSemaphore::acquire_async`], [`crate::LcMutex::lock_async`]):
-/// drive any in-progress park, try the resource, consult the gate every
+/// The poll-based acquisition protocol of
+/// [`crate::LcSemaphore::acquire_async`]: drive any in-progress park, try
+/// the resource, consult the gate every
 /// [`LoadControlConfig::SLOT_CHECK_PERIOD`] polls (with one more try in the
 /// claim-to-park window, paper §3.1.2), otherwise self-wake and yield.
 ///
@@ -394,18 +334,11 @@ impl AsyncAcquire {
             // Drive an in-progress park to completion first: while the slot
             // is claimed the task must stay suspended (that is the point).
             if let Some(gate) = self.gate.as_mut() {
-                if gate.has_claim() {
-                    match gate.poll_park(cx) {
-                        Poll::Pending => return Poll::Pending,
-                        Poll::Ready(_) => {}
-                    }
+                if gate.poll_park(cx).is_pending() {
+                    return Poll::Pending;
                 }
             }
             if try_acquire() {
-                // Won in the claim-to-park window (§3.1.2): drop the claim.
-                if let Some(gate) = self.gate.as_mut() {
-                    gate.cancel();
-                }
                 return Poll::Ready(());
             }
             self.spins += 1;
@@ -429,142 +362,6 @@ impl AsyncAcquire {
             cx.waker().wake_by_ref();
             return Poll::Pending;
         }
-    }
-}
-
-/// Future returned by [`AsyncLoadGate::park`].
-#[derive(Debug)]
-pub struct ParkFuture<'a> {
-    gate: &'a mut AsyncLoadGate,
-}
-
-impl Future for ParkFuture<'_> {
-    type Output = bool;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        self.gate.poll_park(cx)
-    }
-}
-
-/// Load-control participation for arbitrary **async** polling loops — what
-/// [`crate::LoadGate::pause`] is to a thread's spin loop.
-///
-/// Call [`AsyncSpinHook::pause`] (and await it) once per iteration of a
-/// poll-style waiting loop.  Under normal load a pause is one cooperative
-/// yield back to the executor; when the controller wants waiters asleep it
-/// claims a sleep slot and suspends the task until the slot is cleared.
-///
-/// ```
-/// use lc_core::{AsyncSpinHook, LoadControl, LoadControlConfig};
-/// use std::sync::atomic::{AtomicBool, Ordering};
-///
-/// let control = LoadControl::new(LoadControlConfig::for_capacity(4));
-/// let flag = AtomicBool::new(true); // pretend another task will clear it
-/// let mut hook = AsyncSpinHook::new(&control);
-/// futures_executor_block_on(async {
-///     let mut iterations = 0u32;
-///     while flag.load(Ordering::Acquire) {
-///         hook.pause().await;
-///         iterations += 1;
-///         if iterations > 10 {
-///             flag.store(false, Ordering::Release); // keep the example finite
-///         }
-///     }
-///     hook.finish();
-/// });
-/// assert!(hook.spins() >= 10);
-/// # use std::future::Future;
-/// # use std::pin::pin;
-/// # use std::task::{Context, Poll, Waker};
-/// # fn futures_executor_block_on<F: Future>(fut: F) -> F::Output {
-/// #     let mut cx = Context::from_waker(Waker::noop());
-/// #     let mut fut = pin!(fut);
-/// #     loop {
-/// #         if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
-/// #             return out;
-/// #         }
-/// #     }
-/// # }
-/// ```
-pub struct AsyncSpinHook {
-    gate: AsyncLoadGate,
-    spins: u64,
-}
-
-impl fmt::Debug for AsyncSpinHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AsyncSpinHook")
-            .field("spins", &self.spins)
-            .field("sleeps", &self.gate.sleeps())
-            .finish()
-    }
-}
-
-impl AsyncSpinHook {
-    /// Creates a hook on `control`.
-    pub fn new(control: &Arc<LoadControl>) -> Self {
-        Self {
-            gate: AsyncLoadGate::new(control),
-            spins: 0,
-        }
-    }
-
-    /// One polling-iteration pause.  Resolves to `true` if the task was put
-    /// to sleep by load control, `false` for a plain cooperative yield.
-    pub fn pause(&mut self) -> PauseFuture<'_> {
-        PauseFuture {
-            hook: self,
-            yielded: false,
-        }
-    }
-
-    /// Signals that the condition being waited for arrived; releases any
-    /// pending claim.
-    pub fn finish(&mut self) {
-        self.gate.cancel();
-    }
-
-    /// Number of pauses so far.
-    pub fn spins(&self) -> u64 {
-        self.spins
-    }
-
-    /// Number of times the hook put this task to sleep.
-    pub fn sleeps(&self) -> u64 {
-        self.gate.sleeps()
-    }
-}
-
-/// Future returned by [`AsyncSpinHook::pause`]: one iteration of an async
-/// polling loop — a cooperative yield, or a full load-control park when the
-/// controller wants waiters asleep.
-#[derive(Debug)]
-pub struct PauseFuture<'a> {
-    hook: &'a mut AsyncSpinHook,
-    yielded: bool,
-}
-
-impl Future for PauseFuture<'_> {
-    type Output = bool;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = &mut *self;
-        // A park in progress (possibly inherited from a previous, dropped
-        // pause) is driven to completion first.
-        if this.hook.gate.has_claim() {
-            return this.hook.gate.poll_park(cx);
-        }
-        if this.yielded {
-            return Poll::Ready(false);
-        }
-        this.hook.spins += 1;
-        if this.hook.gate.check(this.hook.spins) {
-            return this.hook.gate.poll_park(cx);
-        }
-        // Plain iteration: yield once so sibling tasks on this worker run.
-        this.yielded = true;
-        cx.waker().wake_by_ref();
-        Poll::Pending
     }
 }
 
@@ -598,8 +395,8 @@ mod tests {
     fn gate_does_not_claim_without_target() {
         let lc = manual_control(2);
         let mut gate = AsyncLoadGate::new(&lc);
-        for i in 1..=1_000 {
-            assert!(!gate.check(i));
+        for _ in 0..1_000 {
+            assert!(!gate.try_claim());
         }
         assert_eq!(lc.sleepers(), 0);
     }
@@ -623,7 +420,6 @@ mod tests {
         lc.set_sleep_target(0);
         assert_eq!(wakes.load(AtomicOrdering::SeqCst), 1);
         assert_eq!(gate.poll_park(&mut cx), Poll::Ready(true));
-        assert_eq!(gate.sleeps(), 1);
         assert_eq!(lc.sleepers(), 0);
         assert_eq!(lc.async_parked_tasks(), 0);
         let stats = lc.buffer().stats();
@@ -651,8 +447,10 @@ mod tests {
         assert_eq!(wakes.load(AtomicOrdering::SeqCst), 1);
         assert_eq!(gate.poll_park(&mut cx), Poll::Ready(true));
         assert_eq!(lc.sleepers(), 0);
+        assert_eq!(lc.async_parked_tasks(), 0);
         let stats = lc.buffer().stats();
         assert_eq!(stats.ever_slept, stats.woken_and_left);
+        assert_eq!(stats.wait.count, 1, "a timed-out episode records its wait");
     }
 
     #[test]
@@ -664,7 +462,12 @@ mod tests {
         assert_eq!(lc.sleepers(), 1);
         gate.cancel();
         assert_eq!(lc.sleepers(), 0);
-        assert_eq!(gate.sleeps(), 0);
+        // Released with a bare `leave`: no episode, so no wait recorded.
+        assert_eq!(lc.buffer().stats().wait.count, 0);
+        assert_eq!(
+            gate.poll_park(&mut Context::from_waker(Waker::noop())),
+            Poll::Ready(false)
+        );
     }
 
     #[test]
@@ -728,8 +531,8 @@ mod tests {
         // register any sleeper.
         {
             let mut gate = AsyncLoadGate::new(&lc);
-            for i in 1..=1_000 {
-                assert!(!gate.check(i));
+            for _ in 0..1_000 {
+                assert!(!gate.try_claim());
             }
             assert!(gate.lease.is_none(), "quiet gate acquired a lease");
         }
@@ -776,14 +579,22 @@ mod tests {
         // The parked episode's duration was recorded (a cancelled claim that
         // never parked records nothing — see `cancel_releases_without_parking`,
         // whose gate leaves `wait.count` at zero).
+        assert_eq!(lc.buffer().stats().wait.count, 1);
+        // A slot cleared before the first poll ends the episode at that poll,
+        // through the same exit.
+        lc.set_sleep_target(1);
+        assert!(gate.try_claim());
+        lc.set_sleep_target(0);
+        assert_eq!(gate.poll_park(&mut cx), Poll::Ready(true));
+        assert_eq!(lc.async_parked_tasks(), 0);
         let stats = lc.buffer().stats();
-        assert_eq!(stats.wait.count, 1);
+        assert_eq!(stats.wait.count, 2);
+        assert_eq!(stats.ever_slept, stats.woken_and_left);
     }
 
     #[test]
     fn async_gate_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<AsyncLoadGate>();
-        assert_send::<AsyncSpinHook>();
     }
 }

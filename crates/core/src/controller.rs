@@ -55,8 +55,8 @@ struct Shared {
     /// latency-aware policies react to current conditions rather than the
     /// run's whole history.
     last_wait: Mutex<WaitSnapshot>,
-    /// The async waiting plane: pooled task sleeper leases plus the parked
-    /// tasks' timeout sweep (see [`crate::async_gate`]).
+    /// The async waiting plane: the parked tasks' timeout sweep (see
+    /// [`crate::async_gate`]).
     async_plane: AsyncPlane,
     /// The clock every time-dependent path of this instance reads (the
     /// controller's timeout sweep, the waiters' sleep deadlines).  Real by
@@ -447,17 +447,22 @@ impl LoadControl {
             return;
         }
         self.shared.running.store(true, Ordering::SeqCst);
-        let this = Arc::clone(self);
+        // The daemon holds the control only for the length of a cycle, so a
+        // control dropped without `stop_controller` is freed, and its daemon
+        // exits at its next wake-up.  Whoever stops it wakes the sleepers.
+        let control = Arc::downgrade(self);
         let interval = self.shared.config.update_interval;
         let handle = std::thread::Builder::new()
             .name("lc-controller".to_string())
             .spawn(move || {
-                while this.shared.running.load(Ordering::SeqCst) {
+                while let Some(this) = control.upgrade() {
+                    if !this.shared.running.load(Ordering::SeqCst) {
+                        break;
+                    }
                     this.run_cycle();
+                    drop(this);
                     std::thread::sleep(interval);
                 }
-                // On shutdown, release anyone still parked.
-                this.shared.buffer.wake_all();
             })
             .expect("failed to spawn load-control daemon");
         *guard = Some(handle);
@@ -493,12 +498,8 @@ impl LoadControl {
 
 impl Drop for LoadControl {
     fn drop(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        if let Ok(mut guard) = self.daemon.lock() {
-            if let Some(h) = guard.take() {
-                let _ = h.join();
-            }
-        }
+        // Nothing to join: a daemon still running finds the control gone at
+        // its next wake-up, and this drop may run on the daemon itself.
         self.shared.buffer.wake_all();
     }
 }
@@ -646,6 +647,25 @@ mod tests {
         lc.stop_controller();
         assert!(!lc.controller_running());
         assert!(lc.stats().cycles >= 2);
+    }
+
+    #[test]
+    fn a_control_dropped_with_its_daemon_running_is_freed() {
+        let interval = Duration::from_millis(1);
+        let lc =
+            LoadControl::new(LoadControlConfig::for_capacity(2).with_update_interval(interval));
+        lc.start_controller();
+        let weak = Arc::downgrade(&lc);
+        drop(lc);
+        // The daemon holds the control only for the length of a cycle, so
+        // the last strong reference is gone within an interval or two.
+        for _ in 0..1_000 {
+            if weak.upgrade().is_none() {
+                return;
+            }
+            std::thread::sleep(interval);
+        }
+        panic!("a dropped control is still alive after 1000 update intervals");
     }
 
     #[test]

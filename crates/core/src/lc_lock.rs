@@ -10,18 +10,13 @@
 //! the CPU.  The default backend is the time-published queue lock the paper
 //! builds on.
 
-use crate::async_gate::AsyncAcquire;
 use crate::controller::LoadControl;
 use crate::thread_ctx::{acquire, release, try_acquire};
 use lc_locks::{AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock};
 use std::cell::UnsafeCell;
 use std::fmt;
-use std::future::Future;
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll};
 
 /// A mutual-exclusion lock that spins for contention management and defers
 /// all load management to the shared [`LoadControl`] instance.
@@ -197,33 +192,6 @@ impl<T: ?Sized, R: AbortableLock> LcMutex<T, R> {
         }
     }
 
-    /// Acquires the lock **without blocking the worker thread**: the
-    /// returned future poll-spins on the backend's non-blocking
-    /// [`RawTryLock::try_lock`] path and participates in load control
-    /// through an [`AsyncLoadGate`](crate::AsyncLoadGate) — under overload the task claims a sleep
-    /// slot from the same buffer the sync waiters use, suspends, and is
-    /// woken by the controller's slot-clear exactly like a parked thread.
-    ///
-    /// Contention management stays with the backend only on its
-    /// *uncontended* path here (repeated `try_lock` is TAS-like polling, not
-    /// the backend's queue discipline) — the price of an acquisition that
-    /// can never block its thread.  Load management is untouched, which is
-    /// the decoupling the paper argues for.
-    ///
-    /// Dropping the future mid-wait releases any pending sleep-slot claim.
-    /// The returned [`LcMutexAsyncGuard`] is deliberately `!Send` — the
-    /// backend's `unlock` contract requires releasing on the acquiring
-    /// thread — so it must be dropped before the next `await` point.
-    pub fn lock_async(&self) -> LockAsync<'_, T, R>
-    where
-        R: RawTryLock,
-    {
-        LockAsync {
-            mutex: self,
-            acquire: AsyncAcquire::default(),
-        }
-    }
-
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()
@@ -283,76 +251,6 @@ impl<T: ?Sized, R: AbortableLock> Drop for LcMutexGuard<'_, T, R> {
 }
 
 impl<T: ?Sized + fmt::Debug, R: AbortableLock> fmt::Debug for LcMutexGuard<'_, T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Future returned by [`LcMutex::lock_async`].
-///
-/// Each poll is one iteration of the client-side algorithm over the
-/// backend's `try_lock` path; dropping the future releases any pending
-/// sleep-slot claim.
-pub struct LockAsync<'a, T: ?Sized, R: AbortableLock = TimePublishedLock> {
-    mutex: &'a LcMutex<T, R>,
-    acquire: AsyncAcquire,
-}
-
-impl<T: ?Sized, R: AbortableLock> fmt::Debug for LockAsync<'_, T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LockAsync")
-            .field("acquire", &self.acquire)
-            .finish()
-    }
-}
-
-impl<'a, T: ?Sized, R: AbortableLock + RawTryLock> Future for LockAsync<'a, T, R> {
-    type Output = LcMutexAsyncGuard<'a, T, R>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = &mut *self;
-        let mutex = this.mutex;
-        this.acquire
-            .poll(cx, mutex.raw.control(), || mutex.raw.inner().try_lock())
-            .map(|()| LcMutexAsyncGuard {
-                mutex,
-                _not_send: PhantomData,
-            })
-    }
-}
-
-/// RAII guard for [`LcMutex::lock_async`].
-///
-/// Acquired through the backend's raw `try_lock`, so it bypasses the
-/// per-thread hold accounting of the sync guard (a task is not a thread) and
-/// is `!Send`: the backend's unlock contract requires releasing on the
-/// acquiring thread, so the guard must be dropped before the owning task's
-/// next `await` point.
-pub struct LcMutexAsyncGuard<'a, T: ?Sized, R: AbortableLock = TimePublishedLock> {
-    mutex: &'a LcMutex<T, R>,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl<T: ?Sized, R: AbortableLock> Deref for LcMutexAsyncGuard<'_, T, R> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized, R: AbortableLock> DerefMut for LcMutexAsyncGuard<'_, T, R> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized, R: AbortableLock> Drop for LcMutexAsyncGuard<'_, T, R> {
-    fn drop(&mut self) {
-        unsafe { self.mutex.raw.inner().unlock() };
-    }
-}
-
-impl<T: ?Sized + fmt::Debug, R: AbortableLock> fmt::Debug for LcMutexAsyncGuard<'_, T, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }

@@ -26,12 +26,12 @@
 //! The mechanism manages **two waiting planes** through one buffer and one
 //! controller: threads park through [`LoadGate`] (the sync plane used by
 //! every `Lc*` primitive), and async tasks suspend through
-//! [`AsyncLoadGate`] — a park point that is a `Future`, powering
-//! [`LcSemaphore::acquire_async`], [`LcMutex::lock_async`] and
-//! [`AsyncSpinHook`].  [`LoadGate`] is also the [`lc_locks::SpinPolicy`] a
-//! raw lock's `lock_with` takes, and [`LoadGate::pause`] parks a user spin
-//! loop: a wait for a predicate (a flag, a count, a queue turning non-empty)
-//! is a `pause` loop.  See `ARCHITECTURE.md` at the repository root for the
+//! [`AsyncLoadGate`] — a park point that is a `Future`, waiting through the
+//! same [`SlotWait`] episode as a thread and powering
+//! [`LcSemaphore::acquire_async`].  [`LoadGate`] is also the
+//! [`lc_locks::SpinPolicy`] a raw lock's `lock_with` takes, and
+//! [`LoadGate::pause`] parks a user spin loop: a wait for a predicate (a
+//! flag, a count, a queue turning non-empty) is a `pause` loop.  See `ARCHITECTURE.md` at the repository root for the
 //! full layer map and extension recipes.
 //!
 //! ## Quick start
@@ -100,10 +100,10 @@ pub mod spec;
 pub mod thread_ctx;
 pub mod time;
 
-pub use async_gate::{AsyncLoadGate, AsyncSpinHook};
+pub use async_gate::AsyncLoadGate;
 pub use config::{LoadControlConfig, WakeOrder};
 pub use controller::{ControllerStats, LoadControl, Substitutes};
-pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
+pub use lc_lock::{LcLock, LcMutex, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};
 pub use lc_semaphore::{AcquireAsync, LcSemaphore, LcSemaphoreAsyncPermit, LcSemaphorePermit};
 pub use policy::{

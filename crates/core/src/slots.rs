@@ -514,9 +514,8 @@ impl SleepSlotBuffer {
 
     /// Records one completed sleep episode of `elapsed` into the buffer's
     /// wait-time histogram.  Called by [`crate::time::SlotWait::finish`] (the
-    /// shared sync/DES wait machine) and by the async plane's episode
-    /// teardown, with durations measured on this instance's
-    /// [`crate::time::TimeSource`].
+    /// wait machine threads, tasks and the simulator share), with durations
+    /// measured on this instance's [`crate::time::TimeSource`].
     #[inline]
     pub fn record_wait(&self, elapsed: Duration) {
         self.wait.record(elapsed);

@@ -119,9 +119,15 @@ impl fmt::Display for SpecError {
                 write!(f, "malformed spec {input:?}: {reason}")
             }
             SpecError::UnknownName { kind, name, known } => {
+                let kinds = match *kind {
+                    "policy" => "policies",
+                    "splitter" => "splitters",
+                    "sampler" => "samplers",
+                    other => other,
+                };
                 write!(
                     f,
-                    "unknown {kind} {name:?}; registered {kind}s: {}",
+                    "unknown {kind} {name:?}; registered {kinds}: {}",
                     known.join(", ")
                 )
             }
@@ -596,10 +602,16 @@ impl FromStr for LoadControlSpec {
                 if entry.is_empty() {
                     continue;
                 }
-                let Some((key, value)) = entry.split_once('=') else {
+                // A key is a bare name: text such as `pid(kp` before the
+                // first `=` means the entry lost its key, not that it named
+                // an unknown one.
+                let Some((key, value)) = entry
+                    .split_once('=')
+                    .map(|(key, value)| (key.trim(), value.trim()))
+                    .filter(|(key, _)| !key.is_empty() && key.chars().all(is_name_char))
+                else {
                     return Err(refused(format!("expected key=value, got {entry:?}")));
                 };
-                let (key, value) = (key.trim(), value.trim());
                 if seen.contains(&key) {
                     return Err(refused(format!("duplicate key {key:?}")));
                 }

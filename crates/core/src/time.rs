@@ -19,8 +19,9 @@
 //! * [`SlotWait`] is the wait protocol itself — "stay parked while the slot
 //!   is still claimed and the deadline has not passed, then leave exactly
 //!   once" — extracted from the park loop so that a blocking thread
-//!   ([`crate::LoadGate::park`]) and a simulated waiter (`lc-des`) poll the
-//!   *same* state machine against the *same* [`SleepSlotBuffer`].
+//!   ([`crate::LoadGate::park`]), a suspended task
+//!   ([`crate::AsyncLoadGate::poll_park`]) and a simulated waiter (`lc-des`)
+//!   poll the *same* state machine against the *same* [`SleepSlotBuffer`].
 
 use crate::slots::{SleepSlotBuffer, SleeperId};
 use lc_locks::{now_ns, ParkResult, Parker};
@@ -182,9 +183,10 @@ pub enum WaitOutcome {
 /// wait.finish(buffer, time.now());
 /// ```
 ///
-/// while the `lc-des` simulator polls the same machine at event times.  In
-/// both worlds the wait ends through [`SlotWait::finish`], which releases the
-/// claim exactly once — the `S − W` balance cannot be corrupted by a waiter
+/// while a suspended task polls it once per wake
+/// ([`crate::AsyncLoadGate::poll_park`]) and the `lc-des` simulator polls it
+/// at event times.  In every world the wait ends through [`SlotWait::finish`],
+/// which releases the claim exactly once — the `S − W` balance cannot be corrupted by a waiter
 /// that mixes the two styles — and records the episode's duration into the
 /// buffer's wait-time histogram, on whatever clock drives the episode.
 #[derive(Debug)]

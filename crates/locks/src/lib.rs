@@ -106,7 +106,7 @@ pub use adaptive::{AdaptiveConfig, AdaptiveLock};
 pub use blocking::BlockingLock;
 pub use delegation::{DelegationMutex, DelegationStatsSnapshot, FlatCombiningLock};
 pub use mcs::McsLock;
-pub use mutex::{aliases, Mutex, MutexGuard};
+pub use mutex::{Mutex, MutexGuard};
 pub use parker::{ParkResult, Parker};
 pub use raw::{
     AbortAfter, AbortableLock, BoundedAbort, NeverAbort, RawLock, RawTryLock, SpinDecision,
@@ -116,7 +116,7 @@ pub use registry::{DynLock, DynMutex, DynMutexGuard, LockKind, LockSpecError};
 pub use rwlock::RawRwLock;
 pub use semaphore::RawSemaphore;
 pub use spin_then_yield::SpinThenYieldLock;
-pub use spin_wait::{Backoff, SpinWait};
+pub use spin_wait::Backoff;
 pub use stats::{LockStats, LockStatsSnapshot, WaitHistogram, WaitObservation, WaitSnapshot};
 pub use tas::TasLock;
 pub use ticket::TicketLock;

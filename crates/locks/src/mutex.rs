@@ -143,34 +143,10 @@ impl<T: ?Sized + fmt::Display, R: RawLock> fmt::Display for MutexGuard<'_, T, R>
     }
 }
 
-/// Convenience aliases for the most common instantiations.
-pub mod aliases {
-    use super::Mutex;
-    use crate::{
-        AdaptiveLock, BlockingLock, McsLock, TasLock, TicketLock, TimePublishedLock, TtasLock,
-    };
-
-    /// Mutex backed by the naive test-and-set spinlock.
-    pub type TasMutex<T> = Mutex<T, TasLock>;
-    /// Mutex backed by test-and-test-and-set with backoff.
-    pub type TtasMutex<T> = Mutex<T, TtasLock>;
-    /// Mutex backed by the FIFO ticket lock.
-    pub type TicketMutex<T> = Mutex<T, TicketLock>;
-    /// Mutex backed by the classic MCS queue lock.
-    pub type McsMutex<T> = Mutex<T, McsLock>;
-    /// Mutex backed by the time-published queue lock (TP-MCS analogue).
-    pub type TpMutex<T> = Mutex<T, TimePublishedLock>;
-    /// Mutex backed by the purely blocking lock.
-    pub type BlockingMutex<T> = Mutex<T, BlockingLock>;
-    /// Mutex backed by the spin-then-block adaptive lock.
-    pub type AdaptiveMutex<T> = Mutex<T, AdaptiveLock>;
-}
-
 #[cfg(test)]
 mod tests {
-    use super::aliases::*;
     use super::*;
-    use crate::{TicketLock, TimePublishedLock};
+    use crate::{McsLock, TasLock, TicketLock, TimePublishedLock, TtasLock};
     use std::sync::Arc;
     use std::thread;
 
@@ -186,7 +162,7 @@ mod tests {
 
     #[test]
     fn try_lock_returns_none_while_held() {
-        let m: TpMutex<u32> = Mutex::new(0);
+        let m: Mutex<u32, TimePublishedLock> = Mutex::new(0);
         let g = m.lock();
         assert!(m.try_lock().is_none());
         drop(g);
@@ -195,14 +171,14 @@ mod tests {
 
     #[test]
     fn into_inner_and_get_mut() {
-        let mut m: TicketMutex<String> = Mutex::new("a".to_string());
+        let mut m: Mutex<String, TicketLock> = Mutex::new("a".to_string());
         m.get_mut().push('b');
         assert_eq!(m.into_inner(), "ab");
     }
 
     #[test]
     fn debug_formats_without_deadlock() {
-        let m: TasMutex<u32> = Mutex::new(42);
+        let m: Mutex<u32, TasLock> = Mutex::new(42);
         assert!(format!("{m:?}").contains("42"));
         let g = m.lock();
         assert!(format!("{m:?}").contains("locked"));
@@ -211,13 +187,13 @@ mod tests {
 
     #[test]
     fn from_value() {
-        let m: McsMutex<u8> = Mutex::from(5u8);
+        let m: Mutex<u8, McsLock> = Mutex::from(5u8);
         assert_eq!(*m.lock(), 5);
     }
 
     #[test]
     fn default_constructs_default_value() {
-        let m: TtasMutex<u64> = Mutex::default();
+        let m: Mutex<u64, TtasLock> = Mutex::default();
         assert_eq!(*m.lock(), 0);
     }
 
@@ -237,12 +213,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 20_000);
-    }
-
-    #[test]
-    fn adaptive_and_blocking_aliases_work() {
-        let a: AdaptiveMutex<u32> = Mutex::new(1);
-        let b: BlockingMutex<u32> = Mutex::new(2);
-        assert_eq!(*a.lock() + *b.lock(), 3);
     }
 }

@@ -1,7 +1,6 @@
-//! Spin/backoff helpers shared by every spinning primitive in the suite.
+//! The exponential backoff of the test-and-test-and-set lock.
 
 use std::hint;
-use std::thread;
 
 /// Exponential backoff for contended atomic operations.
 ///
@@ -79,57 +78,6 @@ impl Backoff {
     }
 }
 
-/// A polite spin-waiter: spins with `spin_loop` hints for a while, then mixes
-/// in `thread::yield_now` so an oversubscribed host machine keeps making
-/// progress.
-///
-/// This is the waiting loop used where the *suite's own plumbing* must wait
-/// (tests, harness warm-up barriers) — the measured primitives implement their
-/// own loops.
-#[derive(Debug, Clone, Default)]
-pub struct SpinWait {
-    counter: u32,
-}
-
-impl SpinWait {
-    /// Number of pure-spin rounds before yielding to the OS scheduler.
-    pub const SPIN_LIMIT: u32 = 6;
-
-    /// Creates a fresh spin-waiter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Performs one wait step: cheap spinning at first, then a `yield_now`.
-    ///
-    /// Returns `true` if this step yielded to the OS (useful for callers that
-    /// want to switch to blocking after the spinning phase).
-    #[inline]
-    pub fn spin(&mut self) -> bool {
-        if self.counter < Self::SPIN_LIMIT {
-            for _ in 0..(1u32 << self.counter) {
-                hint::spin_loop();
-            }
-            self.counter += 1;
-            false
-        } else {
-            thread::yield_now();
-            true
-        }
-    }
-
-    /// Resets the waiter to the pure-spin phase.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.counter = 0;
-    }
-
-    /// Whether the waiter has started yielding to the OS.
-    pub fn is_yielding(&self) -> bool {
-        self.counter >= Self::SPIN_LIMIT
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,18 +99,5 @@ mod tests {
     fn backoff_max_shift_is_clamped() {
         let b = Backoff::with_max_shift(64);
         assert_eq!(b.max_shift, 20);
-    }
-
-    #[test]
-    fn spin_wait_transitions_to_yielding() {
-        let mut s = SpinWait::new();
-        let mut yielded = false;
-        for _ in 0..(SpinWait::SPIN_LIMIT + 2) {
-            yielded |= s.spin();
-        }
-        assert!(yielded);
-        assert!(s.is_yielding());
-        s.reset();
-        assert!(!s.is_yielding());
     }
 }

@@ -4,9 +4,7 @@
 
 mod support;
 
-use load_control_suite::core::{
-    AsyncSpinHook, LcMutex, LcSemaphore, LoadControl, LoadControlConfig,
-};
+use load_control_suite::core::{LcMutex, LcSemaphore, LoadControl, LoadControlConfig};
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,60 +200,4 @@ fn mixed_sync_and_async_waiters_share_one_load_control() {
     check_books(&control);
     assert_eq!(control.sleepers(), 0);
     assert_eq!(control.async_parked_tasks(), 0);
-}
-
-/// `lock_async` provides mutual exclusion across tasks on a multi-worker
-/// pool under an active controller.
-#[test]
-fn lock_async_is_correct_under_an_active_controller() {
-    let control = aggressive_control(1);
-    let pool = MiniPool::new(4, &control);
-    let counter = Arc::new(LcMutex::<u64>::new_with(0, &control));
-    for _ in 0..10 {
-        let counter = Arc::clone(&counter);
-        pool.spawn(async move {
-            for _ in 0..500 {
-                // The async guard is !Send, so it is dropped before the
-                // next await point — the increment happens atomically
-                // within one poll.
-                *counter.lock_async().await += 1;
-            }
-        });
-    }
-    pool.wait_idle();
-    drop(pool);
-    control.stop_controller();
-    assert_eq!(*counter.lock(), 5_000);
-    check_books(&control);
-}
-
-/// An `AsyncSpinHook`-instrumented custom wait loop parks its task under
-/// overload and resumes when the awaited condition arrives.
-#[test]
-fn async_spin_hook_parks_custom_wait_loops() {
-    let control = aggressive_control(1);
-    let pool = MiniPool::new(2, &control);
-    let flag = Arc::new(AtomicBool::new(false));
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let control = Arc::clone(&control);
-        let flag = Arc::clone(&flag);
-        let done = Arc::clone(&done);
-        pool.spawn(async move {
-            let mut hook = AsyncSpinHook::new(&control);
-            while !flag.load(Ordering::Acquire) {
-                hook.pause().await;
-            }
-            hook.finish();
-            done.store(true, Ordering::Release);
-        });
-    }
-    thread::sleep(Duration::from_millis(100));
-    assert!(!done.load(Ordering::Acquire));
-    flag.store(true, Ordering::Release);
-    pool.wait_idle();
-    drop(pool);
-    control.stop_controller();
-    assert!(done.load(Ordering::Acquire));
-    check_books(&control);
 }

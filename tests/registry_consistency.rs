@@ -415,7 +415,7 @@ const SPEC_TEXT: &[(&str, &str)] = &[
     ("# experiment: smooth convergence\n policy = pid(kp=0.5, ki=0.1)   # showcase parameterized entry\n\n splitter = load-weighted(ewma=0.25)\n shards = 4\n", "policy=pid; splitter=load-weighted(ewma=0.25); shards=4; sampler=registry"),
     (include_str!("../examples/server.lcspec"), "policy=pid; splitter=load-weighted(ewma=0.25); shards=2; sampler=registry"),
     // Refused, by the parser or by the constructor.
-    ("policy=no-such-policy", "error: unknown policy \"no-such-policy\"; registered policys: paper, hysteresis, fixed, pid, latency, autotune"),
+    ("policy=no-such-policy", "error: unknown policy \"no-such-policy\"; registered policies: paper, hysteresis, fixed, pid, latency, autotune"),
     ("policy=pid(gain=2)", "error: policy \"pid\" does not accept key \"gain\"; accepted keys: kp, ki, kd"),
     ("brightness=11", "error: spec: unknown key \"brightness\"; accepted keys: policy, splitter, shards, sampler, wake_order"),
     ("shards=zero", "error: spec: invalid shard count \"zero\": expected a positive integer"),
@@ -423,6 +423,7 @@ const SPEC_TEXT: &[(&str, &str)] = &[
     ("policy=paper; policy=fixed", "error: spec: duplicate key \"policy\""),
     ("topology=mesh", "error: spec: unknown key \"topology\"; accepted keys: policy, splitter, shards, sampler, wake_order"),
     ("policy", "error: spec: expected key=value, got \"policy\""),
+    ("pid(kp=0.5, ki=0.1)", "error: spec: expected key=value, got \"pid(kp=0.5, ki=0.1)\""),
     ("wake_order=lifo", "error: spec: invalid wake order \"lifo\": expected fifo or window"),
     ("shards=18446744073709551615", "error: shards: shard count 18446744073709551615 overflows when rounded up to a power of two"),
     ("shards=1048576", "error: shards: shard count 1048576 rounds up to 1048576 shards, more than the 1024 slots of max_sleepers"),
@@ -430,7 +431,7 @@ const SPEC_TEXT: &[(&str, &str)] = &[
     ("shards=4.5", "error: spec: invalid shard count \"4.5\": expected a positive integer"),
     ("policy=pid(bogus=1)", "error: policy \"pid\" does not accept key \"bogus\"; accepted keys: kp, ki, kd"),
     ("policy=pid(bogus_key=1)", "error: policy \"pid\" does not accept key \"bogus_key\"; accepted keys: kp, ki, kd"),
-    ("policy=warp(drive=9)", "error: unknown policy \"warp\"; registered policys: paper, hysteresis, fixed, pid, latency, autotune"),
+    ("policy=warp(drive=9)", "error: unknown policy \"warp\"; registered policies: paper, hysteresis, fixed, pid, latency, autotune"),
     ("splitter=no-such-splitter", "error: unknown splitter \"no-such-splitter\"; registered splitters: even, load-weighted"),
     ("sampler=no-such-sampler", "error: unknown sampler \"no-such-sampler\"; registered samplers: registry, fixed, procfs, procfs-hardened"),
     ("sampler=fixed(bogus=1)", "error: sampler \"fixed\" does not accept key \"bogus\"; accepted keys: runnable"),
