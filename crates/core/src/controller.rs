@@ -40,7 +40,19 @@ pub struct ControllerStats {
     pub woken_and_left: u64,
 }
 
-struct Shared {
+/// The process-wide load-control facility.
+///
+/// One `LoadControl` owns the sleep slot buffer, the thread registry, the
+/// control policy and the controller daemon.  It is built from a
+/// [`LoadControlConfig`] and a [`LoadControlSpec`] by
+/// [`LoadControl::from_spec`] ([`LoadControl::new`] takes the default spec,
+/// [`LoadControl::start`] also starts the daemon), and its choices are fixed
+/// from then on.  Locks created with
+/// [`crate::LcLock::new_with`] — and the rest of the sync surface
+/// ([`crate::LcRwLock`], [`crate::LcSemaphore`], and [`crate::LoadGate`] for
+/// spin loops of the caller's own) — share it; worker threads register through
+/// [`LoadControl::register_worker`] so the controller can see them.
+pub struct LoadControl {
     config: LoadControlConfig,
     buffer: SleepSlotBuffer,
     registry: Arc<ThreadRegistry>,
@@ -67,29 +79,13 @@ struct Shared {
     running: AtomicBool,
     cycles: AtomicU64,
     last_runnable: AtomicUsize,
-}
-
-/// The process-wide load-control facility.
-///
-/// One `LoadControl` owns the sleep slot buffer, the thread registry, the
-/// control policy and the controller daemon.  It is built from a
-/// [`LoadControlConfig`] and a [`LoadControlSpec`] by
-/// [`LoadControl::from_spec`] ([`LoadControl::new`] takes the default spec,
-/// [`LoadControl::start`] also starts the daemon), and its choices are fixed
-/// from then on.  Locks created with
-/// [`crate::LcLock::new_with`] — and the rest of the sync surface
-/// ([`crate::LcRwLock`], [`crate::LcSemaphore`], and [`crate::LoadGate`] for
-/// spin loops of the caller's own) — share it; worker threads register through
-/// [`LoadControl::register_worker`] so the controller can see them.
-pub struct LoadControl {
-    shared: Arc<Shared>,
     daemon: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl fmt::Debug for LoadControl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LoadControl")
-            .field("config", &self.shared.config)
+            .field("config", &self.config)
             .field("spec", &self.spec().to_string())
             .field("stats", &self.stats())
             .finish()
@@ -244,7 +240,7 @@ impl LoadControl {
             wake_order: (wake_order != WakeOrder::Fifo).then_some(wake_order),
             ..spec.clone()
         };
-        let shared = Arc::new(Shared {
+        Ok(Arc::new(LoadControl {
             buffer: SleepSlotBuffer::with_shards(config.max_sleepers, config.shards)
                 .with_wake_order(wake_order),
             config,
@@ -260,9 +256,6 @@ impl LoadControl {
             running: AtomicBool::new(false),
             cycles: AtomicU64::new(0),
             last_runnable: AtomicUsize::new(0),
-        });
-        Ok(Arc::new(LoadControl {
-            shared,
             daemon: Mutex::new(None),
         }))
     }
@@ -277,41 +270,41 @@ impl LoadControl {
 
     /// The configuration in effect.
     pub fn config(&self) -> LoadControlConfig {
-        self.shared.config
+        self.config
     }
 
     /// The thread registry used for load measurement.
     pub fn registry(&self) -> &Arc<ThreadRegistry> {
-        &self.shared.registry
+        &self.registry
     }
 
     /// The sleep slot buffer (exposed for instrumentation and tests).
     pub fn buffer(&self) -> &SleepSlotBuffer {
-        &self.shared.buffer
+        &self.buffer
     }
 
     /// The async waiting plane shared by every [`crate::AsyncLoadGate`] on
     /// this instance.
     pub(crate) fn async_plane(&self) -> &AsyncPlane {
-        &self.shared.async_plane
+        &self.async_plane
     }
 
     /// The clock this instance runs on (see [`Substitutes::time`]).
     pub fn time(&self) -> &Arc<dyn TimeSource> {
-        &self.shared.time
+        &self.time
     }
 
     /// The blocking primitive waiter threads park through (see
     /// [`Substitutes::park_ops`]).
     pub fn park_ops(&self) -> &Arc<dyn ParkOps> {
-        &self.shared.park_ops
+        &self.park_ops
     }
 
     /// Number of async tasks currently parked by load control (diagnostics;
     /// these tasks also appear in [`LoadControl::sleepers`], which counts
     /// claims of both waiter kinds).
     pub fn async_parked_tasks(&self) -> usize {
-        self.shared.async_plane.parked_tasks()
+        self.async_plane.parked_tasks()
     }
 
     /// Registers the calling thread as a load-controlled worker: it is added
@@ -333,7 +326,7 @@ impl LoadControl {
     /// bench labels can record the exact control plane a measurement ran
     /// under.
     pub fn spec(&self) -> LoadControlSpec {
-        self.shared.spec.clone()
+        self.spec.clone()
     }
 
     /// Manually sets the sleep target.
@@ -343,22 +336,22 @@ impl LoadControl {
     /// persists across cycles (the bump-test / experiment-driving setup that
     /// used to be `ControllerMode::Manual`).
     pub fn set_sleep_target(&self, target: u64) -> usize {
-        self.shared.buffer.set_target(target)
+        self.buffer.set_target(target)
     }
 
     /// The current sleep target.
     pub fn sleep_target(&self) -> u64 {
-        self.shared.buffer.target()
+        self.buffer.target()
     }
 
     /// Number of threads currently asleep (or committed to sleeping).
     pub fn sleepers(&self) -> u64 {
-        self.shared.buffer.sleepers()
+        self.buffer.sleepers()
     }
 
     /// Whether the controller currently considers the process overloaded.
     pub fn is_overloaded(&self) -> bool {
-        self.shared.buffer.target() > 0
+        self.buffer.target() > 0
     }
 
     /// Runs one controller cycle immediately: measure load, consult the
@@ -367,32 +360,32 @@ impl LoadControl {
     /// This is what the daemon does every `update_interval`; tests and the
     /// simulator-driven experiments call it directly.
     pub fn run_cycle(&self) -> ControllerStats {
-        let runnable = self.shared.sampler.sample();
-        self.shared.last_runnable.store(runnable, Ordering::Relaxed);
+        let runnable = self.sampler.sample();
+        self.last_runnable.store(runnable, Ordering::Relaxed);
         // Demand = runnable threads plus the ones currently asleep in the
         // slot buffer; using total demand keeps the target stable instead
         // of mass-waking sleepers whenever runnable load dips briefly.
-        let load = runnable + self.shared.buffer.sleepers() as usize;
+        let load = runnable + self.buffer.sleepers() as usize;
         // The wait observation handed to the policy is this cycle's *delta*
         // window: episodes recorded since the previous decision.
         let wait = {
-            let snapshot = self.shared.buffer.wait_snapshot();
-            let mut last = self.shared.last_wait.lock().unwrap();
+            let snapshot = self.buffer.wait_snapshot();
+            let mut last = self.last_wait.lock().unwrap();
             let delta = snapshot.since(&last);
             *last = snapshot;
             delta.observation()
         };
         let inputs = PolicyInputs {
             load,
-            capacity: self.shared.config.capacity,
-            headroom: self.shared.config.overload_headroom,
-            current_target: self.shared.buffer.target(),
+            capacity: self.config.capacity,
+            headroom: self.config.overload_headroom,
+            current_target: self.buffer.target(),
             stats: self.stats(),
             wait,
-            interval: self.shared.config.update_interval,
+            interval: self.config.update_interval,
         };
-        let target = self.shared.policy.lock().unwrap().target(&inputs);
-        let target = target.min(self.shared.config.max_sleepers as u64);
+        let target = self.policy.lock().unwrap().target(&inputs);
+        let target = target.min(self.config.max_sleepers as u64);
         // Publish only on change: re-publishing the value we just read would
         // turn this cycle into a read-modify-write that can silently revert a
         // concurrent `set_sleep_target` (the externally steered
@@ -403,31 +396,28 @@ impl LoadControl {
         // (so per-shard shares track claim traffic), which preserves the
         // externally steered total up to that same benign race.
         {
-            let mut splitter = self.shared.splitter.lock().unwrap();
+            let mut splitter = self.splitter.lock().unwrap();
             let changed = target != inputs.current_target;
             if changed || (target > 0 && splitter.rebalances()) {
-                let shard_capacity = self.shared.buffer.shard_capacity() as u64;
-                let mut split = splitter.split(
-                    target,
-                    &self.shared.buffer.shard_snapshots(),
-                    shard_capacity,
-                );
+                let shard_capacity = self.buffer.shard_capacity() as u64;
+                let mut split =
+                    splitter.split(target, &self.buffer.shard_snapshots(), shard_capacity);
                 // A custom splitter returning the wrong number of shares
                 // must degrade (to the even split), not panic the daemon
                 // thread — a dead controller strands every parked sleeper
                 // until its timeout and silently disables load control.
-                if split.len() != self.shared.buffer.shard_count() {
-                    split = even_split(target, self.shared.buffer.shard_count(), shard_capacity);
+                if split.len() != self.buffer.shard_count() {
+                    split = even_split(target, self.buffer.shard_count(), shard_capacity);
                 }
                 if changed {
-                    self.shared.buffer.set_shard_targets(&split);
+                    self.buffer.set_shard_targets(&split);
                 } else {
                     // Rebalance of an *unchanged* total: publish only if no
                     // external `set_sleep_target` landed since this cycle
                     // read the target, so a steered value is never clobbered
                     // by the repartition of a stale total (the rebalance
                     // simply waits for the next cycle).
-                    let _ = self.shared.buffer.set_shard_targets_if(&split, target);
+                    let _ = self.buffer.set_shard_targets_if(&split, target);
                 }
             }
         }
@@ -435,8 +425,8 @@ impl LoadControl {
         // thread's `park_timeout` does, so the controller sweeps them: any
         // parked task whose sleep timeout has passed is unparked (its waker
         // fires through the very same parker a thread wake would use).
-        self.shared.async_plane.wake_expired(self.shared.time.now());
-        self.shared.cycles.fetch_add(1, Ordering::Relaxed);
+        self.async_plane.wake_expired(self.time.now());
+        self.cycles.fetch_add(1, Ordering::Relaxed);
         self.stats()
     }
 
@@ -446,17 +436,17 @@ impl LoadControl {
         if guard.is_some() {
             return;
         }
-        self.shared.running.store(true, Ordering::SeqCst);
+        self.running.store(true, Ordering::SeqCst);
         // The daemon holds the control only for the length of a cycle, so a
         // control dropped without `stop_controller` is freed, and its daemon
         // exits at its next wake-up.  Whoever stops it wakes the sleepers.
         let control = Arc::downgrade(self);
-        let interval = self.shared.config.update_interval;
+        let interval = self.config.update_interval;
         let handle = std::thread::Builder::new()
             .name("lc-controller".to_string())
             .spawn(move || {
                 while let Some(this) = control.upgrade() {
-                    if !this.shared.running.load(Ordering::SeqCst) {
+                    if !this.running.load(Ordering::SeqCst) {
                         break;
                     }
                     this.run_cycle();
@@ -470,26 +460,26 @@ impl LoadControl {
 
     /// Stops the controller daemon (idempotent) and wakes all sleepers.
     pub fn stop_controller(&self) {
-        self.shared.running.store(false, Ordering::SeqCst);
+        self.running.store(false, Ordering::SeqCst);
         let handle = self.daemon.lock().unwrap().take();
         if let Some(h) = handle {
             let _ = h.join();
         }
-        self.shared.buffer.wake_all();
+        self.buffer.wake_all();
     }
 
     /// Whether the daemon is currently running.
     pub fn controller_running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
+        self.running.load(Ordering::SeqCst)
     }
 
     /// Controller activity counters.
     pub fn stats(&self) -> ControllerStats {
-        let buffer = self.shared.buffer.stats();
+        let buffer = self.buffer.stats();
         ControllerStats {
-            cycles: self.shared.cycles.load(Ordering::Relaxed),
-            last_runnable: self.shared.last_runnable.load(Ordering::Relaxed),
-            last_target: self.shared.buffer.target(),
+            cycles: self.cycles.load(Ordering::Relaxed),
+            last_runnable: self.last_runnable.load(Ordering::Relaxed),
+            last_target: self.buffer.target(),
             controller_wakes: buffer.controller_wakes,
             woken_and_left: buffer.woken_and_left,
         }
@@ -500,7 +490,7 @@ impl Drop for LoadControl {
     fn drop(&mut self) {
         // Nothing to join: a daemon still running finds the control gone at
         // its next wake-up, and this drop may run on the daemon itself.
-        self.shared.buffer.wake_all();
+        self.buffer.wake_all();
     }
 }
 
@@ -721,7 +711,7 @@ mod tests {
 
         let calls = Arc::new(Counter::new(0));
         let lc = spec_control(LoadControlConfig::for_capacity(1), "shards=2");
-        *lc.shared.splitter.lock().unwrap() = Box::new(CountingSplitter(Arc::clone(&calls)));
+        *lc.splitter.lock().unwrap() = Box::new(CountingSplitter(Arc::clone(&calls)));
         let _h: Vec<_> = (0..4).map(|_| lc.registry().register()).collect();
         // Constant load → the target settles at 3 and stops changing, but a
         // rebalancing splitter must still be consulted every cycle.
@@ -835,7 +825,7 @@ mod tests {
         }
 
         let lc = spec_control(LoadControlConfig::for_capacity(1), "shards=2");
-        *lc.shared.splitter.lock().unwrap() = Box::new(BrokenSplitter);
+        *lc.splitter.lock().unwrap() = Box::new(BrokenSplitter);
         let _h: Vec<_> = (0..5).map(|_| lc.registry().register()).collect();
         // The cycle must survive and publish the even split instead.
         lc.run_cycle();

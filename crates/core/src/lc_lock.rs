@@ -12,8 +12,9 @@
 
 use crate::controller::LoadControl;
 use crate::thread_ctx::{acquire, release, try_acquire};
-use lc_locks::{AbortableLock, LockStatsSnapshot, RawLock, RawTryLock, TimePublishedLock};
-use std::cell::UnsafeCell;
+use lc_locks::{
+    AbortableLock, LockStatsSnapshot, Mutex, MutexGuard, RawLock, RawTryLock, TimePublishedLock,
+};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -108,11 +109,9 @@ unsafe impl<R: AbortableLock + RawTryLock> RawTryLock for LcLock<R> {
     }
 }
 
-/// A value protected by an [`LcLock`] over any abortable backend.
-///
-/// This is a thin, self-contained analogue of [`lc_locks::Mutex`] so that a
-/// load-controlled mutex can be constructed against a specific
-/// [`LoadControl`] instance.
+/// A value protected by an [`LcLock`] over any abortable backend: an
+/// [`lc_locks::Mutex`] whose lock is attached to a specific [`LoadControl`]
+/// instance.  It dereferences to that mutex, whose guard it hands out.
 ///
 /// ```
 /// use lc_core::{LcMutex, LoadControl, LoadControlConfig};
@@ -134,125 +133,50 @@ unsafe impl<R: AbortableLock + RawTryLock> RawTryLock for LcLock<R> {
 /// *m.lock() += 5;
 /// assert_eq!(*m.lock(), 15);
 /// ```
-pub struct LcMutex<T: ?Sized, R: AbortableLock = TimePublishedLock> {
-    raw: LcLock<R>,
-    data: UnsafeCell<T>,
-}
+pub struct LcMutex<T: ?Sized, R: AbortableLock = TimePublishedLock>(Mutex<T, LcLock<R>>);
 
-unsafe impl<T: ?Sized + Send, R: AbortableLock> Send for LcMutex<T, R> {}
-unsafe impl<T: ?Sized + Send, R: AbortableLock> Sync for LcMutex<T, R> {}
+/// RAII guard for [`LcMutex`].
+pub type LcMutexGuard<'a, T, R = TimePublishedLock> = MutexGuard<'a, T, LcLock<R>>;
 
 impl<T, R: AbortableLock> LcMutex<T, R> {
     /// Wraps `value`, attaching the lock to the global [`LoadControl`].
     pub fn new(value: T) -> Self {
-        Self {
-            raw: LcLock::new(),
-            data: UnsafeCell::new(value),
-        }
+        Self(Mutex::new(value))
     }
 
     /// Wraps `value`, attaching the lock to `control`.
     pub fn new_with(value: T, control: &Arc<LoadControl>) -> Self {
-        Self {
-            raw: LcLock::new_with(control),
-            data: UnsafeCell::new(value),
-        }
+        Self(Mutex::with_raw(value, LcLock::new_with(control)))
     }
 
     /// Wraps `value` using a caller-configured backend instance.
     pub fn from_raw(value: T, inner: R, control: &Arc<LoadControl>) -> Self {
-        Self {
-            raw: LcLock::from_raw(inner, control),
-            data: UnsafeCell::new(value),
-        }
+        Self(Mutex::with_raw(value, LcLock::from_raw(inner, control)))
     }
 
     /// Consumes the mutex and returns the protected value.
     pub fn into_inner(self) -> T {
-        self.data.into_inner()
+        self.0.into_inner()
     }
 }
 
-impl<T: ?Sized, R: AbortableLock> LcMutex<T, R> {
-    /// Acquires the lock.
-    pub fn lock(&self) -> LcMutexGuard<'_, T, R> {
-        self.raw.lock();
-        LcMutexGuard { mutex: self }
-    }
+impl<T: ?Sized, R: AbortableLock> Deref for LcMutex<T, R> {
+    type Target = Mutex<T, LcLock<R>>;
 
-    /// Attempts to acquire the lock without waiting.
-    pub fn try_lock(&self) -> Option<LcMutexGuard<'_, T, R>>
-    where
-        R: RawTryLock,
-    {
-        if self.raw.try_lock() {
-            Some(LcMutexGuard { mutex: self })
-        } else {
-            None
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    /// The underlying raw lock.
-    pub fn raw(&self) -> &LcLock<R> {
-        &self.raw
-    }
-
-    /// Whether the lock currently appears held.
-    pub fn is_locked(&self) -> bool {
-        self.raw.is_locked()
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
-impl<T: Default, R: AbortableLock> Default for LcMutex<T, R> {
-    fn default() -> Self {
-        Self::new(T::default())
+impl<T: ?Sized, R: AbortableLock> DerefMut for LcMutex<T, R> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
 impl<T: ?Sized + fmt::Debug, R: AbortableLock + RawTryLock> fmt::Debug for LcMutex<T, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("LcMutex").field("data", &&*g).finish(),
-            None => f
-                .debug_struct("LcMutex")
-                .field("data", &"<locked>")
-                .finish(),
-        }
-    }
-}
-
-/// RAII guard for [`LcMutex`].
-pub struct LcMutexGuard<'a, T: ?Sized, R: AbortableLock = TimePublishedLock> {
-    mutex: &'a LcMutex<T, R>,
-}
-
-impl<T: ?Sized, R: AbortableLock> Deref for LcMutexGuard<'_, T, R> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized, R: AbortableLock> DerefMut for LcMutexGuard<'_, T, R> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized, R: AbortableLock> Drop for LcMutexGuard<'_, T, R> {
-    fn drop(&mut self) {
-        unsafe { self.mutex.raw.unlock() };
-    }
-}
-
-impl<T: ?Sized + fmt::Debug, R: AbortableLock> fmt::Debug for LcMutexGuard<'_, T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
+        self.0.fmt(f)
     }
 }
 
@@ -261,7 +185,7 @@ mod tests {
     use super::*;
     use crate::config::LoadControlConfig;
     use crate::controller::spec_control;
-    use lc_locks::{McsLock, TicketLock, TtasLock};
+    use lc_locks::{DynLock, FlatCombiningLock, McsLock, TicketLock, TtasLock};
     use std::thread;
     use std::time::Duration;
 
@@ -387,5 +311,23 @@ mod tests {
         let g = m.lock();
         assert!(format!("{m:?}").contains("locked"));
         drop(g);
+    }
+
+    /// Implemented twice for a `Send` type, so naming the impl of a `Send`
+    /// type is ambiguous and fails to compile.
+    trait AmbiguousIfSend<A> {
+        fn some_item() {}
+    }
+    impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+    struct IsSend;
+    impl<T: ?Sized + Send> AmbiguousIfSend<IsSend> for T {}
+
+    #[test]
+    fn mutex_guards_are_not_send() {
+        // A guard dropped on another thread would release the hold in that
+        // thread's context: a compile error, checked here at compile time.
+        let _ = <LcMutexGuard<'static, u64> as AmbiguousIfSend<_>>::some_item;
+        let _ = <MutexGuard<'static, u64, Box<dyn DynLock>> as AmbiguousIfSend<_>>::some_item;
+        let _ = <MutexGuard<'static, u64, FlatCombiningLock> as AmbiguousIfSend<_>>::some_item;
     }
 }

@@ -1512,6 +1512,35 @@ mod tests {
     }
 
     #[test]
+    fn claims_homed_on_different_shards_never_race() {
+        // The interleaving that races on one shard (above): both claimers
+        // observe their head before either commits.  Homed on different
+        // shards, each CASes its own head, so both commit.
+        let buf = SleepSlotBuffer::with_shards(8, 4);
+        buf.set_target(4);
+        let a = sleeper(&buf);
+        let b = sleeper(&buf);
+        let (home_a, home_b) = (buf.home_shard(a), buf.home_shard(b));
+        assert_ne!(home_a, home_b);
+        let (shard_a, shard_b) = (&buf.shards[home_a], &buf.shards[home_b]);
+        let sa = shard_a.begin_claim().expect("space available");
+        let sb = shard_b.begin_claim().expect("space available");
+        let ClaimOutcome::Claimed(idx_a) = shard_a.commit_claim(a, sa) else {
+            panic!("claim on shard {home_a} must commit");
+        };
+        let ClaimOutcome::Claimed(idx_b) = shard_b.commit_claim(b, sb) else {
+            panic!("claim on shard {home_b} must commit");
+        };
+        assert_eq!(buf.stats().claim_races, 0);
+        assert_eq!(buf.sleepers(), 2);
+        buf.leave(home_a * buf.shard_capacity() + idx_a, a);
+        buf.leave(home_b * buf.shard_capacity() + idx_b, b);
+        let stats = buf.stats();
+        assert_eq!(stats.ever_slept, stats.woken_and_left);
+        assert_eq!(stats.claim_races, 0);
+    }
+
+    #[test]
     fn a_claim_that_straddles_a_target_shrink_backs_out() {
         // The wake scan of `set_target(0)` runs between the two halves of a
         // claim: it finds no slot to clear, so the claimer itself must notice

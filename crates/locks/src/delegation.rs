@@ -12,7 +12,7 @@
 //!
 //! The delegated path is [`FlatCombiningLock::run_locked`]; the lock *also*
 //! implements the crate-wide [`RawLock`]/[`RawTryLock`]/[`AbortableLock`]
-//! contract, so it slots into [`crate::registry::DynMutex`], the benchmark
+//! contract, so it slots into [`crate::Mutex`], the benchmark
 //! drivers, and — crucially — load control: **abort = atomically withdrawing
 //! an unexecuted published request**, so `lc-core`'s `LoadGate` works
 //! unchanged on top.
@@ -37,9 +37,9 @@
 //! strand every publisher behind it.
 
 use crate::raw::{AbortableLock, NeverAbort, RawLock, RawTryLock, SpinDecision, SpinPolicy};
+use crate::Mutex;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -639,13 +639,12 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 
 /// A value protected by a [`FlatCombiningLock`], accessed by *delegating*
-/// closures over it.
+/// closures over it: a [`Mutex`] over flat combining.
 ///
-/// The delegation counterpart of [`crate::Mutex`]: [`DelegationMutex::run_locked`]
-/// publishes the closure for the combiner to execute (or runs it in place
-/// when uncontended), and the guard API ([`DelegationMutex::lock`]) provides
-/// the classic own-the-lock path for code that needs a reference across
-/// statements.
+/// [`DelegationMutex::run_locked`] publishes the closure for the combiner to
+/// execute (or runs it in place when uncontended), and the guard API
+/// ([`Mutex::lock`]) provides the classic own-the-lock path for code that
+/// needs a reference across statements.
 ///
 /// ```
 /// use lc_locks::delegation::DelegationMutex;
@@ -667,42 +666,7 @@ unsafe impl<T> Send for SendPtr<T> {}
 /// }
 /// assert_eq!(counter.run_locked(|n| *n), 4000);
 /// ```
-pub struct DelegationMutex<T> {
-    raw: FlatCombiningLock,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: the lock serializes every access to `data`.  Through a shared
-// reference `data` is reached only by a closure that runs under the lock —
-// possibly on the combiner's thread — or through a guard, so moving `T`
-// between threads is all that sharing the mutex needs: `T: Send`.
-unsafe impl<T: Send> Send for DelegationMutex<T> {}
-unsafe impl<T: Send> Sync for DelegationMutex<T> {}
-
-impl<T> DelegationMutex<T> {
-    /// Wraps `value` behind a new lock.
-    pub fn new(value: T) -> Self {
-        Self {
-            raw: <FlatCombiningLock as RawLock>::new(),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    /// The underlying delegation lock.
-    pub fn raw(&self) -> &FlatCombiningLock {
-        &self.raw
-    }
-}
+pub type DelegationMutex<T> = Mutex<T, FlatCombiningLock>;
 
 impl<T: Send> DelegationMutex<T> {
     /// Executes `f` over the protected value under the lock, possibly on the
@@ -723,79 +687,12 @@ impl<T: Send> DelegationMutex<T> {
         P: SpinPolicy + ?Sized,
     {
         let data = SendPtr(self.data.get());
-        self.raw.run_locked_with(policy, move || {
+        self.raw().run_locked_with(policy, move || {
             let data = data;
+            // SAFETY: the closure runs under the lock, on whichever one
+            // thread runs it, so this is the only reference to the data.
             f(unsafe { &mut *data.0 })
         })
-    }
-}
-
-impl<T> DelegationMutex<T> {
-    /// Acquires the lock for the classic guard-based access path.
-    pub fn lock(&self) -> DelegationMutexGuard<'_, T> {
-        self.raw.lock();
-        DelegationMutexGuard { mutex: self }
-    }
-
-    /// Acquires the lock, consulting `policy` while waiting.
-    pub fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) -> DelegationMutexGuard<'_, T> {
-        self.raw.lock_with(policy);
-        DelegationMutexGuard { mutex: self }
-    }
-
-    /// Attempts to acquire the lock without waiting.
-    pub fn try_lock(&self) -> Option<DelegationMutexGuard<'_, T>> {
-        if self.raw.try_lock() {
-            Some(DelegationMutexGuard { mutex: self })
-        } else {
-            None
-        }
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for DelegationMutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f
-                .debug_struct("DelegationMutex")
-                .field("data", &&*g)
-                .finish(),
-            None => f
-                .debug_struct("DelegationMutex")
-                .field("data", &"<locked>")
-                .finish(),
-        }
-    }
-}
-
-/// RAII guard returned by [`DelegationMutex::lock`]; releases on drop.
-pub struct DelegationMutexGuard<'a, T> {
-    mutex: &'a DelegationMutex<T>,
-}
-
-impl<T> Deref for DelegationMutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T> DerefMut for DelegationMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T> Drop for DelegationMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        unsafe { self.mutex.raw.unlock() };
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for DelegationMutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
     }
 }
 

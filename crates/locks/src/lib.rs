@@ -36,8 +36,13 @@
 //! load-controlled lock in `lc-core`, the root integration tests, the
 //! wall-clock benchmark in `perf/`).  Every spinning primitive
 //! additionally implements [`AbortableLock`], the policy-parameterized
-//! acquire path that load control plugs into, and [`LockKind`] constructs
-//! any family from its stable name at runtime.
+//! acquire path that load control plugs into ([`Mutex::lock_with`]), and
+//! [`LockKind`] constructs any family from its stable name at runtime.
+//!
+//! [`Mutex`] is the suite's one guarded cell: [`DynMutex`] is a `Mutex`
+//! over a family chosen by name, [`DelegationMutex`] one over flat
+//! combining, and `lc-core`'s `LcMutex` one over its load-controlled lock.
+//! Each hands out the same not-`Send` [`MutexGuard`].
 //!
 //! ## Quick example
 //!
@@ -73,7 +78,7 @@
 //! let m = DynMutex::build("ticket", 41u32).expect("a lock family");
 //! *m.lock() += 1;
 //! assert_eq!(*m.lock(), 42);
-//! assert_eq!(m.name(), "ticket");
+//! assert_eq!(m.raw().name(), "ticket");
 //! assert!(ALL_LOCK_NAMES.contains(&"ticket"));
 //! assert!(DynMutex::build("no-such-lock", 0u32).is_none());
 //!
@@ -112,7 +117,7 @@ pub use raw::{
     AbortAfter, AbortableLock, BoundedAbort, NeverAbort, RawLock, RawTryLock, SpinDecision,
     SpinPolicy,
 };
-pub use registry::{DynLock, DynMutex, DynMutexGuard, LockKind, LockSpecError};
+pub use registry::{DynLock, DynMutex, LockKind, LockSpecError};
 pub use rwlock::RawRwLock;
 pub use semaphore::RawSemaphore;
 pub use spin_then_yield::SpinThenYieldLock;

@@ -1,14 +1,21 @@
-//! An RAII mutex wrapper generic over any [`RawLock`].
+//! The one guarded cell of the suite: an RAII mutex generic over any
+//! [`RawLock`].
 //!
 //! This is the user-facing way to protect data with any of the primitives in
-//! this crate (or with the load-controlled lock from `lc-core`): the lock
+//! this crate or with the load-controlled lock from `lc-core`: the lock
 //! algorithm is a type parameter, so workloads, latches and benchmarks can be
 //! written once and instantiated with every contention-management policy the
-//! paper compares.
+//! paper compares.  Every other mutex of the suite is an instantiation of it:
+//! [`crate::DynMutex`] over a family chosen by name,
+//! [`crate::DelegationMutex`] over flat combining, and `lc-core`'s `LcMutex`
+//! over the load-controlled lock.
 
-use crate::raw::{RawLock, RawTryLock};
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+use crate::raw::{AbortableLock, RawLock, RawTryLock, SpinPolicy};
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
 /// A mutual-exclusion cell whose locking strategy is the type parameter `R`.
@@ -21,10 +28,14 @@ use std::ops::{Deref, DerefMut};
 /// ```
 pub struct Mutex<T: ?Sized, R: RawLock> {
     raw: R,
-    data: UnsafeCell<T>,
+    pub(crate) data: UnsafeCell<T>,
 }
 
+// SAFETY: `R` is `Send + Sync` (a `RawLock` bound), and `data` is reached
+// through a shared reference only while `raw` is held, by one thread at a
+// time, so sharing or moving the mutex moves nothing but `T` between threads.
 unsafe impl<T: ?Sized + Send, R: RawLock> Send for Mutex<T, R> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: ?Sized + Send, R: RawLock> Sync for Mutex<T, R> {}
 
 impl<T, R: RawLock> Mutex<T, R> {
@@ -51,7 +62,7 @@ impl<T: ?Sized, R: RawLock> Mutex<T, R> {
     /// Acquires the lock, blocking (or spinning) until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T, R> {
         self.raw.lock();
-        MutexGuard { mutex: self }
+        self.guard()
     }
 
     /// Attempts to acquire the lock without waiting.
@@ -59,10 +70,14 @@ impl<T: ?Sized, R: RawLock> Mutex<T, R> {
     where
         R: RawTryLock,
     {
-        if self.raw.try_lock() {
-            Some(MutexGuard { mutex: self })
-        } else {
-            None
+        self.raw.try_lock().then(|| self.guard())
+    }
+
+    /// The guard of a lock this thread has just acquired.
+    fn guard(&self) -> MutexGuard<'_, T, R> {
+        MutexGuard {
+            mutex: self,
+            _not_send: PhantomData,
         }
     }
 
@@ -82,6 +97,16 @@ impl<T: ?Sized, R: RawLock> Mutex<T, R> {
     /// The underlying raw lock (for statistics and configuration access).
     pub fn raw(&self) -> &R {
         &self.raw
+    }
+}
+
+impl<T: ?Sized, R: AbortableLock> Mutex<T, R> {
+    /// Acquires the lock through `R`'s abortable waiting loop, consulting
+    /// `policy` on every poll (a `LoadGate` from `lc-core` load-controls the
+    /// wait).
+    pub fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) -> MutexGuard<'_, T, R> {
+        self.raw.lock_with(policy);
+        self.guard()
     }
 }
 
@@ -107,26 +132,35 @@ impl<T, R: RawLock> From<T> for Mutex<T, R> {
 }
 
 /// RAII guard returned by [`Mutex::lock`]; releases the lock on drop.
+///
+/// Not `Send`: a lock is released by the thread that took it, and a
+/// load-controlled lock counts the hold in that thread's context.
 pub struct MutexGuard<'a, T: ?Sized, R: RawLock> {
     mutex: &'a Mutex<T, R>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl<T: ?Sized, R: RawLock> Deref for MutexGuard<'_, T, R> {
     type Target = T;
 
     fn deref(&self) -> &T {
+        // SAFETY: the guard holds the lock, so no other thread reaches `data`.
         unsafe { &*self.mutex.data.get() }
     }
 }
 
 impl<T: ?Sized, R: RawLock> DerefMut for MutexGuard<'_, T, R> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: the guard holds the lock and is borrowed mutably, so this is
+        // the only reference to `data`.
         unsafe { &mut *self.mutex.data.get() }
     }
 }
 
 impl<T: ?Sized, R: RawLock> Drop for MutexGuard<'_, T, R> {
     fn drop(&mut self) {
+        // SAFETY: the guard was made when this thread acquired the lock, and
+        // it cannot have left the thread (`!Send`).
         unsafe { self.mutex.raw.unlock() };
     }
 }

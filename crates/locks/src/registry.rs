@@ -3,153 +3,127 @@
 //! Benchmarks, workload drivers and examples refer to locks by their stable
 //! names (`"mcs"`, `"tp-queue"`, …).  The set is closed: [`LockKind`] has
 //! one variant per family, and [`LockKind::build`] constructs any of them
-//! behind the object-safe [`DynLock`] adapter, so a driver that sweeps over
-//! families holds a [`DynMutex`] instead of monomorphizing over every lock
-//! type.  A lock family takes no parameters: its name is its whole spec, so
-//! `name()` is `name` and any key is a [`LockSpecError::TakesNoKeys`].
-//! Adding a lock is adding a variant and its match arms.
+//! behind the object-safe [`DynLock`], so a driver that sweeps over families
+//! holds a [`DynMutex`] — the one [`Mutex`] over a boxed [`DynLock`] —
+//! instead of monomorphizing over every lock type.  A lock family takes no
+//! parameters: its name is its whole spec, so `name()` is `name` and any key
+//! is a [`LockSpecError::TakesNoKeys`].  Adding a lock is adding a variant
+//! and its match arms.
 //!
-//! [`DynLock`] mirrors the [`RawLock`] + [`RawTryLock`] + [`AbortableLock`]
-//! surface without generics.  For the spinning primitives, `lock_with`
-//! forwards to the real abortable waiting loop; the purely blocking families
+//! A [`DynLock`] is a [`RawTryLock`] with a dynamically dispatched
+//! [`AbortableLock::lock_with`].  For the spinning primitives that is the
+//! real abortable waiting loop; the purely blocking families
 //! ([`BlockingLock`], [`AdaptiveLock`]) cannot abort a wait that parks in the
-//! kernel, so their adapter falls back to a plain `lock` (and reports
+//! kernel, so theirs falls back to a plain `lock` (and reports
 //! [`DynLock::is_abortable`] `false`).
 
 use crate::raw::{AbortableLock, RawLock, RawTryLock, SpinPolicy};
 use crate::{
-    AdaptiveLock, BlockingLock, FlatCombiningLock, McsLock, RawRwLock, RawSemaphore,
+    AdaptiveLock, BlockingLock, FlatCombiningLock, McsLock, Mutex, RawRwLock, RawSemaphore,
     SpinThenYieldLock, TasLock, TicketLock, TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
 
-/// Object-safe view of a lock: the [`RawLock`]/[`RawTryLock`] surface plus a
-/// dynamically dispatched [`AbortableLock::lock_with`].
-pub trait DynLock: Send + Sync + fmt::Debug {
-    /// Acquires the lock (see [`RawLock::lock`]).
-    fn lock(&self);
-
-    /// Releases the lock.
-    ///
-    /// # Safety
-    ///
-    /// Must only be called by the thread that currently owns the lock.
-    unsafe fn unlock(&self);
-
-    /// Attempts to acquire the lock without waiting.
-    fn try_lock(&self) -> bool;
-
-    /// Whether the lock currently appears held (racy, diagnostics only).
-    fn is_locked(&self) -> bool;
-
-    /// The lock family's stable name, which is also its whole spec.
-    fn name(&self) -> &'static str;
-
-    /// Whether `lock_with` honors [`crate::SpinDecision::Abort`].
+/// Object-safe view of a lock: the [`RawTryLock`] surface plus a dynamically
+/// dispatched [`AbortableLock::lock_with`].
+pub trait DynLock: RawTryLock + fmt::Debug {
+    /// Whether `lock_dyn` honors [`crate::SpinDecision::Abort`].
     fn is_abortable(&self) -> bool;
 
     /// Acquires the lock, consulting `policy` while waiting.
     ///
     /// For abortable locks this is the real policy-driven waiting loop; for
     /// blocking locks the policy is only notified of the final acquisition.
-    fn lock_with(&self, policy: &mut dyn SpinPolicy);
+    fn lock_dyn(&self, policy: &mut dyn SpinPolicy);
 }
 
-/// Adapter giving an [`AbortableLock`] the [`DynLock`] interface.
-struct Abortable<R>(R);
+/// The spinning families: `lock_dyn` is their abortable waiting loop.
+macro_rules! abortable {
+    ($($lock:ty),*) => {$(
+        impl DynLock for $lock {
+            fn is_abortable(&self) -> bool {
+                true
+            }
 
-impl<R: AbortableLock + RawTryLock + fmt::Debug> DynLock for Abortable<R> {
+            fn lock_dyn(&self, policy: &mut dyn SpinPolicy) {
+                self.lock_with(policy);
+            }
+        }
+    )*};
+}
+
+abortable!(
+    TasLock,
+    TtasLock,
+    TicketLock,
+    McsLock,
+    TimePublishedLock,
+    SpinThenYieldLock,
+    RawRwLock,
+    RawSemaphore,
+    FlatCombiningLock
+);
+
+/// The families whose waiting cannot be aborted (they park in the kernel
+/// rather than spin).
+macro_rules! non_abortable {
+    ($($lock:ty),*) => {$(
+        impl DynLock for $lock {
+            fn is_abortable(&self) -> bool {
+                false
+            }
+
+            fn lock_dyn(&self, policy: &mut dyn SpinPolicy) {
+                self.lock();
+                policy.on_acquired(0);
+            }
+        }
+    )*};
+}
+
+non_abortable!(BlockingLock, AdaptiveLock);
+
+/// The lock of a [`DynMutex`]: any family, chosen at runtime.  Its
+/// `lock_with` is the family's [`DynLock::lock_dyn`], so for a blocking
+/// family it waits without consulting the policy.
+// SAFETY: every method forwards to the boxed lock, which upholds the
+// contract itself.
+unsafe impl RawLock for Box<dyn DynLock> {
+    /// A lock of the paper's family, `tp-queue`.
+    fn new() -> Self {
+        LockKind::TpQueue.build()
+    }
+
     fn lock(&self) {
-        self.0.lock();
+        (**self).lock();
     }
 
     unsafe fn unlock(&self) {
-        self.0.unlock();
-    }
-
-    fn try_lock(&self) -> bool {
-        self.0.try_lock()
+        (**self).unlock();
     }
 
     fn is_locked(&self) -> bool {
-        self.0.is_locked()
+        (**self).is_locked()
     }
 
     fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn is_abortable(&self) -> bool {
-        true
-    }
-
-    fn lock_with(&self, policy: &mut dyn SpinPolicy) {
-        self.0.lock_with(policy);
+        (**self).name()
     }
 }
 
-impl<R: fmt::Debug> fmt::Debug for Abortable<R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// Adapter for lock families whose waiting cannot be aborted (they park in
-/// the kernel rather than spin).
-struct NonAbortable<R>(R);
-
-impl<R: RawLock + RawTryLock + fmt::Debug> DynLock for NonAbortable<R> {
-    fn lock(&self) {
-        self.0.lock();
-    }
-
-    unsafe fn unlock(&self) {
-        self.0.unlock();
-    }
-
+// SAFETY: forwards to the boxed lock.
+unsafe impl RawTryLock for Box<dyn DynLock> {
     fn try_lock(&self) -> bool {
-        self.0.try_lock()
-    }
-
-    fn is_locked(&self) -> bool {
-        self.0.is_locked()
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn is_abortable(&self) -> bool {
-        false
-    }
-
-    fn lock_with(&self, policy: &mut dyn SpinPolicy) {
-        self.0.lock();
-        policy.on_acquired(0);
+        (**self).try_lock()
     }
 }
 
-impl<R: fmt::Debug> fmt::Debug for NonAbortable<R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+// SAFETY: forwards to the boxed lock.
+unsafe impl AbortableLock for Box<dyn DynLock> {
+    fn lock_with<P: SpinPolicy + ?Sized>(&self, policy: &mut P) {
+        (**self).lock_dyn(&mut &mut *policy);
     }
-}
-
-fn abortable<R>() -> Box<dyn DynLock>
-where
-    R: AbortableLock + RawTryLock + fmt::Debug + 'static,
-{
-    Box::new(Abortable(R::new()))
-}
-
-fn non_abortable<R>() -> Box<dyn DynLock>
-where
-    R: RawLock + RawTryLock + fmt::Debug + 'static,
-{
-    Box::new(NonAbortable(R::new()))
 }
 
 /// A lock family: the closed set behind [`crate::ALL_LOCK_NAMES`].
@@ -215,20 +189,23 @@ impl LockKind {
 
     /// A new, unlocked lock of this family.
     pub fn build(self) -> Box<dyn DynLock> {
+        fn boxed<R: DynLock + 'static>() -> Box<dyn DynLock> {
+            Box::new(R::new())
+        }
         match self {
-            LockKind::Tas => abortable::<TasLock>(),
-            LockKind::TtasBackoff => abortable::<TtasLock>(),
-            LockKind::Ticket => abortable::<TicketLock>(),
-            LockKind::Mcs => abortable::<McsLock>(),
-            LockKind::TpQueue => abortable::<TimePublishedLock>(),
-            LockKind::SpinThenYield => abortable::<SpinThenYieldLock>(),
+            LockKind::Tas => boxed::<TasLock>(),
+            LockKind::TtasBackoff => boxed::<TtasLock>(),
+            LockKind::Ticket => boxed::<TicketLock>(),
+            LockKind::Mcs => boxed::<McsLock>(),
+            LockKind::TpQueue => boxed::<TimePublishedLock>(),
+            LockKind::SpinThenYield => boxed::<SpinThenYieldLock>(),
             // The rwlock and semaphore join through their exclusive/binary
             // modes, in which they satisfy the mutex contract.
-            LockKind::RwLock => abortable::<RawRwLock>(),
-            LockKind::Semaphore => abortable::<RawSemaphore>(),
-            LockKind::Blocking => non_abortable::<BlockingLock>(),
-            LockKind::Adaptive => non_abortable::<AdaptiveLock>(),
-            LockKind::FlatCombining => abortable::<FlatCombiningLock>(),
+            LockKind::RwLock => boxed::<RawRwLock>(),
+            LockKind::Semaphore => boxed::<RawSemaphore>(),
+            LockKind::Blocking => boxed::<BlockingLock>(),
+            LockKind::Adaptive => boxed::<AdaptiveLock>(),
+            LockKind::FlatCombining => boxed::<FlatCombiningLock>(),
         }
     }
 }
@@ -302,36 +279,22 @@ impl FromStr for LockKind {
     }
 }
 
-/// A value protected by a lock chosen at runtime by name.
+/// A value protected by a lock chosen at runtime by name: a [`Mutex`] over
+/// a boxed [`DynLock`].
 ///
-/// The dynamic counterpart of [`crate::Mutex`]: benchmarks and drivers that
-/// sweep over lock families hold a `DynMutex` per configuration instead of
-/// monomorphizing over every lock type.
+/// Benchmarks and drivers that sweep over lock families hold a `DynMutex`
+/// per configuration instead of monomorphizing over every lock type.
 ///
 /// ```
 /// use lc_locks::registry::DynMutex;
 /// let m = DynMutex::build("mcs", 41u64).expect("mcs is registered");
 /// *m.lock() += 1;
 /// assert_eq!(*m.lock(), 42);
-/// assert_eq!(m.name(), "mcs");
+/// assert_eq!(m.raw().name(), "mcs");
 /// ```
-pub struct DynMutex<T: ?Sized> {
-    raw: Box<dyn DynLock>,
-    data: UnsafeCell<T>,
-}
-
-unsafe impl<T: ?Sized + Send> Send for DynMutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for DynMutex<T> {}
+pub type DynMutex<T> = Mutex<T, Box<dyn DynLock>>;
 
 impl<T> DynMutex<T> {
-    /// Wraps `value` behind `lock`.
-    pub fn new(lock: Box<dyn DynLock>, value: T) -> Self {
-        Self {
-            raw: lock,
-            data: UnsafeCell::new(value),
-        }
-    }
-
     /// Wraps `value` behind the lock named by `spec`, or `None` when the spec
     /// does not name a lock family.  [`DynMutex::try_build`] reports *why* a
     /// spec was rejected.
@@ -342,98 +305,7 @@ impl<T> DynMutex<T> {
     /// Wraps `value` behind the lock named by `spec`, with the reason for a
     /// refusal surfaced.
     pub fn try_build(spec: &str, value: T) -> Result<Self, LockSpecError> {
-        Ok(Self::new(spec.parse::<LockKind>()?.build(), value))
-    }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> DynMutex<T> {
-    /// Acquires the lock.
-    pub fn lock(&self) -> DynMutexGuard<'_, T> {
-        self.raw.lock();
-        DynMutexGuard { mutex: self }
-    }
-
-    /// Acquires the lock, consulting `policy` while waiting.
-    pub fn lock_with(&self, policy: &mut dyn SpinPolicy) -> DynMutexGuard<'_, T> {
-        self.raw.lock_with(policy);
-        DynMutexGuard { mutex: self }
-    }
-
-    /// Attempts to acquire the lock without waiting.
-    pub fn try_lock(&self) -> Option<DynMutexGuard<'_, T>> {
-        if self.raw.try_lock() {
-            Some(DynMutexGuard { mutex: self })
-        } else {
-            None
-        }
-    }
-
-    /// The name of the underlying lock's family.
-    pub fn name(&self) -> &'static str {
-        self.raw.name()
-    }
-
-    /// The underlying lock object.
-    pub fn raw(&self) -> &dyn DynLock {
-        &*self.raw
-    }
-
-    /// Whether the lock currently appears held (racy, diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.raw.is_locked()
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for DynMutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("DynMutex").field("data", &&*g).finish(),
-            None => f
-                .debug_struct("DynMutex")
-                .field("data", &"<locked>")
-                .finish(),
-        }
-    }
-}
-
-/// RAII guard returned by [`DynMutex::lock`]; releases the lock on drop.
-pub struct DynMutexGuard<'a, T: ?Sized> {
-    mutex: &'a DynMutex<T>,
-}
-
-impl<T: ?Sized> Deref for DynMutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for DynMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for DynMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        unsafe { self.mutex.raw.unlock() };
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for DynMutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
+        Ok(Self::with_raw(value, spec.parse::<LockKind>()?.build()))
     }
 }
 

@@ -14,8 +14,8 @@ use load_control_suite::core::{
     ParkOps, SleeperId, Substitutes,
 };
 use load_control_suite::locks::{
-    AbortableLock, DynMutex, FlatCombiningLock, ParkResult, Parker, RawLock, SpinDecision,
-    SpinPolicy, ABORTABLE_LOCK_NAMES,
+    AbortableLock, DelegationMutex, DynMutex, FlatCombiningLock, ParkResult, Parker, RawLock,
+    SpinDecision, SpinPolicy, ABORTABLE_LOCK_NAMES,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,6 +78,71 @@ fn every_guard_blocks_sleep_claims_exactly_while_it_is_held() {
     let (outer, inner) = (mutex.lock(), rw.read());
     drop(outer);
     assert_holding_blocks_claims(&control, inner, "the inner of two guards");
+}
+
+/// Runs `section`, which must panic, and checks that the unwind released
+/// `mutex`: another thread takes it (`try_elsewhere` returns whether it
+/// did), and the panicking thread holds nothing, so with the controller
+/// asking for a sleeper it would claim a slot.
+fn assert_panic_releases<M: Sync>(
+    control: &Arc<LoadControl>,
+    mutex: &M,
+    section: impl FnOnce(&M),
+    try_elsewhere: impl Fn(&M) -> bool + Sync,
+    what: &str,
+) {
+    assert!(catch_unwind(AssertUnwindSafe(|| section(mutex))).is_err());
+    let taken = std::thread::scope(|scope| scope.spawn(|| try_elsewhere(mutex)).join());
+    assert!(
+        taken.unwrap(),
+        "{what}: another thread could not take the lock"
+    );
+    assert!(would_claim(control), "{what}: the panic left a hold behind");
+}
+
+#[test]
+fn a_panicking_critical_section_releases_its_lock() {
+    let control = manual_control();
+    control.set_sleep_target(1);
+
+    let lc = LcMutex::<u64>::new_with(0, &control);
+    assert_panic_releases(
+        &control,
+        &lc,
+        |m| {
+            let _guard = m.lock();
+            panic!("inside an LcMutex guard")
+        },
+        |m| m.try_lock().map(|mut n| *n += 1).is_some(),
+        "an LcMutex over tp-queue",
+    );
+    assert_eq!(*lc.lock(), 1);
+
+    let dynamic = DynMutex::build("tp-queue", 0u64).expect("a lock family");
+    assert_panic_releases(
+        &control,
+        &dynamic,
+        |m| {
+            let _guard = m.lock_with(&mut LoadGate::new(&control));
+            panic!("inside a DynMutex guard")
+        },
+        |m| m.try_lock().map(|mut n| *n += 1).is_some(),
+        "a DynMutex built from a name",
+    );
+    assert_eq!(*dynamic.lock(), 1);
+
+    let delegated = DelegationMutex::new(0u64);
+    assert_panic_releases(
+        &control,
+        &delegated,
+        |m| {
+            let _guard = m.lock();
+            panic!("inside a DelegationMutex guard")
+        },
+        |m| m.try_lock().map(|mut n| *n += 1).is_some(),
+        "a DelegationMutex",
+    );
+    assert_eq!(delegated.run_locked(|n| *n), 1);
 }
 
 #[test]

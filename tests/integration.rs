@@ -5,7 +5,6 @@
 
 mod support;
 
-use load_control_suite::core::slots::{ClaimOutcome, SleepSlotBuffer};
 use load_control_suite::core::{
     LcMutex, LcRwLock, LcSemaphore, LoadControl, LoadControlConfig, LoadGate,
 };
@@ -14,11 +13,10 @@ use load_control_suite::des::metrics::RunReport;
 use load_control_suite::locks::delegation;
 use load_control_suite::locks::registry::{LockKind, LockSpecError};
 use load_control_suite::locks::{
-    AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, Parker, RawLock, SpinPolicy,
-    TicketLock, TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
+    AbortableLock, BoundedAbort, DelegationMutex, McsLock, Mutex, RawLock, SpinPolicy, TicketLock,
+    TimePublishedLock, TtasLock, ALL_LOCK_NAMES,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use support::{aggressive_control, check_books, run_threads, spin};
 
@@ -329,49 +327,6 @@ fn two_shard_buffer_sleeps_waiters_on_both_shards() {
         let s = control.buffer().shard_stats(shard);
         assert_eq!(s.ever_slept, s.woken_and_left, "shard {shard} unbalanced");
     }
-}
-
-/// Hammers the raw claim path of a buffer with `shards` shards from 8
-/// threads (every claim immediately released, targets wide open) and
-/// returns the number of lost head CASes.
-fn hammer_claim_path(shards: usize) -> u64 {
-    let buf = SleepSlotBuffer::with_shards(64, shards);
-    buf.set_target(64);
-    run_threads(8, None, |_| {
-        let id = buf.register_sleeper(Arc::new(Parker::new()));
-        for _ in 0..30_000 {
-            if let ClaimOutcome::Claimed(idx) = buf.try_claim(id) {
-                buf.leave(idx, id);
-            }
-        }
-    });
-    let stats = buf.stats();
-    assert_eq!(stats.ever_slept, stats.woken_and_left);
-    stats.claim_races
-}
-
-#[test]
-fn sharding_reduces_claim_races_under_contention() {
-    // The scaling claim of the refactor: distributing the head CAS over 4
-    // shards must produce measurably fewer claim races than one shard under
-    // the same 8-thread hammering (≥ 2× the typical core-group size).
-    // Several trials are summed to smooth scheduler noise.
-    let races_1: u64 = (0..3).map(|_| hammer_claim_path(1)).sum();
-    let races_4: u64 = (0..3).map(|_| hammer_claim_path(4)).sum();
-    // On an effectively serial machine (single-core CI runner) the threads
-    // barely overlap: the handful of races observed are context-switch
-    // artifacts, not CAS contention, and there is nothing to measure.
-    if races_1 < 1_000 {
-        eprintln!(
-            "skipping race comparison: baseline only raced {races_1} times \
-             (machine too serial to contend)"
-        );
-        return;
-    }
-    assert!(
-        races_4 < races_1,
-        "sharding produced no measurable race reduction ({races_4} vs {races_1})"
-    );
 }
 
 /// Oversubscribed delegated-counter workload on flat combining: publishers

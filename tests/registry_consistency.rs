@@ -15,7 +15,7 @@ use load_control_suite::core::policy::{
 use load_control_suite::core::spec::{LoadControlSpec, SamplerSpec, SpecError, ALL_SAMPLER_NAMES};
 use load_control_suite::core::{LoadControl, LoadControlConfig, LoadGate};
 use load_control_suite::locks::registry::{DynMutex, LockKind, LockSpecError};
-use load_control_suite::locks::{ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
+use load_control_suite::locks::{Mutex, ABORTABLE_LOCK_NAMES, ALL_LOCK_NAMES};
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -283,8 +283,8 @@ fn load_control_spec_round_trips_through_a_live_instance() {
     assert_eq!(rebuilt.spec(), reported);
 }
 
-/// Every advertised abortable family runs under a `LoadGate` through the
-/// dynamically dispatched `DynMutex::lock_with` — the waiter-side algorithm
+/// Every advertised abortable family runs under a `LoadGate` through
+/// `Mutex::lock_with` over the boxed `DynLock` — the waiter-side algorithm
 /// `LcMutex` monomorphizes, reached entirely through lock names — without
 /// losing an update.
 #[test]
@@ -296,7 +296,7 @@ fn every_abortable_spec_reaches_the_lc_dispatch() {
             lock.is_abortable(),
             "{spec} advertised as abortable but its adapter is not"
         );
-        let mutex = DynMutex::new(lock, 0u64);
+        let mutex = Mutex::with_raw(0u64, lock);
         support::run_threads(2, Some(&control), |_| {
             let mut policy = LoadGate::new(&control);
             for _ in 0..1_000 {
@@ -327,7 +327,7 @@ fn spec_outcome(input: &str) -> String {
 /// The name of the lock `input` builds, or the error it is refused with.
 fn lock_outcome(input: &str) -> String {
     match DynMutex::try_build(input, ()) {
-        Ok(mutex) => mutex.name().to_string(),
+        Ok(mutex) => mutex.raw().name().to_string(),
         Err(e) => format!("error: {e}"),
     }
 }
